@@ -1,21 +1,24 @@
 """Command-line entry points.
 
 Exit codes: 0 yes/ok, 1 no/infeasible, 2 usage or parse error, 3 internal
-assertion failure.
+fault.  `UsageError` is raised only where the user's arguments and files
+are read, parsed, checked or written; any other exception is a fault of
+the program.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .coloring import format_certificate, parse_certificate, verify_complete
 from .graph import Graph, GraphFormatError, load_graph, save_graph
 from .matching import solve_saturation
 from .oracle import GeneratorError, GeneratorSpec, MIXED_MODELS, brute_dim, generate, mixed_instance
-from .pipeline import solve
-from .rewrite import LiftError, format_trace
+from .pipeline import LongClawPresent, solve
+from .rewrite import format_trace
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -23,20 +26,48 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+class UsageError(Exception):
+    """A bad argument or input file: exit code 2."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _parse_graph(text: str, path: str) -> Graph:
+    try:
+        return load_graph(text)
+    except GraphFormatError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _read_graph(path: str) -> Graph:
-    return load_graph(Path(path).read_text())
+    return _parse_graph(_read_text(path), path)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    report = solve(g, check_input=not args.allow_unchecked)
+    try:
+        report = solve(g)
+    except LongClawPresent as exc:
+        raise UsageError(f"{args.graph}: {exc}") from None
     if args.trace:
         print(format_trace(report.trace), file=sys.stderr)
     if report.is_yes:
         print("YES")
         cert = format_certificate(report.certificate)
         if args.certificate:
-            Path(args.certificate).write_text(cert)
+            _write_text(args.certificate, cert)
         else:
             sys.stdout.write(cert)
         return EXIT_YES
@@ -47,7 +78,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    cert = parse_certificate(Path(args.certificate).read_text())
+    try:
+        cert = parse_certificate(_read_text(args.certificate))
+    except ValueError as exc:
+        raise UsageError(f"{args.certificate}: {exc}") from None
     try:
         ok = verify_complete(g, cert)
     except ValueError as exc:
@@ -59,10 +93,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(model=args.model, n=args.n, seed=args.seed, family=args.family)
-    g = generate(spec)
+    try:
+        g = generate(spec)
+    except GeneratorError as exc:
+        raise UsageError(str(exc)) from None
     text = save_graph(g)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_YES
@@ -98,15 +135,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
-    raw = Path(args.graph).read_text()
+    raw = _read_text(args.graph)
     graph_lines = []
     required: list[int] = []
     for line in raw.splitlines():
         if line.strip().startswith("U:"):
-            required += [int(x) for x in line.split(":", 1)[1].split()]
+            try:
+                required += [int(x) for x in line.split(":", 1)[1].split()]
+            except ValueError:
+                raise UsageError(f"{args.graph}: 'U:' lists a non-integer vertex") from None
         else:
             graph_lines.append(line)
-    g = load_graph("\n".join(graph_lines))
+    g = _parse_graph("\n".join(graph_lines), args.graph)
+    outside = sorted(v for v in set(required) if v not in g)
+    if outside:
+        raise UsageError(f"{args.graph}: 'U:' vertices {outside} are not in the graph")
     m = solve_saturation(g, required)
     if m is None:
         print("infeasible")
@@ -124,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--trace", action="store_true", help="dump the rewrite trace to stderr")
     p.add_argument("--certificate", help="write the YES certificate to this file")
-    p.add_argument("--allow-unchecked", action="store_true",
-                   help="skip the long-claw input check (at your own risk)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check", help="verify a black/white certificate")
@@ -167,11 +208,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (GraphFormatError, FileNotFoundError, ValueError, GeneratorError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, LiftError, RuntimeError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure is a fault of the program
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -102,12 +102,15 @@ def verify_complete(g: Graph, c: PartialColoring) -> bool:
     """True iff c is a feasible complete coloring of g: whites independent
     and every black vertex has exactly one black neighbor.
 
-    Every vertex of g must be colored; an uncolored vertex is a contract
-    violation and raises ValueError.
+    c must color exactly the vertices of g; an uncolored vertex or a
+    colored vertex outside g is a contract violation and raises ValueError.
     """
     for v in g.vertices:
         if c.get(v) is None:
             raise ValueError(f"vertex {v} is uncolored")
+    if len(c.state) != g.n:
+        stray = min(v for v in c.state if v not in g)
+        raise ValueError(f"vertex {stray} is not in the graph")
     for v in g.vertices:
         if c.get(v) == WHITE:
             if any(c.get(w) == WHITE for w in g.neighbors(v)):

@@ -24,12 +24,19 @@ class Graph:
     """Simple undirected graph. Instances are immutable after construction.
 
     Vertex ids are arbitrary integers and survive unchanged through
-    subgraph / rewrite operations, which always return new graphs.
+    subgraph / rewrite operations, which always return new graphs.  The id
+    floor is the least id `fresh_ids` may hand out; subgraph / rewrite carry
+    it over, so graphs cut from one host can allocate disjoint fresh ids.
     """
 
-    __slots__ = ("_adj", "_vertices", "_cache")
+    __slots__ = ("_adj", "_vertices", "_cache", "_id_floor")
 
-    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
+    def __init__(
+        self,
+        vertices: Iterable[int],
+        edges: Iterable[tuple[int, int]],
+        id_floor: int = 0,
+    ):
         adj: dict[int, set[int]] = {int(v): set() for v in vertices}
         for u, v in edges:
             u, v = int(u), int(v)
@@ -42,6 +49,7 @@ class Graph:
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(self._adj))
         self._cache: dict[str, object] = {}
+        self._id_floor = id_floor
 
     # -- basic queries ----------------------------------------------------
 
@@ -215,9 +223,14 @@ class Graph:
 
     # -- construction of derived graphs -----------------------------------
 
-    def subgraph(self, keep: Iterable[int]) -> Graph:
+    def subgraph(self, keep: Iterable[int], id_floor: int | None = None) -> Graph:
+        """The induced subgraph on keep; it inherits this graph's id floor
+        unless id_floor is given."""
         keep_set = set(keep)
-        return Graph(keep_set, (e for e in self.edges() if e[0] in keep_set and e[1] in keep_set))
+        adj = self._adj
+        # the same sorted edge order as filtering edges(), at the cost of keep
+        edges = [(u, v) for u in sorted(keep_set) for v in sorted(adj[u]) if v > u and v in keep_set]
+        return Graph(keep_set, edges, self._id_floor if id_floor is None else id_floor)
 
     def remove_vertices(self, drop: Iterable[int]) -> Graph:
         drop_set = set(drop)
@@ -236,10 +249,11 @@ class Graph:
         verts.extend(add_vertices)
         edges = [e for e in self.edges() if e[0] not in drop and e[1] not in drop and e not in removed]
         edges.extend(_pair(*e) for e in add_edges)
-        return Graph(verts, edges)
+        return Graph(verts, edges, self._id_floor)
 
     def fresh_ids(self, k: int) -> list[int]:
-        base = (max(self._vertices) if self._vertices else 0) + 1
+        """k ids above every vertex and at least the id floor."""
+        base = max((max(self._vertices) if self._vertices else 0) + 1, self._id_floor)
         return list(range(base, base + k))
 
     def relabelled(self, mapping: dict[int, int]) -> Graph:

@@ -69,6 +69,22 @@ class Pattern:
         self._req = {_rp(a, b) for a, b in self.required}
         self._opt = {_rp(a, b) for a, b in self.optional}
         self._order = self._role_order()
+        # Host degree range per role, checked as each role is placed.  The
+        # neighbors of a closure role's vertex are exactly its required
+        # partners plus some optional ones, which bounds its degree; when it
+        # has no optional edges the bound is exact, and the closure test
+        # after the last role is left only for closure roles with optional
+        # edges.
+        self._degree = dict(self.degree)
+        self._loose_closure: list[str] = []
+        for r in self.closure:
+            n_req = sum(1 for e in self._req if r in e)
+            n_opt = sum(1 for e in self._opt if r in e)
+            lo, hi = self.degree.get(r, (0, None))
+            cap = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
+            self._degree[r] = (max(lo, n_req), cap)
+            if n_opt:
+                self._loose_closure.append(r)
         # role -> earlier roles split by relation
         self._req_earlier: dict[str, list[str]] = {}
         self._forb_earlier: dict[str, list[str]] = {}
@@ -105,7 +121,7 @@ class Pattern:
     # -- matching ----------------------------------------------------------
 
     def _candidates_ok(self, g: Graph, colors: Optional[Coloring], r: str, v: int) -> bool:
-        lo, hi = self.degree.get(r, (0, None))
+        lo, hi = self._degree.get(r, (0, None))
         d = g.degree(v)
         if d < lo or (hi is not None and d > hi):
             return False
@@ -134,7 +150,7 @@ class Pattern:
 
         def extend(i: int) -> Iterator[Embedding]:
             if i == len(order):
-                for r in self.closure:
+                for r in self._loose_closure:
                     if not g.neighbors(assignment[r]) <= used:
                         return
                 yield Embedding(dict(assignment))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import dimatch.cli
 from dimatch.cli import main
 from dimatch.graph import cycle, save_graph
 
@@ -40,6 +41,14 @@ def test_check_fails_on_bad_certificate(tmp_path, capsys):
     cert = write(tmp_path, "bad.cert", "1 B\n2 W\n3 B\n4 W\n")
     assert main(["check", gpath, cert]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_rejects_vertex_outside_graph(tmp_path, capsys):
+    gpath = write(tmp_path, "p3.g", "3 2\n1 2\n2 3\n")
+    cert = write(tmp_path, "extra.cert", "1 W\n2 B\n3 B\n99 B\n")
+    assert main(["check", gpath, cert]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "99" in out
 
 
 def test_check_accepts_known_good(tmp_path, capsys):
@@ -85,3 +94,22 @@ def test_parse_error_exit_code(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
+
+
+def test_internal_fault_exit_code(tmp_path, monkeypatch, capsys):
+    def broken_solve(g):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr(dimatch.cli, "solve", broken_solve)
+    gpath = write(tmp_path, "c6.g", save_graph(cycle(6)))
+    assert main(["solve", gpath]) == 3
+    assert "solver fault" in capsys.readouterr().err
+    gpath = write(tmp_path, "bad.g", "2 1\n1 x\n")
+    assert main(["solve", gpath]) == 2
+
+
+def test_saturate_rejects_vertex_outside_graph(tmp_path):
+    gpath = write(tmp_path, "p3.g", "3 2\n1 2\n2 3\nU: 7\n")
+    assert main(["saturate", gpath]) == 2
+    gpath = write(tmp_path, "p3x.g", "3 2\n1 2\n2 3\nU: x\n")
+    assert main(["saturate", gpath]) == 2

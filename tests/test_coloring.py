@@ -35,6 +35,9 @@ def test_verify_c6_two_pairs():
 def test_verify_requires_total_coloring():
     with pytest.raises(ValueError, match="uncolored"):
         verify_complete(cycle(4), PartialColoring({1: BLACK}))
+    c6 = {1: BLACK, 2: BLACK, 3: WHITE, 4: BLACK, 5: BLACK, 6: WHITE}
+    with pytest.raises(ValueError, match="not in the graph"):
+        verify_complete(cycle(6), PartialColoring({**c6, 99: BLACK}))
 
 
 def test_assign_white_next_to_white_refutes():

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from dimatch.graph import complete, cycle, from_edges, path, star
+import dimatch.rewrite as rw
+import dimatch.rules as rl
+from dimatch.coloring import BLACK, WHITE
+from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.patterns import (
     LONG_CLAW,
+    MUST_BLACK,
+    Pattern,
     brute_force_find_all,
     contains_s222,
     find_induced,
@@ -16,6 +22,9 @@ from dimatch.rules import (
     P_HOUSE,
     P_TRIANGLE_TAIL,
 )
+
+from .util import decorate
+
 
 def test_find_induced_c4_pattern():
     p = pattern("square", "a b c d", "a-b b-c c-d d-a", degree={r: (2, 2) for r in "abcd"})
@@ -126,20 +135,20 @@ def test_contains_s222_agrees_with_generic_matcher():
                         assert (u, v) in required
 
 
+def _catalog() -> list[Pattern]:
+    """Every declarative pattern of the forcing rules and the rewrites."""
+    return [
+        obj
+        for mod in (rl, rw)
+        for name in dir(mod)
+        if isinstance(obj := getattr(mod, name), Pattern)
+    ]
+
+
 def test_full_catalog_matcher_agrees_with_brute_force():
     """Every declarative pattern in the rule catalogs agrees with the
     reference matcher, including degree, closure and color constraints."""
-    import dimatch.rewrite as rw
-    import dimatch.rules as rl
-    from dimatch.coloring import BLACK, WHITE
-    from dimatch.patterns import Pattern
-
-    catalog = []
-    for mod in (rl, rw):
-        for name in dir(mod):
-            obj = getattr(mod, name)
-            if isinstance(obj, Pattern):
-                catalog.append(obj)
+    catalog = _catalog()
     assert len(catalog) >= 25
     rng = random.Random(31)
     for trial in range(40):
@@ -163,7 +172,6 @@ def test_full_catalog_matcher_agrees_with_brute_force():
             assert fast == slow, (p.name, g.edges(), colors)
     # the bigger patterns get one exact-size host each: the pattern must
     # find itself when planted verbatim
-    from dimatch.graph import Graph
     for p in catalog:
         if not (7 < len(p.roles) <= 13) or p.color or p.degree:
             continue
@@ -171,3 +179,38 @@ def test_full_catalog_matcher_agrees_with_brute_force():
         ids = {r: i + 1 for i, r in enumerate(roles)}
         host = Graph(ids.values(), [(ids[a], ids[b]) for a, b in p.required])
         assert p.find(host) is not None, p.name
+
+
+def test_large_closure_patterns_equal_filtered_open_patterns():
+    """Closure patterns with more than seven roles are beyond the
+    permutation oracle.  Planted in decorated hosts, each must yield, in
+    the same order, exactly the embeddings of its closure-free twin that
+    pass the closure condition."""
+    big = [p for p in _catalog() if p.closure and len(p.roles) > 7]
+    assert {
+        "prune_fan5", "prune_fan4", "fold_fan5", "fold_fan4", "fold_fan_leaf",
+        "fold_twin_spiders", "fold_hub", "prune_double_house",
+    } <= {p.name for p in big}
+    rng = random.Random(43)
+    kept = dropped = 0
+    for p in big:
+        open_twin = dataclasses.replace(p, closure=frozenset())
+        ids = {r: i + 1 for i, r in enumerate(p.roles)}
+        for seed in range(40):
+            edges = [(ids[a], ids[b]) for a, b in p.required]
+            edges += [(ids[a], ids[b]) for a, b in p.optional if rng.random() < 0.5]
+            host = decorate(Graph(ids.values(), edges), seed)
+            colors = {ids[r]: BLACK for r, want in p.color.items() if want == MUST_BLACK}
+            for v in host.vertices:
+                if v not in colors and rng.random() < 0.1:
+                    colors[v] = rng.choice((BLACK, WHITE))
+            want = []
+            for e in open_twin.find_all(host, colors):
+                if all(host.neighbors(e[r]) <= e.image() for r in p.closure):
+                    want.append(e.assignment)
+                else:
+                    dropped += 1
+            got = [e.assignment for e in p.find_all(host, colors)]
+            assert got == want, (p.name, seed, host.edges(), colors)
+            kept += len(got)
+    assert kept > 0 and dropped > 0, (kept, dropped)

@@ -21,7 +21,7 @@ from dimatch.rewrite import (
 )
 from dimatch.rules import CleanStep
 
-from .util import REWRITE_HOSTS, OracleAudit, all_completions
+from .util import REWRITE_HOSTS, OracleAudit, all_completions, decorate
 
 
 def test_every_rule_has_hosts():
@@ -175,34 +175,6 @@ def test_driver_hosts_full_pipeline_roundtrip():
                 assert verify_complete(g, rep.certificate)
 
 
-def _decorate(g, seed):
-    """Randomly hang pendant chains, triangles, or triangle-tipped paths
-    off a host so the pipeline reaches the interesting rewrite states."""
-    rng = random.Random(seed)
-    edges = list(g.edges())
-    verts = list(g.vertices)
-    nxt = max(verts) + 1
-    for _ in range(rng.randint(0, 3)):
-        anchor = rng.choice(verts)
-        kind = rng.random()
-        if kind < 0.4:
-            prev = anchor
-            for _ in range(rng.randint(1, 2)):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        elif kind < 0.8:
-            edges += [(anchor, nxt), (nxt, nxt + 1), (anchor, nxt + 1)]
-            nxt += 2
-        else:
-            edges += [(anchor, nxt), (nxt, nxt + 1), (nxt + 1, nxt + 2),
-                      (nxt + 1, nxt + 3), (nxt + 2, nxt + 3)]
-            nxt += 4
-    from dimatch.graph import Graph
-
-    return Graph(sorted({v for e in edges for v in e}), edges)
-
-
 def test_decorated_hosts_through_full_pipeline():
     """Rewrite hosts with random attachments reach reachable clean states
     that fire the rarer rules; decisions must still match the oracle."""
@@ -214,7 +186,7 @@ def test_decorated_hosts_through_full_pipeline():
     for rid, hosts in sorted(REWRITE_HOSTS.items()):
         for hi, (g0, _cols) in enumerate(hosts):
             for seed in range(12):
-                g = _decorate(g0, seed * 977 + hi)
+                g = decorate(g0, seed * 977 + hi)
                 if g.n > 20 or contains_s222(g) is not None:
                     continue
                 tried += 1

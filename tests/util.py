@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
@@ -207,6 +208,32 @@ REWRITE_HOSTS: dict[str, list[tuple[Graph, dict[int, str]]]] = {
         (from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (1, 7), (6, 7), (5, 8), (5, 9), (8, 9)]), {}),
     ],
 }
+
+
+def decorate(g: Graph, seed: int) -> Graph:
+    """Randomly hang pendant chains, triangles, or triangle-tipped paths
+    off a host so the pipeline reaches the interesting rewrite states."""
+    rng = random.Random(seed)
+    edges = list(g.edges())
+    verts = list(g.vertices)
+    nxt = max(verts) + 1
+    for _ in range(rng.randint(0, 3)):
+        anchor = rng.choice(verts)
+        kind = rng.random()
+        if kind < 0.4:
+            prev = anchor
+            for _ in range(rng.randint(1, 2)):
+                edges.append((prev, nxt))
+                prev = nxt
+                nxt += 1
+        elif kind < 0.8:
+            edges += [(anchor, nxt), (nxt, nxt + 1), (anchor, nxt + 1)]
+            nxt += 2
+        else:
+            edges += [(anchor, nxt), (nxt, nxt + 1), (nxt + 1, nxt + 2),
+                      (nxt + 1, nxt + 3), (nxt + 2, nxt + 3)]
+            nxt += 4
+    return Graph(sorted({v for e in edges for v in e}), edges)
 
 
 # hosts on which each forcing rule fires during propagation
