@@ -8,7 +8,7 @@ colorings relax "exactly one" to "at most one".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graph import Graph
@@ -28,25 +28,6 @@ class Conflict:
 
     def __str__(self) -> str:
         return f"rule {self.rule} forces {self.wanted} on {self.vertex}: {self.reason}"
-
-
-@dataclass
-class Refuted:
-    witness: Conflict
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return False
-
-
-@dataclass
-class Progress:
-    changed: set[int] = field(default_factory=set)
-
-    def __bool__(self) -> bool:
-        return True
-
-
-Verdict = Refuted | Progress
 
 
 class PartialColoring:
@@ -121,27 +102,28 @@ def verify_complete(g: Graph, c: PartialColoring) -> bool:
     return True
 
 
-def assign(g: Graph, c: PartialColoring, v: int, color: str, rule: str = "assign") -> Verdict:
-    """Color v, checking partial feasibility.  Refutes on any conflict."""
+def assign(g: Graph, c: PartialColoring, v: int, color: str, rule: str = "assign") -> Optional[Conflict]:
+    """Color v, checking partial feasibility.  Returns the conflict that
+    rejects the color, or None once v has it."""
     cur = c.get(v)
     if cur == color:
-        return Progress(set())
+        return None
     if cur is not None:
-        return Refuted(Conflict(rule, v, color, f"already {cur}"))
+        return Conflict(rule, v, color, f"already {cur}")
     if color == WHITE:
         for w in g.neighbors(v):
             if c.get(w) == WHITE:
-                return Refuted(Conflict(rule, v, color, f"white neighbor {w}"))
+                return Conflict(rule, v, color, f"white neighbor {w}")
     else:
         black_nbrs = [w for w in g.neighbors(v) if c.get(w) == BLACK]
         if len(black_nbrs) > 1:
-            return Refuted(Conflict(rule, v, color, f"two black neighbors {black_nbrs[:2]}"))
+            return Conflict(rule, v, color, f"two black neighbors {black_nbrs[:2]}")
         for w in black_nbrs:
             others = [x for x in g.neighbors(w) if x != v and c.get(x) == BLACK]
             if others:
-                return Refuted(Conflict(rule, v, color, f"{w} would get two black neighbors"))
+                return Conflict(rule, v, color, f"{w} would get two black neighbors")
     c.state[v] = color
-    return Progress({v})
+    return None
 
 
 def parse_certificate(text: str) -> PartialColoring:
@@ -154,7 +136,10 @@ def parse_certificate(text: str) -> PartialColoring:
         parts = line.split()
         if len(parts) != 2 or parts[1] not in (BLACK, WHITE):
             raise ValueError(f"line {lineno}: expected 'vertex B|W'")
-        state[int(parts[0])] = parts[1]
+        v = int(parts[0])
+        if v in state:
+            raise ValueError(f"line {lineno}: vertex {v} listed twice")
+        state[v] = parts[1]
     return PartialColoring(state)
 
 

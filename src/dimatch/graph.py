@@ -86,9 +86,6 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
-    def __hash__(self):  # pragma: no cover - graphs used as values, not keys
-        return hash((self._vertices, frozenset(map(frozenset, self.edges()))))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -256,12 +253,6 @@ class Graph:
         base = max((max(self._vertices) if self._vertices else 0) + 1, self._id_floor)
         return list(range(base, base + k))
 
-    def relabelled(self, mapping: dict[int, int]) -> Graph:
-        return Graph(
-            (mapping[v] for v in self._vertices),
-            ((mapping[u], mapping[v]) for u, v in self.edges()),
-        )
-
 
 # -- file format -----------------------------------------------------------
 #
@@ -271,7 +262,7 @@ class Graph:
 
 def load_graph(text: str) -> Graph:
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -299,13 +290,16 @@ def load_graph(text: str) -> Graph:
         n = header[0]
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"vertex out of range 1..{n}", lineno)
-        edges.append(_pair(u, v))
+        e = _pair(u, v)
+        if e in edges:
+            raise GraphFormatError(f"edge {e[0]} {e[1]} listed twice", lineno)
+        edges.add(e)
     if header is None:
         raise GraphFormatError("empty input: missing header 'n m'")
     n, m = header
     if len(edges) != m:
         raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
-    return Graph(range(1, n + 1), set(edges))
+    return Graph(range(1, n + 1), edges)
 
 
 def save_graph(g: Graph) -> str:

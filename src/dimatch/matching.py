@@ -9,7 +9,7 @@ the saturation solver.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .graph import Graph
 
@@ -30,12 +30,6 @@ class _Matcher:
         self.n = len(self.verts)
         self.match = [-1] * self.n
 
-    def load(self, m: Iterable[tuple[int, int]]) -> None:
-        for u, v in m:
-            iu, iv = self.index[u], self.index[v]
-            self.match[iu] = iv
-            self.match[iv] = iu
-
     def matching(self) -> Matching:
         out: Matching = set()
         for i, j in enumerate(self.match):
@@ -43,15 +37,13 @@ class _Matcher:
                 out.add(_norm(self.verts[i], self.verts[j]))
         return out
 
-    def saturated(self, v: int) -> bool:
-        return self.match[self.index[v]] != -1
-
     # classic blossom search; p[] holds the BFS tree, base[] the blossom
-    # representative of every vertex.
+    # representative of every vertex.  Index n is a virtual exposed helper
+    # vertex adjacent to every index in spare; it has no other edges.
 
-    def _find_path(self, root: int) -> int:
+    def _find_path(self, root: int, spare: AbstractSet[int]) -> int:
         n, adj, match = self.n, self.adj, self.match
-        self.p = p = [-1] * n
+        self.p = p = [-1] * (n + 1)
         base = list(range(n))
         used = [False] * n
         used[root] = True
@@ -103,16 +95,30 @@ class _Matcher:
                         return to
                     used[match[to]] = True
                     q.append(match[to])
+            # the helper follows v's real neighbours, as if its id were the
+            # largest; it is exposed, so reaching it ends the search
+            if v in spare:
+                p[n] = v
+                return n
         return -1
 
-    def augment_from(self, v: int) -> bool:
-        """Search an augmenting path rooted at exposed vertex v; flip it."""
+    def augment_from(self, v: int, spare: AbstractSet[int] = frozenset()) -> bool:
+        """Search an augmenting path rooted at exposed vertex v; flip it.
+
+        Every index in spare counts as adjacent to a virtual exposed helper
+        vertex.  A path that ends at the helper frees its spare vertex, so
+        the matching keeps its size and saturates v in that vertex's place.
+        """
         root = self.index[v]
         if self.match[root] != -1:
             raise ValueError(f"{v} is already saturated")
-        finish = self._find_path(root)
+        finish = self._find_path(root, spare)
         if finish == -1:
             return False
+        if finish == self.n:
+            freed = self.p[finish]
+            finish = self.match[freed]
+            self.match[freed] = -1
         while finish != -1:
             pv = self.p[finish]
             ppv = self.match[pv]
@@ -152,33 +158,23 @@ def solve_saturation(g: Graph, required: Iterable[int]) -> Optional[Matching]:
     """Find a matching saturating every required vertex, or None.
 
     Start from a maximum matching; while a required vertex is exposed,
-    look for an augmenting path from it in the graph extended by a helper
+    look for an augmenting path from it that may end at a virtual helper
     vertex adjacent to every saturated non-required vertex.  Success
     trades a non-required saturated vertex for the required one; failure
-    anywhere is final.
+    anywhere is final.  The result is still a maximum matching.
     """
     req = sorted(set(required))
     if not set(req) <= set(g.vertices):
         raise ValueError("required vertices outside graph")
-    base = _Matcher(g)
-    base.maximize()
-    current = base.matching()
-    req_set = set(req)
+    solver = _Matcher(g)
+    solver.maximize()
+    req_index = {solver.index[v] for v in req}
     for v in req:
-        covered = {x for e in current for x in e}
-        if v in covered:
+        if solver.match[solver.index[v]] != -1:
             continue
-        helper = (max(g.vertices) + 1) if g.vertices else 1
-        spare = sorted(covered - req_set)
-        aux = g.rewrite(add_vertices=[helper], add_edges=[(helper, w) for w in spare])
-        solver = _Matcher(aux)
-        solver.load(current)
-        if not solver.augment_from(v):
+        spare = {i for i, j in enumerate(solver.match) if j != -1 and i not in req_index}
+        if not solver.augment_from(v, spare):
             return None
-        flipped = solver.matching()
-        dropped = [e for e in flipped if helper in e]
-        assert len(dropped) == 1, "augmenting path must end at the helper vertex"
-        flipped.discard(dropped[0])
-        current = flipped
+    current = solver.matching()
     assert saturates(current, req)
     return current

@@ -10,7 +10,6 @@ the matched image (closure), or require a color state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .graph import Graph
@@ -192,48 +191,6 @@ def find_induced(g: Graph, p: Pattern, exclude: Iterable[int] = ()) -> Optional[
     return p.find(g, colors=None, exclude=exclude)
 
 
-def brute_force_find_all(g: Graph, p: Pattern, colors: Optional[Coloring] = None) -> list[dict[str, int]]:
-    """Reference matcher: try every injective role assignment. Test oracle."""
-    out = []
-    roles = p.roles
-    req = {_rp(a, b) for a, b in p.required}
-    opt = {_rp(a, b) for a, b in p.optional}
-    for combo in permutations(g.vertices, len(roles)):
-        amap = dict(zip(roles, combo))
-        ok = True
-        for i, a in enumerate(roles):
-            for b in roles[i + 1 :]:
-                has = g.has_edge(amap[a], amap[b])
-                key = _rp(a, b)
-                if key in req and not has:
-                    ok = False
-                elif key not in req and key not in opt and has:
-                    ok = False
-            if not ok:
-                break
-        if not ok:
-            continue
-        for r, (lo, hi) in p.degree.items():
-            d = g.degree(amap[r])
-            if d < lo or (hi is not None and d > hi):
-                ok = False
-        if ok:
-            for r in p.closure:
-                if not g.neighbors(amap[r]) <= set(combo):
-                    ok = False
-                    break
-        if ok and colors is not None:
-            for r, want in p.color.items():
-                state = colors.get(amap[r])
-                if want == MUST_BLACK and state != BLACK:
-                    ok = False
-                if want == MUST_UNCOLORED and state is not None:
-                    ok = False
-        if ok:
-            out.append(amap)
-    return out
-
-
 def _edges(spec: str) -> frozenset[tuple[str, str]]:
     return frozenset(_rp(*e.split("-")) for e in spec.split())
 
@@ -246,14 +203,6 @@ def pattern(name: str, roles: str, req: str, opt: str = "", **kw) -> Pattern:
         name=name,
         **kw,
     )
-
-
-# The long claw: a claw with every edge subdivided once.
-LONG_CLAW = pattern(
-    "long_claw",
-    "c a1 a2 a3 b1 b2 b3",
-    "c-a1 c-a2 c-a3 a1-b1 a2-b2 a3-b3",
-)
 
 
 def contains_s222(g: Graph) -> Optional[Embedding]:

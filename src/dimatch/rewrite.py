@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .coloring import BLACK, WHITE, Conflict, PartialColoring, Refuted
+from .coloring import BLACK, WHITE, Conflict, PartialColoring
 from .graph import Graph
 from .patterns import MUST_BLACK, MUST_UNCOLORED, Embedding, Pattern, pattern
-from .rules import CleanStep, clean, clean_pair_violation, is_clean_pair, propagate
+from .rules import CleanStep, ReductionAudit, clean, clean_pair_violation, is_clean_pair, propagate
 
 
 class LiftError(RuntimeError):
@@ -215,6 +215,13 @@ def _dashes(g: Graph, emb: Embedding, role: str, targets: tuple[str, ...]) -> tu
     return tuple(t for t in targets if g.has_edge(emb[role], emb[t]))
 
 
+def _removed_dashes(step: RewriteStep, role: str, targets: tuple[str, ...]) -> tuple[str, ...]:
+    """The dashes of role at the time of the step, read off the edges the
+    step removed."""
+    emb, incident = step.embedding, step.removed_incident_edges
+    return tuple(t for t in targets if (min(emb[role], emb[t]), max(emb[role], emb[t])) in incident)
+
+
 def guard_hub_triangle(g: Graph, c: PartialColoring, emb: Embedding) -> bool:
     return not (
         _dashes(g, emb, "u2", ("b", "w1")) and _dashes(g, emb, "u2p", ("b", "w1"))
@@ -226,15 +233,7 @@ def lift_hub_triangle(step: RewriteStep, colors: dict[int, str]) -> None:
     cx = _col(colors, step, "x")
     cw1 = _col(colors, step, "w1")
     _expect(cx != cw1, step, "square corners agree")
-    emb = step.embedding
-    dashed = {
-        r: tuple(
-            t
-            for t in ("b", "w1")
-            if (min(emb[r], emb[t]), max(emb[r], emb[t])) in set(step.removed_incident_edges)
-        )
-        for r in ("u2", "u2p")
-    }
+    dashed = {r: _removed_dashes(step, r, ("b", "w1")) for r in ("u2", "u2p")}
     first, second = "u2", "u2p"
     if step.removed_color(second) == BLACK or (
         step.removed_color(first) != BLACK and dashed[first] and not dashed[second]
@@ -302,17 +301,9 @@ def lift_twin_triangle(step: RewriteStep, colors: dict[int, str]) -> None:
     _expect(ca != cb, step, "triangle base corners agree")
     _expect(_col(colors, step, "x") == ca, step, "x disagrees with a")
     _expect(_col(colors, step, "w2") == cb, step, "w2 disagrees with b")
-    emb = step.embedding
-    incident = set(step.removed_incident_edges)
-
-    def dash_targets(r: str, targets: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(
-            t for t in targets if (min(emb[r], emb[t]), max(emb[r], emb[t])) in incident
-        )
-
     first, second = "u1", "u1p"
-    d_first = dash_targets(first, ("y",))
-    d_second = dash_targets(second, ("b", "w2", "y"))
+    d_first = _removed_dashes(step, first, ("y",))
+    d_second = _removed_dashes(step, second, ("b", "w2", "y"))
     if d_first:
         _expect(not d_second, step, "both triangle hubs have outward edges")
         first, second = second, first
@@ -720,19 +711,6 @@ class ReduceResult:
         return self.refuted is not None
 
 
-class ReductionAudit:
-    """Observer hooks used by the test harness; no-ops by default."""
-
-    def on_color(self, g: Graph, rule_id: str, tag: str, v: int, color: str, pre: PartialColoring) -> None:
-        pass
-
-    def on_clean(self, g_pre: Graph, c_pre: PartialColoring, g_post: Graph, c_post: PartialColoring) -> None:
-        pass
-
-    def on_rewrite(self, step: RewriteStep, g_pre: Graph, c_pre: PartialColoring, g_post: Graph, c_post: PartialColoring) -> None:
-        pass
-
-
 def reduce_to_irreducible(
     g: Graph,
     c: Optional[PartialColoring] = None,
@@ -751,10 +729,9 @@ def reduce_to_irreducible(
     steps = 0
     cap = max(step_cap_factor * g.n * g.n, 16)
     while True:
-        hook = (lambda rid, tag, v, col, pre: audit.on_color(g, rid, tag, v, col, pre)) if audit else None
-        verdict = propagate(g, c, audit=hook)
-        if isinstance(verdict, Refuted):
-            return ReduceResult(verdict.witness, g, c, trace, steps)
+        conflict = propagate(g, c, audit)
+        if conflict is not None:
+            return ReduceResult(conflict, g, c, trace, steps)
         g2, c2, cstep = clean(g, c)
         if cstep is not None:
             if audit:
@@ -805,25 +782,6 @@ def lift_completion(trace: list[TraceEntry], final: PartialColoring) -> PartialC
                 raise LiftError(f"rule {entry.rule_id} has no lift")
             rule.lift(entry, colors)
     return PartialColoring(colors)
-
-
-def replay_backwards(trace: list[TraceEntry], final: Graph) -> Graph:
-    """Reconstruct the original graph from the final one; trace sanity check."""
-    g = final
-    for entry in reversed(trace):
-        if isinstance(entry, CleanStep):
-            g = g.rewrite(
-                add_vertices=sorted(entry.removed()),
-                add_edges=entry.incident_edges,
-            )
-        else:
-            g = g.rewrite(
-                remove_vertices=entry.added_ids.values(),
-                add_vertices=entry.removed_vertices,
-                add_edges=entry.removed_incident_edges + entry.removed_survivor_edges,
-                remove_edges=entry.added_survivor_edges,
-            )
-    return g
 
 
 def format_trace(trace: list[TraceEntry]) -> str:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from .coloring import BLACK, WHITE, Conflict, PartialColoring, Progress, Refuted, Verdict, assign
+from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
-from .patterns import MUST_BLACK, MUST_UNCOLORED, pattern
+from .patterns import MUST_BLACK, MUST_UNCOLORED, Pattern, pattern
+
+if TYPE_CHECKING:
+    from .rewrite import RewriteStep
 
 FORCED = "forced"
 EXCHANGE = "exchange"
@@ -23,7 +26,6 @@ Demand = tuple[int, str]
 # Rules yield one *group* of demands per firing; a group is applied
 # atomically and the whole scan restarts, so later firings see the result.
 RuleFn = Callable[[Graph, PartialColoring], Iterator[list[Demand]]]
-AuditHook = Callable[[str, str, int, str, PartialColoring], None]
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,20 @@ class Rule:
     id: str
     tag: str
     fn: RuleFn
+
+
+class ReductionAudit:
+    """Observer of every coloring, cleaning step and rewrite the reduction
+    makes; the methods are no-ops, so a subclass overrides what it needs."""
+
+    def on_color(self, g: Graph, rule_id: str, tag: str, v: int, color: str, pre: PartialColoring) -> None:
+        pass
+
+    def on_clean(self, g_pre: Graph, c_pre: PartialColoring, g_post: Graph, c_post: PartialColoring) -> None:
+        pass
+
+    def on_rewrite(self, step: RewriteStep, g_pre: Graph, c_pre: PartialColoring, g_post: Graph, c_post: PartialColoring) -> None:
+        pass
 
 
 def _opp(color: str) -> str:
@@ -42,8 +58,7 @@ def _opp(color: str) -> str:
 # whitens its surroundings, a black vertex with one escape forces it.
 
 
-def _basic_fixpoint(g: Graph, c: PartialColoring) -> Verdict:
-    changed_total: set[int] = set()
+def _basic_fixpoint(g: Graph, c: PartialColoring) -> Optional[Conflict]:
     again = True
     while again:
         again = False
@@ -55,35 +70,32 @@ def _basic_fixpoint(g: Graph, c: PartialColoring) -> Verdict:
             if col == WHITE:
                 for w in ns:
                     if c.get(w) is None:
-                        r = assign(g, c, w, BLACK, "white_neighbors")
-                        if isinstance(r, Refuted):
-                            return r
-                        changed_total |= r.changed
+                        conflict = assign(g, c, w, BLACK, "white_neighbors")
+                        if conflict is not None:
+                            return conflict
                         again = True
                 continue
             black_nbrs = [w for w in ns if c.get(w) == BLACK]
             if len(black_nbrs) >= 2:
-                return Refuted(Conflict("pair_overload", v, BLACK, f"black neighbors {black_nbrs[:2]}"))
+                return Conflict("pair_overload", v, BLACK, f"black neighbors {black_nbrs[:2]}")
             if black_nbrs:
                 partner = black_nbrs[0]
                 for w in ns:
                     if w != partner and c.get(w) is None:
-                        r = assign(g, c, w, WHITE, "matched_pair")
-                        if isinstance(r, Refuted):
-                            return r
-                        changed_total |= r.changed
+                        conflict = assign(g, c, w, WHITE, "matched_pair")
+                        if conflict is not None:
+                            return conflict
                         again = True
                 continue
             open_nbrs = [w for w in ns if c.get(w) != WHITE]
             if not open_nbrs:
-                return Refuted(Conflict("no_partner", v, BLACK, "all neighbors white"))
+                return Conflict("no_partner", v, BLACK, "all neighbors white")
             if len(open_nbrs) == 1:
-                r = assign(g, c, open_nbrs[0], BLACK, "last_partner")
-                if isinstance(r, Refuted):
-                    return r
-                changed_total |= r.changed
+                conflict = assign(g, c, open_nbrs[0], BLACK, "last_partner")
+                if conflict is not None:
+                    return conflict
                 again = True
-    return Progress(changed_total)
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -131,6 +143,18 @@ def rule_triangle_outsider(g: Graph, c: PartialColoring) -> Iterator[list[Demand
 
 # --------------------------------------------------------------------------
 # the main catalog
+
+
+def _demands(p: Pattern, **colors: str) -> RuleFn:
+    """A rule that demands the given role colors on every embedding of p.
+    The coloring is always passed on; patterns without color constraints
+    never read it."""
+
+    def fn(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
+        for emb in p.find_all(g, c.state):
+            yield [(emb[role], color) for role, color in colors.items()]
+
+    return fn
 
 
 def rule_degree_one(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
@@ -200,21 +224,11 @@ P_TRIANGLE_TAIL = pattern(
 )
 
 
-def rule_triangle_tail(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_TRIANGLE_TAIL.find_all(g):
-        yield [(emb["x"], BLACK)]
-
-
 P_HOUSE = pattern(
     "house",
     "x y z u v",
     "x-y x-z y-z z-u u-v v-y",
 )
-
-
-def rule_house_apex(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_HOUSE.find_all(g):
-        yield [(emb["x"], BLACK)]
 
 
 P_HAT_PENTAGON = pattern(
@@ -270,11 +284,6 @@ P_SPOKED_TRIANGLE = pattern(
 )
 
 
-def rule_spoked_triangle(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_SPOKED_TRIANGLE.find_all(g):
-        yield [(emb["u"], WHITE)]
-
-
 def rule_square_degree_two(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
     for cyc in g.induced_c4s():
         for v in cyc:
@@ -288,11 +297,6 @@ P_TRIANGLE_CIRCUIT = pattern(
     "x-u1 x-u2 u1-u2 x-y y-z z-v v-w1 v-w2 w1-u1 w2-u2",
     color={"v": MUST_BLACK},
 )
-
-
-def rule_triangle_circuit(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_TRIANGLE_CIRCUIT.find_all(g, c.state):
-        yield [(emb["x"], WHITE)]
 
 
 P_TWIN_FAN = pattern(
@@ -309,11 +313,6 @@ P_TWIN_FAN = pattern(
         "w2": MUST_UNCOLORED,
     },
 )
-
-
-def rule_twin_fan_swap(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_TWIN_FAN.find_all(g, c.state):
-        yield [(emb["w1"], WHITE), (emb["w2"], WHITE)]
 
 
 def _isolated_in_neighborhood(g: Graph, v: int) -> list[int]:
@@ -342,11 +341,6 @@ P_CUBIC_CAPS = pattern(
         "v2": (2, 2),
     },
 )
-
-
-def rule_cubic_caps(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_CUBIC_CAPS.find_all(g):
-        yield [(emb["y1"], WHITE), (emb["y2"], WHITE)]
 
 
 def rule_lone_wing(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
@@ -380,22 +374,12 @@ P_SEVEN_CYCLE = pattern(
 )
 
 
-def rule_seven_cycle_step(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_SEVEN_CYCLE.find_all(g, c.state):
-        yield [(emb["z"], BLACK)]
-
-
 P_BRACED_PENDANT = pattern(
     "braced_pendant",
     "x y u1 u2 v1 v2 w1 w2",
     "x-y x-u1 x-u2 u1-v1 u2-v2 v1-v2 v1-w1 v2-w2 w1-w2",
     color={"x": MUST_BLACK},
 )
-
-
-def rule_braced_pendant(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_BRACED_PENDANT.find_all(g, c.state):
-        yield [(emb["y"], WHITE)]
 
 
 CATALOG: tuple[Rule, ...] = (
@@ -407,38 +391,37 @@ CATALOG: tuple[Rule, ...] = (
     Rule("diamond_pair", FORCED, rule_diamond_pair),
     Rule("leaf_surplus", EXCHANGE, rule_leaf_surplus),
     Rule("chain_step", FORCED, rule_chain_step),
-    Rule("triangle_tail", FORCED, rule_triangle_tail),
-    Rule("house_apex", FORCED, rule_house_apex),
+    Rule("triangle_tail", FORCED, _demands(P_TRIANGLE_TAIL, x=BLACK)),
+    Rule("house_apex", FORCED, _demands(P_HOUSE, x=BLACK)),
     Rule("hat_pentagon", FORCED, rule_hat_pentagon),
     Rule("hat_pentagon_swap", EXCHANGE, rule_hat_pentagon_swap),
     Rule("anchored_pentagon", FORCED, rule_anchored_pentagon),
-    Rule("spoked_triangle", FORCED, rule_spoked_triangle),
+    Rule("spoked_triangle", FORCED, _demands(P_SPOKED_TRIANGLE, u=WHITE)),
     Rule("square_degree_two", FORCED, rule_square_degree_two),
-    Rule("triangle_circuit", FORCED, rule_triangle_circuit),
-    Rule("twin_fan_swap", EXCHANGE, rule_twin_fan_swap),
+    Rule("triangle_circuit", FORCED, _demands(P_TRIANGLE_CIRCUIT, x=WHITE)),
+    Rule("twin_fan_swap", EXCHANGE, _demands(P_TWIN_FAN, w1=WHITE, w2=WHITE)),
     Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood),
-    Rule("cubic_caps", FORCED, rule_cubic_caps),
+    Rule("cubic_caps", FORCED, _demands(P_CUBIC_CAPS, y1=WHITE, y2=WHITE)),
     Rule("lone_wing", FORCED, rule_lone_wing),
-    Rule("seven_cycle_step", FORCED, rule_seven_cycle_step),
-    Rule("braced_pendant", FORCED, rule_braced_pendant),
+    Rule("seven_cycle_step", FORCED, _demands(P_SEVEN_CYCLE, z=BLACK)),
+    Rule("braced_pendant", FORCED, _demands(P_BRACED_PENDANT, y=WHITE)),
 )
 
 RULES_BY_ID = {r.id: r for r in CATALOG}
 
 
-def propagate(g: Graph, c: PartialColoring, audit: Optional[AuditHook] = None) -> Verdict:
-    """Run every rule to a joint fixpoint.  Mutates c.
+def propagate(g: Graph, c: PartialColoring, audit: Optional[ReductionAudit] = None) -> Optional[Conflict]:
+    """Run every rule to a joint fixpoint.  Mutates c; returns the conflict
+    that refutes the instance, or None.
 
     One rule firing is applied per scan; the scan then restarts with the
     cheap rules, so every firing sees an up-to-date coloring (the
     exchange rules rely on that for their "still uncolored" guards).
     """
-    changed_total: set[int] = set()
     while True:
-        r = _basic_fixpoint(g, c)
-        if isinstance(r, Refuted):
-            return r
-        changed_total |= r.changed
+        conflict = _basic_fixpoint(g, c)
+        if conflict is not None:
+            return conflict
         fired = False
         for rule in CATALOG:
             for group in rule.fn(g, c):
@@ -446,19 +429,18 @@ def propagate(g: Graph, c: PartialColoring, audit: Optional[AuditHook] = None) -
                 if not todo:
                     continue
                 for v, col in todo:
-                    pre = c.copy() if audit else None
-                    verdict = assign(g, c, v, col, rule.id)
-                    if isinstance(verdict, Refuted):
-                        return verdict
-                    if audit and pre is not None:
-                        audit(rule.id, rule.tag, v, col, pre)
-                    changed_total |= verdict.changed
+                    pre = c.copy() if audit is not None else None
+                    conflict = assign(g, c, v, col, rule.id)
+                    if conflict is not None:
+                        return conflict
+                    if audit is not None:
+                        audit.on_color(g, rule.id, rule.tag, v, col, pre)
                 fired = True
                 break
             if fired:
                 break
         if not fired:
-            return Progress(changed_total)
+            return None
 
 
 # --------------------------------------------------------------------------
@@ -509,8 +491,7 @@ def is_clean_pair(g: Graph, c: PartialColoring) -> bool:
         if not g.dist_at_least_3(u, v):
             return False
     probe = c.copy()
-    verdict = propagate(g, probe)
-    if isinstance(verdict, Refuted):
+    if propagate(g, probe) is not None:
         return False
     return probe.state == c.state
 

@@ -57,8 +57,6 @@ def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
             return f"vertex {v} lies in {len(tri_at[v])} triangles"
         if g.degree(v) == 0:
             return f"isolated vertex {v}"
-    if g.has_k4():
-        return "contains K4"
     for v in g.vertices:
         if g.degree(v) == 4:
             if not tri_at[v]:
@@ -113,9 +111,11 @@ def _claw_violation(
 
 
 def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
-    err = assert_irreducible_structure(g, c)
-    if err:
-        raise StructureViolation(err)
+    """Split an irreducible pair into triangles, claws and the core.
+
+    Precondition: `assert_irreducible_structure(g, c)` returned None; the
+    pipeline checks that first, and nothing here checks it again.
+    """
     tri_at = g.triangles_at()
     tverts = frozenset(v for v in g.vertices if tri_at[v])
     deg4 = []

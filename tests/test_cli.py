@@ -51,6 +51,19 @@ def test_check_rejects_vertex_outside_graph(tmp_path, capsys):
     assert "FAIL" in out and "99" in out
 
 
+def test_check_rejects_vertex_listed_twice(tmp_path, capsys):
+    gpath = write(tmp_path, "p2.g", "2 1\n1 2\n")
+    cert = write(tmp_path, "twice.cert", "1 W\n1 B\n2 B\n")
+    assert main(["check", gpath, cert]) == 2
+    assert "line 2: vertex 1 listed twice" in capsys.readouterr().err
+
+
+def test_solve_rejects_repeated_edge(tmp_path, capsys):
+    gpath = write(tmp_path, "twice.g", "2 2\n1 2\n2 1\n")
+    assert main(["solve", gpath]) == 2
+    assert "line 3: edge 1 2 listed twice" in capsys.readouterr().err
+
+
 def test_check_accepts_known_good(tmp_path, capsys):
     gpath = write(tmp_path, "c6.g", save_graph(cycle(6)))
     cert = write(tmp_path, "good.cert", "1 B\n2 B\n3 W\n4 B\n5 B\n6 W\n")

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimatch.coloring import (
     BLACK,
     WHITE,
     PartialColoring,
-    Refuted,
     assign,
     format_certificate,
     is_feasible_partial,
@@ -14,6 +15,12 @@ from dimatch.coloring import (
     verify_complete,
 )
 from dimatch.graph import complete, cycle, from_edges
+
+from .util import parser_text
+
+colorings = st.dictionaries(st.integers(-50, 50), st.sampled_from([BLACK, WHITE]), max_size=12).map(
+    PartialColoring
+)
 
 
 def test_verify_triangle_two_blacks():
@@ -43,33 +50,33 @@ def test_verify_requires_total_coloring():
 def test_assign_white_next_to_white_refutes():
     g = from_edges(2, [(1, 2)])
     c = PartialColoring({1: WHITE})
-    assert isinstance(assign(g, c, 2, WHITE), Refuted)
+    assert assign(g, c, 2, WHITE) is not None
 
 
 def test_assign_black_to_isolated_vertex_progresses():
     g = from_edges(3, [(1, 2)])
     c = PartialColoring()
-    assert assign(g, c, 3, BLACK)
+    assert assign(g, c, 3, BLACK) is None
     assert c[3] == BLACK
 
 
 def test_assign_black_with_two_black_neighbors_refutes():
     g = from_edges(3, [(1, 2), (2, 3)])
     c = PartialColoring({1: BLACK, 3: BLACK})
-    assert isinstance(assign(g, c, 2, BLACK), Refuted)
+    assert assign(g, c, 2, BLACK) is not None
 
 
 def test_assign_black_nextto_matched_pair_refutes():
     g = from_edges(3, [(1, 2), (2, 3)])
     c = PartialColoring({1: BLACK, 2: BLACK})
-    assert isinstance(assign(g, c, 3, BLACK), Refuted)
+    assert assign(g, c, 3, BLACK) is not None
 
 
 def test_assign_is_idempotent_and_conflicts_on_flip():
     g = from_edges(2, [(1, 2)])
     c = PartialColoring({1: BLACK})
-    assert assign(g, c, 1, BLACK)
-    assert isinstance(assign(g, c, 1, WHITE), Refuted)
+    assert assign(g, c, 1, BLACK) is None
+    assert assign(g, c, 1, WHITE) is not None
 
 
 def test_feasible_partial():
@@ -85,3 +92,32 @@ def test_certificate_roundtrip():
     assert parse_certificate("# comment\n1 B\n\n2 B\n3 W\n") == c
     with pytest.raises(ValueError):
         parse_certificate("1 X\n")
+    with pytest.raises(ValueError, match="line 2: vertex 1 listed twice"):
+        parse_certificate("1 W\n1 B\n2 B")
+
+
+@given(colorings)
+@settings(max_examples=100, deadline=None)
+def test_certificate_roundtrip_property(c: PartialColoring):
+    assert parse_certificate(format_certificate(c)) == c
+
+
+@given(colorings, st.data())
+@settings(max_examples=100, deadline=None)
+def test_vertex_listed_twice_is_rejected(c: PartialColoring, data):
+    assume(c.state)
+    lines = format_certificate(c).splitlines()
+    v = int(lines[data.draw(st.integers(0, len(lines) - 1))].split()[0])
+    text = "\n".join(lines + [f"{v} {data.draw(st.sampled_from([BLACK, WHITE]))}"])
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1}: vertex {v} listed twice"):
+        parse_certificate(text)
+
+
+@given(parser_text())
+@settings(max_examples=300, deadline=None)
+def test_parse_certificate_parses_or_raises_value_error(text: str):
+    try:
+        c = parse_certificate(text)
+    except ValueError:
+        return
+    assert parse_certificate(format_certificate(c)) == c

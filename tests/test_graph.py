@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimatch.graph import (
@@ -16,6 +16,8 @@ from dimatch.graph import (
     save_graph,
     star,
 )
+
+from .util import parser_text
 
 
 def test_load_c4():
@@ -50,6 +52,8 @@ def test_load_errors_carry_line_numbers():
         load_graph("2 1\n1 5\n")
     with pytest.raises(GraphFormatError, match="announces"):
         load_graph("3 2\n1 2\n")
+    with pytest.raises(GraphFormatError, match="line 3: edge 1 2 listed twice"):
+        load_graph("2 2\n1 2\n2 1\n")
 
 
 def test_save_load_roundtrip_canonical():
@@ -129,4 +133,28 @@ def test_adjacency_symmetric_and_simple(g: Graph):
 @given(small_graphs())
 @settings(max_examples=100, deadline=None)
 def test_save_load_identity(g: Graph):
+    assert load_graph(save_graph(g)) == g
     assert save_graph(load_graph(save_graph(g))) == save_graph(g)
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_repeated_edge_line_is_rejected(g: Graph, data):
+    # the header is raised to match, so only the repetition is wrong
+    assume(g.m > 0)
+    lines = save_graph(g).splitlines()
+    u, v = lines[data.draw(st.integers(1, g.m))].split()
+    again = f"{v} {u}" if data.draw(st.booleans()) else f"{u} {v}"
+    text = "\n".join([f"{g.n} {g.m + 1}"] + lines[1:] + [again]) + "\n"
+    with pytest.raises(GraphFormatError, match=f"line {g.m + 2}: edge .* listed twice"):
+        load_graph(text)
+
+
+@given(parser_text())
+@settings(max_examples=300, deadline=None)
+def test_load_graph_parses_or_raises_format_error(text: str):
+    try:
+        g = load_graph(text)
+    except GraphFormatError:
+        return
+    assert load_graph(save_graph(g)) == g

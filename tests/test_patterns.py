@@ -8,10 +8,8 @@ import dimatch.rules as rl
 from dimatch.coloring import BLACK, WHITE
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.patterns import (
-    LONG_CLAW,
     MUST_BLACK,
     Pattern,
-    brute_force_find_all,
     contains_s222,
     find_induced,
     pattern,
@@ -23,7 +21,7 @@ from dimatch.rules import (
     P_TRIANGLE_TAIL,
 )
 
-from .util import decorate
+from .util import LONG_CLAW, brute_force_find_all, decorate
 
 
 def test_find_induced_c4_pattern():

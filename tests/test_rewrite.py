@@ -16,12 +16,11 @@ from dimatch.rewrite import (
     lift_completion,
     measure,
     reduce_to_irreducible,
-    replay_backwards,
     try_rewrite,
 )
 from dimatch.rules import CleanStep
 
-from .util import REWRITE_HOSTS, OracleAudit, all_completions, decorate
+from .util import REWRITE_HOSTS, OracleAudit, all_completions, decorate, replay_backwards
 
 
 def test_every_rule_has_hosts():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dimatch.coloring import BLACK, WHITE, PartialColoring, Refuted, is_feasible_partial
+from dimatch.coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
 from dimatch.graph import complete, cycle, from_edges, path, star
 from dimatch.oracle import brute_dim, mixed_instance
 from dimatch.rules import (
@@ -48,10 +48,8 @@ EXPECTED_DEMAND = {
 def run_audited(g, coloring):
     audit = OracleAudit()
     c = PartialColoring(coloring)
-    verdict = propagate(
-        g, c, audit=lambda rid, tag, v, col, pre: audit.on_color(g, rid, tag, v, col, pre)
-    )
-    return c, verdict, audit
+    conflict = propagate(g, c, audit)
+    return c, conflict, audit
 
 
 def test_catalog_covers_every_host():
@@ -69,9 +67,9 @@ def test_rule_function_produces_expected_demand(rule_id):
 @pytest.mark.parametrize("rule_id", sorted(FORCING_HOSTS))
 def test_propagation_on_host_is_oracle_sound(rule_id):
     g, coloring = FORCING_HOSTS[rule_id]
-    _, verdict, audit = run_audited(g, coloring)
+    _, conflict, audit = run_audited(g, coloring)
     assert audit.violations == [], audit.violations[:3]
-    if isinstance(verdict, Refuted):
+    if conflict is not None:
         assert brute_dim(g, PartialColoring(coloring)) is None
 
 
@@ -95,19 +93,19 @@ def test_rule_demands_are_individually_oracle_valid(rule_id):
 
 
 def test_single_edge_turns_all_black():
-    c, verdict, _ = run_audited(path(2), {})
-    assert verdict and c[1] == BLACK and c[2] == BLACK
+    c, conflict, _ = run_audited(path(2), {})
+    assert conflict is None and c[1] == BLACK and c[2] == BLACK
 
 
 def test_two_blacks_at_distance_two_whiten_middle():
-    c, verdict, _ = run_audited(path(5), {2: BLACK, 4: BLACK})
-    assert verdict and c[3] == WHITE
+    c, conflict, _ = run_audited(path(5), {2: BLACK, 4: BLACK})
+    assert conflict is None and c[3] == WHITE
 
 
 def test_bowtie_shared_vertex_goes_white():
     g = from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
-    c, verdict, _ = run_audited(g, {})
-    assert verdict and c[1] == WHITE
+    c, conflict, _ = run_audited(g, {})
+    assert conflict is None and c[1] == WHITE
 
 
 def test_scattered_neighborhood_forces_black():
@@ -117,8 +115,8 @@ def test_scattered_neighborhood_forces_black():
 
 
 def test_k4_refutes():
-    _, verdict, _ = run_audited(complete(4), {})
-    assert isinstance(verdict, Refuted)
+    _, conflict, _ = run_audited(complete(4), {})
+    assert conflict is not None
 
 
 def test_randomized_rule_soundness_small_hosts():
@@ -170,8 +168,7 @@ def test_clean_preserves_completability_randomized():
         n = rng.randint(3, 10)
         g = mixed_instance(n, rng.randrange(1 << 30))
         c = PartialColoring()
-        verdict = propagate(g, c)
-        if isinstance(verdict, Refuted):
+        if propagate(g, c) is not None:
             assert brute_dim(g) is None
             continue
         g2, c2, _ = clean(g, c)
@@ -193,8 +190,7 @@ def test_claw_center_black_is_not_clean():
 def test_engine_fixpoint_state_is_clean():
     g = cycle(6)
     c = PartialColoring()
-    verdict = propagate(g, c)
-    assert verdict
+    assert propagate(g, c) is None
     g2, c2, _ = clean(g, c)
     assert is_clean_pair(g2, c2)
     assert clean_pair_violation(g2, c2) is None

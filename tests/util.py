@@ -3,14 +3,85 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from typing import Optional
+
+from hypothesis import strategies as st
 
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
-from dimatch.patterns import contains_s222
-from dimatch.rewrite import ReductionAudit
-from dimatch.rules import FORCED
+from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Pattern, contains_s222, pattern
+from dimatch.rewrite import ReductionAudit, TraceEntry
+from dimatch.rules import FORCED, CleanStep
+
+# The long claw: a claw with every edge subdivided once.
+LONG_CLAW = pattern(
+    "long_claw",
+    "c a1 a2 a3 b1 b2 b3",
+    "c-a1 c-a2 c-a3 a1-b1 a2-b2 a3-b3",
+)
+
+
+def brute_force_find_all(g: Graph, p: Pattern, colors: Optional[Coloring] = None) -> list[dict[str, int]]:
+    """Reference matcher: try every injective role assignment."""
+    out = []
+    roles = p.roles
+    req = {tuple(sorted(e)) for e in p.required}
+    opt = {tuple(sorted(e)) for e in p.optional}
+    for combo in permutations(g.vertices, len(roles)):
+        amap = dict(zip(roles, combo))
+        ok = True
+        for i, a in enumerate(roles):
+            for b in roles[i + 1 :]:
+                has = g.has_edge(amap[a], amap[b])
+                key = tuple(sorted((a, b)))
+                if key in req and not has:
+                    ok = False
+                elif key not in req and key not in opt and has:
+                    ok = False
+            if not ok:
+                break
+        if not ok:
+            continue
+        for r, (lo, hi) in p.degree.items():
+            d = g.degree(amap[r])
+            if d < lo or (hi is not None and d > hi):
+                ok = False
+        if ok:
+            for r in p.closure:
+                if not g.neighbors(amap[r]) <= set(combo):
+                    ok = False
+                    break
+        if ok and colors is not None:
+            for r, want in p.color.items():
+                state = colors.get(amap[r])
+                if want == MUST_BLACK and state != BLACK:
+                    ok = False
+                if want == MUST_UNCOLORED and state is not None:
+                    ok = False
+        if ok:
+            out.append(amap)
+    return out
+
+
+def replay_backwards(trace: list[TraceEntry], final: Graph) -> Graph:
+    """Reconstruct the original graph from the final one; trace sanity check."""
+    g = final
+    for entry in reversed(trace):
+        if isinstance(entry, CleanStep):
+            g = g.rewrite(
+                add_vertices=sorted(entry.removed()),
+                add_edges=entry.incident_edges,
+            )
+        else:
+            g = g.rewrite(
+                remove_vertices=entry.added_ids.values(),
+                add_vertices=entry.removed_vertices,
+                add_edges=entry.removed_incident_edges + entry.removed_survivor_edges,
+                remove_edges=entry.added_survivor_edges,
+            )
+    return g
 
 
 def all_completions(g: Graph, c: PartialColoring) -> list[PartialColoring]:
@@ -69,6 +140,23 @@ def brute_hitting(elements, sets) -> bool:
             if all(len(cset & set(a)) == 1 for a in sets):
                 return True
     return False
+
+
+# Tokens for parser fuzzing.  Integers stay small and every token is
+# followed by whitespace, so no header can announce a huge vertex count.
+_TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["B", "W", "#", "x", "1.5", "+2", "1_0", "--"]),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=4),
+)
+
+
+def parser_text() -> st.SearchStrategy[str]:
+    """Arbitrary text for the graph and certificate parsers."""
+    sep = st.sampled_from([" ", "\t", "\n", "\n\n", "\r\n"])
+    return st.lists(st.tuples(_TOKENS, sep), max_size=16).map(
+        lambda parts: "".join(tok + s for tok, s in parts)
+    )
 
 
 class OracleAudit(ReductionAudit):
