@@ -136,7 +136,10 @@ def parse_certificate(text: str) -> PartialColoring:
         parts = line.split()
         if len(parts) != 2 or parts[1] not in (BLACK, WHITE):
             raise ValueError(f"line {lineno}: expected 'vertex B|W'")
-        v = int(parts[0])
+        try:
+            v = int(parts[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: vertex {parts[0]!r} is not an integer") from None
         if v in state:
             raise ValueError(f"line {lineno}: vertex {v} listed twice")
         state[v] = parts[1]

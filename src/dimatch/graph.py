@@ -112,21 +112,20 @@ class Graph:
             self._cache["components"] = cached
         return cached  # type: ignore[return-value]
 
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """All triangles as sorted vertex triples, in sorted order."""
+    def triangles(self, anchors: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
+        """All triangles as sorted vertex triples, in sorted order.  With
+        anchors (ascending), only those whose least vertex is an anchor."""
+        if anchors is not None:
+            return [t for u in anchors for t in self._triangles_from(u)]
         cached = self._cache.get("triangles")
         if cached is None:
-            out = []
-            for u in self._vertices:
-                for v in self._adj[u]:
-                    if v < u:
-                        continue
-                    for w in self._adj[u] & self._adj[v]:
-                        if w > v:
-                            out.append((u, v, w))
-            cached = sorted(out)
+            cached = [t for u in self._vertices for t in self._triangles_from(u)]
             self._cache["triangles"] = cached
         return cached  # type: ignore[return-value]
+
+    def _triangles_from(self, u: int) -> list[tuple[int, int, int]]:
+        adj = self._adj
+        return sorted((u, v, w) for v in adj[u] if v > u for w in adj[u] & adj[v] if w > v)
 
     def triangles_at(self) -> dict[int, list[tuple[int, int, int]]]:
         cached = self._cache.get("triangles_at")
@@ -155,25 +154,30 @@ class Graph:
         out.extend(e for e in self.edges() if e not in tri_edges)
         return sorted(out, key=lambda t: (len(t), t))
 
-    def induced_c4s(self) -> list[tuple[int, int, int, int]]:
+    def induced_c4s(self, anchors: Iterable[int] | None = None) -> list[tuple[int, int, int, int]]:
         """Chordless 4-cycles (a, b, c, d) with edges ab, bc, cd, da.
 
-        Canonical labelling: a is the smallest vertex and b < d.
+        Canonical labelling: a is the smallest vertex and b < d.  With
+        anchors (ascending), only the cycles whose a is an anchor.
         """
+        if anchors is not None:
+            return [q for a in anchors for q in self._c4s_from(a)]
         cached = self._cache.get("induced_c4s")
         if cached is None:
-            out = []
-            for a in self._vertices:
-                na = self._adj[a]
-                for b, d in combinations(sorted(na), 2):
-                    if b < a or b in self._adj[d]:
-                        continue
-                    for c in self._adj[b] & self._adj[d]:
-                        if c > a and c not in na:
-                            out.append((a, b, c, d))
-            cached = out
+            cached = [q for a in self._vertices for q in self._c4s_from(a)]
             self._cache["induced_c4s"] = cached
         return cached  # type: ignore[return-value]
+
+    def _c4s_from(self, a: int) -> list[tuple[int, int, int, int]]:
+        adj = self._adj
+        na = adj[a]
+        return [
+            (a, b, c, d)
+            for b, d in combinations(sorted(na), 2)
+            if b > a and b not in adj[d]
+            for c in adj[b] & adj[d]
+            if c > a and c not in na
+        ]
 
     def butterflies(self) -> list[tuple[int, ...]]:
         """Induced butterflies: centre v plus edges ab, cd among N(v), no

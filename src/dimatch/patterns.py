@@ -10,7 +10,7 @@ the matched image (closure), or require a color state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graph import Graph
 
@@ -68,31 +68,33 @@ class Pattern:
         self._req = {_rp(a, b) for a, b in self.required}
         self._opt = {_rp(a, b) for a, b in self.optional}
         self._order = self._role_order()
-        # Host degree range per role, checked as each role is placed.  The
+        # Host degree range per role, checked as each role is placed.  A
+        # role's vertex has at least one neighbor per required edge.  The
         # neighbors of a closure role's vertex are exactly its required
-        # partners plus some optional ones, which bounds its degree; when it
-        # has no optional edges the bound is exact, and the closure test
+        # partners plus some optional ones, which also caps its degree; when
+        # it has no optional edges the range is exact, and the closure test
         # after the last role is left only for closure roles with optional
         # edges.
-        self._degree = dict(self.degree)
+        self._degree: dict[str, tuple[int, int | None]] = {}
         self._loose_closure: list[str] = []
-        for r in self.closure:
+        for r in self.roles:
             n_req = sum(1 for e in self._req if r in e)
-            n_opt = sum(1 for e in self._opt if r in e)
             lo, hi = self.degree.get(r, (0, None))
-            cap = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
-            self._degree[r] = (max(lo, n_req), cap)
-            if n_opt:
-                self._loose_closure.append(r)
-        # role -> earlier roles split by relation
-        self._req_earlier: dict[str, list[str]] = {}
-        self._forb_earlier: dict[str, list[str]] = {}
+            if r in self.closure:
+                n_opt = sum(1 for e in self._opt if r in e)
+                hi = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
+                if n_opt:
+                    self._loose_closure.append(r)
+            self._degree[r] = (max(lo, n_req), hi)
+        self.radius = self._eccentricity(self._order[0])
+        # per role in order: earlier roles it must touch, earlier roles it
+        # must not touch, degree range and color precondition
+        self._steps: list[tuple] = []
         seen: list[str] = []
         for r in self._order:
-            self._req_earlier[r] = [s for s in seen if _rp(r, s) in self._req]
-            self._forb_earlier[r] = [
-                s for s in seen if _rp(r, s) not in self._req and _rp(r, s) not in self._opt
-            ]
+            touch = [s for s in seen if _rp(r, s) in self._req]
+            avoid = [s for s in seen if _rp(r, s) not in self._req and _rp(r, s) not in self._opt]
+            self._steps.append((r, touch, avoid, *self._degree[r], self.color.get(r)))
             seen.append(r)
 
     def _role_order(self) -> list[str]:
@@ -117,57 +119,68 @@ class Pattern:
             remaining.discard(nxt)
         return order
 
-    # -- matching ----------------------------------------------------------
+    def _eccentricity(self, start: str) -> Optional[int]:
+        """Distance from start to its farthest role along required edges,
+        or None if some role is out of reach.  Every vertex an embedding
+        uses lies that close to the vertex of start in the host."""
+        reached, frontier, depth = {start}, {start}, 0
+        while True:
+            frontier = {s for s in self.roles if s not in reached
+                        and any(_rp(r, s) in self._req for r in frontier)}
+            if not frontier:
+                return depth if len(reached) == len(self.roles) else None
+            reached |= frontier
+            depth += 1
 
-    def _candidates_ok(self, g: Graph, colors: Optional[Coloring], r: str, v: int) -> bool:
-        lo, hi = self._degree.get(r, (0, None))
-        d = g.degree(v)
-        if d < lo or (hi is not None and d > hi):
-            return False
-        want = self.color.get(r)
-        if want is not None:
-            state = colors.get(v) if colors is not None else None
-            if want == MUST_BLACK and state != BLACK:
-                return False
-            if want == MUST_UNCOLORED and state is not None:
-                return False
-        return True
+    # -- matching ----------------------------------------------------------
 
     def find_all(
         self,
         g: Graph,
         colors: Optional[Coloring] = None,
         exclude: Iterable[int] = (),
+        anchors: Optional[Sequence[int]] = None,
     ) -> Iterator[Embedding]:
-        """Embeddings in canonical order (role order, ascending vertex ids)."""
+        """Embeddings in canonical order (role order, ascending vertex ids).
+
+        With anchors (ascending host vertices), only the embeddings that
+        place the first role on an anchor, still in canonical order; such a
+        scan reads nothing farther than `radius` from its anchors.
+        """
         if g.n < len(self.roles):
             return
         excluded = set(exclude)
         assignment: dict[str, int] = {}
         used: set[int] = set()
-        order = self._order
+        steps = self._steps
+        nbrs = g.neighbors
+        state = colors if colors is not None else {}
 
         def extend(i: int) -> Iterator[Embedding]:
-            if i == len(order):
+            if i == len(steps):
                 for r in self._loose_closure:
-                    if not g.neighbors(assignment[r]) <= used:
+                    if not nbrs(assignment[r]) <= used:
                         return
                 yield Embedding(dict(assignment))
                 return
-            r = order[i]
-            anchors = self._req_earlier[r]
-            if anchors:
-                cands = set(g.neighbors(assignment[anchors[0]]))
-                for a in anchors[1:]:
-                    cands &= g.neighbors(assignment[a])
+            r, touch, avoid, lo, hi, want = steps[i]
+            if touch:
+                cands = nbrs(assignment[touch[0]])
+                for s in touch[1:]:
+                    cands = cands & nbrs(assignment[s])
+                cands = sorted(cands)
             else:
-                cands = set(g.vertices)
-            for v in sorted(cands):
+                cands = anchors if i == 0 and anchors is not None else g.vertices
+            avoid_nbrs = [nbrs(assignment[s]) for s in avoid]
+            for v in cands:
                 if v in used or v in excluded:
                     continue
-                if not self._candidates_ok(g, colors, r, v):
+                d = len(nbrs(v))
+                if d < lo or (hi is not None and d > hi):
                     continue
-                if any(g.has_edge(v, assignment[s]) for s in self._forb_earlier[r]):
+                if want is not None and (state.get(v) != BLACK if want == MUST_BLACK else state.get(v) is not None):
+                    continue
+                if any(v in ns for ns in avoid_nbrs):
                     continue
                 assignment[r] = v
                 used.add(v)

@@ -14,7 +14,16 @@ from typing import Callable, Optional
 from .coloring import BLACK, WHITE, Conflict, PartialColoring
 from .graph import Graph
 from .patterns import MUST_BLACK, MUST_UNCOLORED, Embedding, Pattern, pattern
-from .rules import CleanStep, ReductionAudit, clean, clean_pair_violation, is_clean_pair, propagate
+from .rules import (
+    Anchors,
+    CleanStep,
+    ReductionAudit,
+    Worklist,
+    clean,
+    clean_pair_violation,
+    is_clean_pair,
+    propagate,
+)
 
 
 class LiftError(RuntimeError):
@@ -57,8 +66,10 @@ class RewriteRule:
     guard: Optional[GuardFn] = None
     lift: Optional[LiftFn] = None
 
-    def find(self, g: Graph, c: PartialColoring) -> Optional[Embedding]:
-        for emb in self.pattern.find_all(g, c.state):
+    def find(self, g: Graph, c: PartialColoring, anchors: Anchors = None) -> Optional[Embedding]:
+        """The first embedding the guard accepts, in canonical order; with
+        anchors, the first one placing the pattern's first role on one."""
+        for emb in self.pattern.find_all(g, c.state, anchors=anchors):
             if self.guard is None or self.guard(g, c, emb):
                 return emb
         return None
@@ -66,10 +77,7 @@ class RewriteRule:
     def apply(self, g: Graph, c: PartialColoring, emb: Embedding) -> tuple[Graph, PartialColoring, RewriteStep]:
         amap = emb.assignment
         removed = tuple(sorted(amap[r] for r in self.grey))
-        removed_set = set(removed)
-        incident = tuple(
-            e for e in g.edges() if e[0] in removed_set or e[1] in removed_set
-        )
+        incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
         fresh = g.fresh_ids(len(self.new_vertices))
         added_ids = dict(zip(self.new_vertices, fresh))
         lookup = {**amap, **added_ids}
@@ -656,14 +664,29 @@ RULES_BY_ID = {r.id: r for r in REWRITE_RULES}
 
 
 def try_rewrite(
-    g: Graph, c: PartialColoring
+    g: Graph, c: PartialColoring, wl: Optional[Worklist] = None
 ) -> Optional[tuple[Graph, PartialColoring, RewriteStep]]:
-    """Apply the first applicable rewrite in fixed priority order."""
+    """Apply the first applicable rewrite in fixed priority order.  With a
+    worklist, a rule searches only near the changes logged since its last
+    search that found nothing, as `propagate` does."""
     for rule in REWRITE_RULES:
-        emb = rule.find(g, c)
+        anchors = wl.anchors(g, rule.id, rule.pattern.radius) if wl is not None else None
+        emb = rule.find(g, c, anchors)
         if emb is not None:
             return rule.apply(g, c, emb)
+        if wl is not None:
+            wl.found_nothing(rule.id)
     return None
+
+
+def _changed(entry: TraceEntry) -> set[int]:
+    """The surviving and new vertices whose adjacency a step changed."""
+    if isinstance(entry, CleanStep):
+        return {v for e in entry.incident_edges for v in e} - entry.removed()
+    edges = (entry.removed_incident_edges + entry.added_edges
+             + entry.added_survivor_edges + entry.removed_survivor_edges)
+    touched = {v for e in edges for v in e} | set(entry.added_ids.values())
+    return touched - set(entry.removed_vertices)
 
 
 # --------------------------------------------------------------------------
@@ -728,8 +751,9 @@ def reduce_to_irreducible(
     trace: list[TraceEntry] = []
     steps = 0
     cap = max(step_cap_factor * g.n * g.n, 16)
+    wl = Worklist()
     while True:
-        conflict = propagate(g, c, audit)
+        conflict = propagate(g, c, audit, wl)
         if conflict is not None:
             return ReduceResult(conflict, g, c, trace, steps)
         g2, c2, cstep = clean(g, c)
@@ -737,6 +761,7 @@ def reduce_to_irreducible(
             if audit:
                 audit.on_clean(g, c, g2, c2)
             trace.append(cstep)
+            wl.log.extend(_changed(cstep))
             g, c = g2, c2
             continue
         violation = clean_pair_violation(g, c)
@@ -747,7 +772,7 @@ def reduce_to_irreducible(
             witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
             return ReduceResult(witness, g, c, trace, steps)
         before = measure(g)
-        outcome = try_rewrite(g, c)
+        outcome = try_rewrite(g, c, wl)
         if outcome is None:
             assert is_clean_pair(g, c), "fixpoint is not a clean pair"
             return ReduceResult(None, g, c, trace, steps)
@@ -763,6 +788,7 @@ def reduce_to_irreducible(
         if audit:
             audit.on_rewrite(step, g, c, g2, c2)
         trace.append(step)
+        wl.log.extend(_changed(step))
         g, c = g2, c2
 
 

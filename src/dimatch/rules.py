@@ -9,8 +9,9 @@ losing completability because any completion can be recolored to comply
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import insort
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
@@ -25,7 +26,11 @@ EXCHANGE = "exchange"
 Demand = tuple[int, str]
 # Rules yield one *group* of demands per firing; a group is applied
 # atomically and the whole scan restarts, so later firings see the result.
-RuleFn = Callable[[Graph, PartialColoring], Iterator[list[Demand]]]
+# A rule with a radius also takes ascending anchors and then yields only the
+# groups its full scan yields from those anchors, in the same order, reading
+# nothing farther than the radius from them.
+RuleFn = Callable[..., Iterator[list[Demand]]]
+Anchors = Optional[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,47 @@ class Rule:
     id: str
     tag: str
     fn: RuleFn
+    radius: Optional[int] = None
+
+
+class Worklist:
+    """The vertices whose color or adjacency changed during one reduction,
+    in order, and per scan the log position of its last pass that found
+    nothing.
+
+    A scan whose anchors lie farther than its radius from every vertex
+    logged since then would read exactly what it read then, so only the
+    anchors inside that ball need a new look.
+    """
+
+    __slots__ = ("log", "quiet", "_balls", "_state")
+
+    def __init__(self) -> None:
+        self.log: list[int] = []
+        self.quiet: dict[str, int] = {}
+        # balls already computed on the current graph and log
+        self._balls: dict[tuple[int, int], list[int]] = {}
+        self._state: tuple[Optional[Graph], int] = (None, 0)
+
+    def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
+        """Ascending anchors to rescan for key; None means all of g."""
+        since = self.quiet.get(key)
+        if since is None or radius is None:
+            return None
+        if self._state[0] is not g or self._state[1] != len(self.log):
+            self._state, self._balls = (g, len(self.log)), {}
+        out = self._balls.get((since, radius))
+        if out is None:
+            ball = {v for v in self.log[since:] if v in g}
+            frontier = ball
+            for _ in range(radius):
+                frontier = {w for v in frontier for w in g.neighbors(v)} - ball
+                ball |= frontier
+            out = self._balls[since, radius] = sorted(ball)
+        return out
+
+    def found_nothing(self, key: str) -> None:
+        self.quiet[key] = len(self.log)
 
 
 class ReductionAudit:
@@ -58,11 +104,36 @@ def _opp(color: str) -> str:
 # whitens its surroundings, a black vertex with one escape forces it.
 
 
-def _basic_fixpoint(g: Graph, c: PartialColoring) -> Optional[Conflict]:
-    again = True
-    while again:
-        again = False
-        for v in g.vertices:
+def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -> Optional[Conflict]:
+    """Sweep the vertices in ascending order until a sweep colors nothing.
+
+    A vertex's step reads only its closed neighborhood, so a sweep visits
+    only the vertices whose closed neighborhood changed since their last
+    step: a coloring made at v queues the vertices it affects above v in
+    this sweep and the others in the next.  With a worklist, the first
+    sweep starts from the changes logged since the last fixpoint, and
+    every coloring is logged.
+    """
+    first = wl.anchors(g, "_basic", 1) if wl is not None else None
+    sweep = list(g.vertices if first is None else first)
+    while sweep:
+        queued = set(sweep)
+        later: set[int] = set()
+        i = 0
+
+        def colored(w: int) -> None:
+            if wl is not None:
+                wl.log.append(w)
+            for x in (w, *g.neighbors(w)):
+                if x <= v:
+                    later.add(x)
+                elif x not in queued:
+                    queued.add(x)
+                    insort(sweep, x)
+
+        while i < len(sweep):
+            v = sweep[i]
+            i += 1
             col = c.get(v)
             if col is None:
                 continue
@@ -73,7 +144,7 @@ def _basic_fixpoint(g: Graph, c: PartialColoring) -> Optional[Conflict]:
                         conflict = assign(g, c, w, BLACK, "white_neighbors")
                         if conflict is not None:
                             return conflict
-                        again = True
+                        colored(w)
                 continue
             black_nbrs = [w for w in ns if c.get(w) == BLACK]
             if len(black_nbrs) >= 2:
@@ -85,7 +156,7 @@ def _basic_fixpoint(g: Graph, c: PartialColoring) -> Optional[Conflict]:
                         conflict = assign(g, c, w, WHITE, "matched_pair")
                         if conflict is not None:
                             return conflict
-                        again = True
+                        colored(w)
                 continue
             open_nbrs = [w for w in ns if c.get(w) != WHITE]
             if not open_nbrs:
@@ -94,7 +165,10 @@ def _basic_fixpoint(g: Graph, c: PartialColoring) -> Optional[Conflict]:
                 conflict = assign(g, c, open_nbrs[0], BLACK, "last_partner")
                 if conflict is not None:
                     return conflict
-                again = True
+                colored(open_nbrs[0])
+        sweep = sorted(later)
+    if wl is not None:
+        wl.found_nothing("_basic")
     return None
 
 
@@ -103,8 +177,8 @@ def _basic_fixpoint(g: Graph, c: PartialColoring) -> Optional[Conflict]:
 # a private outside neighbor always disagree.
 
 
-def rule_square_alternation(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for a, b, d, e in g.induced_c4s():
+def rule_square_alternation(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for a, b, d, e in g.induced_c4s(anchors):
         cyc = (a, b, d, e)
         for i in range(4):
             col = c.get(cyc[i])
@@ -118,10 +192,10 @@ def rule_square_alternation(g: Graph, c: PartialColoring) -> Iterator[list[Deman
             break
 
 
-def _triangle_outsiders(g: Graph) -> Iterator[tuple[int, int]]:
+def _triangle_outsiders(g: Graph, anchors: Anchors) -> Iterator[tuple[int, int]]:
     """Pairs (t, u): t in a triangle, u a neighbor of t outside it and
     nonadjacent to the other two triangle vertices."""
-    for tri in g.triangles():
+    for tri in g.triangles(anchors):
         ts = set(tri)
         for t in tri:
             rest = ts - {t}
@@ -132,8 +206,8 @@ def _triangle_outsiders(g: Graph) -> Iterator[tuple[int, int]]:
                     yield t, u
 
 
-def rule_triangle_outsider(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for t, u in _triangle_outsiders(g):
+def rule_triangle_outsider(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for t, u in _triangle_outsiders(g, anchors):
         ct, cu = c.get(t), c.get(u)
         if ct is not None and cu is None:
             yield [(u, _opp(ct))]
@@ -145,20 +219,20 @@ def rule_triangle_outsider(g: Graph, c: PartialColoring) -> Iterator[list[Demand
 # the main catalog
 
 
-def _demands(p: Pattern, **colors: str) -> RuleFn:
-    """A rule that demands the given role colors on every embedding of p.
-    The coloring is always passed on; patterns without color constraints
-    never read it."""
+def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
+    """A rule that demands the given role colors on every embedding of p,
+    with p's radius.  The coloring is always passed on; patterns without
+    color constraints never read it."""
 
-    def fn(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-        for emb in p.find_all(g, c.state):
+    def fn(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+        for emb in p.find_all(g, c.state, anchors=anchors):
             yield [(emb[role], color) for role, color in colors.items()]
 
-    return fn
+    return Rule(rule_id, tag, fn, p.radius)
 
 
-def rule_degree_one(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for v in g.vertices:
+def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for v in g.vertices if anchors is None else anchors:
         d = g.degree(v)
         if d == 0:
             yield [(v, WHITE)]
@@ -166,34 +240,45 @@ def rule_degree_one(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
             yield [(next(iter(g.neighbors(v))), BLACK)]
 
 
-def rule_black_pair_neighbors(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    blacks = sorted(c.blacks())
-    for u, v in combinations(blacks, 2):
-        if g.has_edge(u, v):
-            continue
-        common = sorted(g.neighbors(u) & g.neighbors(v))
-        if common:
-            yield [(w, WHITE) for w in common]
+def _blacks(c: PartialColoring, anchors: Anchors) -> list[int]:
+    return sorted(c.blacks()) if anchors is None else [v for v in anchors if c.get(v) == BLACK]
 
 
-def rule_bowtie_center(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for t1, t2 in combinations(g.triangles(), 2):
-        shared = set(t1) & set(t2)
-        if len(shared) == 1:
-            yield [(shared.pop(), WHITE)]
+def rule_black_pair_neighbors(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    # black pairs u < v at distance two, found from u's second neighborhood
+    for u in _blacks(c, anchors):
+        nu = g.neighbors(u)
+        far = {v for w in nu for v in g.neighbors(w) if v > u and v not in nu and c.get(v) == BLACK}
+        for v in sorted(far):
+            yield [(w, WHITE) for w in sorted(nu & g.neighbors(v))]
 
 
-def rule_diamond_pair(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for t1, t2 in combinations(g.triangles(), 2):
-        shared = set(t1) & set(t2)
-        if len(shared) == 2:
-            yield [(v, BLACK) for v in sorted(shared)]
+def _triangle_pairs(g: Graph, shared: int, anchors: Anchors) -> Iterator[set[int]]:
+    """The common vertices of the triangle pairs t1 < t2 that share exactly
+    `shared` vertices, in sorted pair order."""
+    tri_at = g.triangles_at()
+    for t1 in g.triangles(anchors):
+        s1 = set(t1)
+        for t2 in sorted({t2 for v in t1 for t2 in tri_at[v] if t2 > t1}):
+            common = s1.intersection(t2)
+            if len(common) == shared:
+                yield common
 
 
-def rule_leaf_surplus(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
+def rule_bowtie_center(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for common in _triangle_pairs(g, 1, anchors):
+        yield [(common.pop(), WHITE)]
+
+
+def rule_diamond_pair(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for common in _triangle_pairs(g, 2, anchors):
+        yield [(v, BLACK) for v in sorted(common)]
+
+
+def rule_leaf_surplus(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # A support vertex keeps at most one of its leaves non-white; whiten
     # the rest (valid recoloring, not a forced consequence).
-    for v in g.vertices:
+    for v in g.vertices if anchors is None else anchors:
         leaves = sorted(w for w in g.neighbors(v) if g.degree(w) == 1)
         if len(leaves) < 2:
             continue
@@ -204,9 +289,9 @@ def rule_leaf_surplus(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
             yield group
 
 
-def rule_chain_step(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
+def rule_chain_step(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # v1(B) - v2 - v3 - v4 with deg(v3) = 2 forces v4 black.
-    for v1 in sorted(c.blacks()):
+    for v1 in _blacks(c, anchors):
         for v2 in sorted(g.neighbors(v1)):
             for v3 in sorted(g.neighbors(v2)):
                 if v3 == v1 or g.degree(v3) != 2:
@@ -238,8 +323,8 @@ P_HAT_PENTAGON = pattern(
 )
 
 
-def rule_hat_pentagon(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_HAT_PENTAGON.find_all(g):
+def rule_hat_pentagon(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for emb in P_HAT_PENTAGON.find_all(g, anchors=anchors):
         x, y = emb["x"], emb["y"]
         w1, w2 = emb["w1"], emb["w2"]
         group = [(x, BLACK)]
@@ -250,10 +335,10 @@ def rule_hat_pentagon(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
         yield group
 
 
-def rule_hat_pentagon_swap(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
+def rule_hat_pentagon_swap(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # exchange variant: with the rigid degrees below, a completion that
     # blackens w1 can be recolored to whiten it instead.
-    for emb in P_HAT_PENTAGON.find_all(g):
+    for emb in P_HAT_PENTAGON.find_all(g, anchors=anchors):
         w1, w2, u1, u2 = emb["w1"], emb["w2"], emb["u1"], emb["u2"]
         if g.degree(u1) == 3 and g.degree(u2) == 3 and g.degree(w1) == 2 and g.degree(w2) == 2:
             if all(c.get(v) is None for v in (u1, u2, w1, w2)):
@@ -268,8 +353,8 @@ P_ANCHORED_PENTAGON = pattern(
 )
 
 
-def rule_anchored_pentagon(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for emb in P_ANCHORED_PENTAGON.find_all(g):
+def rule_anchored_pentagon(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for emb in P_ANCHORED_PENTAGON.find_all(g, anchors=anchors):
         x, y, z = emb["x"], emb["y"], emb["z"]
         group = [(x, BLACK)]
         group.extend((w, WHITE) for w in sorted(g.neighbors(x)) if w not in (y, z))
@@ -284,8 +369,8 @@ P_SPOKED_TRIANGLE = pattern(
 )
 
 
-def rule_square_degree_two(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
-    for cyc in g.induced_c4s():
+def rule_square_degree_two(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    for cyc in g.induced_c4s(anchors):
         for v in cyc:
             if g.degree(v) == 2:
                 yield [(v, WHITE)]
@@ -320,10 +405,10 @@ def _isolated_in_neighborhood(g: Graph, v: int) -> list[int]:
     return [w for w in sorted(ns) if not (g.neighbors(w) & ns)]
 
 
-def rule_scattered_neighborhood(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
+def rule_scattered_neighborhood(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # Needs a host with no induced long claw: three pairwise "isolated"
     # neighbors of a white vertex would grow into one.
-    for v in g.vertices:
+    for v in g.vertices if anchors is None else anchors:
         if g.degree(v) >= 3 and len(_isolated_in_neighborhood(g, v)) >= 3:
             yield [(v, BLACK)]
 
@@ -382,49 +467,63 @@ P_BRACED_PENDANT = pattern(
 )
 
 
+# Radii: the farthest vertex a scan reads, counted from its anchor.  The
+# two pentagon rules also read the colors of x's neighbors; lone_wing first
+# tests the whole graph for butterflies, so it has none.
 CATALOG: tuple[Rule, ...] = (
-    Rule("square_alternation", FORCED, rule_square_alternation),
-    Rule("triangle_outsider", FORCED, rule_triangle_outsider),
-    Rule("degree_one", FORCED, rule_degree_one),
-    Rule("black_pair_neighbors", FORCED, rule_black_pair_neighbors),
-    Rule("bowtie_center", FORCED, rule_bowtie_center),
-    Rule("diamond_pair", FORCED, rule_diamond_pair),
-    Rule("leaf_surplus", EXCHANGE, rule_leaf_surplus),
-    Rule("chain_step", FORCED, rule_chain_step),
-    Rule("triangle_tail", FORCED, _demands(P_TRIANGLE_TAIL, x=BLACK)),
-    Rule("house_apex", FORCED, _demands(P_HOUSE, x=BLACK)),
-    Rule("hat_pentagon", FORCED, rule_hat_pentagon),
-    Rule("hat_pentagon_swap", EXCHANGE, rule_hat_pentagon_swap),
-    Rule("anchored_pentagon", FORCED, rule_anchored_pentagon),
-    Rule("spoked_triangle", FORCED, _demands(P_SPOKED_TRIANGLE, u=WHITE)),
-    Rule("square_degree_two", FORCED, rule_square_degree_two),
-    Rule("triangle_circuit", FORCED, _demands(P_TRIANGLE_CIRCUIT, x=WHITE)),
-    Rule("twin_fan_swap", EXCHANGE, _demands(P_TWIN_FAN, w1=WHITE, w2=WHITE)),
-    Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood),
-    Rule("cubic_caps", FORCED, _demands(P_CUBIC_CAPS, y1=WHITE, y2=WHITE)),
+    Rule("square_alternation", FORCED, rule_square_alternation, 2),
+    Rule("triangle_outsider", FORCED, rule_triangle_outsider, 2),
+    Rule("degree_one", FORCED, rule_degree_one, 1),
+    Rule("black_pair_neighbors", FORCED, rule_black_pair_neighbors, 2),
+    Rule("bowtie_center", FORCED, rule_bowtie_center, 2),
+    Rule("diamond_pair", FORCED, rule_diamond_pair, 1),
+    Rule("leaf_surplus", EXCHANGE, rule_leaf_surplus, 1),
+    Rule("chain_step", FORCED, rule_chain_step, 3),
+    _demands("triangle_tail", FORCED, P_TRIANGLE_TAIL, x=BLACK),
+    _demands("house_apex", FORCED, P_HOUSE, x=BLACK),
+    Rule("hat_pentagon", FORCED, rule_hat_pentagon, P_HAT_PENTAGON.radius + 1),
+    Rule("hat_pentagon_swap", EXCHANGE, rule_hat_pentagon_swap, P_HAT_PENTAGON.radius),
+    Rule("anchored_pentagon", FORCED, rule_anchored_pentagon, P_ANCHORED_PENTAGON.radius + 1),
+    _demands("spoked_triangle", FORCED, P_SPOKED_TRIANGLE, u=WHITE),
+    Rule("square_degree_two", FORCED, rule_square_degree_two, 2),
+    _demands("triangle_circuit", FORCED, P_TRIANGLE_CIRCUIT, x=WHITE),
+    _demands("twin_fan_swap", EXCHANGE, P_TWIN_FAN, w1=WHITE, w2=WHITE),
+    Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood, 1),
+    _demands("cubic_caps", FORCED, P_CUBIC_CAPS, y1=WHITE, y2=WHITE),
     Rule("lone_wing", FORCED, rule_lone_wing),
-    Rule("seven_cycle_step", FORCED, _demands(P_SEVEN_CYCLE, z=BLACK)),
-    Rule("braced_pendant", FORCED, _demands(P_BRACED_PENDANT, y=WHITE)),
+    _demands("seven_cycle_step", FORCED, P_SEVEN_CYCLE, z=BLACK),
+    _demands("braced_pendant", FORCED, P_BRACED_PENDANT, y=WHITE),
 )
 
 RULES_BY_ID = {r.id: r for r in CATALOG}
 
 
-def propagate(g: Graph, c: PartialColoring, audit: Optional[ReductionAudit] = None) -> Optional[Conflict]:
+def propagate(
+    g: Graph,
+    c: PartialColoring,
+    audit: Optional[ReductionAudit] = None,
+    wl: Optional[Worklist] = None,
+) -> Optional[Conflict]:
     """Run every rule to a joint fixpoint.  Mutates c; returns the conflict
     that refutes the instance, or None.
 
     One rule firing is applied per scan; the scan then restarts with the
     cheap rules, so every firing sees an up-to-date coloring (the
     exchange rules rely on that for their "still uncolored" guards).
+
+    With a worklist, a rule with a radius rescans only near the changes
+    logged since its last scan that found nothing.  Every group it misses
+    that way was already satisfied then and still is, and its anchors are
+    ascending, so the first firing is the one a full scan finds.
     """
     while True:
-        conflict = _basic_fixpoint(g, c)
+        conflict = _basic_fixpoint(g, c, wl)
         if conflict is not None:
             return conflict
         fired = False
         for rule in CATALOG:
-            for group in rule.fn(g, c):
+            anchors = wl.anchors(g, rule.id, rule.radius) if wl is not None else None
+            for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
                 todo = [(v, col) for v, col in group if c.get(v) != col]
                 if not todo:
                     continue
@@ -433,12 +532,16 @@ def propagate(g: Graph, c: PartialColoring, audit: Optional[ReductionAudit] = No
                     conflict = assign(g, c, v, col, rule.id)
                     if conflict is not None:
                         return conflict
+                    if wl is not None:
+                        wl.log.append(v)
                     if audit is not None:
                         audit.on_color(g, rule.id, rule.tag, v, col, pre)
                 fired = True
                 break
             if fired:
                 break
+            if wl is not None:
+                wl.found_nothing(rule.id)
         if not fired:
             return None
 
@@ -475,7 +578,7 @@ def clean(g: Graph, c: PartialColoring) -> tuple[Graph, PartialColoring, Optiona
         removed |= {u, v}
     if not removed:
         return g, c, None
-    incident = tuple(e for e in g.edges() if e[0] in removed or e[1] in removed)
+    incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
     step = CleanStep(whites, tuple(pairs), incident)
     g2 = g.remove_vertices(removed)
     c2 = c.restrict(g2.vertices)

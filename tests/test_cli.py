@@ -51,6 +51,13 @@ def test_check_rejects_vertex_outside_graph(tmp_path, capsys):
     assert "FAIL" in out and "99" in out
 
 
+def test_check_names_line_of_non_integer_vertex(tmp_path, capsys):
+    gpath = write(tmp_path, "p2.g", "2 1\n1 2\n")
+    cert = write(tmp_path, "word.cert", "1 B\nx W\n")
+    assert main(["check", gpath, cert]) == 2
+    assert "line 2: vertex 'x' is not an integer" in capsys.readouterr().err
+
+
 def test_check_rejects_vertex_listed_twice(tmp_path, capsys):
     gpath = write(tmp_path, "p2.g", "2 1\n1 2\n")
     cert = write(tmp_path, "twice.cert", "1 W\n1 B\n2 B\n")
