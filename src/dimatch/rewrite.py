@@ -666,16 +666,15 @@ RULES_BY_ID = {r.id: r for r in REWRITE_RULES}
 def try_rewrite(
     g: Graph, c: PartialColoring, wl: Optional[Worklist] = None
 ) -> Optional[tuple[Graph, PartialColoring, RewriteStep]]:
-    """Apply the first applicable rewrite in fixed priority order.  With a
-    worklist, a rule searches only near the changes logged since its last
-    search that found nothing, as `propagate` does."""
+    """Apply the first applicable rewrite in fixed priority order.  A rule
+    searches only near the changes logged in wl since its last search that
+    found nothing, as in `propagate`; on a fresh worklist, everywhere."""
+    wl = Worklist() if wl is None else wl
     for rule in REWRITE_RULES:
-        anchors = wl.anchors(g, rule.id, rule.pattern.radius) if wl is not None else None
-        emb = rule.find(g, c, anchors)
+        emb = rule.find(g, c, wl.anchors(g, rule.id, rule.pattern.radius))
         if emb is not None:
             return rule.apply(g, c, emb)
-        if wl is not None:
-            wl.found_nothing(rule.id)
+        wl.found_nothing(rule.id)
     return None
 
 

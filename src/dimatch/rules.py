@@ -38,6 +38,8 @@ class Rule:
     id: str
     tag: str
     fn: RuleFn
+    # None: every scan is whole, called as fn(g, c).  That form is kept only
+    # because bench/spans.py rebuilds each rule as Rule(id, tag, fn).
     radius: Optional[int] = None
 
 
@@ -104,17 +106,17 @@ def _opp(color: str) -> str:
 # whitens its surroundings, a black vertex with one escape forces it.
 
 
-def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -> Optional[Conflict]:
+def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conflict]:
     """Sweep the vertices in ascending order until a sweep colors nothing.
 
     A vertex's step reads only its closed neighborhood, so a sweep visits
     only the vertices whose closed neighborhood changed since their last
     step: a coloring made at v queues the vertices it affects above v in
-    this sweep and the others in the next.  With a worklist, the first
-    sweep starts from the changes logged since the last fixpoint, and
-    every coloring is logged.
+    this sweep and the others in the next.  The first sweep starts from
+    the changes logged since the last fixpoint (all of g on a fresh
+    worklist), and every coloring is logged.
     """
-    first = wl.anchors(g, "_basic", 1) if wl is not None else None
+    first = wl.anchors(g, "_basic", 1)
     sweep = list(g.vertices if first is None else first)
     while sweep:
         queued = set(sweep)
@@ -122,8 +124,7 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None)
         i = 0
 
         def colored(w: int) -> None:
-            if wl is not None:
-                wl.log.append(w)
+            wl.log.append(w)
             for x in (w, *g.neighbors(w)):
                 if x <= v:
                     later.add(x)
@@ -167,8 +168,7 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None)
                     return conflict
                 colored(open_nbrs[0])
         sweep = sorted(later)
-    if wl is not None:
-        wl.found_nothing("_basic")
+    wl.found_nothing("_basic")
     return None
 
 
@@ -511,18 +511,20 @@ def propagate(
     cheap rules, so every firing sees an up-to-date coloring (the
     exchange rules rely on that for their "still uncolored" guards).
 
-    With a worklist, a rule with a radius rescans only near the changes
-    logged since its last scan that found nothing.  Every group it misses
-    that way was already satisfied then and still is, and its anchors are
-    ascending, so the first firing is the one a full scan finds.
+    A rule with a radius rescans only near the changes logged in wl since
+    its last scan that found nothing; on a fresh worklist (the default)
+    every rule's first scan is whole.  Every group a rescan misses was
+    already satisfied then and still is, and its anchors are ascending,
+    so the first firing is the one a full scan finds.
     """
+    wl = Worklist() if wl is None else wl
     while True:
         conflict = _basic_fixpoint(g, c, wl)
         if conflict is not None:
             return conflict
         fired = False
         for rule in CATALOG:
-            anchors = wl.anchors(g, rule.id, rule.radius) if wl is not None else None
+            anchors = wl.anchors(g, rule.id, rule.radius)
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
                 todo = [(v, col) for v, col in group if c.get(v) != col]
                 if not todo:
@@ -532,16 +534,14 @@ def propagate(
                     conflict = assign(g, c, v, col, rule.id)
                     if conflict is not None:
                         return conflict
-                    if wl is not None:
-                        wl.log.append(v)
+                    wl.log.append(v)
                     if audit is not None:
                         audit.on_color(g, rule.id, rule.tag, v, col, pre)
                 fired = True
                 break
             if fired:
                 break
-            if wl is not None:
-                wl.found_nothing(rule.id)
+            wl.found_nothing(rule.id)
         if not fired:
             return None
 
