@@ -82,10 +82,6 @@ def brute_dim(
     return None
 
 
-def completable(g: Graph, extend: Optional[PartialColoring] = None) -> bool:
-    return brute_dim(g, extend) is not None
-
-
 # --------------------------------------------------------------------------
 # generators
 
@@ -94,7 +90,8 @@ class GeneratorError(RuntimeError):
     pass
 
 
-KNOWN_FAMILIES = ("cycle", "path", "complete", "star")
+# random graphs drawn per spec before a long-claw-free one must turn up
+RETRY_BUDGET = 400
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,6 @@ class GeneratorSpec:
     n: int
     seed: int
     family: str = "cycle"  # for model == "known"
-    retry_budget: int = 400
 
 
 def _uniform(n: int, rng: random.Random) -> Graph:
@@ -200,12 +196,12 @@ def generate(spec: GeneratorSpec) -> Graph:
     rng = random.Random(spec.seed)
     if spec.model in _RANDOM_MODELS:
         build = _RANDOM_MODELS[spec.model]
-        for _ in range(spec.retry_budget):
+        for _ in range(RETRY_BUDGET):
             g = build(spec.n, rng)
             if contains_s222(g) is None:
                 return g
         raise GeneratorError(
-            f"rejection budget {spec.retry_budget} exhausted (model={spec.model}, n={spec.n})"
+            f"rejection budget {RETRY_BUDGET} exhausted (model={spec.model}, n={spec.n})"
         )
     if spec.model == "known":
         builders = {"cycle": cycle, "path": path, "complete": complete}

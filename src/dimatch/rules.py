@@ -289,16 +289,15 @@ def rule_leaf_surplus(g: Graph, c: PartialColoring, anchors: Anchors = None) -> 
             yield group
 
 
-def rule_chain_step(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    # v1(B) - v2 - v3 - v4 with deg(v3) = 2 forces v4 black.
-    for v1 in _blacks(c, anchors):
-        for v2 in sorted(g.neighbors(v1)):
-            for v3 in sorted(g.neighbors(v2)):
-                if v3 == v1 or g.degree(v3) != 2:
-                    continue
-                for v4 in g.neighbors(v3):
-                    if v4 != v2 and v4 != v1:
-                        yield [(v4, BLACK)]
+# v1(B) - v2 - v3 - v4 with deg(v3) = 2 forces v4 black.
+P_CHAIN = pattern(
+    "chain",
+    "v1 v2 v3 v4",
+    "v1-v2 v2-v3 v3-v4",
+    opt="v1-v4 v2-v4",
+    degree={"v3": (2, 2)},
+    color={"v1": MUST_BLACK},
+)
 
 
 P_TRIANGLE_TAIL = pattern(
@@ -335,14 +334,15 @@ def rule_hat_pentagon(g: Graph, c: PartialColoring, anchors: Anchors = None) -> 
         yield group
 
 
-def rule_hat_pentagon_swap(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    # exchange variant: with the rigid degrees below, a completion that
-    # blackens w1 can be recolored to whiten it instead.
-    for emb in P_HAT_PENTAGON.find_all(g, anchors=anchors):
-        w1, w2, u1, u2 = emb["w1"], emb["w2"], emb["u1"], emb["u2"]
-        if g.degree(u1) == 3 and g.degree(u2) == 3 and g.degree(w1) == 2 and g.degree(w2) == 2:
-            if all(c.get(v) is None for v in (u1, u2, w1, w2)):
-                yield [(w1, WHITE)]
+# exchange variant: with these rigid degrees, a completion that blackens
+# w1 can be recolored to whiten it instead.
+P_HAT_PENTAGON_RIGID = pattern(
+    "hat_pentagon_rigid",
+    "x w1 u1 u2 w2 y",
+    "x-w1 w1-u1 u1-u2 u2-w2 w2-x u1-y u2-y",
+    degree={"u1": (3, 3), "u2": (3, 3), "w1": (2, 2), "w2": (2, 2)},
+    color={r: MUST_UNCOLORED for r in ("u1", "u2", "w1", "w2")},
+)
 
 
 P_ANCHORED_PENTAGON = pattern(
@@ -468,8 +468,10 @@ P_BRACED_PENDANT = pattern(
 
 
 # Radii: the farthest vertex a scan reads, counted from its anchor.  The
-# two pentagon rules also read the colors of x's neighbors; lone_wing first
-# tests the whole graph for butterflies, so it has none.
+# pentagon rules also demand colors of x's neighbors, one ring beyond x:
+# outside hat_pentagon's pattern, inside anchored_pentagon's (its x is next
+# to the anchor).  lone_wing first tests the whole graph for butterflies,
+# so it has none.
 CATALOG: tuple[Rule, ...] = (
     Rule("square_alternation", FORCED, rule_square_alternation, 2),
     Rule("triangle_outsider", FORCED, rule_triangle_outsider, 2),
@@ -478,12 +480,12 @@ CATALOG: tuple[Rule, ...] = (
     Rule("bowtie_center", FORCED, rule_bowtie_center, 2),
     Rule("diamond_pair", FORCED, rule_diamond_pair, 1),
     Rule("leaf_surplus", EXCHANGE, rule_leaf_surplus, 1),
-    Rule("chain_step", FORCED, rule_chain_step, 3),
+    _demands("chain_step", FORCED, P_CHAIN, v4=BLACK),
     _demands("triangle_tail", FORCED, P_TRIANGLE_TAIL, x=BLACK),
     _demands("house_apex", FORCED, P_HOUSE, x=BLACK),
     Rule("hat_pentagon", FORCED, rule_hat_pentagon, P_HAT_PENTAGON.radius + 1),
-    Rule("hat_pentagon_swap", EXCHANGE, rule_hat_pentagon_swap, P_HAT_PENTAGON.radius),
-    Rule("anchored_pentagon", FORCED, rule_anchored_pentagon, P_ANCHORED_PENTAGON.radius + 1),
+    _demands("hat_pentagon_swap", EXCHANGE, P_HAT_PENTAGON_RIGID, w1=WHITE),
+    Rule("anchored_pentagon", FORCED, rule_anchored_pentagon, P_ANCHORED_PENTAGON.radius),
     _demands("spoked_triangle", FORCED, P_SPOKED_TRIANGLE, u=WHITE),
     Rule("square_degree_two", FORCED, rule_square_degree_two, 2),
     _demands("triangle_circuit", FORCED, P_TRIANGLE_CIRCUIT, x=WHITE),

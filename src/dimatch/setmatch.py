@@ -11,7 +11,6 @@ exactly once, which in turn is a saturating-matching question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .coloring import BLACK, WHITE, PartialColoring
@@ -38,7 +37,6 @@ class IrreducibleDecomposition:
     triangle_vertices: frozenset[int]
     claws: tuple[Claw, ...]
     degree4_triangles: tuple[tuple[int, int, int], ...]  # (r, p, q); deg r = 4
-    low_spokes: frozenset[int]  # the p, q vertices
     core: frozenset[int]  # triangle vertices minus spokes minus blacks
     candidates: frozenset[int]  # core plus the pendant claw tips
 
@@ -142,7 +140,6 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
         triangle_vertices=tverts,
         claws=tuple(claws),
         degree4_triangles=tuple(sorted(deg4)),
-        low_spokes=spokes,
         core=core,
         candidates=frozenset(candidates),
     )
@@ -184,49 +181,39 @@ def build_family(g: Graph, c: PartialColoring, d: IrreducibleDecomposition) -> S
 def solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:
     """Find C with |C ∩ A| = 1 for every A, or None.
 
-    Shared elements of two sets are interchangeable, so each intersection
-    is first thinned to one element.  Picking shared elements is then a
-    matching question on the intersection graph; sets whose elements are
-    all shared must be saturated, the rest can fall back on a private
-    element.
+    Raises ValueError if an element lies in more than two sets.  The
+    elements two sets share are interchangeable, so only the least of them
+    is kept.  Picking shared elements is then a matching question on the
+    intersection graph; sets with no private element must be saturated,
+    the rest can fall back on their least private element.
     """
-    sets = [set(a) for a in inst.sets]
+    sets = inst.sets
     k = len(sets)
     if k == 0:
         return frozenset()
-    for i, j in combinations(range(k), 2):
-        common = sets[i] & sets[j]
-        if len(common) > 1:
-            keep = min(common)
-            for e in common - {keep}:
-                sets[i].discard(e)
-                sets[j].discard(e)
-    count: dict[int, int] = {}
-    for a in sets:
+    owners: dict[int, list[int]] = {}
+    for i, a in enumerate(sets, start=1):
         for e in a:
-            count[e] = count.get(e, 0) + 1
-    if any(n > 2 for n in count.values()):
+            owners.setdefault(e, []).append(i)
+    if any(len(own) > 2 for own in owners.values()):
         raise ValueError("an element appears in more than two sets")
     shared_of: dict[tuple[int, int], int] = {}
-    edges = []
-    for i, j in combinations(range(k), 2):
-        common = sets[i] & sets[j]
-        if common:
-            e = min(common)
-            shared_of[(i + 1, j + 1)] = e
-            edges.append((i + 1, j + 1))
-    inter = Graph(range(1, k + 1), edges)
-    required = [i + 1 for i in range(k) if all(count[e] == 2 for e in sets[i])]
+    for e, own in owners.items():
+        if len(own) == 2:
+            pair = (own[0], own[1])
+            shared_of[pair] = min(e, shared_of.get(pair, e))
+    inter = Graph(range(1, k + 1), sorted(shared_of))
+    privates = [sorted(e for e in a if len(owners[e]) == 1) for a in sets]
+    required = [i for i, priv in enumerate(privates, start=1) if not priv]
     m = solve_saturation(inter, required)
     if m is None:
         return None
     chosen = {shared_of[e] for e in m}
-    for i in range(k):
-        if not sets[i] & chosen:
-            privates = sorted(e for e in sets[i] if count[e] == 1)
-            assert privates, "unsaturated set has no private element"
-            chosen.add(privates[0])
-    for i, a in enumerate(inst.sets):
+    for a, priv in zip(sets, privates):
+        if not a & chosen:
+            assert priv, "unsaturated set has no private element"
+            chosen.add(priv[0])
+    for a in sets:
         assert len(a & chosen) == 1, f"set {sorted(a)} hit {len(a & chosen)} times"
     return frozenset(chosen)
 

@@ -49,11 +49,20 @@ def test_rewrite_rule_on_host(rule_id, idx):
             assert v in g
             assert c2.get(v) == c.get(v)
     # every completion of the reduced pair lifts to a verified completion
+    # of exactly g's vertices that keeps every survivor's color
+    survivors = [v for v in g2.vertices if v not in step.added_ids.values()]
     for full in all_completions(g2, c2):
         lifted = lift_completion([step], full)
         assert verify_complete(g, lifted), (rule_id, idx, full.state)
+        assert set(lifted.state) == set(g.vertices), (rule_id, idx, full.state)
+        assert all(lifted.get(v) == full.get(v) for v in survivors), (rule_id, idx, full.state)
     # the trace reconstructs the original graph
     assert replay_backwards([step], g2) == g
+
+
+def test_lift_is_none_exactly_when_nothing_is_removed():
+    for rule in REWRITE_RULES:
+        assert (rule.lift is None) == (not rule.grey), rule.id
 
 
 def test_rewrite_priority_is_first_match():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from dimatch.coloring import BLACK, PartialColoring, verify_complete
 from dimatch.graph import complete, from_edges
 from dimatch.oracle import brute_dim, mixed_instance
@@ -136,6 +138,17 @@ def test_hitting_two_disjoint_sets():
     inst = SetFamilyInstance((1, 2, 3, 4), (frozenset({1, 2}), frozenset({3, 4})))
     got = solve_hitting(inst)
     assert got is not None and len(got & {1, 2}) == 1 and len(got & {3, 4}) == 1
+
+
+def test_hitting_rejects_element_in_three_sets():
+    # element 2 lies in three sets; thinning {1,2} & {1,2} to one element
+    # must not hide that from the membership check
+    inst = SetFamilyInstance(
+        (1, 2, 3),
+        (frozenset({1, 2}), frozenset({1, 2}), frozenset({2, 3})),
+    )
+    with pytest.raises(ValueError, match="more than two sets"):
+        solve_hitting(inst)
 
 
 def _random_instance(rng: random.Random, max_elems: int = 12):

@@ -79,7 +79,7 @@ def replay_backwards(trace: list[TraceEntry], final: Graph) -> Graph:
                 remove_vertices=entry.added_ids.values(),
                 add_vertices=entry.removed_vertices,
                 add_edges=entry.removed_incident_edges + entry.removed_survivor_edges,
-                remove_edges=entry.added_survivor_edges,
+                remove_edges=entry.added_edges,
             )
     return g
 
