@@ -16,7 +16,16 @@ from pathlib import Path
 from .coloring import format_certificate, parse_certificate, verify_complete
 from .graph import Graph, GraphFormatError, load_graph, save_graph
 from .matching import solve_saturation
-from .oracle import GeneratorError, GeneratorSpec, MIXED_MODELS, brute_dim, generate, mixed_instance
+from .oracle import (
+    MAX_ORACLE_VERTICES,
+    MIXED_MODELS,
+    GeneratorError,
+    GeneratorSpec,
+    OracleSizeError,
+    brute_dim,
+    generate,
+    mixed_instance,
+)
 from .pipeline import LongClawPresent, solve
 from .rewrite import format_trace
 
@@ -107,7 +116,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    coloring = brute_dim(g)
+    try:
+        coloring = brute_dim(g)
+    except OracleSizeError as exc:
+        raise UsageError(f"{args.graph}: {exc}") from None
     if coloring is None:
         print("NO")
         return EXIT_NO
@@ -117,11 +129,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.min_n > args.max_n:
+        raise UsageError(f"--min-n {args.min_n} exceeds --max-n {args.max_n}")
+    if args.max_n > MAX_ORACLE_VERTICES:
+        raise UsageError(f"--max-n {args.max_n} exceeds the oracle cap {MAX_ORACLE_VERTICES}")
     mismatches = 0
     for i in range(args.count):
         seed = args.seed + i
         n = args.min_n + (seed % (args.max_n - args.min_n + 1))
-        g = mixed_instance(n, seed)
+        try:
+            g = mixed_instance(n, seed)
+        except GeneratorError as exc:
+            raise UsageError(f"seed={seed} n={n}: {exc}") from None
         expected = brute_dim(g) is not None
         report = solve(g)
         if report.is_yes != expected:

@@ -218,10 +218,6 @@ class Graph:
                 return True
         return False
 
-    def dist_at_least_3(self, u: int, v: int) -> bool:
-        """True iff u and v are distinct, nonadjacent and share no neighbor."""
-        return u != v and v not in self._adj[u] and not (self._adj[u] & self._adj[v])
-
     # -- construction of derived graphs -----------------------------------
 
     def subgraph(self, keep: Iterable[int], id_floor: int | None = None) -> Graph:

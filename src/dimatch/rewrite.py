@@ -9,6 +9,7 @@ final graph back into one of the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring
@@ -27,7 +28,8 @@ from .rules import (
 
 
 class LiftError(RuntimeError):
-    """A completion of the reduced graph hit no translation case."""
+    """No coloring of a step's removed vertices is valid under the given
+    completion of the reduced graph."""
 
 
 @dataclass(frozen=True)
@@ -41,12 +43,8 @@ class RewriteStep:
     added_edges: tuple[tuple[int, int], ...]
     removed_survivor_edges: tuple[tuple[int, int], ...]
 
-    def removed_color(self, role: str) -> Optional[str]:
-        return self.removed_colors.get(self.embedding[role])
-
 
 TraceEntry = RewriteStep | CleanStep
-LiftFn = Callable[[RewriteStep, dict[int, str]], None]
 GuardFn = Callable[[Graph, PartialColoring, Embedding], bool]
 
 
@@ -60,8 +58,6 @@ class RewriteRule:
     add_edges: tuple[tuple[str, str], ...] = ()
     remove_survivor_edges: tuple[tuple[str, str], ...] = ()
     guard: Optional[GuardFn] = None
-    # colors the removed vertices; None when the rule removes none
-    lift: Optional[LiftFn] = None
 
     def find(self, g: Graph, c: PartialColoring, anchors: Anchors = None) -> Optional[Embedding]:
         """The first embedding the guard accepts, in canonical order; with
@@ -101,48 +97,12 @@ class RewriteRule:
 
 
 # --------------------------------------------------------------------------
-# lift helpers
-
-
-def _set(colors: dict[int, str], step: RewriteStep, role: str, color: str) -> None:
-    v = step.embedding[role]
-    prior = step.removed_colors.get(v)
-    if prior is not None and prior != color:
-        raise LiftError(f"{step.rule_id}: removed vertex {v} was {prior}, lift wants {color}")
-    colors[v] = color
-
-
-def _col(colors: dict[int, str], step: RewriteStep, role: str) -> str:
-    v = step.embedding[role]
-    try:
-        return colors[v]
-    except KeyError:
-        raise LiftError(f"{step.rule_id}: survivor {role}={v} is uncolored") from None
-
-
-def _expect(cond: bool, step: RewriteStep, why: str) -> None:
-    if not cond:
-        raise LiftError(f"{step.rule_id}: {why}")
-
-
-# --------------------------------------------------------------------------
 # pruning rules (vertex deletions only)
 
 
 P_TAIL = pattern("prune_tail", "w x y z", "w-x x-y y-z",
                  closure=frozenset({"x", "y", "z"}),
                  color={"x": MUST_UNCOLORED, "z": MUST_UNCOLORED})
-
-
-def lift_tail(step: RewriteStep, colors: dict[int, str]) -> None:
-    if _col(colors, step, "w") == BLACK:
-        _set(colors, step, "y", BLACK)
-        _set(colors, step, "z", BLACK)
-        _set(colors, step, "x", WHITE)
-    else:
-        _set(colors, step, "x", BLACK)
-        _set(colors, step, "y", BLACK)
-        _set(colors, step, "z", WHITE)
 
 
 P_SPIDER = pattern(
@@ -152,15 +112,6 @@ P_SPIDER = pattern(
     closure=frozenset({"x", "u", "v", "w"}),
     color={"u": MUST_UNCOLORED, "v": MUST_UNCOLORED, "w": MUST_UNCOLORED},
 )
-
-
-def lift_spider(step: RewriteStep, colors: dict[int, str]) -> None:
-    legs = [("u", "a1"), ("v", "a2"), ("w", "a3")]
-    whites = [leg for leg, anchor in legs if _col(colors, step, anchor) == WHITE]
-    _expect(len(whites) == 1, step, f"triangle has {len(whites)} whites")
-    _set(colors, step, "x", BLACK)
-    for leg, _anchor in legs:
-        _set(colors, step, leg, BLACK if leg == whites[0] else WHITE)
 
 
 def _fan_pattern(name: str, spokes5: bool, linked: bool) -> Pattern:
@@ -178,24 +129,6 @@ def _fan_pattern(name: str, spokes5: bool, linked: bool) -> Pattern:
         closure=frozenset(greys),
         color={w: MUST_UNCOLORED for w in greys - {"v"}},
     )
-
-
-def lift_fan(step: RewriteStep, colors: dict[int, str]) -> None:
-    """Every fan: v black, and of its spokes w1..w5 only the one under the
-    white hub among u1..u4 black, or else the spoke without a hub.  The
-    fans that add no vertex leave x-y an edge of the reduced graph, and
-    then exactly one hub is white."""
-    emb = step.embedding
-    hubs = [k for k in (1, 2, 3, 4) if f"u{k}" in emb]
-    whites = [k for k in hubs if _col(colors, step, f"u{k}") == WHITE]
-    _expect(len(whites) <= 1, step, f"{len(whites)} white hubs")
-    if not step.added_ids:
-        _expect(len(whites) == 1, step, "expected exactly one white hub")
-    spokes = [k for k in (1, 2, 3, 4, 5) if f"w{k}" in emb]
-    black_spoke = whites[0] if whites else next(k for k in spokes if k not in hubs)
-    _set(colors, step, "v", BLACK)
-    for k in spokes:
-        _set(colors, step, f"w{k}", BLACK if k == black_spoke else WHITE)
 
 
 P_FAN5 = _fan_pattern("prune_fan5", spokes5=True, linked=True)
@@ -216,35 +149,10 @@ def _dashes(g: Graph, emb: Embedding, role: str, targets: tuple[str, ...]) -> tu
     return tuple(t for t in targets if g.has_edge(emb[role], emb[t]))
 
 
-def _removed_dashes(step: RewriteStep, role: str, targets: tuple[str, ...]) -> tuple[str, ...]:
-    """The dashes of role at the time of the step, read off the edges the
-    step removed."""
-    emb, incident = step.embedding, step.removed_incident_edges
-    return tuple(t for t in targets if (min(emb[role], emb[t]), max(emb[role], emb[t])) in incident)
-
-
 def guard_hub_triangle(g: Graph, c: PartialColoring, emb: Embedding) -> bool:
     return not (
         _dashes(g, emb, "u2", ("b", "w1")) and _dashes(g, emb, "u2p", ("b", "w1"))
     )
-
-
-def lift_hub_triangle(step: RewriteStep, colors: dict[int, str]) -> None:
-    cx = _col(colors, step, "x")
-    cw1 = _col(colors, step, "w1")
-    _expect(cx != cw1, step, "square corners agree")
-    dashed = {r: _removed_dashes(step, r, ("b", "w1")) for r in ("u2", "u2p")}
-    first, second = "u2", "u2p"
-    if step.removed_color(second) == BLACK or (
-        step.removed_color(first) != BLACK and dashed[first] and not dashed[second]
-    ):
-        first, second = second, first
-    # `first` is black in the clean state if either was; otherwise it is the
-    # dash-free member of the pair and safe to blacken.
-    _expect(not dashed[first], step, f"hub vertex {first} has outward edges")
-    _set(colors, step, first, BLACK)
-    _set(colors, step, second, cx)
-    _set(colors, step, "w2", cw1)
 
 
 P_DOUBLE_HOUSE = pattern(
@@ -262,14 +170,6 @@ P_DOUBLE_HOUSE = pattern(
 )
 
 
-def lift_double_house(step: RewriteStep, colors: dict[int, str]) -> None:
-    cx = _col(colors, step, "x")
-    cw1 = _col(colors, step, "w1")
-    _expect(cx != cw1, step, "square corners agree")
-    for role, col in (("a", cx), ("y", cx), ("b", cw1), ("w2", cw1), ("c", BLACK), ("u2", BLACK)):
-        _set(colors, step, role, col)
-
-
 P_TWIN_TRIANGLE = pattern(
     "prune_twin_triangle",
     "a b c x y z w2 w1 u1 u1p",
@@ -285,41 +185,9 @@ def guard_twin_triangle(g: Graph, c: PartialColoring, emb: Embedding) -> bool:
         return False
     if g.has_edge(emb["u1"], emb["y"]) or g.has_edge(emb["u1p"], emb["y"]):
         # a hub attached to y completes a house over x-y, whose apex z is
-        # black on every reachable state; the lift relies on that color
+        # black on every reachable state; the rewrite relies on that color
         return c.get(emb["z"]) == BLACK
     return True
-
-
-def lift_twin_triangle(step: RewriteStep, colors: dict[int, str]) -> None:
-    ca = _col(colors, step, "a")
-    cb = _col(colors, step, "b")
-    _expect(ca != cb, step, "triangle base corners agree")
-    _expect(_col(colors, step, "x") == ca, step, "x disagrees with a")
-    _expect(_col(colors, step, "w2") == cb, step, "w2 disagrees with b")
-    first, second = "u1", "u1p"
-    d_first = _removed_dashes(step, first, ("y",))
-    d_second = _removed_dashes(step, second, ("b", "w2", "y"))
-    if d_first:
-        _expect(not d_second, step, "both triangle hubs have outward edges")
-        first, second = second, first
-        d_second = d_first
-    if not d_second:
-        if step.removed_color(first) != BLACK and step.removed_color(second) == BLACK:
-            first, second = second, first
-        if step.removed_color(first) == BLACK:
-            _set(colors, step, first, BLACK)
-            _set(colors, step, second, ca)
-        else:
-            _set(colors, step, second, BLACK)
-            _set(colors, step, first, ca)
-        _set(colors, step, "w1", cb)
-        return
-    _expect(step.removed_color(second) != BLACK, step, "dashed hub is black")
-    if "y" in d_second:
-        _expect(_col(colors, step, "y") == cb, step, "y disagrees with b under dash")
-    _set(colors, step, first, BLACK)
-    _set(colors, step, second, ca)
-    _set(colors, step, "w1", cb)
 
 
 P_CAPPED_HOUSE = pattern(
@@ -334,17 +202,6 @@ P_CAPPED_HOUSE = pattern(
         "w2": MUST_UNCOLORED,
     },
 )
-
-
-def lift_capped_house(step: RewriteStep, colors: dict[int, str]) -> None:
-    if _col(colors, step, "u") == BLACK:
-        blacks, whites = ("x", "y", "w2", "v"), ("z", "w1")
-    else:
-        blacks, whites = ("x", "z", "w1", "v"), ("y", "w2")
-    for r in blacks:
-        _set(colors, step, r, BLACK)
-    for r in whites:
-        _set(colors, step, r, WHITE)
 
 
 # --------------------------------------------------------------------------
@@ -383,30 +240,6 @@ P_TWIN_SPIDERS = pattern(
 )
 
 
-def lift_twin_spiders(step: RewriteStep, colors: dict[int, str]) -> None:
-    cd = _col(colors, step, "d")
-    ce = _col(colors, step, "e")
-    _expect(not (cd == BLACK and ce == BLACK), step, "both anchors black")
-    side = {
-        "u1": "u1", "u2": "u2", "w1": "w1", "w2": "w2", "w3": "w3", "w4": "w4",
-        "x": "x", "y": "y", "z": "z",
-    }
-    if ce == BLACK:
-        side = {
-            "u1": "u2", "u2": "u1", "w1": "w4", "w2": "w3", "w3": "w2", "w4": "w1",
-            "x": "x", "y": "z", "z": "y",
-        }
-        cd, ce = ce, cd
-    if cd == BLACK:
-        blacks, whites = ("u1", "u2", "x", "y", "w4"), ("w1", "w2", "w3", "z")
-    else:
-        blacks, whites = ("u1", "u2", "w2", "w3", "y", "z"), ("w1", "x", "w4")
-    for r in blacks:
-        _set(colors, step, side[r], BLACK)
-    for r in whites:
-        _set(colors, step, side[r], WHITE)
-
-
 P_FOLD_HUB = pattern(
     "fold_hub",
     "v w1 w2 x y z f u",
@@ -425,22 +258,6 @@ P_FOLD_HUB = pattern(
 )
 
 
-def lift_fold_hub(step: RewriteStep, colors: dict[int, str]) -> None:
-    cf = _col(colors, step, "f")
-    cu = _col(colors, step, "u")
-    _expect(not (cf == BLACK and cu == BLACK), step, "both anchors black")
-    if cf == BLACK:
-        blacks, whites = ("v", "y", "z"), ("w1", "w2", "x")
-    elif cu == BLACK:
-        blacks, whites = ("v", "w2", "y", "x"), ("w1", "z")
-    else:
-        blacks, whites = ("v", "w1", "z", "x"), ("w2", "y")
-    for r in blacks:
-        _set(colors, step, r, BLACK)
-    for r in whites:
-        _set(colors, step, r, WHITE)
-
-
 P_CROSS_LINK = pattern(
     "fold_cross_link",
     "a b c x y w1 w2",
@@ -448,17 +265,6 @@ P_CROSS_LINK = pattern(
     closure=frozenset({"a", "b", "c"}),
     color={"a": MUST_UNCOLORED, "b": MUST_UNCOLORED},
 )
-
-
-def lift_cross_link(step: RewriteStep, colors: dict[int, str]) -> None:
-    cx = _col(colors, step, "x")
-    cw1 = _col(colors, step, "w1")
-    _expect(_col(colors, step, "y") == cx, step, "square corners x,y disagree")
-    _expect(_col(colors, step, "w2") == cw1, step, "square corners w1,w2 disagree")
-    _expect(cx != cw1, step, "square corners agree")
-    _set(colors, step, "a", cx)
-    _set(colors, step, "b", cw1)
-    _set(colors, step, "c", BLACK)
 
 
 P_UNLINK = pattern(
@@ -495,23 +301,6 @@ P_CLAW_CHAIN = pattern(
 )
 
 
-def lift_claw_chain(step: RewriteStep, colors: dict[int, str]) -> None:
-    c1 = _col(colors, step, "x1")
-    cr = _col(colors, step, "r")
-    _expect(not (c1 == BLACK and cr == BLACK), step, "both anchors black")
-    _set(colors, step, "y1", BLACK)
-    _set(colors, step, "y2", BLACK)
-    _set(colors, step, "z2", WHITE)
-    if c1 == BLACK:
-        plan = (("z1", WHITE), ("x2", WHITE), ("q", BLACK))
-    elif cr == BLACK:
-        plan = (("z1", WHITE), ("x2", BLACK), ("q", WHITE))
-    else:
-        plan = (("z1", BLACK), ("x2", WHITE), ("q", BLACK))
-    for role, col in plan:
-        _set(colors, step, role, col)
-
-
 P_CONTRACT_PATH = pattern(
     "contract_path",
     "v1 v2 v3 v4 v5",
@@ -520,52 +309,25 @@ P_CONTRACT_PATH = pattern(
 )
 
 
-def lift_contract_path(step: RewriteStep, colors: dict[int, str]) -> None:
-    c1 = _col(colors, step, "v1")
-    c5 = _col(colors, step, "v5")
-    _expect(not (c1 == WHITE and c5 == WHITE), step, "joined ends both white")
-    if c1 == BLACK and c5 == BLACK:
-        plan = (("v2", BLACK), ("v3", WHITE), ("v4", BLACK))
-    elif c1 == BLACK:
-        plan = (("v2", WHITE), ("v3", BLACK), ("v4", BLACK))
-    else:
-        plan = (("v2", BLACK), ("v3", BLACK), ("v4", WHITE))
-    for role, col in plan:
-        _set(colors, step, role, col)
-
-
 REWRITE_RULES: tuple[RewriteRule, ...] = (
-    RewriteRule("prune_tail", P_TAIL, grey=("x", "y", "z"), lift=lift_tail),
-    RewriteRule("prune_spider", P_SPIDER, grey=("x", "u", "v", "w"), lift=lift_spider),
-    RewriteRule("prune_fan5", P_FAN5, grey=("v", "w1", "w2", "w3", "w4", "w5"), lift=lift_fan),
-    RewriteRule("prune_fan4", P_FAN4, grey=("v", "w1", "w2", "w3", "w4"), lift=lift_fan),
+    RewriteRule("prune_tail", P_TAIL, grey=("x", "y", "z")),
+    RewriteRule("prune_spider", P_SPIDER, grey=("x", "u", "v", "w")),
+    RewriteRule("prune_fan5", P_FAN5, grey=("v", "w1", "w2", "w3", "w4", "w5")),
+    RewriteRule("prune_fan4", P_FAN4, grey=("v", "w1", "w2", "w3", "w4")),
     RewriteRule(
-        "prune_hub_triangle", P_HUB_TRIANGLE, grey=("w2", "u2", "u2p"),
-        guard=guard_hub_triangle, lift=lift_hub_triangle,
+        "prune_hub_triangle", P_HUB_TRIANGLE, grey=("w2", "u2", "u2p"), guard=guard_hub_triangle,
     ),
+    RewriteRule("prune_double_house", P_DOUBLE_HOUSE, grey=("a", "b", "c", "y", "w2", "u2")),
     RewriteRule(
-        "prune_double_house", P_DOUBLE_HOUSE, grey=("a", "b", "c", "y", "w2", "u2"),
-        lift=lift_double_house,
+        "prune_twin_triangle", P_TWIN_TRIANGLE, grey=("w1", "u1", "u1p"), guard=guard_twin_triangle,
     ),
-    RewriteRule(
-        "prune_twin_triangle", P_TWIN_TRIANGLE, grey=("w1", "u1", "u1p"),
-        guard=guard_twin_triangle, lift=lift_twin_triangle,
-    ),
-    RewriteRule(
-        "prune_capped_house", P_CAPPED_HOUSE, grey=("x", "y", "z", "w1", "w2", "v"),
-        lift=lift_capped_house,
-    ),
+    RewriteRule("prune_capped_house", P_CAPPED_HOUSE, grey=("x", "y", "z", "w1", "w2", "v")),
     RewriteRule(
         "fold_fan5", P_FOLD_FAN5, grey=("v", "w1", "w2", "w3", "w4", "w5"),
         new_vertices=("a", "b", "c"),
         add_edges=(("a", "b"), ("a", "c"), ("b", "c"), ("b", "x"), ("c", "y")),
-        lift=lift_fan,
     ),
-    RewriteRule(
-        "fold_fan4", P_FOLD_FAN4, grey=("v", "w1", "w2", "w3", "w4"),
-        add_edges=(("x", "y"),),
-        lift=lift_fan,
-    ),
+    RewriteRule("fold_fan4", P_FOLD_FAN4, grey=("v", "w1", "w2", "w3", "w4"), add_edges=(("x", "y"),)),
     RewriteRule(
         "fold_fan_leaf", P_FOLD_FAN_LEAF, grey=("v", "w1", "w2", "w3", "w4"),
         new_vertices=("a1", "a2", "a3", "a4", "a5", "a6", "a7"),
@@ -573,14 +335,12 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
             ("a1", "a2"), ("a1", "a3"), ("a2", "a3"), ("a1", "a4"),
             ("a4", "a5"), ("a5", "a6"), ("a5", "a7"), ("a1", "x"), ("a7", "u3"),
         ),
-        lift=lift_fan,
     ),
     RewriteRule(
         "fold_twin_spiders", P_TWIN_SPIDERS,
         grey=("x", "y", "z", "w1", "w2", "w3", "w4", "u1", "u2"),
         new_vertices=("f1", "f2"),
         add_edges=(("f1", "f2"), ("f1", "d"), ("f1", "e")),
-        lift=lift_twin_spiders,
     ),
     # The replacement keeps f's matching partner available (lf is black in
     # every completion, via its pendant) while u's contact m1 sits in a
@@ -593,31 +353,16 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
             ("lf", "p"), ("lf", "f"), ("lf", "k"), ("k", "m1"),
             ("m1", "m2"), ("m1", "m3"), ("m2", "m3"), ("m1", "u"),
         ),
-        lift=lift_fold_hub,
     ),
-    RewriteRule(
-        "fold_cross_link", P_CROSS_LINK, grey=("a", "b", "c"),
-        add_edges=(("x", "w2"), ("y", "w1")),
-        lift=lift_cross_link,
-    ),
-    RewriteRule(
-        "unlink_triangles", P_UNLINK, grey=(),
-        remove_survivor_edges=(("b", "x"),),
-    ),
+    RewriteRule("fold_cross_link", P_CROSS_LINK, grey=("a", "b", "c"), add_edges=(("x", "w2"), ("y", "w1"))),
+    RewriteRule("unlink_triangles", P_UNLINK, grey=(), remove_survivor_edges=(("b", "x"),)),
     RewriteRule(
         "fold_claw_chain", P_CLAW_CHAIN, grey=("z1", "y1", "x2", "q", "y2", "z2"),
         new_vertices=("n1", "n2"),
         add_edges=(("n1", "n2"), ("n1", "x1"), ("n1", "r")),
-        lift=lift_claw_chain,
     ),
-    RewriteRule(
-        "contract_path", P_CONTRACT_PATH, grey=("v2", "v3", "v4"),
-        add_edges=(("v1", "v5"),),
-        lift=lift_contract_path,
-    ),
+    RewriteRule("contract_path", P_CONTRACT_PATH, grey=("v2", "v3", "v4"), add_edges=(("v1", "v5"),)),
 )
-
-RULES_BY_ID = {r.id: r for r in REWRITE_RULES}
 
 
 def try_rewrite(
@@ -709,6 +454,9 @@ def reduce_to_irreducible(
     steps = 0
     cap = max(STEP_CAP_FACTOR * g.n * g.n, 16)
     wl = Worklist()
+    # measure(g) while g is the graph the last rewrite made; propagation
+    # keeps g, a clean step replaces it
+    measured: Optional[tuple[int, int, int]] = None
     while True:
         conflict = propagate(g, c, audit, wl)
         if conflict is not None:
@@ -719,7 +467,7 @@ def reduce_to_irreducible(
                 audit.on_clean(g, c, g2, c2)
             trace.append(cstep)
             wl.log.extend(_changed(cstep))
-            g, c = g2, c2
+            g, c, measured = g2, c2, None
             continue
         violation = clean_pair_violation(g, c)
         if violation is not None:
@@ -728,12 +476,12 @@ def reduce_to_irreducible(
         if comp is not None:
             witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
             return ReduceResult(witness, g, c, trace, steps)
-        before = measure(g)
         outcome = try_rewrite(g, c, wl)
         if outcome is None:
             assert is_clean_pair(g, c), "fixpoint is not a clean pair"
             return ReduceResult(None, g, c, trace, steps)
         g2, c2, step = outcome
+        before = measure(g) if measured is None else measured
         after = measure(g2)
         if not after < before:
             raise AssertionError(
@@ -746,12 +494,55 @@ def reduce_to_irreducible(
             audit.on_rewrite(step, g, c, g2, c2)
         trace.append(step)
         wl.log.extend(_changed(step))
-        g, c = g2, c2
+        g, c, measured = g2, c2, after
+
+
+def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
+    """Color the vertices step removed, given in colors a valid complete
+    coloring of the graph after the step, its added vertices included.
+
+    Validity is local, so only the removed vertices and the survivors the
+    step touched are checked, on the graph before the step.  A touched
+    survivor was valid after it, so its same-colored removed neighbours
+    must number its same-colored ends of added edges less those of removed
+    survivor edges.  Removed vertices colored when the step was made keep
+    that color; the others take the first valid choice, ascending, BLACK
+    before WHITE.
+    """
+    changed = _changed(step)
+    missing = changed - colors.keys()
+    if missing:
+        raise LiftError(f"{step.rule_id}: vertex {min(missing)} is uncolored")
+    owed = dict.fromkeys(changed - set(step.added_ids.values()), 0)
+    for sign, edges in ((1, step.added_edges), (-1, step.removed_survivor_edges)):
+        for a, b in edges:
+            if colors[a] == colors[b]:
+                for s in (a, b):
+                    if s in owed:
+                        owed[s] += sign
+    nbrs: dict[int, list[int]] = {}
+    for a, b in step.removed_incident_edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+
+    def same(v: int) -> int:
+        return sum(colors[w] == colors[v] for w in nbrs.get(v, ()))
+
+    free = [v for v in step.removed_vertices if step.removed_colors[v] is None]
+    colors.update((v, col) for v, col in step.removed_colors.items() if col is not None)
+    for choice in product((BLACK, WHITE), repeat=len(free)):
+        colors.update(zip(free, choice))
+        if all(same(v) == (colors[v] == BLACK) for v in step.removed_vertices) and all(
+            same(s) == k for s, k in owed.items()
+        ):
+            return
+    raise LiftError(f"{step.rule_id}: no coloring of {list(step.removed_vertices)} is valid")
 
 
 def lift_completion(trace: list[TraceEntry], final: PartialColoring) -> PartialColoring:
     """Translate a completion of the final graph back through the trace.
-    Each rewrite step first drops the colors of the vertices it added."""
+    Each rewrite step drops the colors of the vertices it added once its
+    removed vertices are colored."""
     colors = dict(final.state)
     for entry in reversed(trace):
         if isinstance(entry, CleanStep):
@@ -761,11 +552,9 @@ def lift_completion(trace: list[TraceEntry], final: PartialColoring) -> PartialC
                 colors[u] = BLACK
                 colors[v] = BLACK
         else:
+            _lift_step(entry, colors)
             for v in entry.added_ids.values():
                 colors.pop(v, None)
-            lift = RULES_BY_ID[entry.rule_id].lift
-            if lift is not None:
-                lift(entry, colors)
     return PartialColoring(colors)
 
 

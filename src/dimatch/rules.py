@@ -591,10 +591,10 @@ def is_clean_pair(g: Graph, c: PartialColoring) -> bool:
     """No whites, blacks pairwise at distance >= 3, rules at fixpoint."""
     if c.whites():
         return False
-    blacks = sorted(c.blacks())
-    for u, v in combinations(blacks, 2):
-        if not g.dist_at_least_3(u, v):
-            return False
+    for u in c.blacks():
+        for w in g.neighbors(u):
+            if c.get(w) == BLACK or any(x != u and c.get(x) == BLACK for x in g.neighbors(w)):
+                return False
     probe = c.copy()
     if propagate(g, probe) is not None:
         return False
@@ -617,15 +617,15 @@ def clean_pair_violation(g: Graph, c: PartialColoring) -> Optional[str]:
     for v, ts in tri_at.items():
         if len(ts) > 1:
             return f"vertex {v} lies in {len(ts)} triangles"
-    tris = g.triangles()
-    for t1, t2 in combinations(tris, 2):
-        if set(t1) & set(t2):
-            continue
-        between = [(a, b) for a in t1 for b in t2 if g.has_edge(a, b)]
-        if len(between) > 2:
-            return f"triangles {t1} and {t2} joined by {len(between)} edges"
-        if len(between) == 2:
-            (a1, b1), (a2, b2) = between
-            if a1 == a2 or b1 == b2:
-                return f"triangles {t1} and {t2} joined by adjacent edges"
+    # no vertex lies in two triangles, so triangles are disjoint and only
+    # those an edge joins can violate
+    for t1 in g.triangles():
+        for t2 in sorted({t for a in t1 for b in g.neighbors(a) for t in tri_at[b] if t > t1}):
+            between = [(a, b) for a in t1 for b in t2 if g.has_edge(a, b)]
+            if len(between) > 2:
+                return f"triangles {t1} and {t2} joined by {len(between)} edges"
+            if len(between) == 2:
+                (a1, b1), (a2, b2) = between
+                if a1 == a2 or b1 == b2:
+                    return f"triangles {t1} and {t2} joined by adjacent edges"
     return None

@@ -154,12 +154,6 @@ class SetFamilyInstance:
     elements: tuple[int, ...]
     sets: tuple[frozenset[int], ...]
 
-    def membership_ok(self) -> bool:
-        for e in self.elements:
-            if sum(1 for a in self.sets if e in a) > 2:
-                return False
-        return all(2 <= len(a) <= 3 for a in self.sets)
-
 
 def build_family(g: Graph, c: PartialColoring, d: IrreducibleDecomposition) -> SetFamilyInstance:
     """Nontrivial maximal cliques of the core graph, plus one anchor triple
@@ -170,12 +164,12 @@ def build_family(g: Graph, c: PartialColoring, d: IrreducibleDecomposition) -> S
         sets.append(frozenset({cl.v, cl.u, cl.a2}))
     sets_sorted = tuple(sorted(sets, key=lambda a: sorted(a)))
     elements = tuple(sorted({e for a in sets_sorted for e in a}))
-    inst = SetFamilyInstance(elements, sets_sorted)
-    if not inst.membership_ok():
-        raise StructureViolation("set family violates size or membership bounds")
+    # memberships are checked by solve_hitting's element index
+    if not all(2 <= len(a) <= 3 for a in sets_sorted):
+        raise StructureViolation("set family violates size bounds")
     if not set(elements) <= d.candidates:
         raise StructureViolation("set family leaks outside the candidate set")
-    return inst
+    return SetFamilyInstance(elements, sets_sorted)
 
 
 def solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:

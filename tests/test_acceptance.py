@@ -23,6 +23,7 @@ from .util import (
     brute_hitting,
     brute_max_matching_size,
     brute_saturation_exists,
+    membership_ok,
 )
 
 RANDOM_COUNT = 10_000
@@ -217,7 +218,7 @@ def test_criterion_7_hitting_subsystem():
     bad = 0
     for _ in range(10_000):
         inst = _random_instance(rng)
-        if not inst.membership_ok():
+        if not membership_ok(inst):
             continue
         got = solve_hitting(inst)
         want = brute_hitting(inst.elements, inst.sets)

@@ -96,6 +96,22 @@ def test_compare_command(capsys):
     assert "0 discrepancies" in capsys.readouterr().out
 
 
+def test_compare_rejects_empty_size_range(capsys):
+    assert main(["compare", "--count", "1", "--min-n", "10", "--max-n", "9"]) == 2
+    assert "--min-n 10 exceeds --max-n 9" in capsys.readouterr().err
+
+
+def test_compare_rejects_sizes_above_oracle_cap(capsys):
+    assert main(["compare", "--count", "1", "--min-n", "30", "--max-n", "30"]) == 2
+    assert "oracle cap" in capsys.readouterr().err
+
+
+def test_oracle_rejects_graph_above_cap(tmp_path, capsys):
+    gpath = write(tmp_path, "c30.g", save_graph(cycle(30)))
+    assert main(["oracle", gpath]) == 2
+    assert "oracle cap" in capsys.readouterr().err
+
+
 def test_saturate_command(tmp_path, capsys):
     gpath = write(tmp_path, "p3.g", "3 2\n1 2\n2 3\nU: 2\n")
     assert main(["saturate", gpath]) == 0

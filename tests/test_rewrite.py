@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from dimatch.coloring import PartialColoring, verify_complete
+from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import complete, cycle, from_edges, path
 from dimatch.oracle import brute_dim, mixed_instance
 from dimatch.patterns import contains_s222
 from dimatch.rewrite import (
     REWRITE_RULES,
-    RULES_BY_ID,
+    LiftError,
     bad_vertex_count,
     format_trace,
     lift_completion,
@@ -21,6 +21,8 @@ from dimatch.rewrite import (
 from dimatch.rules import CleanStep
 
 from .util import REWRITE_HOSTS, OracleAudit, all_completions, decorate, replay_backwards
+
+RULES_BY_ID = {r.id: r for r in REWRITE_RULES}
 
 
 def test_every_rule_has_hosts():
@@ -60,9 +62,30 @@ def test_rewrite_rule_on_host(rule_id, idx):
     assert replay_backwards([step], g2) == g
 
 
-def test_lift_is_none_exactly_when_nothing_is_removed():
-    for rule in REWRITE_RULES:
-        assert (rule.lift is None) == (not rule.grey), rule.id
+def test_lift_rejects_completion_with_no_valid_choice():
+    # contracting 1-2-3-4-5 joins 1 and 5; with both white no coloring of
+    # 2, 3, 4 is valid, since 2 and 4 would each need a white neighbour
+    g = path(5)
+    c = PartialColoring()
+    rule = RULES_BY_ID["contract_path"]
+    emb = rule.find(g, c)
+    assert emb is not None
+    _, _, step = rule.apply(g, c, emb)
+    with pytest.raises(LiftError):
+        lift_completion([step], PartialColoring({1: WHITE, 5: WHITE}))
+
+
+def test_lift_checks_survivors_of_a_step_that_removes_no_vertex():
+    # unlink_triangles only drops the edge b-x, so b and x of one color
+    # cannot both be valid on the graph before it
+    g, coloring = REWRITE_HOSTS["unlink_triangles"][0]
+    c = PartialColoring(coloring)
+    rule = RULES_BY_ID["unlink_triangles"]
+    g2, _, step = rule.apply(g, c, rule.find(g, c))
+    b, x = step.removed_survivor_edges[0]
+    colors = {v: BLACK for v in g2.vertices} | {b: WHITE, x: WHITE}
+    with pytest.raises(LiftError):
+        lift_completion([step], PartialColoring(colors))
 
 
 def test_rewrite_priority_is_first_match():

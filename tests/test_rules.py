@@ -182,6 +182,10 @@ def test_two_blacks_at_distance_two_is_not_clean():
     assert not is_clean_pair(path(3), PartialColoring({1: BLACK, 3: BLACK}))
 
 
+def test_adjacent_blacks_are_not_clean():
+    assert not is_clean_pair(path(2), PartialColoring({1: BLACK, 2: BLACK}))
+
+
 def test_claw_center_black_is_not_clean():
     # the engine can still whiten leaves, so the pair is not at fixpoint
     assert not is_clean_pair(star(3), PartialColoring({1: BLACK}))
@@ -205,3 +209,15 @@ def test_clean_pair_violation_reports_triangle_links():
     g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 4)])
     msg = clean_pair_violation(g, PartialColoring())
     assert msg is not None
+
+
+def test_clean_pair_violation_reports_prism():
+    # two triangles joined by a perfect matching of three edges
+    g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)])
+    msg = clean_pair_violation(g, PartialColoring())
+    assert msg == "triangles (1, 2, 3) and (4, 5, 6) joined by 3 edges"
+
+
+def test_clean_pair_violation_accepts_unjoined_triangles():
+    g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+    assert clean_pair_violation(g, PartialColoring()) is None

@@ -14,6 +14,7 @@ from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Pattern, contains_s222, pattern
 from dimatch.rewrite import ReductionAudit, TraceEntry
 from dimatch.rules import FORCED, CleanStep
+from dimatch.setmatch import SetFamilyInstance
 
 # The long claw: a claw with every edge subdivided once.
 LONG_CLAW = pattern(
@@ -130,6 +131,14 @@ def all_matchings(g: Graph):
 def brute_saturation_exists(g: Graph, required) -> bool:
     req = set(required)
     return any(req <= {x for e in m for x in e} for m in all_matchings(g))
+
+
+def membership_ok(inst: SetFamilyInstance) -> bool:
+    """Every set has 2-3 elements and no element lies in more than two."""
+    for e in inst.elements:
+        if sum(1 for a in inst.sets if e in a) > 2:
+            return False
+    return all(2 <= len(a) <= 3 for a in inst.sets)
 
 
 def brute_hitting(elements, sets) -> bool:
