@@ -179,44 +179,21 @@ class Graph:
             if c > a and c not in na
         ]
 
-    def butterflies(self) -> list[tuple[int, ...]]:
-        """Induced butterflies: centre v plus edges ab, cd among N(v), no
-        other adjacency within {a, b, c, d}."""
-        cached = self._cache.get("butterflies")
+    def is_butterfly_free(self) -> bool:
+        """No induced butterfly: no two triangles at one vertex v that share
+        only v and have no edge between their other vertices."""
+        cached = self._cache.get("butterfly_free")
         if cached is None:
-            out = []
-            for v in self._vertices:
-                nv = sorted(self._adj[v])
-                wing_edges = [(a, b) for a, b in combinations(nv, 2) if b in self._adj[a]]
-                for (a, b), (c, d) in combinations(wing_edges, 2):
-                    if len({a, b, c, d}) < 4:
-                        continue
-                    cross = sum(1 for x, y in ((a, c), (a, d), (b, c), (b, d)) if y in self._adj[x])
-                    if cross == 0:
-                        out.append((v, a, b, c, d))
-            cached = out
-            self._cache["butterflies"] = cached
+            cached = self._cache["butterfly_free"] = not any(
+                self._wings_apart(v, t1, t2)
+                for v, ts in self.triangles_at().items()
+                for t1, t2 in combinations(ts, 2)
+            )
         return cached  # type: ignore[return-value]
 
-    def is_butterfly_free(self) -> bool:
-        return not self.butterflies()
-
-    def diamonds(self) -> list[tuple[int, ...]]:
-        """Induced diamonds (K4 minus an edge) as (x, y, a, b): x, y the
-        degree-3 pair, a, b nonadjacent."""
-        out = []
-        for x, y in self.edges():
-            common = sorted(self._adj[x] & self._adj[y])
-            for a, b in combinations(common, 2):
-                if b not in self._adj[a]:
-                    out.append((x, y, a, b))
-        return out
-
-    def has_k4(self) -> bool:
-        for a, b, c in self.triangles():
-            if self._adj[a] & self._adj[b] & self._adj[c]:
-                return True
-        return False
+    def _wings_apart(self, v: int, t1: tuple[int, ...], t2: tuple[int, ...]) -> bool:
+        wing1, wing2 = set(t1) - {v}, set(t2) - {v}
+        return not wing1 & wing2 and not any(self._adj[a] & wing2 for a in wing1)
 
     # -- construction of derived graphs -----------------------------------
 
@@ -228,10 +205,6 @@ class Graph:
         # the same sorted edge order as filtering edges(), at the cost of keep
         edges = [(u, v) for u in sorted(keep_set) for v in sorted(adj[u]) if v > u and v in keep_set]
         return Graph(keep_set, edges, self._id_floor if id_floor is None else id_floor)
-
-    def remove_vertices(self, drop: Iterable[int]) -> Graph:
-        drop_set = set(drop)
-        return self.subgraph(v for v in self._vertices if v not in drop_set)
 
     def rewrite(
         self,

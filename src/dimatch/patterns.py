@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .coloring import BLACK
 from .graph import Graph
-
-BLACK = "B"
-WHITE = "W"
 
 # color preconditions
 MUST_BLACK = "black"

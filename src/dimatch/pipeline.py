@@ -13,7 +13,6 @@ from .rewrite import (
     ReduceResult,
     ReductionAudit,
     RewriteStep,
-    TraceEntry,
     lift_completion,
     reduce_to_irreducible,
 )
@@ -40,7 +39,7 @@ class RunReport:
     decision: str
     certificate: Optional[PartialColoring]
     witness: Optional[str]
-    trace: list[TraceEntry] = field(default_factory=list)
+    trace: list[RewriteStep] = field(default_factory=list)
     rewrite_steps: int = 0
     irreducible_order: int = 0
     wall_time: float = 0.0
@@ -76,9 +75,9 @@ def solve(g: Graph, audit: Optional[ReductionAudit] = None) -> RunReport:
             report.decision, report.certificate, report.witness = NO, None, rep.witness
             break
         report.certificate.state.update(rep.certificate.state)
-        for entry in rep.trace:
-            if isinstance(entry, RewriteStep) and entry.added_ids:
-                id_floor = max(id_floor, max(entry.added_ids.values()) + 1)
+        for step in rep.trace:
+            if step.added_ids:
+                id_floor = max(id_floor, max(step.added_ids.values()) + 1)
     if report.is_yes and not verify_complete(g, report.certificate):
         raise AssertionError("lifted certificate fails verification")
     report.wall_time = time.perf_counter() - t0

@@ -1,8 +1,10 @@
-"""Local graph rewrites with completion lifting, and the reduction driver.
+"""Local graph rewrites and cleaning with completion lifting, and the
+reduction driver.
 
 Each rewrite replaces a matched local configuration by a smaller one while
-preserving exactly whether a feasible complete coloring exists.  The trace
-records enough of the removed material to translate a completion of the
+preserving exactly whether a feasible complete coloring exists; cleaning
+drops white vertices and matched black pairs.  Both record a RewriteStep
+with enough of the removed material to translate a completion of the
 final graph back into one of the original graph.
 """
 
@@ -10,17 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring
 from .graph import Graph
 from .patterns import MUST_BLACK, MUST_UNCOLORED, Embedding, Pattern, pattern
 from .rules import (
     Anchors,
-    CleanStep,
     ReductionAudit,
     Worklist,
-    clean,
     clean_pair_violation,
     is_clean_pair,
     propagate,
@@ -44,7 +44,39 @@ class RewriteStep:
     removed_survivor_edges: tuple[tuple[int, int], ...]
 
 
-TraceEntry = RewriteStep | CleanStep
+def _rewrite(
+    g: Graph,
+    c: PartialColoring,
+    rule_id: str,
+    embedding: dict[str, int],
+    removed: Iterable[int],
+    added_ids: dict[str, int],
+    added_edges: tuple[tuple[int, int], ...] = (),
+    removed_survivor_edges: tuple[tuple[int, int], ...] = (),
+) -> tuple[Graph, PartialColoring, RewriteStep]:
+    """Make the change on g, restrict c to the new graph and record the
+    step, with the removed vertices' edges and colors."""
+    removed = tuple(sorted(removed))
+    incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
+    g2 = g.rewrite(removed, added_ids.values(), added_edges, removed_survivor_edges)
+    step = RewriteStep(
+        rule_id, embedding, removed, {v: c.get(v) for v in removed}, incident,
+        added_ids, added_edges, removed_survivor_edges,
+    )
+    return g2, c.restrict(g2.vertices), step
+
+
+def clean(g: Graph, c: PartialColoring) -> tuple[Graph, PartialColoring, Optional[RewriteStep]]:
+    """Drop white vertices and matched black pairs; restrict the coloring.
+    The step has rule "clean", an empty embedding and colors every vertex
+    it removes."""
+    blacks = c.blacks()
+    removed = c.whites() | {v for v in blacks if g.neighbors(v) & blacks}
+    if not removed:
+        return g, c, None
+    return _rewrite(g, c, "clean", {}, removed, {})
+
+
 GuardFn = Callable[[Graph, PartialColoring, Embedding], bool]
 
 
@@ -69,31 +101,11 @@ class RewriteRule:
 
     def apply(self, g: Graph, c: PartialColoring, emb: Embedding) -> tuple[Graph, PartialColoring, RewriteStep]:
         amap = emb.assignment
-        removed = tuple(sorted(amap[r] for r in self.grey))
-        incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
-        fresh = g.fresh_ids(len(self.new_vertices))
-        added_ids = dict(zip(self.new_vertices, fresh))
+        added_ids = dict(zip(self.new_vertices, g.fresh_ids(len(self.new_vertices))))
         lookup = {**amap, **added_ids}
         added = tuple((lookup[a], lookup[b]) for a, b in self.add_edges)
         surv_del = tuple((amap[a], amap[b]) for a, b in self.remove_survivor_edges)
-        g2 = g.rewrite(
-            remove_vertices=removed,
-            add_vertices=fresh,
-            add_edges=added,
-            remove_edges=surv_del,
-        )
-        c2 = c.restrict(v for v in g2.vertices)
-        step = RewriteStep(
-            rule_id=self.id,
-            embedding=dict(amap),
-            removed_vertices=removed,
-            removed_colors={v: c.get(v) for v in removed},
-            removed_incident_edges=incident,
-            added_ids=added_ids,
-            added_edges=added,
-            removed_survivor_edges=surv_del,
-        )
-        return g2, c2, step
+        return _rewrite(g, c, self.id, dict(amap), (amap[r] for r in self.grey), added_ids, added, surv_del)
 
 
 # --------------------------------------------------------------------------
@@ -380,13 +392,11 @@ def try_rewrite(
     return None
 
 
-def _changed(entry: TraceEntry) -> set[int]:
+def _changed(step: RewriteStep) -> set[int]:
     """The surviving and new vertices whose adjacency a step changed."""
-    if isinstance(entry, CleanStep):
-        return {v for e in entry.incident_edges for v in e} - entry.removed()
-    edges = entry.removed_incident_edges + entry.added_edges + entry.removed_survivor_edges
-    touched = {v for e in edges for v in e} | set(entry.added_ids.values())
-    return touched - set(entry.removed_vertices)
+    edges = step.removed_incident_edges + step.added_edges + step.removed_survivor_edges
+    touched = {v for e in edges for v in e} | set(step.added_ids.values())
+    return touched - set(step.removed_vertices)
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +439,7 @@ class ReduceResult:
     refuted: Optional[Conflict]
     graph: Graph
     coloring: PartialColoring
-    trace: list[TraceEntry]
+    trace: list[RewriteStep]
     rewrite_steps: int
 
     @property
@@ -450,7 +460,7 @@ def reduce_to_irreducible(
     """
     if c is None:
         c = PartialColoring()
-    trace: list[TraceEntry] = []
+    trace: list[RewriteStep] = []
     steps = 0
     cap = max(STEP_CAP_FACTOR * g.n * g.n, 16)
     wl = Worklist()
@@ -507,7 +517,8 @@ def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
     must number its same-colored ends of added edges less those of removed
     survivor edges.  Removed vertices colored when the step was made keep
     that color; the others take the first valid choice, ascending, BLACK
-    before WHITE.
+    before WHITE.  A clean step colored all of them, so its lift only
+    checks.
     """
     changed = _changed(step)
     missing = changed - colors.keys()
@@ -539,38 +550,33 @@ def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
     raise LiftError(f"{step.rule_id}: no coloring of {list(step.removed_vertices)} is valid")
 
 
-def lift_completion(trace: list[TraceEntry], final: PartialColoring) -> PartialColoring:
+def lift_completion(trace: list[RewriteStep], final: PartialColoring) -> PartialColoring:
     """Translate a completion of the final graph back through the trace.
-    Each rewrite step drops the colors of the vertices it added once its
-    removed vertices are colored."""
+    Each step drops the colors of the vertices it added once its removed
+    vertices are colored."""
     colors = dict(final.state)
-    for entry in reversed(trace):
-        if isinstance(entry, CleanStep):
-            for v in entry.whites:
-                colors[v] = WHITE
-            for u, v in entry.black_pairs:
-                colors[u] = BLACK
-                colors[v] = BLACK
-        else:
-            _lift_step(entry, colors)
-            for v in entry.added_ids.values():
-                colors.pop(v, None)
+    for step in reversed(trace):
+        _lift_step(step, colors)
+        for v in step.added_ids.values():
+            colors.pop(v, None)
     return PartialColoring(colors)
 
 
-def format_trace(trace: list[TraceEntry]) -> str:
-    """One line per step, for --trace output and debugging."""
+def format_trace(trace: list[RewriteStep]) -> str:
+    """One line per step, for --trace output and debugging.  A clean step
+    lists its whites and its black pairs, the edges between removed
+    blacks."""
     lines = []
-    for k, entry in enumerate(trace, start=1):
-        if isinstance(entry, CleanStep):
-            lines.append(
-                f"STEP {k}: rule=clean removed_whites={list(entry.whites)} "
-                f"removed_black_pairs={[list(p) for p in entry.black_pairs]}"
-            )
+    for k, step in enumerate(trace, start=1):
+        if step.rule_id == "clean":
+            cols = step.removed_colors
+            whites = [v for v in step.removed_vertices if cols[v] == WHITE]
+            pairs = [[a, b] for a, b in step.removed_incident_edges if cols.get(a) == cols.get(b) == BLACK]
+            lines.append(f"STEP {k}: rule=clean removed_whites={whites} removed_black_pairs={pairs}")
         else:
-            emb = ",".join(f"{r}:{v}" for r, v in sorted(entry.embedding.items()))
+            emb = ",".join(f"{r}:{v}" for r, v in sorted(step.embedding.items()))
             lines.append(
-                f"STEP {k}: rule={entry.rule_id} embedding={emb} "
-                f"removed={list(entry.removed_vertices)} added={sorted(entry.added_ids.values())}"
+                f"STEP {k}: rule={step.rule_id} embedding={emb} "
+                f"removed={list(step.removed_vertices)} added={sorted(step.added_ids.values())}"
             )
     return "\n".join(lines)

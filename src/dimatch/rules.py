@@ -1,4 +1,4 @@
-"""Forcing rules, the propagation engine, cleaning and clean pairs.
+"""Forcing rules, the propagation engine and clean pairs.
 
 Every rule inspects the current partial coloring and demands colors that
 hold in every completion (tag "forced"), or that can be assumed without
@@ -549,42 +549,8 @@ def propagate(
 
 
 # --------------------------------------------------------------------------
-# cleaning
-
-
-@dataclass(frozen=True)
-class CleanStep:
-    """Removed material; restored verbatim when lifting a completion."""
-
-    whites: tuple[int, ...]
-    black_pairs: tuple[tuple[int, int], ...]
-    incident_edges: tuple[tuple[int, int], ...] = ()
-
-    def removed(self) -> set[int]:
-        out = set(self.whites)
-        for u, v in self.black_pairs:
-            out |= {u, v}
-        return out
-
-
-def clean(g: Graph, c: PartialColoring) -> tuple[Graph, PartialColoring, Optional[CleanStep]]:
-    """Drop white vertices and matched black pairs; restrict the coloring."""
-    whites = tuple(sorted(c.whites()))
-    pairs = []
-    for v in sorted(c.blacks()):
-        for w in g.neighbors(v):
-            if w > v and c.get(w) == BLACK:
-                pairs.append((v, w))
-    removed = set(whites)
-    for u, v in pairs:
-        removed |= {u, v}
-    if not removed:
-        return g, c, None
-    incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
-    step = CleanStep(whites, tuple(pairs), incident)
-    g2 = g.remove_vertices(removed)
-    c2 = c.restrict(g2.vertices)
-    return g2, c2, step
+# clean pairs: what is left once cleaning (`dimatch.rewrite.clean`) has
+# dropped the whites and matched black pairs
 
 
 def is_clean_pair(g: Graph, c: PartialColoring) -> bool:
@@ -607,25 +573,16 @@ def clean_pair_violation(g: Graph, c: PartialColoring) -> Optional[str]:
     A violation on a clean pair produced by the pipeline means the
     instance admits no completion, so the caller may refute.
     """
-    if g.has_k4():
-        return "contains K4"
-    if g.diamonds():
-        return "contains induced diamond"
-    if not g.is_butterfly_free():
-        return "contains induced butterfly"
     tri_at = g.triangles_at()
     for v, ts in tri_at.items():
         if len(ts) > 1:
             return f"vertex {v} lies in {len(ts)} triangles"
-    # no vertex lies in two triangles, so triangles are disjoint and only
-    # those an edge joins can violate
+    # No vertex lies in two triangles, which rules out K4s, diamonds and
+    # butterflies.  So triangles are disjoint, and a vertex of one has at
+    # most one neighbour in another (two would close a third triangle).
     for t1 in g.triangles():
         for t2 in sorted({t for a in t1 for b in g.neighbors(a) for t in tri_at[b] if t > t1}):
             between = [(a, b) for a in t1 for b in t2 if g.has_edge(a, b)]
             if len(between) > 2:
                 return f"triangles {t1} and {t2} joined by {len(between)} edges"
-            if len(between) == 2:
-                (a1, b1), (a2, b2) = between
-                if a1 == a2 or b1 == b2:
-                    return f"triangles {t1} and {t2} joined by adjacent edges"
     return None

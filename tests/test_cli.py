@@ -96,6 +96,20 @@ def test_compare_command(capsys):
     assert "0 discrepancies" in capsys.readouterr().out
 
 
+def test_compare_skips_seeds_the_generator_gives_up_on(capsys):
+    assert main(["compare", "--count", "3", "--min-n", "20", "--max-n", "20", "--seed", "13"]) == 0
+    out = capsys.readouterr().out
+    assert "SKIPPED seed=14 n=20" in out
+    assert "compared 2 instances, 0 discrepancies, 1 seeds skipped" in out
+
+
+def test_compare_fails_when_every_seed_is_skipped(capsys):
+    assert main(["compare", "--count", "2", "--min-n", "22", "--max-n", "22", "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "2 seeds skipped" in captured.out
+    assert "every seed" in captured.err
+
+
 def test_compare_rejects_empty_size_range(capsys):
     assert main(["compare", "--count", "1", "--min-n", "10", "--max-n", "9"]) == 2
     assert "--min-n 10 exceeds --max-n 9" in capsys.readouterr().err

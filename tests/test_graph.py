@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from dimatch.graph import (
     save_graph,
     star,
 )
+from dimatch.patterns import find_induced, pattern
 
 from .util import parser_text
 
@@ -96,9 +100,21 @@ def test_butterfly_and_diamond_detection():
     bowtie = from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
     assert not bowtie.is_butterfly_free()
     diamond = from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-    assert diamond.diamonds()
-    assert complete(4).has_k4()
-    assert not cycle(5).has_k4()
+    assert diamond.is_butterfly_free()
+
+
+BUTTERFLY = pattern("butterfly", "v a b c d", "v-a v-b v-c v-d a-b c-d")
+
+
+def test_butterfly_free_matches_induced_search():
+    rng = random.Random(29)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        p = rng.uniform(0.2, 0.6)
+        graphs.append(from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
+    for g in graphs:
+        assert g.is_butterfly_free() == (find_induced(g, BUTTERFLY) is None), g.edges()
 
 
 def test_rewrite_preserves_surviving_ids():

@@ -12,13 +12,13 @@ from dimatch.rewrite import (
     REWRITE_RULES,
     LiftError,
     bad_vertex_count,
+    clean,
     format_trace,
     lift_completion,
     measure,
     reduce_to_irreducible,
     try_rewrite,
 )
-from dimatch.rules import CleanStep
 
 from .util import REWRITE_HOSTS, OracleAudit, all_completions, decorate, replay_backwards
 
@@ -162,10 +162,20 @@ def test_reduce_emits_clean_steps_and_lift_restores_them():
     g = path(2)
     rr = reduce_to_irreducible(g)
     assert not rr.is_refuted and rr.graph.n == 0
-    assert any(isinstance(e, CleanStep) for e in rr.trace)
+    assert any(e.rule_id == "clean" for e in rr.trace)
+    assert replay_backwards(rr.trace, rr.graph) == g
     final = PartialColoring()
     lifted = lift_completion(rr.trace, final)
     assert verify_complete(g, lifted)
+
+
+def test_lift_checks_clean_steps():
+    # cleaning the white middle of a path keeps its color when lifted, and
+    # with both ends white no valid coloring of the path remains
+    g2, _, step = clean(path(3), PartialColoring({2: WHITE}))
+    assert set(g2.vertices) == {1, 3}
+    with pytest.raises(LiftError):
+        lift_completion([step], PartialColoring({1: WHITE, 3: WHITE}))
 
 
 def test_trace_format_is_line_per_step():

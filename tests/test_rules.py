@@ -7,10 +7,10 @@ import pytest
 from dimatch.coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
 from dimatch.graph import complete, cycle, from_edges, path, star
 from dimatch.oracle import brute_dim, mixed_instance
+from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
     RULES_BY_ID,
-    clean,
     clean_pair_violation,
     is_clean_pair,
     propagate,
@@ -145,7 +145,8 @@ def test_clean_black_pair_leaves_empty_graph():
     c = PartialColoring({1: BLACK, 2: BLACK})
     g2, c2, step = clean(g, c)
     assert g2.n == 0 and step is not None
-    assert step.black_pairs == ((1, 2),)
+    assert step.removed_vertices == (1, 2)
+    assert step.removed_colors == {1: BLACK, 2: BLACK}
 
 
 def test_clean_removes_single_white():
@@ -153,7 +154,8 @@ def test_clean_removes_single_white():
     c = PartialColoring({2: WHITE})
     g2, c2, step = clean(g, c)
     assert set(g2.vertices) == {1, 3}
-    assert step.whites == (2,)
+    assert step.removed_vertices == (2,)
+    assert step.removed_colors == {2: WHITE}
 
 
 def test_clean_identity_when_uncolored():
@@ -201,7 +203,7 @@ def test_engine_fixpoint_state_is_clean():
 
 
 def test_clean_pair_violation_reports_k4():
-    assert clean_pair_violation(complete(4), PartialColoring()) == "contains K4"
+    assert clean_pair_violation(complete(4), PartialColoring()) == "vertex 1 lies in 3 triangles"
 
 
 def test_clean_pair_violation_reports_triangle_links():

@@ -12,8 +12,8 @@ from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Pattern, contains_s222, pattern
-from dimatch.rewrite import ReductionAudit, TraceEntry
-from dimatch.rules import FORCED, CleanStep
+from dimatch.rewrite import ReductionAudit, RewriteStep
+from dimatch.rules import FORCED
 from dimatch.setmatch import SetFamilyInstance
 
 # The long claw: a claw with every edge subdivided once.
@@ -66,22 +66,16 @@ def brute_force_find_all(g: Graph, p: Pattern, colors: Optional[Coloring] = None
     return out
 
 
-def replay_backwards(trace: list[TraceEntry], final: Graph) -> Graph:
+def replay_backwards(trace: list[RewriteStep], final: Graph) -> Graph:
     """Reconstruct the original graph from the final one; trace sanity check."""
     g = final
-    for entry in reversed(trace):
-        if isinstance(entry, CleanStep):
-            g = g.rewrite(
-                add_vertices=sorted(entry.removed()),
-                add_edges=entry.incident_edges,
-            )
-        else:
-            g = g.rewrite(
-                remove_vertices=entry.added_ids.values(),
-                add_vertices=entry.removed_vertices,
-                add_edges=entry.removed_incident_edges + entry.removed_survivor_edges,
-                remove_edges=entry.added_edges,
-            )
+    for step in reversed(trace):
+        g = g.rewrite(
+            remove_vertices=step.added_ids.values(),
+            add_vertices=step.removed_vertices,
+            add_edges=step.removed_incident_edges + step.removed_survivor_edges,
+            remove_edges=step.added_edges,
+        )
     return g
 
 
