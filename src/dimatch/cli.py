@@ -100,7 +100,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_YES if ok else EXIT_NO
 
 
+def _nonnegative(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative, not {value}")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    _nonnegative(args, "n")
     spec = GeneratorSpec(model=args.model, n=args.n, seed=args.seed, family=args.family)
     try:
         g = generate(spec)
@@ -129,6 +137,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _nonnegative(args, "count", "min_n")
     if args.min_n > args.max_n:
         raise UsageError(f"--min-n {args.min_n} exceeds --max-n {args.max_n}")
     if args.max_n > MAX_ORACLE_VERTICES:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -68,6 +68,11 @@ class Graph:
     def __contains__(self, v: int) -> bool:
         return v in self._adj
 
+    @property
+    def adjacency(self) -> Mapping[int, frozenset[int]]:
+        """Every vertex's neighbors; read only."""
+        return self._adj
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
@@ -110,6 +115,14 @@ class Graph:
                 comps.append(frozenset(comp))
             cached = comps
             self._cache["components"] = cached
+        return cached  # type: ignore[return-value]
+
+    def low_degree_vertices(self) -> tuple[int, ...]:
+        """The vertices of degree at most one, ascending."""
+        cached = self._cache.get("low_degree")
+        if cached is None:
+            adj = self._adj
+            cached = self._cache["low_degree"] = tuple(v for v in self._vertices if len(adj[v]) <= 1)
         return cached  # type: ignore[return-value]
 
     def triangles(self, anchors: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
@@ -213,13 +226,54 @@ class Graph:
         add_edges: Iterable[tuple[int, int]] = (),
         remove_edges: Iterable[tuple[int, int]] = (),
     ) -> Graph:
-        drop = set(remove_vertices)
-        removed = {_pair(*e) for e in remove_edges}
-        verts = [v for v in self._vertices if v not in drop]
-        verts.extend(add_vertices)
-        edges = [e for e in self.edges() if e[0] not in drop and e[1] not in drop and e not in removed]
-        edges.extend(_pair(*e) for e in add_edges)
-        return Graph(verts, edges, self._id_floor)
+        """This graph less some vertices (with their edges) and edges, plus
+        some vertices and then edges.  Removals may name vertices and edges
+        that are not here.  The new graph shares the neighborhoods no edit
+        touches."""
+        adj = dict(self._adj)
+        touched: dict[int, set[int]] = {}
+
+        def edit(v: int) -> set[int]:
+            ns = touched.get(v)
+            if ns is None:
+                ns = touched[v] = set(adj[v])
+            return ns
+
+        verts: tuple[int, ...] | None = self._vertices
+        for v in remove_vertices:
+            ns = adj.pop(v, None)
+            if ns is None:
+                continue
+            verts = None
+            for w in ns:
+                if w in adj:
+                    edit(w).discard(v)
+            touched.pop(v, None)
+        for v in add_vertices:
+            v = int(v)
+            if v not in adj:
+                adj[v] = frozenset()
+                verts = None
+        for u, v in remove_edges:
+            if u in adj and v in adj:
+                edit(u).discard(v)
+                edit(v).discard(u)
+        for u, v in add_edges:
+            u, v = int(u), int(v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u not in adj or v not in adj:
+                raise ValueError(f"edge ({u},{v}) uses unknown vertex")
+            edit(u).add(v)
+            edit(v).add(u)
+        for v, ns in touched.items():
+            adj[v] = frozenset(ns)
+        g = Graph.__new__(Graph)
+        g._adj = adj
+        g._vertices = tuple(sorted(adj)) if verts is None else verts
+        g._cache = {}
+        g._id_floor = self._id_floor
+        return g
 
     def fresh_ids(self, k: int) -> list[int]:
         """k ids above every vertex and at least the id floor."""

@@ -4,13 +4,15 @@ A Pattern describes a small labelled graph to be located inside a host:
 required edges must be present, optional edges may go either way, every
 other role pair must be a non-edge.  Roles can additionally constrain the
 host degree, demand that the host vertex keeps all its neighbors inside
-the matched image (closure), or require a color state.
+the matched image (closure), or require a color state.  Each pattern is
+searched by a function generated from its declaration and compiled the
+first time the pattern is searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .coloring import BLACK
 from .graph import Graph
@@ -43,8 +45,26 @@ def _rp(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+def _count(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 @dataclass
 class Pattern:
+    """A small labelled graph to locate as an induced subgraph.
+
+    Required edges must be present, optional edges may go either way and
+    every other role pair must be a non-edge.  `degree` bounds a role's
+    host degree by (lo, hi), hi None for no upper bound; a `closure` role
+    keeps all its host neighbors inside the image; `color` demands
+    MUST_BLACK or MUST_UNCOLORED of a role's vertex.
+
+    Roles are placed in `order`: the most constrained first, then along
+    required edges.  The first search compiles a function with one nested
+    loop per role in that order (see `_source`); the declaration is
+    validated here because the bounds are written into that source.
+    """
+
     roles: tuple[str, ...]
     required: frozenset[tuple[str, str]]
     optional: frozenset[tuple[str, str]] = frozenset()
@@ -63,39 +83,20 @@ class Pattern:
         for r in list(self.degree) + list(self.color) + list(self.closure):
             if r not in roles:
                 raise ValueError(f"{self.name}: constraint on undeclared role {r}")
+        for r, want in self.color.items():
+            if want not in (MUST_BLACK, MUST_UNCOLORED):
+                raise ValueError(f"{self.name}: color of {r} is {want!r}, not {MUST_BLACK!r} or {MUST_UNCOLORED!r}")
+        for r, bounds in self.degree.items():
+            if not (isinstance(bounds, tuple) and len(bounds) == 2 and _count(bounds[0])
+                    and (bounds[1] is None or _count(bounds[1]) and bounds[1] >= bounds[0])):
+                raise ValueError(f"{self.name}: degree of {r} is {bounds!r}, not (lo, hi) with ints 0 <= lo <= hi or hi None")
         self._req = {_rp(a, b) for a, b in self.required}
         self._opt = {_rp(a, b) for a, b in self.optional}
-        self._order = self._role_order()
-        # Host degree range per role, checked as each role is placed.  A
-        # role's vertex has at least one neighbor per required edge.  The
-        # neighbors of a closure role's vertex are exactly its required
-        # partners plus some optional ones, which also caps its degree; when
-        # it has no optional edges the range is exact, and the closure test
-        # after the last role is left only for closure roles with optional
-        # edges.
-        self._degree: dict[str, tuple[int, int | None]] = {}
-        self._loose_closure: list[str] = []
-        for r in self.roles:
-            n_req = sum(1 for e in self._req if r in e)
-            lo, hi = self.degree.get(r, (0, None))
-            if r in self.closure:
-                n_opt = sum(1 for e in self._opt if r in e)
-                hi = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
-                if n_opt:
-                    self._loose_closure.append(r)
-            self._degree[r] = (max(lo, n_req), hi)
-        self.radius = self._eccentricity(self._order[0])
-        # per role in order: earlier roles it must touch, earlier roles it
-        # must not touch, degree range and color precondition
-        self._steps: list[tuple] = []
-        seen: list[str] = []
-        for r in self._order:
-            touch = [s for s in seen if _rp(r, s) in self._req]
-            avoid = [s for s in seen if _rp(r, s) not in self._req and _rp(r, s) not in self._opt]
-            self._steps.append((r, touch, avoid, *self._degree[r], self.color.get(r)))
-            seen.append(r)
+        self.order = self._role_order()
+        self.radius = self._eccentricity(self.order[0])
+        self._search: Optional[Callable[..., Iterator[Embedding]]] = None
 
-    def _role_order(self) -> list[str]:
+    def _role_order(self) -> tuple[str, ...]:
         """Most-constrained first, then expand along required edges."""
 
         def weight(r: str) -> tuple:
@@ -115,7 +116,7 @@ class Pattern:
             nxt = min(pool, key=weight)
             order.append(nxt)
             remaining.discard(nxt)
-        return order
+        return tuple(order)
 
     def _eccentricity(self, start: str) -> Optional[int]:
         """Distance from start to its farthest role along required edges,
@@ -132,6 +133,94 @@ class Pattern:
 
     # -- matching ----------------------------------------------------------
 
+    def _source(self) -> str:
+        """Source of `search(adj, first, verts, X, C)`, this pattern's scan.
+
+        The i-th role of `order` is bound to `v{i}` in the i-th nested loop
+        and its neighborhood to `n{i}`.  Its candidates are the common
+        neighbors of its earlier required partners, less X and less the
+        neighbors of the earlier roles it must not touch, in ascending
+        order; a role with no earlier partner draws from `first` (role 0)
+        or `verts`.  Degree and color tests are written only for the roles
+        that need them, and the closure test of closure roles with optional
+        edges only inside the last loop.  The text holds no role name: only
+        role positions and the validated degree bounds.
+        """
+        k = len(self.order)
+        pos = {r: i for i, r in enumerate(self.order)}
+        partners = [[pos[s] for s in self.order[:i] if _rp(r, s) in self._req] for i, r in enumerate(self.order)]
+        strangers = [[pos[s] for s in self.order[:i] if _rp(r, s) not in self._req | self._opt]
+                     for i, r in enumerate(self.order)]
+        # A role's vertex has a neighbor per required edge.  A closure role's
+        # neighbors are its required partners plus some optional ones, which
+        # caps its degree; without optional edges the range is exact and
+        # settles the closure test.
+        bounds: list[tuple[int, Optional[int]]] = []
+        loose: list[int] = []
+        for i, r in enumerate(self.order):
+            n_req = sum(1 for e in self._req if r in e)
+            lo, hi = self.degree.get(r, (0, None))
+            if r in self.closure:
+                n_opt = sum(1 for e in self._opt if r in e)
+                hi = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
+                if n_opt:
+                    loose.append(i)
+            bounds.append((max(lo, n_req), hi))
+        read = {j for i in range(k) for j in partners[i] + strangers[i]} | set(loose)
+
+        lines = ["def search(adj, first, verts, X, C):"]
+        for i, r in enumerate(self.order):
+            pad = "    " * (i + 1)
+            if partners[i]:
+                common = " & ".join(f"n{j:d}" for j in partners[i])
+                rest = "".join(f" - n{j:d}" for j in strangers[i])
+                lines.append(f"{pad}for v{i:d} in sorted({common if len(partners[i]) == 1 else f'({common})'} - X{rest}):")
+                # a candidate is a neighbor of each partner, so not a partner
+                placed = [j for j in range(i) if j not in partners[i]]
+                skip = []
+            else:
+                lines.append(f"{pad}for v{i:d} in {'verts' if i else 'first'}:")
+                placed = list(range(i))
+                skip = [f"v{i:d} in X"] + [f"v{i:d} in n{j:d}" for j in strangers[i]]
+            if len(placed) == 1:
+                skip.append(f"v{i:d} == v{placed[0]:d}")
+            elif placed:
+                skip.append(f"v{i:d} in ({', '.join(f'v{j:d}' for j in placed)})")
+            # a candidate has a neighbor per partner already
+            lo, hi = bounds[i]
+            lo = lo if lo > len(partners[i]) else 0
+            tests = []
+            if lo and hi is not None:
+                tests.append(f"len(n{i:d}) != {lo:d}" if lo == hi else f"not {lo:d} <= len(n{i:d}) <= {hi:d}")
+            elif lo:
+                tests.append(f"len(n{i:d}) < {lo:d}")
+            elif hi is not None:
+                tests.append(f"len(n{i:d}) > {hi:d}")
+            want = self.color.get(r)
+            if want == MUST_BLACK:
+                tests.append(f"C.get(v{i:d}) != BLACK")
+            elif want == MUST_UNCOLORED:
+                tests.append(f"C.get(v{i:d}) is not None")
+            pad += "    "
+            if skip:
+                lines += [f"{pad}if {' or '.join(skip)}:", f"{pad}    continue"]
+            if i in read or tests:
+                lines.append(f"{pad}n{i:d} = adj[v{i:d}]")
+            if tests:
+                lines += [f"{pad}if {' or '.join(tests)}:", f"{pad}    continue"]
+        image = ", ".join(f"v{i:d}" for i in range(k))
+        if loose:
+            lines.append(f"{pad}U = {{{image}}}")
+            lines += [f"{pad}if not ({' and '.join(f'n{j:d} <= U' for j in loose)}):", f"{pad}    continue"]
+        lines.append(f"{pad}yield Embedding(dict(zip(R, ({image},))))")
+        return "\n".join(lines) + "\n"
+
+    def _compile(self) -> Callable[..., Iterator[Embedding]]:
+        namespace = {"Embedding": Embedding, "BLACK": BLACK, "R": self.order}
+        exec(compile(self._source(), f"<pattern {self.name}>", "exec"), namespace)
+        self._search = namespace["search"]
+        return self._search
+
     def find_all(
         self,
         g: Graph,
@@ -146,47 +235,11 @@ class Pattern:
         scan reads nothing farther than `radius` from its anchors.
         """
         if g.n < len(self.roles):
-            return
-        excluded = set(exclude)
-        assignment: dict[str, int] = {}
-        used: set[int] = set()
-        steps = self._steps
-        nbrs = g.neighbors
-        state = colors if colors is not None else {}
-
-        def extend(i: int) -> Iterator[Embedding]:
-            if i == len(steps):
-                for r in self._loose_closure:
-                    if not nbrs(assignment[r]) <= used:
-                        return
-                yield Embedding(dict(assignment))
-                return
-            r, touch, avoid, lo, hi, want = steps[i]
-            if touch:
-                cands = nbrs(assignment[touch[0]])
-                for s in touch[1:]:
-                    cands = cands & nbrs(assignment[s])
-                cands = sorted(cands)
-            else:
-                cands = anchors if i == 0 and anchors is not None else g.vertices
-            avoid_nbrs = [nbrs(assignment[s]) for s in avoid]
-            for v in cands:
-                if v in used or v in excluded:
-                    continue
-                d = len(nbrs(v))
-                if d < lo or (hi is not None and d > hi):
-                    continue
-                if want is not None and (state.get(v) != BLACK if want == MUST_BLACK else state.get(v) is not None):
-                    continue
-                if any(v in ns for ns in avoid_nbrs):
-                    continue
-                assignment[r] = v
-                used.add(v)
-                yield from extend(i + 1)
-                del assignment[r]
-                used.discard(v)
-
-        yield from extend(0)
+            return iter(())
+        search = self._search or self._compile()
+        verts = g.vertices
+        return search(g.adjacency, verts if anchors is None else anchors, verts,
+                      frozenset(exclude), {} if colors is None else colors)
 
     def find(
         self,

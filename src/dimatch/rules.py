@@ -232,7 +232,7 @@ def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
 
 
 def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    for v in g.vertices if anchors is None else anchors:
+    for v in g.low_degree_vertices() if anchors is None else anchors:
         d = g.degree(v)
         if d == 0:
             yield [(v, WHITE)]

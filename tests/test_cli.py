@@ -120,6 +120,22 @@ def test_compare_rejects_sizes_above_oracle_cap(capsys):
     assert "oracle cap" in capsys.readouterr().err
 
 
+def test_compare_rejects_negative_arguments(capsys):
+    assert main(["compare", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "--count must be nonnegative, not -3" in captured.err
+    assert "compared" not in captured.out
+    assert main(["compare", "--count", "1", "--min-n", "-2", "--max-n", "9"]) == 2
+    assert "--min-n must be nonnegative, not -2" in capsys.readouterr().err
+
+
+def test_gen_rejects_negative_order(capsys):
+    assert main(["gen", "--n", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "--n must be nonnegative, not -5" in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_rejects_graph_above_cap(tmp_path, capsys):
     gpath = write(tmp_path, "c30.g", save_graph(cycle(30)))
     assert main(["oracle", gpath]) == 2

@@ -124,6 +124,37 @@ def test_rewrite_preserves_surviving_ids():
     assert g2.has_edge(2, 9) and g2.has_edge(9, 4) and not g2.has_edge(2, 4)
 
 
+def test_rewrite_equals_full_rebuild_and_leaves_source_alone():
+    rng = random.Random(17)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3], id_floor=40)
+        before = (g.vertices, g.edges())
+        # removals may name vertices and edges that are not in g
+        drop = set(rng.sample(range(1, n + 3), rng.randint(0, 3)))
+        cut = [(u, v) for u, v in combinations(range(1, n + 3), 2) if rng.random() < 0.1]
+        new = list(range(50, 50 + rng.randint(0, 3)))
+        keep = [v for v in g.vertices if v not in drop]
+        pool = keep + new
+        added = [(u, v) for u, v in combinations(pool, 2) if rng.random() < 0.15]
+        g2 = g.rewrite(drop, new, added, cut)
+        cut_pairs = {(min(e), max(e)) for e in cut}
+        kept = [e for e in g.edges() if e[0] not in drop and e[1] not in drop and e not in cut_pairs]
+        assert g2 == Graph(pool, kept + added), trial
+        assert g2.vertices == tuple(sorted(pool)) and g2.edges() == sorted(set(kept + added))
+        assert g2.fresh_ids(1) == [max([*pool, 39]) + 1]
+        assert (g.vertices, g.edges()) == before
+
+
+def test_rewrite_rejects_bad_added_edges():
+    g = path(3)
+    with pytest.raises(ValueError, match="self-loop"):
+        g.rewrite(add_edges=[(2, 2)])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        g.rewrite(remove_vertices=[3], add_edges=[(1, 3)])
+    assert g.edges() == [(1, 2), (2, 3)]
+
+
 def test_all_graphs_count():
     assert sum(1 for _ in all_graphs(3)) == 8
 

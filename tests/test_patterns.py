@@ -1,7 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import os
 import random
+import re
+import subprocess
+import sys
+import tokenize
+from pathlib import Path
+
+import pytest
 
 import dimatch.rewrite as rw
 import dimatch.rules as rl
@@ -177,6 +186,81 @@ def test_full_catalog_matcher_agrees_with_brute_force():
         ids = {r: i + 1 for i, r in enumerate(roles)}
         host = Graph(ids.values(), [(ids[a], ids[b]) for a, b in p.required])
         assert p.find(host) is not None, p.name
+
+
+def test_enumeration_order_is_canonical_with_anchors_and_exclusions():
+    """find_all yields the reference embeddings sorted by their vertices in
+    role order, also when restricted to anchors or kept off vertices."""
+    catalog = [p for p in _catalog() if len(p.roles) <= 7]
+    rng = random.Random(37)
+    seen = 0
+    for trial in range(40):
+        n = rng.randint(5, 8)
+        slots = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        g = from_edges(n, [e for e in slots if rng.random() < 0.35])
+        colors = {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.3}
+        anchors = sorted(rng.sample(g.vertices, rng.randint(1, n)))
+        exclude = set(rng.sample(g.vertices, rng.randint(1, 2)))
+        for p in catalog:
+            if len(p.roles) > n or (n == 8 and len(p.roles) > 6):
+                continue
+            ref = sorted(brute_force_find_all(g, p, colors), key=lambda m: [m[r] for r in p.order])
+            at_anchors = [m for m in ref if m[p.order[0]] in anchors]
+            off_excluded = [m for m in ref if not exclude & set(m.values())]
+            assert [e.assignment for e in p.find_all(g, colors)] == ref, (p.name, g.edges(), colors)
+            got = [e.assignment for e in p.find_all(g, colors, anchors=anchors)]
+            assert got == at_anchors, (p.name, g.edges(), colors, anchors)
+            got = [e.assignment for e in p.find_all(g, colors, exclude=exclude)]
+            assert got == off_excluded, (p.name, g.edges(), colors, exclude)
+            seen += len(ref)
+    assert seen > 100, seen
+
+
+def test_patterns_compile_on_first_search_from_integers_only():
+    """Importing the solver compiles nothing, and the generated source
+    names only its own variables and positions, never a role."""
+    code = (
+        "import dimatch, dimatch.rules as rl, dimatch.rewrite as rw\n"
+        "from dimatch.patterns import Pattern\n"
+        "ps = [o for m in (rl, rw) for o in vars(m).values() if isinstance(o, Pattern)]\n"
+        "assert ps and all(p._search is None for p in ps)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(rl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    vocabulary = {
+        "def", "search", "adj", "first", "verts", "X", "C", "for", "in", "if", "or", "and", "not",
+        "is", "None", "continue", "sorted", "len", "get", "BLACK", "U", "yield", "Embedding", "dict",
+        "zip", "R",
+    }
+    for p in _catalog():
+        src = p._source()
+        for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+            if tok.type == tokenize.NAME:
+                assert tok.string in vocabulary or re.fullmatch(r"[vn]\d+", tok.string), (p.name, tok.string)
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), (p.name, tok.string)
+            assert tok.type not in (tokenize.STRING, tokenize.COMMENT), (p.name, tok.string)
+        list(p.find_all(from_edges(len(p.roles), []), {}))
+        assert p._search.__code__.co_filename == f"<pattern {p.name}>"
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"color": {"a": "white"}},
+        {"color": {"a": BLACK}},
+        {"degree": {"a": (1.5, None)}},
+        {"degree": {"a": (-1, 2)}},
+        {"degree": {"a": (3, 2)}},
+        {"degree": {"a": (1, 2.0)}},
+        {"degree": {"a": (True, None)}},
+        {"degree": {"a": (1,)}},
+        {"degree": {"a": [1, 2]}},
+    ],
+)
+def test_malformed_declarations_are_rejected(kw):
+    with pytest.raises(ValueError, match="t: (color|degree) of a"):
+        pattern("t", "a b", "a-b", **kw)
 
 
 def test_large_closure_patterns_equal_filtered_open_patterns():

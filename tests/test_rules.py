@@ -137,6 +137,20 @@ def test_randomized_rule_soundness_small_hosts():
     assert checked > 200
 
 
+def test_degree_one_whole_scan_equals_scan_from_every_vertex():
+    rule = RULES_BY_ID["degree_one"]
+    rng = random.Random(8)
+    fired = 0
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        g = from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.2])
+        c = PartialColoring()
+        whole = list(rule.fn(g, c))
+        assert whole == list(rule.fn(g, c, g.vertices))
+        fired += len(whole)
+    assert fired > 100
+
+
 # -- cleaning ---------------------------------------------------------------
 
 
