@@ -176,5 +176,6 @@ def solve_saturation(g: Graph, required: Iterable[int]) -> Optional[Matching]:
         if not solver.augment_from(v, spare):
             return None
     current = solver.matching()
-    assert saturates(current, req)
+    if not saturates(current, req):
+        raise AssertionError("matching leaves a required vertex exposed")
     return current

@@ -32,7 +32,8 @@ def brute_dim(
     if extend is not None and not is_feasible_partial(g, extend):
         return None
     verts = list(order) if order is not None else list(g.vertices)
-    assert sorted(verts) == list(g.vertices), "order must permute the vertex set"
+    if sorted(verts) != list(g.vertices):
+        raise ValueError("order must permute the vertex set")
     colors: dict[int, str] = dict(extend.state) if extend is not None else {}
     pinned = set(colors)
 
@@ -204,11 +205,13 @@ def generate(spec: GeneratorSpec) -> Graph:
             f"rejection budget {RETRY_BUDGET} exhausted (model={spec.model}, n={spec.n})"
         )
     if spec.model == "known":
-        builders = {"cycle": cycle, "path": path, "complete": complete}
-        if spec.family == "star":
-            g = star(max(1, spec.n - 1))
-        else:
-            g = builders[spec.family](spec.n)
+        builders = {
+            "cycle": cycle,
+            "path": path,
+            "complete": complete,
+            "star": lambda n: star(n - 1) if n else from_edges(0, ()),
+        }
+        g = builders[spec.family](spec.n)
         if contains_s222(g) is not None:
             raise GeneratorError(f"known family {spec.family}({spec.n}) contains a long claw")
         return g

@@ -488,7 +488,8 @@ def reduce_to_irreducible(
             return ReduceResult(witness, g, c, trace, steps)
         outcome = try_rewrite(g, c, wl)
         if outcome is None:
-            assert is_clean_pair(g, c), "fixpoint is not a clean pair"
+            if not is_clean_pair(g, c, wl):
+                raise AssertionError("fixpoint is not a clean pair")
             return ReduceResult(None, g, c, trace, steps)
         g2, c2, step = outcome
         before = measure(g) if measured is None else measured

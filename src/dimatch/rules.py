@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from bisect import insort
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
@@ -46,18 +46,21 @@ class Rule:
 class Worklist:
     """The vertices whose color or adjacency changed during one reduction,
     in order, and per scan the log position of its last pass that found
-    nothing.
+    nothing; for a whole pass also the graph it read.
 
     A scan whose anchors lie farther than its radius from every vertex
     logged since then would read exactly what it read then, so only the
-    anchors inside that ball need a new look.
+    anchors inside that ball need a new look.  Graphs are immutable and
+    every change is logged, so a whole pass recorded on the current graph
+    at the current log length read exactly the current state.
     """
 
-    __slots__ = ("log", "quiet", "_balls", "_state")
+    __slots__ = ("log", "quiet", "whole", "_balls", "_state")
 
     def __init__(self) -> None:
         self.log: list[int] = []
         self.quiet: dict[str, int] = {}
+        self.whole: dict[str, tuple[Graph, int]] = {}
         # balls already computed on the current graph and log
         self._balls: dict[tuple[int, int], list[int]] = {}
         self._state: tuple[Optional[Graph], int] = (None, 0)
@@ -79,8 +82,17 @@ class Worklist:
             out = self._balls[since, radius] = sorted(ball)
         return out
 
-    def found_nothing(self, key: str) -> None:
+    def found_nothing(self, key: str, whole_on: Optional[Graph] = None) -> None:
+        """Record that key's pass found nothing; whole_on is the graph a
+        whole pass read."""
         self.quiet[key] = len(self.log)
+        if whole_on is not None:
+            self.whole[key] = (whole_on, len(self.log))
+
+    def scanned_whole(self, g: Graph) -> set[str]:
+        """The keys whose last whole pass found nothing on g as it stands."""
+        now = len(self.log)
+        return {key for key, (h, at) in self.whole.items() if h is g and at == now}
 
 
 class ReductionAudit:
@@ -232,12 +244,17 @@ def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
 
 
 def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    # only groups not yet satisfied: a leaf's support not yet black, an
+    # isolated vertex not yet white
     for v in g.low_degree_vertices() if anchors is None else anchors:
         d = g.degree(v)
         if d == 0:
-            yield [(v, WHITE)]
+            if c.get(v) != WHITE:
+                yield [(v, WHITE)]
         elif d == 1:
-            yield [(next(iter(g.neighbors(v))), BLACK)]
+            s = next(iter(g.neighbors(v)))
+            if c.get(s) != BLACK:
+                yield [(s, BLACK)]
 
 
 def _blacks(c: PartialColoring, anchors: Anchors) -> list[int]:
@@ -505,6 +522,7 @@ def propagate(
     c: PartialColoring,
     audit: Optional[ReductionAudit] = None,
     wl: Optional[Worklist] = None,
+    skip: Collection[str] = (),
 ) -> Optional[Conflict]:
     """Run every rule to a joint fixpoint.  Mutates c; returns the conflict
     that refutes the instance, or None.
@@ -517,15 +535,22 @@ def propagate(
     its last scan that found nothing; on a fresh worklist (the default)
     every rule's first scan is whole.  Every group a rescan misses was
     already satisfied then and still is, and its anchors are ascending,
-    so the first firing is the one a full scan finds.
+    so the first firing is the one a full scan finds.  A whole scan that
+    finds nothing is recorded in wl with its graph.
+
+    The rules in skip are known to find nothing on g and c as passed in, so
+    they are not called until something is colored.
     """
     wl = Worklist() if wl is None else wl
+    start = len(wl.log)
     while True:
         conflict = _basic_fixpoint(g, c, wl)
         if conflict is not None:
             return conflict
         fired = False
         for rule in CATALOG:
+            if rule.id in skip and len(wl.log) == start:
+                continue
             anchors = wl.anchors(g, rule.id, rule.radius)
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
                 todo = [(v, col) for v, col in group if c.get(v) != col]
@@ -543,7 +568,7 @@ def propagate(
                 break
             if fired:
                 break
-            wl.found_nothing(rule.id)
+            wl.found_nothing(rule.id, g if anchors is None else None)
         if not fired:
             return None
 
@@ -553,8 +578,15 @@ def propagate(
 # dropped the whites and matched black pairs
 
 
-def is_clean_pair(g: Graph, c: PartialColoring) -> bool:
-    """No whites, blacks pairwise at distance >= 3, rules at fixpoint."""
+def is_clean_pair(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -> bool:
+    """No whites, blacks pairwise at distance >= 3, rules at fixpoint.
+
+    The fixpoint is confirmed by one propagation from a fresh worklist, in
+    which every rule scans the whole of g.  wl, if given, is the worklist
+    that logged every change to c on g: a rule whose last whole scan
+    recorded there found nothing on g as it stands already has that scan
+    and is not called again.
+    """
     if c.whites():
         return False
     for u in c.blacks():
@@ -562,7 +594,8 @@ def is_clean_pair(g: Graph, c: PartialColoring) -> bool:
             if c.get(w) == BLACK or any(x != u and c.get(x) == BLACK for x in g.neighbors(w)):
                 return False
     probe = c.copy()
-    if propagate(g, probe) is not None:
+    done = wl.scanned_whole(g) if wl is not None else ()
+    if propagate(g, probe, skip=done) is not None:
         return False
     return probe.state == c.state
 

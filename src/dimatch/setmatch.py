@@ -205,10 +205,12 @@ def solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:
     chosen = {shared_of[e] for e in m}
     for a, priv in zip(sets, privates):
         if not a & chosen:
-            assert priv, "unsaturated set has no private element"
+            if not priv:
+                raise AssertionError("unsaturated set has no private element")
             chosen.add(priv[0])
     for a in sets:
-        assert len(a & chosen) == 1, f"set {sorted(a)} hit {len(a & chosen)} times"
+        if len(a & chosen) != 1:
+            raise AssertionError(f"set {sorted(a)} hit {len(a & chosen)} times")
     return frozenset(chosen)
 
 
@@ -224,18 +226,22 @@ def coloring_from_hit(
         whites = [t for t in tri if delta.get(t) == WHITE]
         open_spokes = sorted(t for t in (p, q) if t not in delta)
         if whites:
-            assert len(whites) == 1
+            if len(whites) != 1:
+                raise AssertionError(f"triangle {tri} has {len(whites)} white vertices")
             for t in open_spokes:
                 delta[t] = BLACK
         else:
-            assert open_spokes, f"triangle {tri} cannot take a white vertex"
+            if not open_spokes:
+                raise AssertionError(f"triangle {tri} cannot take a white vertex")
             delta[open_spokes[-1]] = WHITE
             for t in open_spokes[:-1]:
                 delta[t] = BLACK
     for cl in d.claws:
-        assert delta.get(cl.center) == BLACK
+        if delta.get(cl.center) != BLACK:
+            raise AssertionError(f"claw center {cl.center} is not black")
         hit = [t for t in (cl.a2, cl.u, cl.v) if t in chosen]
-        assert len(hit) >= 1, f"claw triple at {cl.center} was not hit"
+        if not hit:
+            raise AssertionError(f"claw triple at {cl.center} was not hit")
         if cl.a2 in chosen:
             plan = {cl.a2: BLACK, cl.a1: WHITE, cl.a3: WHITE}
         elif cl.u in chosen:
@@ -244,5 +250,6 @@ def coloring_from_hit(
             plan = {cl.a2: WHITE, cl.a3: WHITE, cl.a1: BLACK}
         delta.update(plan)
     missing = [v for v in g.vertices if v not in delta]
-    assert not missing, f"uncolored vertices remain: {missing}"
+    if missing:
+        raise AssertionError(f"uncolored vertices remain: {missing}")
     return PartialColoring(delta)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 import dimatch.cli
 from dimatch.cli import main
 from dimatch.graph import cycle, save_graph
@@ -134,6 +136,13 @@ def test_gen_rejects_negative_order(capsys):
     captured = capsys.readouterr()
     assert "--n must be nonnegative, not -5" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("family", ["cycle", "path", "complete", "star"])
+def test_gen_known_family_has_the_requested_order(family, capsys):
+    for n in range(5):
+        assert main(["gen", "--model", "known", "--family", family, "--n", str(n)]) == 0
+        assert int(capsys.readouterr().out.split()[0]) == n
 
 
 def test_oracle_rejects_graph_above_cap(tmp_path, capsys):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import dimatch
 from dimatch.coloring import BLACK, verify_complete
 from dimatch.graph import Graph, complete, cycle, from_edges, path
 from dimatch.oracle import brute_dim, mixed_instance
@@ -12,6 +15,18 @@ from dimatch.pipeline import LongClawPresent, solve
 from dimatch.rewrite import RewriteStep
 
 from .util import REWRITE_HOSTS, OracleAudit, decorate
+
+
+def test_no_check_in_the_solver_is_an_assert_statement():
+    """`python -O` strips assert statements, so every check the solver
+    makes raises explicitly."""
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(Path(dimatch.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_c5_is_no_with_witness():

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import complete, cycle, from_edges, path
 from dimatch.oracle import brute_dim, mixed_instance
 from dimatch.patterns import contains_s222
+from dimatch.pipeline import solve
 from dimatch.rewrite import (
     REWRITE_RULES,
     LiftError,
@@ -149,6 +155,37 @@ def test_reduce_c5_refutes_with_component_witness():
     rr = reduce_to_irreducible(cycle(5))
     assert rr.is_refuted
     assert rr.refuted.rule == "c5_component"
+
+
+# triangle_outsider with radius 0: its rescans miss the far side of a
+# triangle, so propagation stops short of the fixpoint on this input and
+# the final check must notice.
+SHORT_RADIUS = """
+import dataclasses
+import dimatch.rules as rules
+from dimatch.oracle import mixed_instance
+from dimatch.pipeline import solve
+rules.CATALOG = tuple(
+    dataclasses.replace(r, radius=0) if r.id == "triangle_outsider" else r for r in rules.CATALOG
+)
+solve(mixed_instance(7, 840))
+"""
+
+
+def test_fixpoint_check_catches_a_short_radius(monkeypatch):
+    solve(mixed_instance(7, 840))
+    # the catalog is put back after the test
+    monkeypatch.setattr(dimatch.rules, "CATALOG", dimatch.rules.CATALOG)
+    with pytest.raises(AssertionError, match="fixpoint is not a clean pair"):
+        exec(SHORT_RADIUS, {})
+
+
+def test_fixpoint_check_survives_python_O():
+    src = str(Path(dimatch.rules.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", SHORT_RADIUS], capture_output=True, text=True, env=env)
+    assert out.returncode != 0
+    assert "AssertionError: fixpoint is not a clean pair" in out.stderr
 
 
 def test_reduce_k3_succeeds():

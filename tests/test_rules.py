@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+import dimatch.rewrite
+import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
 from dimatch.graph import complete, cycle, from_edges, path, star
 from dimatch.oracle import brute_dim, mixed_instance
@@ -11,6 +14,7 @@ from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
     RULES_BY_ID,
+    Worklist,
     clean_pair_violation,
     is_clean_pair,
     propagate,
@@ -138,15 +142,19 @@ def test_randomized_rule_soundness_small_hosts():
 
 
 def test_degree_one_whole_scan_equals_scan_from_every_vertex():
+    """On random partial colorings too; every group it yields is one that
+    is not yet satisfied."""
     rule = RULES_BY_ID["degree_one"]
     rng = random.Random(8)
     fired = 0
-    for _ in range(200):
+    for _ in range(400):
         n = rng.randint(1, 14)
         g = from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.2])
-        c = PartialColoring()
+        density = rng.choice((0.0, 0.3, 0.7))
+        c = PartialColoring({v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < density})
         whole = list(rule.fn(g, c))
         assert whole == list(rule.fn(g, c, g.vertices))
+        assert all(c.get(v) != col for group in whole for v, col in group)
         fired += len(whole)
     assert fired > 100
 
@@ -214,6 +222,47 @@ def test_engine_fixpoint_state_is_clean():
     g2, c2, _ = clean(g, c)
     assert is_clean_pair(g2, c2)
     assert clean_pair_violation(g2, c2) is None
+
+
+def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(monkeypatch):
+    """A claw joining two triangles is YES with an empty trace.  The
+    driver's propagation last scanned square_alternation and
+    triangle_outsider from anchors, after degree_one fired, and every other
+    rule whole once nothing more changed; the check scans only those two."""
+    g = from_edges(10, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (7, 8), (7, 9), (7, 10), (1, 8), (4, 10)])
+    calls, checking = [], []
+
+    def counted(rule):
+        def fn(g, c, *anchors):
+            if checking:
+                calls.append(rule.id)
+            return rule.fn(g, c, *anchors)
+
+        return dataclasses.replace(rule, fn=fn)
+
+    def check(*args):
+        checking.append(True)
+        try:
+            return is_clean_pair(*args)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in CATALOG))
+    monkeypatch.setattr(dimatch.rewrite, "is_clean_pair", check)
+    rr = dimatch.rewrite.reduce_to_irreducible(g)
+    assert not rr.is_refuted and rr.trace == [] and rr.graph is g
+    assert calls == ["square_alternation", "triangle_outsider"]
+
+
+def test_scanned_whole_needs_the_same_graph_and_log_length():
+    g = cycle(6)
+    wl = Worklist()
+    wl.found_nothing("a", g)
+    wl.found_nothing("b")
+    assert wl.scanned_whole(g) == {"a"}
+    assert wl.scanned_whole(cycle(6)) == set()
+    wl.log.append(1)
+    assert wl.scanned_whole(g) == set()
 
 
 def test_clean_pair_violation_reports_k4():
