@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -29,7 +29,7 @@ class Graph:
     it over, so graphs cut from one host can allocate disjoint fresh ids.
     """
 
-    __slots__ = ("_adj", "_vertices", "_cache", "_id_floor")
+    __slots__ = ("_adj", "_vertices", "_m", "_cache", "_id_floor")
 
     def __init__(
         self,
@@ -48,6 +48,7 @@ class Graph:
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(self._adj))
+        self._m = sum(map(len, adj.values())) // 2
         self._cache: dict[str, object] = {}
         self._id_floor = id_floor
 
@@ -63,7 +64,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(ns) for ns in self._adj.values()) // 2
+        return self._m
 
     def __contains__(self, v: int) -> bool:
         return v in self._adj
@@ -132,7 +133,11 @@ class Graph:
             return [t for u in anchors for t in self._triangles_from(u)]
         cached = self._cache.get("triangles")
         if cached is None:
-            cached = [t for u in self._vertices for t in self._triangles_from(u)]
+            if "triangles_at" in self._cache:
+                # each triangle at its least vertex; keys and lists ascend
+                cached = [t for v, ts in self.triangles_at().items() for t in ts if t[0] == v]
+            else:
+                cached = [t for u in self._vertices for t in self._triangles_from(u)]
             self._cache["triangles"] = cached
         return cached  # type: ignore[return-value]
 
@@ -141,15 +146,29 @@ class Graph:
         return sorted((u, v, w) for v in adj[u] if v > u for w in adj[u] & adj[v] if w > v)
 
     def triangles_at(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Every vertex's triangles in sorted order, keyed in ascending
+        vertex order.  `rewrite` carries it over to the new graph."""
         cached = self._cache.get("triangles_at")
         if cached is None:
-            at: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self._vertices}
-            for t in self.triangles():
-                for v in t:
-                    at[v].append(t)
-            cached = at
-            self._cache["triangles_at"] = cached
+            cached = self._cache["triangles_at"] = self._triangle_index()
         return cached  # type: ignore[return-value]
+
+    def _triangle_index(self) -> dict[int, list[tuple[int, int, int]]]:
+        at: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self._vertices}
+        for t in self.triangles():
+            for v in t:
+                at[v].append(t)
+        return at
+
+    def _triangles_at_vertex(self, v: int) -> list[tuple[int, int, int]]:
+        adj = self._adj
+        ns = adj[v]
+        if len(ns) < 2:
+            return []
+        return sorted(
+            (v, a, b) if v < a else (a, v, b) if v < b else (a, b, v)
+            for a in ns for b in adj[a] & ns if a < b
+        )
 
     def maximal_cliques_of_size_ge2(self) -> list[tuple[int, ...]]:
         """Maximal cliques with at least two vertices.
@@ -195,14 +214,20 @@ class Graph:
     def is_butterfly_free(self) -> bool:
         """No induced butterfly: no two triangles at one vertex v that share
         only v and have no edge between their other vertices."""
-        cached = self._cache.get("butterfly_free")
+        return not self._butterfly_centres()
+
+    def _butterfly_centres(self) -> frozenset[int]:
+        """The vertices v at which an induced butterfly meets; `rewrite`
+        carries them over with the triangle index."""
+        cached = self._cache.get("butterfly_centres")
         if cached is None:
-            cached = self._cache["butterfly_free"] = not any(
-                self._wings_apart(v, t1, t2)
-                for v, ts in self.triangles_at().items()
-                for t1, t2 in combinations(ts, 2)
+            cached = self._cache["butterfly_centres"] = frozenset(
+                v for v, ts in self.triangles_at().items() if self._is_centre(v, ts)
             )
         return cached  # type: ignore[return-value]
+
+    def _is_centre(self, v: int, ts: list[tuple[int, int, int]]) -> bool:
+        return any(self._wings_apart(v, t1, t2) for t1, t2 in combinations(ts, 2))
 
     def _wings_apart(self, v: int, t1: tuple[int, ...], t2: tuple[int, ...]) -> bool:
         wing1, wing2 = set(t1) - {v}, set(t2) - {v}
@@ -229,9 +254,10 @@ class Graph:
         """This graph less some vertices (with their edges) and edges, plus
         some vertices and then edges.  Removals may name vertices and edges
         that are not here.  The new graph shares the neighborhoods no edit
-        touches."""
+        touches, and takes over this graph's triangle index if it has one."""
         adj = dict(self._adj)
         touched: dict[int, set[int]] = {}
+        m = self._m
 
         def edit(v: int) -> set[int]:
             ns = touched.get(v)
@@ -240,40 +266,86 @@ class Graph:
             return ns
 
         verts: tuple[int, ...] | None = self._vertices
+        gone: list[int] = []
         for v in remove_vertices:
             ns = adj.pop(v, None)
             if ns is None:
                 continue
             verts = None
+            gone.append(v)
             for w in ns:
                 if w in adj:
                     edit(w).discard(v)
+                    m -= 1
             touched.pop(v, None)
+        added: list[int] = []
         for v in add_vertices:
             v = int(v)
             if v not in adj:
                 adj[v] = frozenset()
+                added.append(v)
                 verts = None
         for u, v in remove_edges:
             if u in adj and v in adj:
-                edit(u).discard(v)
-                edit(v).discard(u)
+                ns = edit(u)
+                if v in ns:
+                    ns.discard(v)
+                    edit(v).discard(u)
+                    m -= 1
         for u, v in add_edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u},{v}) uses unknown vertex")
-            edit(u).add(v)
-            edit(v).add(u)
+            ns = edit(u)
+            if v not in ns:
+                ns.add(v)
+                edit(v).add(u)
+                m += 1
         for v, ns in touched.items():
             adj[v] = frozenset(ns)
         g = Graph.__new__(Graph)
         g._adj = adj
         g._vertices = tuple(sorted(adj)) if verts is None else verts
+        g._m = m
         g._cache = {}
         g._id_floor = self._id_floor
+        if "triangles_at" in self._cache:
+            g._carry_triangles(self, touched, gone, added)
         return g
+
+    def _carry_triangles(self, parent: Graph, touched: Collection[int], gone: list[int], added: list[int]) -> None:
+        """Take over parent's triangle index and butterfly centres.  A
+        triangle at x comes or goes only with an edge at x, which edits x,
+        or with an edge between two neighbors of x, which edits both; the
+        same holds for an edge between the wings of a butterfly at x.  So
+        only the edited vertices and the vertices next to two of them are
+        recomputed."""
+        adj = self._adj
+        near = set(touched)
+        seen: set[int] = set()
+        for v in touched:
+            for x in adj[v]:
+                if x in seen:
+                    near.add(x)
+                else:
+                    seen.add(x)
+        at = dict(parent.triangles_at())
+        for v in gone:
+            del at[v]
+        for v in added:
+            at[v] = []
+        for v in near:
+            at[v] = self._triangles_at_vertex(v)
+        # new keys went last; that is ascending when they are the top ids
+        if added and tuple(added) != self._vertices[len(self._vertices) - len(added):]:
+            at = {v: at[v] for v in self._vertices}
+        self._cache["triangles_at"] = at
+        if "butterfly_centres" in parent._cache:
+            self._cache["butterfly_centres"] = (parent._butterfly_centres() - near).difference(gone) | {
+                v for v in near if len(at[v]) > 1 and self._is_centre(v, at[v])
+            }
 
     def fresh_ids(self, k: int) -> list[int]:
         """k ids above every vertex and at least the id floor."""

@@ -12,6 +12,7 @@ first time the pattern is searched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .coloring import BLACK
@@ -93,7 +94,8 @@ class Pattern:
         self._req = {_rp(a, b) for a, b in self.required}
         self._opt = {_rp(a, b) for a, b in self.optional}
         self.order = self._role_order()
-        self.radius = self._eccentricity(self.order[0])
+        self._depth = self._depths(self.order[0])
+        self.radius = self._radius()
         self._search: Optional[Callable[..., Iterator[Embedding]]] = None
 
     def _role_order(self) -> tuple[str, ...]:
@@ -118,18 +120,38 @@ class Pattern:
             remaining.discard(nxt)
         return tuple(order)
 
-    def _eccentricity(self, start: str) -> Optional[int]:
-        """Distance from start to its farthest role along required edges,
+    def _depths(self, start: str) -> dict[str, int]:
+        """Each role's distance from start along required edges; roles out
+        of reach are left out."""
+        depth, frontier, d = {start: 0}, [start], 0
+        while frontier:
+            d += 1
+            frontier = [s for s in self.roles if s not in depth
+                        and any(_rp(r, s) in self._req for r in frontier)]
+            depth.update((s, d) for s in frontier)
+        return depth
+
+    def _radius(self) -> Optional[int]:
+        """How far from the first role's vertex a change can alter a scan,
         or None if some role is out of reach.  Every vertex an embedding
-        uses lies that close to the vertex of start in the host."""
-        reached, frontier, depth = {start}, {start}, 0
-        while True:
-            frontier = {s for s in self.roles if s not in reached
-                        and any(_rp(r, s) in self._req for r in frontier)}
-            if not frontier:
-                return depth if len(reached) == len(self.roles) else None
-            reached |= frontier
-            depth += 1
+        uses lies within the farthest role's distance along required edges.
+        That ring does not count when its roles carry no color, degree or
+        closure constraint and no required or forbidden pair among
+        themselves: a scan then reads only their ids and their edges to
+        nearer roles, and neither changes without a change within one ring
+        less."""
+        if len(self._depth) < len(self.roles):
+            return None
+        far = max(self._depth.values())
+        ring = [r for r in self.roles if self._depth[r] == far]
+        bare = not any(r in self.color or r in self.degree or r in self.closure for r in ring)
+        return far - 1 if far and bare and all(_rp(a, b) in self._opt for a, b in combinations(ring, 2)) else far
+
+    def reach(self, roles: Iterable[str]) -> Optional[int]:
+        """The radius of a scan that also reads the colors of roles."""
+        if self.radius is None:
+            return None
+        return max([self.radius, *(self._depth[r] for r in roles)])
 
     # -- matching ----------------------------------------------------------
 
@@ -231,8 +253,8 @@ class Pattern:
         """Embeddings in canonical order (role order, ascending vertex ids).
 
         With anchors (ascending host vertices), only the embeddings that
-        place the first role on an anchor, still in canonical order; such a
-        scan reads nothing farther than `radius` from its anchors.
+        place the first role on an anchor, still in canonical order; no
+        change farther than `radius` from its anchors alters such a scan.
         """
         if g.n < len(self.roles):
             return iter(())

@@ -11,7 +11,6 @@ final graph back into one of the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring
@@ -403,32 +402,77 @@ def _changed(step: RewriteStep) -> set[int]:
 # driver
 
 
+def _bad(g: Graph, v: int) -> bool:
+    """v violates the degree-four shape of irreducible graphs: its degree
+    is above four, or four with no triangle whose other vertices have
+    degree two."""
+    d = g.degree(v)
+    if d != 4:
+        return d > 4
+    return not any(all(g.degree(w) == 2 for w in t if w != v) for t in g.triangles_at()[v])
+
+
 def bad_vertex_count(g: Graph) -> int:
     """Vertices violating the degree-four shape of irreducible graphs."""
-    tri_at = g.triangles_at()
-    count = 0
-    for v in g.vertices:
-        d = g.degree(v)
-        if d > 4:
-            count += 1
-        elif d == 4:
-            good = any(
-                all(g.degree(w) == 2 for w in t if w != v) for t in tri_at[v]
-            )
-            if not good:
-                count += 1
-    return count
+    return sum(_bad(g, v) for v in g.vertices)
 
 
 def measure(g: Graph) -> tuple[int, int, int]:
     return (bad_vertex_count(g), g.n, g.m)
 
 
-def _c5_component(g: Graph) -> Optional[frozenset[int]]:
-    for comp in g.components():
-        if len(comp) == 5 and all(g.degree(v) == 2 for v in comp):
-            return comp
-    return None
+def remeasure(before: tuple[int, int, int], g: Graph, g2: Graph, step: RewriteStep) -> tuple[int, int, int]:
+    """measure(g2), given before = measure(g) and the step that made g2 from
+    g.  Whether a vertex is bad depends on its degree, its triangles and
+    their other vertices' degrees, so only the vertices the step changed or
+    removed and the neighbors of changed ones are recounted.  A neighbor
+    before the step is one after it unless their edge went, and then it
+    was changed or removed itself."""
+    changed = _changed(step)
+    near = changed.union(step.removed_vertices)
+    for v in changed:
+        near |= g2.neighbors(v)
+    bad = before[0]
+    for v in near:
+        if v in g:
+            bad -= _bad(g, v)
+        if v in g2:
+            bad += _bad(g2, v)
+    return (bad, g2.n, g2.m)
+
+
+def _five_cycle_at(g: Graph, v: int) -> Optional[frozenset[int]]:
+    """v's component if it is a five-cycle; stops at the first vertex of
+    degree other than two or past five vertices."""
+    comp, stack = {v}, [v]
+    while stack:
+        ns = g.neighbors(stack.pop())
+        if len(ns) != 2:
+            return None
+        for w in ns:
+            if w not in comp:
+                comp.add(w)
+                stack.append(w)
+        if len(comp) > 5:
+            return None
+    return frozenset(comp) if len(comp) == 5 else None
+
+
+def _c5_component(g: Graph, wl: Optional[Worklist] = None) -> Optional[frozenset[int]]:
+    """The component that is a five-cycle with the least minimum vertex, or
+    None.  With wl, a check after one that found none on wl looks only at
+    the components of the vertices logged since: a component no change
+    reached is as it was then."""
+    starts = wl.anchors(g, "_c5", 0) if wl is not None else None
+    if starts is None:
+        found = [comp for comp in g.components() if len(comp) == 5 and all(g.degree(v) == 2 for v in comp)]
+    else:
+        found = [comp for v in starts if (comp := _five_cycle_at(g, v))]
+    if not found:
+        if wl is not None:
+            wl.found_nothing("_c5")
+        return None
+    return min(found, key=min)
 
 
 STEP_CAP_FACTOR = 10
@@ -456,7 +500,10 @@ def reduce_to_irreducible(
 
     Termination is audited: the (bad vertices, n, m) measure must drop
     lexicographically at every rewrite, and the number of rewrites may not
-    exceed STEP_CAP_FACTOR * n^2.
+    exceed STEP_CAP_FACTOR * n^2.  The measure is counted whole once, at
+    the first rewrite, and then carried through every step by `remeasure`;
+    the per-round clean-pair and five-cycle checks, like the rules, look
+    only near the changes the worklist logged since their last pass.
     """
     if c is None:
         c = PartialColoring()
@@ -464,8 +511,7 @@ def reduce_to_irreducible(
     steps = 0
     cap = max(STEP_CAP_FACTOR * g.n * g.n, 16)
     wl = Worklist()
-    # measure(g) while g is the graph the last rewrite made; propagation
-    # keeps g, a clean step replaces it
+    # measure(g) from the first rewrite on
     measured: Optional[tuple[int, int, int]] = None
     while True:
         conflict = propagate(g, c, audit, wl)
@@ -477,12 +523,14 @@ def reduce_to_irreducible(
                 audit.on_clean(g, c, g2, c2)
             trace.append(cstep)
             wl.log.extend(_changed(cstep))
-            g, c, measured = g2, c2, None
+            if measured is not None:
+                measured = remeasure(measured, g, g2, cstep)
+            g, c = g2, c2
             continue
-        violation = clean_pair_violation(g, c)
+        violation = clean_pair_violation(g, c, wl)
         if violation is not None:
             return ReduceResult(Conflict("clean_pair", -1, "", violation), g, c, trace, steps)
-        comp = _c5_component(g)
+        comp = _c5_component(g, wl)
         if comp is not None:
             witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
             return ReduceResult(witness, g, c, trace, steps)
@@ -493,7 +541,7 @@ def reduce_to_irreducible(
             return ReduceResult(None, g, c, trace, steps)
         g2, c2, step = outcome
         before = measure(g) if measured is None else measured
-        after = measure(g2)
+        after = remeasure(before, g, g2, step)
         if not after < before:
             raise AssertionError(
                 f"measure did not drop at {step.rule_id}: {before} -> {after}"
@@ -518,8 +566,9 @@ def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
     must number its same-colored ends of added edges less those of removed
     survivor edges.  Removed vertices colored when the step was made keep
     that color; the others take the first valid choice, ascending, BLACK
-    before WHITE.  A clean step colored all of them, so its lift only
-    checks.
+    before WHITE.  That choice is found by backtracking: each vertex is
+    checked as soon as it and its neighbours in the step are colored.  A
+    clean step colored all of them, so its lift only checks.
     """
     changed = _changed(step)
     missing = changed - colors.keys()
@@ -537,18 +586,31 @@ def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
         nbrs.setdefault(a, []).append(b)
         nbrs.setdefault(b, []).append(a)
 
-    def same(v: int) -> int:
-        return sum(colors[w] == colors[v] for w in nbrs.get(v, ()))
-
     free = [v for v in step.removed_vertices if step.removed_colors[v] is None]
     colors.update((v, col) for v, col in step.removed_colors.items() if col is not None)
-    for choice in product((BLACK, WHITE), repeat=len(free)):
-        colors.update(zip(free, choice))
-        if all(same(v) == (colors[v] == BLACK) for v in step.removed_vertices) and all(
-            same(s) == k for s, k in owed.items()
-        ):
-            return
-    raise LiftError(f"{step.rule_id}: no coloring of {list(step.removed_vertices)} is valid")
+    # due[i]: the vertices to check once free[:i] are colored
+    rank = {v: i + 1 for i, v in enumerate(free)}
+    due: list[list[int]] = [[] for _ in range(len(free) + 1)]
+    for v in (*step.removed_vertices, *owed):
+        due[max(rank.get(w, 0) for w in (v, *nbrs.get(v, ())))].append(v)
+
+    def valid(v: int) -> bool:
+        same = sum(colors[w] == colors[v] for w in nbrs.get(v, ()))
+        return same == (owed[v] if v in owed else colors[v] == BLACK)
+
+    def extend(i: int) -> bool:
+        if not all(valid(v) for v in due[i]):
+            return False
+        if i == len(free):
+            return True
+        for col in (BLACK, WHITE):
+            colors[free[i]] = col
+            if extend(i + 1):
+                return True
+        return False
+
+    if not extend(0):
+        raise LiftError(f"{step.rule_id}: no coloring of {list(step.removed_vertices)} is valid")
 
 
 def lift_completion(trace: list[RewriteStep], final: PartialColoring) -> PartialColoring:

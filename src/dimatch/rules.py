@@ -41,6 +41,9 @@ class Rule:
     # None: every scan is whole, called as fn(g, c).  That form is kept only
     # because bench/spans.py rebuilds each rule as Rule(id, tag, fn).
     radius: Optional[int] = None
+    # a whole-graph condition the rule needs; while it fails, propagate does
+    # not call the rule, and that counts as no scan
+    when: Optional[Callable[[Graph], bool]] = None
 
 
 class Worklist:
@@ -50,9 +53,11 @@ class Worklist:
 
     A scan whose anchors lie farther than its radius from every vertex
     logged since then would read exactly what it read then, so only the
-    anchors inside that ball need a new look.  Graphs are immutable and
-    every change is logged, so a whole pass recorded on the current graph
-    at the current log length read exactly the current state.
+    anchors inside that ball need a new look.  Once as many changes as the
+    graph has vertices were logged since, the ball costs about as much as
+    the graph, and the rescan is whole.  Graphs are immutable and every
+    change is logged, so a whole pass recorded on the current graph at the
+    current log length read exactly the current state.
     """
 
     __slots__ = ("log", "quiet", "whole", "_balls", "_state")
@@ -66,9 +71,11 @@ class Worklist:
         self._state: tuple[Optional[Graph], int] = (None, 0)
 
     def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
-        """Ascending anchors to rescan for key; None means all of g."""
+        """Ascending anchors to rescan for key; None means all of g: on
+        its first pass, without a radius, or after at least g.n logged
+        changes."""
         since = self.quiet.get(key)
-        if since is None or radius is None:
+        if since is None or radius is None or len(self.log) - since >= g.n:
             return None
         if self._state[0] is not g or self._state[1] != len(self.log):
             self._state, self._balls = (g, len(self.log)), {}
@@ -240,7 +247,8 @@ def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
         for emb in p.find_all(g, c.state, anchors=anchors):
             yield [(emb[role], color) for role, color in colors.items()]
 
-    return Rule(rule_id, tag, fn, p.radius)
+    # propagate reads the demanded vertices' colors
+    return Rule(rule_id, tag, fn, p.reach(colors))
 
 
 def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
@@ -445,12 +453,14 @@ P_CUBIC_CAPS = pattern(
 )
 
 
-def rule_lone_wing(g: Graph, c: PartialColoring) -> Iterator[list[Demand]]:
+def rule_lone_wing(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # v has exactly four neighbors with a single adjacent pair among them,
     # and the two loose neighbors admit no private disjoint extensions.
+    # The catalog gates the rule on the butterfly test as well; this copy
+    # keeps the rule sound when called on its own.
     if not g.is_butterfly_free():
         return
-    for v in g.vertices:
+    for v in g.vertices if anchors is None else anchors:
         if g.degree(v) != 4:
             continue
         ns = sorted(g.neighbors(v))
@@ -487,8 +497,8 @@ P_BRACED_PENDANT = pattern(
 # Radii: the farthest vertex a scan reads, counted from its anchor.  The
 # pentagon rules also demand colors of x's neighbors, one ring beyond x:
 # outside hat_pentagon's pattern, inside anchored_pentagon's (its x is next
-# to the anchor).  lone_wing first tests the whole graph for butterflies,
-# so it has none.
+# to the anchor).  lone_wing reads two rings, once the whole graph has
+# passed its butterfly test.
 CATALOG: tuple[Rule, ...] = (
     Rule("square_alternation", FORCED, rule_square_alternation, 2),
     Rule("triangle_outsider", FORCED, rule_triangle_outsider, 2),
@@ -509,7 +519,7 @@ CATALOG: tuple[Rule, ...] = (
     _demands("twin_fan_swap", EXCHANGE, P_TWIN_FAN, w1=WHITE, w2=WHITE),
     Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood, 1),
     _demands("cubic_caps", FORCED, P_CUBIC_CAPS, y1=WHITE, y2=WHITE),
-    Rule("lone_wing", FORCED, rule_lone_wing),
+    Rule("lone_wing", FORCED, rule_lone_wing, 2, when=Graph.is_butterfly_free),
     _demands("seven_cycle_step", FORCED, P_SEVEN_CYCLE, z=BLACK),
     _demands("braced_pendant", FORCED, P_BRACED_PENDANT, y=WHITE),
 )
@@ -536,7 +546,8 @@ def propagate(
     every rule's first scan is whole.  Every group a rescan misses was
     already satisfied then and still is, and its anchors are ascending,
     so the first firing is the one a full scan finds.  A whole scan that
-    finds nothing is recorded in wl with its graph.
+    finds nothing is recorded in wl with its graph.  A rule whose `when`
+    fails on g is not called, and its last scan stays the one before.
 
     The rules in skip are known to find nothing on g and c as passed in, so
     they are not called until something is colored.
@@ -550,6 +561,8 @@ def propagate(
         fired = False
         for rule in CATALOG:
             if rule.id in skip and len(wl.log) == start:
+                continue
+            if rule.when is not None and not rule.when(g):
                 continue
             anchors = wl.anchors(g, rule.id, rule.radius)
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
@@ -600,22 +613,32 @@ def is_clean_pair(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -
     return probe.state == c.state
 
 
-def clean_pair_violation(g: Graph, c: PartialColoring) -> Optional[str]:
+def clean_pair_violation(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -> Optional[str]:
     """Structural facts every completable clean pair satisfies.
 
     A violation on a clean pair produced by the pipeline means the
     instance admits no completion, so the caller may refute.
+
+    With wl, a check after one that passed on wl looks only within two of
+    the vertices logged since: a vertex gains a triangle only next to an
+    edited vertex, and two triangles newly joined by three edges are
+    matched by them, so the least vertex of each lies that close to an
+    edited one.  Anchors ascend, so the violation found first is the one
+    a whole scan finds first.
     """
+    anchors = wl.anchors(g, "_clean_pair", 2) if wl is not None else None
     tri_at = g.triangles_at()
-    for v, ts in tri_at.items():
-        if len(ts) > 1:
-            return f"vertex {v} lies in {len(ts)} triangles"
+    for v in tri_at if anchors is None else anchors:
+        if len(tri_at[v]) > 1:
+            return f"vertex {v} lies in {len(tri_at[v])} triangles"
     # No vertex lies in two triangles, which rules out K4s, diamonds and
     # butterflies.  So triangles are disjoint, and a vertex of one has at
     # most one neighbour in another (two would close a third triangle).
-    for t1 in g.triangles():
+    for t1 in g.triangles(anchors):
         for t2 in sorted({t for a in t1 for b in g.neighbors(a) for t in tri_at[b] if t > t1}):
             between = [(a, b) for a in t1 for b in t2 if g.has_edge(a, b)]
             if len(between) > 2:
                 return f"triangles {t1} and {t2} joined by {len(between)} edges"
+    if wl is not None:
+        wl.found_nothing("_clean_pair")
     return None

@@ -7,7 +7,13 @@ For every catalog rule with a radius and every rewrite rule:
   give the full scan;
 - recoloring a vertex, or adding or removing an edge between two vertices,
   farther than the radius from an anchor leaves the scan anchored there
-  unchanged.
+  unchanged;
+- with the radius one less, some host breaks the second point, so no
+  radius is larger than it must be.
+
+A rule with a whole-graph condition (`Rule.when`, lone_wing's butterfly
+test) is not called while the condition fails, so its contract covers only
+hosts and perturbed hosts that meet the condition.
 
 A catalog scan is the list of its groups together with the current colors
 of the demanded vertices (what `propagate` reads to decide a firing); a
@@ -47,8 +53,10 @@ def rewrite_scan(rule):
     return scan
 
 
-SCANS = {r.id: (catalog_scan(r), r.radius, [FORCING_HOSTS[r.id]]) for r in CATALOG if r.radius is not None}
-SCANS.update({r.id: (rewrite_scan(r), r.pattern.radius, REWRITE_HOSTS[r.id]) for r in REWRITE_RULES})
+SCANS = {
+    r.id: (catalog_scan(r), r.radius, [FORCING_HOSTS[r.id]], r.when) for r in CATALOG if r.radius is not None
+}
+SCANS.update({r.id: (rewrite_scan(r), r.pattern.radius, REWRITE_HOSTS[r.id], None) for r in REWRITE_RULES})
 
 
 def hosts(bases, seeds=10):
@@ -105,11 +113,16 @@ def perturbations(g, coloring, far, boundary, rng):
         yield Graph(g.vertices, edges ^ {e}), coloring
 
 
-def radius_violations(scan, radius, bases):
-    """Counterexamples to the radius contract, as readable tuples."""
+def radius_violations(scan, radius, bases, when=None):
+    """Counterexamples to the radius contract, as readable tuples; with
+    when, on the hosts and perturbed hosts that meet it."""
     bad = []
     rng = random.Random(0)
+    checked = 0
     for g, coloring in hosts(bases):
+        if when is not None and not when(g):
+            continue
+        checked += 1
         c = PartialColoring(coloring)
         full = scan(g, c, None)
         per_anchor = {a: scan(g, c, [a]) for a in g.vertices}
@@ -124,13 +137,22 @@ def radius_violations(scan, radius, bases):
             boundary = {v for v in far if dist.get(v) == radius + 1}
             want = sorted(map(repr, per_anchor[a]))
             for g2, c2 in perturbations(g, coloring, far, boundary, rng):
+                if when is not None and not when(g2):
+                    continue
                 if sorted(map(repr, scan(g2, PartialColoring(c2), [a]))) != want:
                     bad.append(("far change", a, g2.edges(), c2))
                     break
+    assert checked, "no host meets the rule's condition"
     return bad
 
 
 @pytest.mark.parametrize("rule_id", sorted(SCANS))
 def test_anchored_scans_keep_the_radius_contract(rule_id):
-    scan, radius, bases = SCANS[rule_id]
-    assert radius_violations(scan, radius, bases) == []
+    scan, radius, bases, when = SCANS[rule_id]
+    assert radius_violations(scan, radius, bases, when) == []
+
+
+@pytest.mark.parametrize("rule_id", sorted(SCANS))
+def test_one_ring_less_breaks_the_radius_contract(rule_id):
+    scan, radius, bases, when = SCANS[rule_id]
+    assert radius_violations(scan, radius - 1, bases, when) != []

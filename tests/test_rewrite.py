@@ -4,29 +4,46 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import dimatch.rewrite
 import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
-from dimatch.graph import complete, cycle, from_edges, path
-from dimatch.oracle import brute_dim, mixed_instance
-from dimatch.patterns import contains_s222
+from dimatch.graph import Graph, complete, cycle, from_edges, path
+from dimatch.oracle import MAX_ORACLE_VERTICES, GeneratorError, brute_dim, mixed_instance
+from dimatch.patterns import contains_s222, pattern
 from dimatch.pipeline import solve
 from dimatch.rewrite import (
     REWRITE_RULES,
     LiftError,
+    RewriteRule,
+    _c5_component,
+    _lift_step,
     bad_vertex_count,
     clean,
     format_trace,
     lift_completion,
     measure,
     reduce_to_irreducible,
+    remeasure,
     try_rewrite,
 )
+from dimatch.rules import Worklist, clean_pair_violation
 
-from .util import REWRITE_HOSTS, OracleAudit, all_completions, decorate, replay_backwards
+from .util import (
+    REWRITE_HOSTS,
+    OracleAudit,
+    all_completions,
+    decorate,
+    forward,
+    product_lift_step,
+    replay_backwards,
+)
 
 RULES_BY_ID = {r.id: r for r in REWRITE_RULES}
 
@@ -66,6 +83,45 @@ def test_rewrite_rule_on_host(rule_id, idx):
         assert all(lifted.get(v) == full.get(v) for v in survivors), (rule_id, idx, full.state)
     # the trace reconstructs the original graph
     assert replay_backwards([step], g2) == g
+
+
+def _relabelled(g, coloring, rng):
+    ids = rng.sample(range(1, 3 * g.n + 1), g.n)
+    new = dict(zip(g.vertices, ids))
+    return Graph(ids, [(new[u], new[v]) for u, v in g.edges()]), {new[v]: col for v, col in coloring.items()}
+
+
+def _lift_outcome(lift, step, colors):
+    colors = dict(colors)
+    try:
+        lift(step, colors)
+    except LiftError as err:
+        return str(err)
+    return colors
+
+
+def test_backtracking_lift_equals_the_product_search():
+    """On every completion of every rewrite host's reduced pair, and on a
+    few colorings that are no completion, with the host as given and
+    randomly relabelled, the backtracking lift colors exactly as the
+    product search does, or both fail alike."""
+    rng = random.Random(3)
+    lifted = failed = 0
+    for rule_id, hosts in sorted(REWRITE_HOSTS.items()):
+        rule = RULES_BY_ID[rule_id]
+        for g0, coloring0 in hosts:
+            for relabel in range(3):
+                g, coloring = (g0, coloring0) if relabel == 0 else _relabelled(g0, coloring0, rng)
+                c = PartialColoring(coloring)
+                g2, c2, step = rule.apply(g, c, rule.find(g, c))
+                fulls = [full.state for full in all_completions(g2, c2)]
+                fulls += [{v: rng.choice((BLACK, WHITE)) for v in g2.vertices} for _ in range(8)]
+                for full in fulls:
+                    want = _lift_outcome(product_lift_step, step, full)
+                    assert _lift_outcome(_lift_step, step, full) == want, (rule_id, full)
+                    lifted += isinstance(want, dict)
+                    failed += isinstance(want, str)
+    assert lifted > 100 and failed > 100
 
 
 def test_lift_rejects_completion_with_no_valid_choice():
@@ -144,6 +200,174 @@ def test_measure_decreases_on_hosts():
             emb = rule.find(g, c)
             g2, _, _ = rule.apply(g, c, emb)
             assert measure(g2) < measure(g), rid
+
+
+def test_step_wise_measure_equals_a_whole_count():
+    """The measure carried through every clean and rewrite step of the
+    reduction equals a whole count on a freshly built graph."""
+    graphs = [cycle(n) for n in range(30, 131)]
+    for n in range(7, 23):
+        for seed in range(10):
+            try:
+                graphs.append(mixed_instance(n, 100 * n + seed))
+            except GeneratorError:
+                pass
+    kinds = Counter()
+    for g in graphs:
+        rr = reduce_to_irreducible(g)
+        carried = measure(g)
+        for step in rr.trace:
+            g2 = forward([step], g)
+            carried = remeasure(carried, g, g2, step)
+            assert carried == measure(Graph(g2.vertices, g2.edges())), step.rule_id
+            kinds[step.rule_id == "clean"] += 1
+            g = g2
+    assert kinds[True] > 40 and kinds[False] > 500, kinds
+
+
+def _edit_chain(seed: int, steps: int):
+    """Seeded random edits of a union of triangles, short paths and
+    cycles.  The starting triangles come in pairs; most toggled edges join
+    the i-th vertices of a pair or lie inside a triangle, so shared
+    triangle vertices, triangles joined by three edges and five-cycle
+    components come and go."""
+    rng = random.Random(seed)
+    edges, nxt, triangles = [], 1, []
+    for k in (3, 3, 3, 3, 3, 3, 2, 4, 5, 5, 6):
+        vs = list(range(nxt, nxt + k))
+        nxt += k
+        edges += list(zip(vs, vs[1:])) + ([(vs[0], vs[-1])] if k > 2 else [])
+        if k == 3:
+            triangles.append(vs)
+    g = Graph(range(1, nxt), edges)
+    yield g
+    for _ in range(steps):
+        verts = g.vertices
+        op = rng.random()
+        if op < 0.8:
+            if op < 0.4:
+                pair = rng.randrange(len(triangles) // 2)
+                i = rng.randrange(3)
+                u, v = triangles[2 * pair][i], triangles[2 * pair + 1][i]
+            elif op < 0.7:
+                u, v = rng.sample(rng.choice(triangles), 2)
+            else:
+                u, v = rng.sample(verts, 2)
+            if u in g and v in g:
+                g = g.rewrite(remove_edges=[(u, v)]) if g.has_edge(u, v) else g.rewrite(add_edges=[(u, v)])
+        elif op < 0.9:
+            g = g.rewrite(remove_vertices=[rng.choice(verts)])
+        else:
+            x = g.fresh_ids(1)[0]
+            g = g.rewrite(add_vertices=[x], add_edges=[(x, w) for w in rng.sample(verts, min(len(verts), 2))])
+        yield g
+
+
+def test_anchored_structure_checks_equal_whole_scans():
+    """clean_pair_violation and _c5_component on a worklist that logged
+    every edited vertex since their last pass give what a whole scan gives:
+    the first violation in whole-scan order, the five-cycle component with
+    the least vertex."""
+    found = Counter()
+    c = PartialColoring()
+    for seed in range(40):
+        wl, prev = Worklist(), None
+        for g in _edit_chain(seed, 100):
+            if prev is not None:
+                wl.log.extend(v for v in g.vertices if v not in prev or prev.neighbors(v) != g.neighbors(v))
+            want = clean_pair_violation(g, c)
+            assert clean_pair_violation(g, c, wl) == want, (seed, g.edges())
+            five = next((k for k in g.components() if len(k) == 5 and all(g.degree(v) == 2 for v in k)), None)
+            assert _c5_component(g, wl) == five == _c5_component(g), (seed, g.edges())
+            found["vertex" if want and want.startswith("vertex") else "link" if want else "clean"] += 1
+            found["c5"] += five is not None
+            prev = g
+    assert min(found[k] for k in ("clean", "vertex", "link", "c5")) >= 15, found
+
+
+def test_anchored_clean_pair_check_looks_two_rings_out():
+    """Closing the second triangle of a prism edits only two of its
+    vertices; the first triangle's least vertex lies two edges from them,
+    and the anchored check must still report the pair."""
+    c, wl = PartialColoring(), Worklist()
+    g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (1, 4), (2, 5), (3, 6)])
+    assert clean_pair_violation(g, c, wl) is None
+    g2 = g.rewrite(add_edges=[(5, 6)])
+    wl.log += [5, 6]
+    assert clean_pair_violation(g2, c, wl) == "triangles (1, 2, 3) and (4, 5, 6) joined by 3 edges"
+
+
+def test_anchored_five_cycle_check_returns_the_least_component():
+    """Two paths closed into five-cycles by one edit: the logged vertices
+    meet the component {2..6} first, but a whole scan returns the one
+    holding vertex 1."""
+    wl = Worklist()
+    g = from_edges(10, [(1, 7), (7, 8), (8, 9), (1, 10), (2, 3), (3, 4), (4, 5), (5, 6)])
+    assert _c5_component(g, wl) is None
+    g2 = g.rewrite(add_edges=[(9, 10), (2, 6)])
+    wl.log += [2, 6, 9, 10]
+    assert _c5_component(g2, wl) == _c5_component(g2) == frozenset({1, 7, 8, 9, 10})
+
+
+def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeypatch):
+    """The components, the triangle index and the bad-vertex count are
+    built whole as often on cycle(480) as on cycle(240): every later round
+    updates them from the step's changes."""
+    builds = Counter()
+
+    def counted(name, fn, whole=lambda *args: True):
+        def wrapped(*args):
+            if whole(*args):
+                builds[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(Graph, "components", counted("components", Graph.components,
+                                                       lambda g: "components" not in g._cache))
+    monkeypatch.setattr(Graph, "_triangle_index", counted("triangle index", Graph._triangle_index))
+    monkeypatch.setattr(dimatch.rewrite, "bad_vertex_count", counted("bad count", dimatch.rewrite.bad_vertex_count))
+    per_n = []
+    for n in (240, 480):
+        builds.clear()
+        rr = reduce_to_irreducible(cycle(n))
+        assert rr.rewrite_steps > n // 4
+        per_n.append(dict(builds))
+    assert per_n[0] == per_n[1]
+    assert all(k <= 1 for k in per_n[0].values()), per_n[0]
+
+
+@given(st.integers(7, 22), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_trace_replays_to_the_input_and_lifts_a_final_completion(n, seed):
+    """On a connected mixed instance, solve's trace run backwards from the
+    reduced graph rebuilds the input, and a completion of the reduced pair,
+    found by the oracle, lifts through it to a valid coloring of the
+    input."""
+    try:
+        g = mixed_instance(n, seed)
+    except GeneratorError:
+        assume(False)
+    assume(len(g.components()) == 1)
+    rep = solve(g)
+    rr = reduce_to_irreducible(g)
+    assert format_trace(rr.trace) == format_trace(rep.trace)
+    assert forward(rep.trace, g) == rr.graph
+    assert replay_backwards(rep.trace, rr.graph) == g
+    if rr.is_refuted or rr.graph.n > MAX_ORACLE_VERTICES:
+        return
+    final = brute_dim(rr.graph, rr.coloring)
+    assert (final is not None) == rep.is_yes
+    if final is not None:
+        assert verify_complete(g, lift_completion(rep.trace, final))
+
+
+def test_a_rewrite_that_does_not_drop_the_measure_is_caught(monkeypatch):
+    # a rule hanging a new leaf on a vertex raises n and m
+    grow = RewriteRule("grow", pattern("grow", "x y", "x-y"), grey=(), new_vertices=("a",), add_edges=(("a", "x"),))
+    monkeypatch.setattr(dimatch.rewrite, "REWRITE_RULES", (grow,))
+    with pytest.raises(AssertionError, match=r"measure did not drop at grow: \(0, 6, 6\) -> \(0, 7, 7\)"):
+        reduce_to_irreducible(cycle(6))
 
 
 def test_reduce_k4_refutes():

@@ -8,7 +8,7 @@ import pytest
 import dimatch.rewrite
 import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
-from dimatch.graph import complete, cycle, from_edges, path, star
+from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.oracle import brute_dim, mixed_instance
 from dimatch.rewrite import clean
 from dimatch.rules import (
@@ -263,6 +263,28 @@ def test_scanned_whole_needs_the_same_graph_and_log_length():
     assert wl.scanned_whole(cycle(6)) == set()
     wl.log.append(1)
     assert wl.scanned_whole(g) == set()
+
+
+def test_lone_wing_is_not_called_while_the_graph_has_a_butterfly(monkeypatch):
+    """lone_wing's host beside a bowtie, with lone_wing the only catalog
+    rule (others color its anchor first on this host).  While the bowtie
+    stands, propagate does not call lone_wing, and that counts as no scan.
+    Removing the bowtie with Graph.rewrite logs nothing, so propagation on
+    the result from the old worklist must still scan lone_wing whole and
+    color as a fresh propagation does."""
+    monkeypatch.setattr(dimatch.rules, "CATALOG", (RULES_BY_ID["lone_wing"],))
+    host, coloring = FORCING_HOSTS["lone_wing"]
+    bowtie = [(11, 12), (11, 13), (12, 13), (11, 14), (11, 15), (14, 15)]
+    g = Graph([*host.vertices, 11, 12, 13, 14, 15], host.edges() + bowtie)
+    c, wl = PartialColoring(coloring), Worklist()
+    assert propagate(g, c, wl=wl) is None
+    assert c.get(1) is None
+    g2 = g.rewrite(remove_vertices=[11, 12, 13, 14, 15])
+    assert g2 == host and g2.is_butterfly_free()
+    old, fresh = c.restrict(g2.vertices), c.restrict(g2.vertices)
+    assert propagate(g2, old, wl=wl) is None
+    assert propagate(g2, fresh) is None
+    assert old == fresh and old.get(1) == BLACK
 
 
 def test_clean_pair_violation_reports_k4():

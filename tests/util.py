@@ -12,7 +12,7 @@ from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Pattern, contains_s222, pattern
-from dimatch.rewrite import ReductionAudit, RewriteStep
+from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep, _changed
 from dimatch.rules import FORCED
 from dimatch.setmatch import SetFamilyInstance
 
@@ -77,6 +77,48 @@ def replay_backwards(trace: list[RewriteStep], final: Graph) -> Graph:
             remove_edges=step.added_edges,
         )
     return g
+
+
+def forward(trace: list[RewriteStep], g: Graph) -> Graph:
+    """The graph the trace's steps make from g, applied in order."""
+    for step in trace:
+        g = g.rewrite(step.removed_vertices, step.added_ids.values(), step.added_edges, step.removed_survivor_edges)
+    return g
+
+
+def product_lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
+    """Reference for `dimatch.rewrite._lift_step`: try every choice for the
+    uncolored removed vertices (ascending, BLACK before WHITE) and check
+    every removed vertex and touched survivor for each, keeping the first
+    valid one."""
+    changed = _changed(step)
+    missing = changed - colors.keys()
+    if missing:
+        raise LiftError(f"{step.rule_id}: vertex {min(missing)} is uncolored")
+    owed = dict.fromkeys(changed - set(step.added_ids.values()), 0)
+    for sign, edges in ((1, step.added_edges), (-1, step.removed_survivor_edges)):
+        for a, b in edges:
+            if colors[a] == colors[b]:
+                for s in (a, b):
+                    if s in owed:
+                        owed[s] += sign
+    nbrs: dict[int, list[int]] = {}
+    for a, b in step.removed_incident_edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+
+    def same(v: int) -> int:
+        return sum(colors[w] == colors[v] for w in nbrs.get(v, ()))
+
+    free = [v for v in step.removed_vertices if step.removed_colors[v] is None]
+    colors.update((v, col) for v, col in step.removed_colors.items() if col is not None)
+    for choice in product((BLACK, WHITE), repeat=len(free)):
+        colors.update(zip(free, choice))
+        if all(same(v) == (colors[v] == BLACK) for v in step.removed_vertices) and all(
+            same(s) == k for s, k in owed.items()
+        ):
+            return
+    raise LiftError(f"{step.rule_id}: no coloring of {list(step.removed_vertices)} is valid")
 
 
 def all_completions(g: Graph, c: PartialColoring) -> list[PartialColoring]:
