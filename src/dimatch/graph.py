@@ -128,9 +128,13 @@ class Graph:
 
     def triangles(self, anchors: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
         """All triangles as sorted vertex triples, in sorted order.  With
-        anchors (ascending), only those whose least vertex is an anchor."""
+        anchors (ascending), only those whose least vertex is an anchor,
+        read from the triangle index once it is built or carried."""
         if anchors is not None:
-            return [t for u in anchors for t in self._triangles_from(u)]
+            if "triangles_at" not in self._cache:
+                return [t for u in anchors for t in self._triangles_from(u)]
+            at = self.triangles_at()
+            return [t for u in anchors for t in at[u] if t[0] == u]
         cached = self._cache.get("triangles")
         if cached is None:
             if "triangles_at" in self._cache:
@@ -349,7 +353,7 @@ class Graph:
 
     def fresh_ids(self, k: int) -> list[int]:
         """k ids above every vertex and at least the id floor."""
-        base = max((max(self._vertices) if self._vertices else 0) + 1, self._id_floor)
+        base = max((self._vertices[-1] if self._vertices else 0) + 1, self._id_floor)
         return list(range(base, base + k))
 
 

@@ -293,54 +293,46 @@ def pattern(name: str, roles: str, req: str, opt: str = "", **kw) -> Pattern:
 
 def contains_s222(g: Graph) -> Optional[Embedding]:
     """Find an induced long claw: centre c, three paths c-ai-bi, no other
-    adjacencies among the seven vertices.  Specialised for speed."""
+    adjacencies among the seven vertices.
+
+    At each centre c, an arm's legs are its neighbours outside c's closed
+    neighbourhood, and an arm with no leg is dropped.  For three pairwise
+    nonadjacent arms, arm i's legs that miss the other two arms are a set
+    difference; the triple is skipped at the first empty one.  Centres,
+    arms and legs go in ascending order, so the claw found is the least in
+    (c, a1, a2, a3, b1, b2, b3) order.
+    """
+    adj = g.adjacency
     for c in g.vertices:
-        nc = g.neighbors(c)
+        nc = adj[c]
         if len(nc) < 3:
             continue
-        arms = sorted(nc)
+        closed = nc | {c}
+        legs = {a: adj[a] - closed for a in sorted(nc)}
+        arms = [a for a, ls in legs.items() if ls]
         for i, a1 in enumerate(arms):
+            n1 = adj[a1]
             for j in range(i + 1, len(arms)):
                 a2 = arms[j]
-                if g.has_edge(a1, a2):
+                if a2 in n1:
                     continue
+                n2 = adj[a2]
                 for a3 in arms[j + 1 :]:
-                    if g.has_edge(a1, a3) or g.has_edge(a2, a3):
+                    if a3 in n1 or a3 in n2:
                         continue
-                    emb = _grow_legs(g, c, (a1, a2, a3))
-                    if emb is not None:
-                        return emb
-    return None
-
-
-def _grow_legs(g: Graph, c: int, arms: tuple[int, int, int]) -> Optional[Embedding]:
-    nc = g.neighbors(c)
-    others: list[list[int]] = []
-    for i, a in enumerate(arms):
-        rest = [x for x in arms if x != a]
-        cand = sorted(
-            b
-            for b in g.neighbors(a)
-            if b != c and b not in nc and not any(g.has_edge(b, r) for r in rest)
-        )
-        others.append(cand)
-
-    for b1 in others[0]:
-        for b2 in others[1]:
-            if b2 == b1 or g.has_edge(b1, b2):
-                continue
-            for b3 in others[2]:
-                if b3 in (b1, b2) or g.has_edge(b1, b3) or g.has_edge(b2, b3):
-                    continue
-                return Embedding(
-                    {
-                        "c": c,
-                        "a1": arms[0],
-                        "a2": arms[1],
-                        "a3": arms[2],
-                        "b1": b1,
-                        "b2": b2,
-                        "b3": b3,
-                    }
-                )
+                    n3 = adj[a3]
+                    l1 = sorted(legs[a1] - n2 - n3)
+                    l2 = l1 and sorted(legs[a2] - n1 - n3)
+                    l3 = l2 and sorted(legs[a3] - n1 - n2)
+                    if not l3:
+                        continue
+                    for b1 in l1:
+                        m1 = adj[b1]
+                        for b2 in l2:
+                            if b2 in m1:
+                                continue
+                            m2 = adj[b2]
+                            for b3 in l3:
+                                if b3 not in m1 and b3 not in m2:
+                                    return Embedding({"c": c, "a1": a1, "a2": a2, "a3": a3, "b1": b1, "b2": b2, "b3": b3})
     return None

@@ -135,6 +135,7 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conf
     the changes logged since the last fixpoint (all of g on a fresh
     worklist), and every coloring is logged.
     """
+    adj, get = g.adjacency, c.state.get
     first = wl.anchors(g, "_basic", 1)
     sweep = list(g.vertices if first is None else first)
     while sweep:
@@ -144,7 +145,7 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conf
 
         def colored(w: int) -> None:
             wl.log.append(w)
-            for x in (w, *g.neighbors(w)):
+            for x in (w, *adj[w]):
                 if x <= v:
                     later.add(x)
                 elif x not in queued:
@@ -154,31 +155,31 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conf
         while i < len(sweep):
             v = sweep[i]
             i += 1
-            col = c.get(v)
+            col = get(v)
             if col is None:
                 continue
-            ns = g.neighbors(v)
+            ns = adj[v]
             if col == WHITE:
                 for w in ns:
-                    if c.get(w) is None:
+                    if get(w) is None:
                         conflict = assign(g, c, w, BLACK, "white_neighbors")
                         if conflict is not None:
                             return conflict
                         colored(w)
                 continue
-            black_nbrs = [w for w in ns if c.get(w) == BLACK]
+            black_nbrs = [w for w in ns if get(w) == BLACK]
             if len(black_nbrs) >= 2:
                 return Conflict("pair_overload", v, BLACK, f"black neighbors {black_nbrs[:2]}")
             if black_nbrs:
                 partner = black_nbrs[0]
                 for w in ns:
-                    if w != partner and c.get(w) is None:
+                    if w != partner and get(w) is None:
                         conflict = assign(g, c, w, WHITE, "matched_pair")
                         if conflict is not None:
                             return conflict
                         colored(w)
                 continue
-            open_nbrs = [w for w in ns if c.get(w) != WHITE]
+            open_nbrs = [w for w in ns if get(w) != WHITE]
             if not open_nbrs:
                 return Conflict("no_partner", v, BLACK, "all neighbors white")
             if len(open_nbrs) == 1:
@@ -197,10 +198,10 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conf
 
 
 def rule_square_alternation(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    for a, b, d, e in g.induced_c4s(anchors):
-        cyc = (a, b, d, e)
+    get = c.state.get
+    for cyc in g.induced_c4s(anchors):
         for i in range(4):
-            col = c.get(cyc[i])
+            col = get(cyc[i])
             if col is None:
                 continue
             yield [
@@ -214,20 +215,20 @@ def rule_square_alternation(g: Graph, c: PartialColoring, anchors: Anchors = Non
 def _triangle_outsiders(g: Graph, anchors: Anchors) -> Iterator[tuple[int, int]]:
     """Pairs (t, u): t in a triangle, u a neighbor of t outside it and
     nonadjacent to the other two triangle vertices."""
-    for tri in g.triangles(anchors):
-        ts = set(tri)
-        for t in tri:
-            rest = ts - {t}
-            for u in g.neighbors(t):
-                if u in ts:
-                    continue
-                if not any(g.has_edge(u, r) for r in rest):
+    adj = g.adjacency
+    for t1, t2, t3 in g.triangles(anchors):
+        # a triangle vertex is next to the other two, so it is no outsider
+        for t, r1, r2 in ((t1, t2, t3), (t2, t1, t3), (t3, t1, t2)):
+            n1, n2 = adj[r1], adj[r2]
+            for u in adj[t]:
+                if u not in n1 and u not in n2:
                     yield t, u
 
 
 def rule_triangle_outsider(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    get = c.state.get
     for t, u in _triangle_outsiders(g, anchors):
-        ct, cu = c.get(t), c.get(u)
+        ct, cu = get(t), get(u)
         if ct is not None and cu is None:
             yield [(u, _opp(ct))]
         elif cu is not None and ct is None:
@@ -254,14 +255,15 @@ def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
 def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # only groups not yet satisfied: a leaf's support not yet black, an
     # isolated vertex not yet white
+    adj, get = g.adjacency, c.state.get
     for v in g.low_degree_vertices() if anchors is None else anchors:
-        d = g.degree(v)
-        if d == 0:
-            if c.get(v) != WHITE:
+        ns = adj[v]
+        if not ns:
+            if get(v) != WHITE:
                 yield [(v, WHITE)]
-        elif d == 1:
-            s = next(iter(g.neighbors(v)))
-            if c.get(s) != BLACK:
+        elif len(ns) == 1:
+            (s,) = ns
+            if get(s) != BLACK:
                 yield [(s, BLACK)]
 
 
@@ -553,6 +555,7 @@ def propagate(
     they are not called until something is colored.
     """
     wl = Worklist() if wl is None else wl
+    get = c.state.get
     start = len(wl.log)
     while True:
         conflict = _basic_fixpoint(g, c, wl)
@@ -566,7 +569,7 @@ def propagate(
                 continue
             anchors = wl.anchors(g, rule.id, rule.radius)
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
-                todo = [(v, col) for v, col in group if c.get(v) != col]
+                todo = [(v, col) for v, col in group if get(v) != col]
                 if not todo:
                     continue
                 for v, col in todo:

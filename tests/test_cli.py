@@ -36,6 +36,7 @@ def test_solve_rejects_long_claw(tmp_path, capsys):
     text = "7 6\n1 2\n1 3\n1 4\n2 5\n3 6\n4 7\n"
     gpath = write(tmp_path, "claw.g", text)
     assert main(["solve", gpath]) == 2
+    assert "<a1:2,a2:3,a3:4,b1:5,b2:6,b3:7,c:1>" in capsys.readouterr().err
 
 
 def test_check_fails_on_bad_certificate(tmp_path, capsys):

@@ -21,7 +21,7 @@ from dimatch.graph import (
 )
 from dimatch.patterns import find_induced, pattern
 
-from .util import parser_text
+from .util import parser_text, random_host, rewrite_chain
 
 
 def test_load_c4():
@@ -149,32 +149,36 @@ def test_rewrite_equals_full_rebuild_and_leaves_source_alone():
 def test_rewrite_carries_the_triangle_index():
     """Along chains of 300 seeded rewrites from a graph whose triangle index
     and butterfly test are built, each new graph's triangle index (values
-    and key order), triangles, butterfly test and m equal a fresh build's.
-    Fresh ids are mostly the top ids, as in the reduction; now and then a
-    removed id comes back below the top."""
+    and key order), triangles, butterfly test and m equal a fresh build's."""
     for seed in range(4):
-        rng = random.Random(seed)
-        n = 10
-        g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3])
-        g.is_butterfly_free()
-        gone: list[int] = []
-        for step in range(300):
-            verts = list(g.vertices)
-            drop = rng.sample(verts, min(len(verts), rng.randint(0, 2)))
-            new = g.fresh_ids(rng.randint(0, 2 if len(verts) < 14 else 0))
-            if gone and rng.random() < 0.2:
-                new.append(gone.pop())
-            gone += drop
-            live = [v for v in verts if v not in drop] + new
-            added = [tuple(rng.sample(live, 2)) for _ in range(rng.randint(0, 4))] if len(live) > 1 else []
-            cut = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 3))] if len(verts) > 1 else []
-            g = g.rewrite(drop, new, added, cut)
+        for step, g in enumerate(rewrite_chain(seed, 300)):
             fresh = Graph(g.vertices, g.edges())
             assert "triangles_at" in g._cache and "butterfly_centres" in g._cache, (seed, step)
             assert list(g.triangles_at().items()) == list(fresh.triangles_at().items()), (seed, step)
             assert g.triangles() == fresh.triangles(), (seed, step)
             assert g.is_butterfly_free() == fresh.is_butterfly_free(), (seed, step)
             assert g.m == fresh.m == len(fresh.edges()), (seed, step)
+
+
+def test_anchored_triangles_read_the_index_as_the_per_anchor_scan_does():
+    """triangles(anchors) equals the concatenated per-anchor scans with no
+    index, with the index built, and with it carried along rewrites."""
+    rng = random.Random(5)
+
+    def check(g: Graph) -> None:
+        for anchors in (list(g.vertices), sorted(rng.sample(g.vertices, rng.randint(0, g.n))), []):
+            assert g.triangles(anchors) == [t for u in anchors for t in g._triangles_from(u)], (g.edges(), anchors)
+
+    for _ in range(150):
+        g = random_host(rng, rng.randint(4, 16), rng.uniform(0.1, 0.6))
+        assert "triangles_at" not in g._cache
+        check(g)
+        g.triangles_at()
+        check(g)
+    for seed in range(3):
+        for g in rewrite_chain(seed, 100):
+            assert "triangles_at" in g._cache
+            check(g)
 
 
 def test_rewrite_rejects_bad_added_edges():

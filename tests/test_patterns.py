@@ -30,7 +30,7 @@ from dimatch.rules import (
     P_TRIANGLE_TAIL,
 )
 
-from .util import LONG_CLAW, brute_force_find_all, decorate
+from .util import LONG_CLAW, brute_force_find_all, decorate, random_host, reference_contains_s222
 
 
 def test_find_induced_c4_pattern():
@@ -110,6 +110,19 @@ def test_contains_s222_star_is_free():
     assert contains_s222(star(6)) is None
     for m in brute_force_find_all(star(6), LONG_CLAW):
         raise AssertionError(f"unexpected embedding {m}")
+
+
+def test_contains_s222_returns_the_reference_embedding():
+    """The set-algebra kernel finds the same long claw as the reference, or
+    none, on seeded hosts with ids that are not contiguous."""
+    rng = random.Random(222)
+    claws = 0
+    for trial in range(5000):
+        g = random_host(rng, rng.randint(7, 16), rng.uniform(0.1, 0.45))
+        emb = contains_s222(g)
+        assert emb == reference_contains_s222(g), (trial, g.vertices, g.edges())
+        claws += emb is not None
+    assert 1000 < claws < 4000
 
 
 def test_contains_s222_agrees_with_generic_matcher():

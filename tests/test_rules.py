@@ -15,12 +15,13 @@ from dimatch.rules import (
     CATALOG,
     RULES_BY_ID,
     Worklist,
+    _triangle_outsiders,
     clean_pair_violation,
     is_clean_pair,
     propagate,
 )
 
-from .util import FORCING_HOSTS, OracleAudit
+from .util import FORCING_HOSTS, OracleAudit, random_host, reference_triangle_outsiders, rewrite_chain
 
 # initial state plus one demand the rule itself must produce on it
 EXPECTED_DEMAND = {
@@ -157,6 +158,27 @@ def test_degree_one_whole_scan_equals_scan_from_every_vertex():
         assert all(c.get(v) != col for group in whole for v, col in group)
         fired += len(whole)
     assert fired > 100
+
+
+def test_triangle_outsiders_equal_the_reference():
+    """The same pairs in the same order, whole and from ascending anchors,
+    on random hosts with and without a built triangle index and along
+    rewrite chains that carry it."""
+    rng = random.Random(9)
+    hosts = []
+    for _ in range(200):
+        g = random_host(rng, rng.randint(3, 16), rng.uniform(0.1, 0.6))
+        hosts.append(Graph(g.vertices, g.edges()))
+        g.triangles_at()
+        hosts.append(g)
+    hosts += [g for seed in range(4) for g in rewrite_chain(seed, 100)]
+    pairs = 0
+    for g in hosts:
+        for anchors in (None, list(g.vertices), sorted(rng.sample(g.vertices, rng.randint(0, g.n)))):
+            got = list(_triangle_outsiders(g, anchors))
+            assert got == list(reference_triangle_outsiders(g, anchors)), (g.edges(), anchors)
+            pairs += len(got)
+    assert pairs > 1000
 
 
 # -- cleaning ---------------------------------------------------------------

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from typing import Optional
+from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
-from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Pattern, contains_s222, pattern
+from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Embedding, Pattern, contains_s222, pattern
 from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep, _changed
 from dimatch.rules import FORCED
 from dimatch.setmatch import SetFamilyInstance
@@ -64,6 +64,88 @@ def brute_force_find_all(g: Graph, p: Pattern, colors: Optional[Coloring] = None
         if ok:
             out.append(amap)
     return out
+
+
+def reference_contains_s222(g: Graph) -> Optional[Embedding]:
+    """Reference for `dimatch.patterns.contains_s222`: every independent
+    arm triple at every centre, each leg tested one edge at a time."""
+    for c in g.vertices:
+        nc = g.neighbors(c)
+        if len(nc) < 3:
+            continue
+        arms = sorted(nc)
+        for i, a1 in enumerate(arms):
+            for j in range(i + 1, len(arms)):
+                a2 = arms[j]
+                if g.has_edge(a1, a2):
+                    continue
+                for a3 in arms[j + 1 :]:
+                    if g.has_edge(a1, a3) or g.has_edge(a2, a3):
+                        continue
+                    emb = _grow_legs(g, c, (a1, a2, a3))
+                    if emb is not None:
+                        return emb
+    return None
+
+
+def _grow_legs(g: Graph, c: int, arms: tuple[int, int, int]) -> Optional[Embedding]:
+    nc = g.neighbors(c)
+    others: list[list[int]] = []
+    for a in arms:
+        rest = [x for x in arms if x != a]
+        others.append(
+            sorted(b for b in g.neighbors(a) if b != c and b not in nc and not any(g.has_edge(b, r) for r in rest))
+        )
+    for b1 in others[0]:
+        for b2 in others[1]:
+            if b2 == b1 or g.has_edge(b1, b2):
+                continue
+            for b3 in others[2]:
+                if b3 in (b1, b2) or g.has_edge(b1, b3) or g.has_edge(b2, b3):
+                    continue
+                return Embedding({"c": c, "a1": arms[0], "a2": arms[1], "a3": arms[2], "b1": b1, "b2": b2, "b3": b3})
+    return None
+
+
+def reference_triangle_outsiders(g: Graph, anchors: Optional[list[int]]) -> Iterator[tuple[int, int]]:
+    """Reference for `dimatch.rules._triangle_outsiders`, one adjacency
+    test at a time."""
+    for tri in g.triangles(anchors):
+        ts = set(tri)
+        for t in tri:
+            rest = ts - {t}
+            for u in g.neighbors(t):
+                if u not in ts and not any(g.has_edge(u, r) for r in rest):
+                    yield t, u
+
+
+def rewrite_chain(seed: int, steps: int, n: int = 10) -> Iterator[Graph]:
+    """The graphs of a seeded chain of random rewrites from a random graph
+    on 1..n whose triangle index and butterfly test are built, so each
+    step carries them.  Fresh ids are mostly the top ids, as in the
+    reduction; now and then a removed id comes back below the top."""
+    rng = random.Random(seed)
+    g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3])
+    g.is_butterfly_free()
+    gone: list[int] = []
+    for _ in range(steps):
+        verts = list(g.vertices)
+        drop = rng.sample(verts, min(len(verts), rng.randint(0, 2)))
+        new = g.fresh_ids(rng.randint(0, 2 if len(verts) < 14 else 0))
+        if gone and rng.random() < 0.2:
+            new.append(gone.pop())
+        gone += drop
+        live = [v for v in verts if v not in drop] + new
+        added = [tuple(rng.sample(live, 2)) for _ in range(rng.randint(0, 4))] if len(live) > 1 else []
+        cut = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 3))] if len(verts) > 1 else []
+        g = g.rewrite(drop, new, added, cut)
+        yield g
+
+
+def random_host(rng: random.Random, n: int, density: float) -> Graph:
+    """A random graph on n ids drawn from 1..4n, so ids are not contiguous."""
+    ids = sorted(rng.sample(range(1, 4 * n + 1), n))
+    return Graph(ids, [e for e in combinations(ids, 2) if rng.random() < density])
 
 
 def replay_backwards(trace: list[RewriteStep], final: Graph) -> Graph:
