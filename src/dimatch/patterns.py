@@ -156,16 +156,17 @@ class Pattern:
     # -- matching ----------------------------------------------------------
 
     def _source(self) -> str:
-        """Source of `search(adj, first, verts, X, C)`, this pattern's scan.
+        """Source of `search(adj, first, verts, C)`, this pattern's scan.
 
         The i-th role of `order` is bound to `v{i}` in the i-th nested loop
         and its neighborhood to `n{i}`.  Its candidates are the common
-        neighbors of its earlier required partners, less X and less the
-        neighbors of the earlier roles it must not touch, in ascending
-        order; a role with no earlier partner draws from `first` (role 0)
-        or `verts`.  Degree and color tests are written only for the roles
-        that need them, and the closure test of closure roles with optional
-        edges only inside the last loop.  The text holds no role name: only
+        neighbors of its earlier required partners less the neighbors of
+        the earlier roles it must not touch, built by one chained set
+        operation such as `n3.intersection(n5).difference(n0, n1)` and
+        taken in ascending order; a role with no earlier partner draws from
+        `first` (role 0) or `verts`.  Degree and color tests are written
+        only for the roles that need them, and the closure test of closure
+        roles with optional edges only inside the last loop.  The text holds no role name: only
         role positions and the validated degree bounds.
         """
         k = len(self.order)
@@ -190,20 +191,22 @@ class Pattern:
             bounds.append((max(lo, n_req), hi))
         read = {j for i in range(k) for j in partners[i] + strangers[i]} | set(loose)
 
-        lines = ["def search(adj, first, verts, X, C):"]
+        lines = ["def search(adj, first, verts, C):"]
         for i, r in enumerate(self.order):
             pad = "    " * (i + 1)
             if partners[i]:
-                common = " & ".join(f"n{j:d}" for j in partners[i])
-                rest = "".join(f" - n{j:d}" for j in strangers[i])
-                lines.append(f"{pad}for v{i:d} in sorted({common if len(partners[i]) == 1 else f'({common})'} - X{rest}):")
+                head, *more = (f"n{j:d}" for j in partners[i])
+                cands = head + (f".intersection({', '.join(more)})" if more else "")
+                if strangers[i]:
+                    cands += f".difference({', '.join(f'n{j:d}' for j in strangers[i])})"
+                lines.append(f"{pad}for v{i:d} in sorted({cands}):")
                 # a candidate is a neighbor of each partner, so not a partner
                 placed = [j for j in range(i) if j not in partners[i]]
                 skip = []
             else:
                 lines.append(f"{pad}for v{i:d} in {'verts' if i else 'first'}:")
                 placed = list(range(i))
-                skip = [f"v{i:d} in X"] + [f"v{i:d} in n{j:d}" for j in strangers[i]]
+                skip = [f"v{i:d} in n{j:d}" for j in strangers[i]]
             if len(placed) == 1:
                 skip.append(f"v{i:d} == v{placed[0]:d}")
             elif placed:
@@ -255,13 +258,18 @@ class Pattern:
         With anchors (ascending host vertices), only the embeddings that
         place the first role on an anchor, still in canonical order; no
         change farther than `radius` from its anchors alters such a scan.
+        Exclusion filters that canonical output: the embeddings that use
+        no excluded vertex, in the same order.
         """
-        if g.n < len(self.roles):
+        verts = g.vertices
+        if len(verts) < len(self.roles):
             return iter(())
         search = self._search or self._compile()
-        verts = g.vertices
-        return search(g.adjacency, verts if anchors is None else anchors, verts,
-                      frozenset(exclude), {} if colors is None else colors)
+        found = search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)
+        if not exclude:
+            return found
+        X = frozenset(exclude)
+        return (e for e in found if X.isdisjoint(e.assignment.values()))
 
     def find(
         self,

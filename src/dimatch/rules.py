@@ -53,11 +53,13 @@ class Worklist:
 
     A scan whose anchors lie farther than its radius from every vertex
     logged since then would read exactly what it read then, so only the
-    anchors inside that ball need a new look.  Once as many changes as the
-    graph has vertices were logged since, the ball costs about as much as
-    the graph, and the rescan is whole.  Graphs are immutable and every
-    change is logged, so a whole pass recorded on the current graph at the
-    current log length read exactly the current state.
+    anchors inside that ball need a new look.  The balls around the
+    changes since one log position come from one breadth-first search,
+    grown ring by ring as larger radii are asked for.  Once as many changes
+    as the graph has vertices were logged since, the ball costs about as
+    much as the graph, and the rescan is whole.  Graphs are immutable and
+    every change is logged, so a whole pass recorded on the current graph
+    at the current log length read exactly the current state.
     """
 
     __slots__ = ("log", "quiet", "whole", "_balls", "_state")
@@ -66,28 +68,33 @@ class Worklist:
         self.log: list[int] = []
         self.quiet: dict[str, int] = {}
         self.whole: dict[str, tuple[Graph, int]] = {}
-        # balls already computed on the current graph and log
-        self._balls: dict[tuple[int, int], list[int]] = {}
+        # one breadth-first search per log position, on the current graph
+        # and log: [ball, last ring, [sorted ball at radius 0, 1, ...]]
+        self._balls: dict[int, list] = {}
         self._state: tuple[Optional[Graph], int] = (None, 0)
 
     def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
         """Ascending anchors to rescan for key; None means all of g: on
         its first pass, without a radius, or after at least g.n logged
         changes."""
-        since = self.quiet.get(key)
-        if since is None or radius is None or len(self.log) - since >= g.n:
+        since, now = self.quiet.get(key), len(self.log)
+        if since is None or radius is None or now - since >= len(g.vertices):
             return None
-        if self._state[0] is not g or self._state[1] != len(self.log):
-            self._state, self._balls = (g, len(self.log)), {}
-        out = self._balls.get((since, radius))
-        if out is None:
+        if self._state[0] is not g or self._state[1] != now:
+            self._state, self._balls = (g, now), {}
+        grown = self._balls.get(since)
+        if grown is None:
             ball = {v for v in self.log[since:] if v in g}
-            frontier = ball
-            for _ in range(radius):
-                frontier = {w for v in frontier for w in g.neighbors(v)} - ball
+            grown = self._balls[since] = [ball, ball, [sorted(ball)]]
+        ball, frontier, out = grown
+        if radius >= len(out):
+            adj = g.adjacency
+            while radius >= len(out):
+                frontier = {w for v in frontier for w in adj[v]} - ball
                 ball |= frontier
-            out = self._balls[since, radius] = sorted(ball)
-        return out
+                out.append(sorted(ball))
+            grown[1] = frontier
+        return out[radius]
 
     def found_nothing(self, key: str, whole_on: Optional[Graph] = None) -> None:
         """Record that key's pass found nothing; whole_on is the graph a

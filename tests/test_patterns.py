@@ -225,13 +225,18 @@ def test_enumeration_order_is_canonical_with_anchors_and_exclusions():
             assert got == at_anchors, (p.name, g.edges(), colors, anchors)
             got = [e.assignment for e in p.find_all(g, colors, exclude=exclude)]
             assert got == off_excluded, (p.name, g.edges(), colors, exclude)
+            both = [m for m in at_anchors if m in off_excluded]
+            assert both == [m for m in off_excluded if m in at_anchors]
+            got = [e.assignment for e in p.find_all(g, colors, exclude=exclude, anchors=anchors)]
+            assert got == both, (p.name, g.edges(), colors, anchors, exclude)
             seen += len(ref)
     assert seen > 100, seen
 
 
 def test_patterns_compile_on_first_search_from_integers_only():
     """Importing the solver compiles nothing, and the generated source
-    names only its own variables and positions, never a role."""
+    names only its own variables and positions, never a role.  It has no
+    binary `-` or `&`: each candidate set is one chained set operation."""
     code = (
         "import dimatch, dimatch.rules as rl, dimatch.rewrite as rw\n"
         "from dimatch.patterns import Pattern\n"
@@ -241,9 +246,9 @@ def test_patterns_compile_on_first_search_from_integers_only():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(rl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
     vocabulary = {
-        "def", "search", "adj", "first", "verts", "X", "C", "for", "in", "if", "or", "and", "not",
-        "is", "None", "continue", "sorted", "len", "get", "BLACK", "U", "yield", "Embedding", "dict",
-        "zip", "R",
+        "def", "search", "adj", "first", "verts", "C", "for", "in", "if", "or", "and", "not",
+        "is", "None", "continue", "sorted", "intersection", "difference", "len", "get", "BLACK", "U",
+        "yield", "Embedding", "dict", "zip", "R",
     }
     for p in _catalog():
         src = p._source()
@@ -253,6 +258,7 @@ def test_patterns_compile_on_first_search_from_integers_only():
             elif tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit(), (p.name, tok.string)
             assert tok.type not in (tokenize.STRING, tokenize.COMMENT), (p.name, tok.string)
+            assert tok.string not in ("-", "&"), (p.name, tok.line)
         list(p.find_all(from_edges(len(p.roles), []), {}))
         assert p._search.__code__.co_filename == f"<pattern {p.name}>"
 

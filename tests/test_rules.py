@@ -287,6 +287,61 @@ def test_scanned_whole_needs_the_same_graph_and_log_length():
     assert wl.scanned_whole(g) == set()
 
 
+def _fresh_ball(g: Graph, logged: list[int], radius: int) -> list[int]:
+    """The logged vertices still in g and every vertex within radius of
+    them, by a breadth-first search from scratch."""
+    ball = {v for v in logged if v in g}
+    for _ in range(radius):
+        ball |= {w for v in ball for w in g.neighbors(v)}
+    return sorted(ball)
+
+
+def test_anchors_equal_a_fresh_ball_for_every_radius_log_and_graph():
+    """Worklist.anchors grows one search per log position and keeps it
+    only while the graph and the log length stay; asked for radii 0-4 in
+    any order, it returns the ball a fresh search gives, on random hosts
+    and logs that name ids no longer in the graph, and None on a key's
+    first pass, without a radius and after at least g.n changes."""
+    rng = random.Random(61)
+    keys = ["a", "b", "c", "d"]
+    nones = {"first": 0, "no radius": 0, "too many": 0}
+    balls = 0
+    for trial in range(150):
+        n = rng.randint(3, 24)
+        g, wl = random_host(rng, n, rng.uniform(0.05, 0.35)), Worklist()
+        for _ in range(rng.randint(2, 6)):
+            choice = rng.random()
+            if choice < 0.3:
+                # a new graph at the same log length
+                drop = rng.sample(g.vertices, rng.randint(0, min(2, g.n)))
+                cut = [tuple(rng.sample(g.vertices, 2)) for _ in range(rng.randint(0, 3))] if g.n > 1 else []
+                g = g.rewrite(drop, remove_edges=cut)
+            elif choice < 0.8:
+                wl.log += [rng.choice(g.vertices) if g.n and rng.random() < 0.7 else rng.randint(1, 4 * n)
+                           for _ in range(rng.randint(1, 4))]
+            for key in rng.sample(keys, rng.randint(0, 2)):
+                wl.quiet[key] = rng.randint(max(0, len(wl.log) - 2 * n), len(wl.log))
+            radii = [0, 1, 2, 3, 4, *rng.choices(range(5), k=3), None]
+            rng.shuffle(radii)
+            for radius in radii:
+                for key in keys:
+                    since = wl.quiet.get(key)
+                    got = wl.anchors(g, key, radius)
+                    if since is None:
+                        nones["first"] += got is None
+                        assert got is None
+                    elif radius is None:
+                        nones["no radius"] += got is None
+                        assert got is None
+                    elif len(wl.log) - since >= g.n:
+                        nones["too many"] += got is None
+                        assert got is None
+                    else:
+                        assert got == _fresh_ball(g, wl.log[since:], radius), (g.edges(), wl.log, since, radius)
+                        balls += 1
+    assert min(nones.values()) > 50 and balls > 2000, (nones, balls)
+
+
 def test_lone_wing_is_not_called_while_the_graph_has_a_butterfly(monkeypatch):
     """lone_wing's host beside a bowtie, with lone_wing the only catalog
     rule (others color its anchor first on this host).  While the bowtie
