@@ -12,7 +12,7 @@ from .coloring import BLACK, WHITE, PartialColoring, verify_complete
 from .graph import Graph, load_graph, save_graph
 from .matching import max_matching, solve_saturation
 from .oracle import GeneratorSpec, brute_dim, generate
-from .patterns import contains_s222, find_induced
+from .patterns import contains_s222
 from .pipeline import RunReport, solve
 from .rewrite import lift_completion, reduce_to_irreducible, try_rewrite
 
@@ -25,7 +25,6 @@ __all__ = [
     "RunReport",
     "brute_dim",
     "contains_s222",
-    "find_induced",
     "generate",
     "lift_completion",
     "load_graph",

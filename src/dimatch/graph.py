@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -128,21 +128,15 @@ class Graph:
 
     def triangles(self, anchors: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
         """All triangles as sorted vertex triples, in sorted order.  With
-        anchors (ascending), only those whose least vertex is an anchor,
-        read from the triangle index once it is built or carried."""
+        anchors (ascending), only those whose least vertex is an anchor.
+        Both read the triangle index."""
+        at = self.triangles_at()
         if anchors is not None:
-            if "triangles_at" not in self._cache:
-                return [t for u in anchors for t in self._triangles_from(u)]
-            at = self.triangles_at()
             return [t for u in anchors for t in at[u] if t[0] == u]
         cached = self._cache.get("triangles")
         if cached is None:
-            if "triangles_at" in self._cache:
-                # each triangle at its least vertex; keys and lists ascend
-                cached = [t for v, ts in self.triangles_at().items() for t in ts if t[0] == v]
-            else:
-                cached = [t for u in self._vertices for t in self._triangles_from(u)]
-            self._cache["triangles"] = cached
+            # each triangle at its least vertex; keys and lists ascend
+            cached = self._cache["triangles"] = [t for v, ts in at.items() for t in ts if t[0] == v]
         return cached  # type: ignore[return-value]
 
     def _triangles_from(self, u: int) -> list[tuple[int, int, int]]:
@@ -154,15 +148,12 @@ class Graph:
         vertex order.  `rewrite` carries it over to the new graph."""
         cached = self._cache.get("triangles_at")
         if cached is None:
-            cached = self._cache["triangles_at"] = self._triangle_index()
+            cached = self._cache["triangles_at"] = {v: [] for v in self._vertices}
+            for u in self._vertices:
+                for t in self._triangles_from(u):
+                    for v in t:
+                        cached[v].append(t)
         return cached  # type: ignore[return-value]
-
-    def _triangle_index(self) -> dict[int, list[tuple[int, int, int]]]:
-        at: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self._vertices}
-        for t in self.triangles():
-            for v in t:
-                at[v].append(t)
-        return at
 
     def _triangles_at_vertex(self, v: int) -> list[tuple[int, int, int]]:
         adj = self._adj
@@ -434,10 +425,3 @@ def complete(n: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     return from_edges(leaves + 1, [(1, i) for i in range(2, leaves + 2)])
-
-
-def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labelled graph on vertices 1..n, in bitmask order."""
-    slots = list(combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(slots)):
-        yield from_edges(n, (e for i, e in enumerate(slots) if mask >> i & 1))

@@ -140,15 +140,6 @@ def max_matching(g: Graph) -> Matching:
     return solver.matching()
 
 
-def is_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
-    seen: set[int] = set()
-    for u, v in m:
-        if not g.has_edge(u, v) or u in seen or v in seen:
-            return False
-        seen |= {u, v}
-    return True
-
-
 def saturates(m: Iterable[tuple[int, int]], required: Iterable[int]) -> bool:
     covered = {x for e in m for x in e}
     return set(required) <= covered

@@ -6,7 +6,8 @@ other role pair must be a non-edge.  Roles can additionally constrain the
 host degree, demand that the host vertex keeps all its neighbors inside
 the matched image (closure), or require a color state.  Each pattern is
 searched by a function generated from its declaration and compiled the
-first time the pattern is searched.
+first time the pattern is searched; a search yields each occurrence as a
+plain role -> vertex dict.
 """
 
 from __future__ import annotations
@@ -23,23 +24,8 @@ MUST_BLACK = "black"
 MUST_UNCOLORED = "uncolored"
 
 Coloring = Mapping[int, str]
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Injective role -> vertex map witnessing a pattern occurrence."""
-
-    assignment: dict[str, int]
-
-    def __getitem__(self, role: str) -> int:
-        return self.assignment[role]
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.assignment.values())
-
-    def __repr__(self) -> str:
-        inner = ",".join(f"{r}:{v}" for r, v in sorted(self.assignment.items()))
-        return f"<{inner}>"
+# an occurrence of a pattern: its injective role -> vertex map
+Embedding = dict[str, int]
 
 
 def _rp(a: str, b: str) -> tuple[str, str]:
@@ -62,8 +48,9 @@ class Pattern:
 
     Roles are placed in `order`: the most constrained first, then along
     required edges.  The first search compiles a function with one nested
-    loop per role in that order (see `_source`); the declaration is
-    validated here because the bounds are written into that source.
+    loop per role in that order that yields a role -> vertex dict per
+    occurrence (see `_source`); the declaration is validated here because
+    the bounds are written into that source.
     """
 
     roles: tuple[str, ...]
@@ -166,8 +153,10 @@ class Pattern:
         taken in ascending order; a role with no earlier partner draws from
         `first` (role 0) or `verts`.  Degree and color tests are written
         only for the roles that need them, and the closure test of closure
-        roles with optional edges only inside the last loop.  The text holds no role name: only
-        role positions and the validated degree bounds.
+        roles with optional edges only inside the last loop, which yields
+        `dict(zip(R, (v0, v1, ...)))` with R the roles in `order`.  The
+        text holds no role name: only role positions and the validated
+        degree bounds.
         """
         k = len(self.order)
         pos = {r: i for i, r in enumerate(self.order)}
@@ -237,11 +226,11 @@ class Pattern:
         if loose:
             lines.append(f"{pad}U = {{{image}}}")
             lines += [f"{pad}if not ({' and '.join(f'n{j:d} <= U' for j in loose)}):", f"{pad}    continue"]
-        lines.append(f"{pad}yield Embedding(dict(zip(R, ({image},))))")
+        lines.append(f"{pad}yield dict(zip(R, ({image},)))")
         return "\n".join(lines) + "\n"
 
     def _compile(self) -> Callable[..., Iterator[Embedding]]:
-        namespace = {"Embedding": Embedding, "BLACK": BLACK, "R": self.order}
+        namespace = {"BLACK": BLACK, "R": self.order}
         exec(compile(self._source(), f"<pattern {self.name}>", "exec"), namespace)
         self._search = namespace["search"]
         return self._search
@@ -250,39 +239,20 @@ class Pattern:
         self,
         g: Graph,
         colors: Optional[Coloring] = None,
-        exclude: Iterable[int] = (),
         anchors: Optional[Sequence[int]] = None,
     ) -> Iterator[Embedding]:
-        """Embeddings in canonical order (role order, ascending vertex ids).
+        """Every embedding as a fresh role -> vertex dict, in canonical
+        order (role order, ascending vertex ids).
 
         With anchors (ascending host vertices), only the embeddings that
         place the first role on an anchor, still in canonical order; no
         change farther than `radius` from its anchors alters such a scan.
-        Exclusion filters that canonical output: the embeddings that use
-        no excluded vertex, in the same order.
         """
         verts = g.vertices
         if len(verts) < len(self.roles):
             return iter(())
         search = self._search or self._compile()
-        found = search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)
-        if not exclude:
-            return found
-        X = frozenset(exclude)
-        return (e for e in found if X.isdisjoint(e.assignment.values()))
-
-    def find(
-        self,
-        g: Graph,
-        colors: Optional[Coloring] = None,
-        exclude: Iterable[int] = (),
-    ) -> Optional[Embedding]:
-        return next(self.find_all(g, colors, exclude), None)
-
-
-def find_induced(g: Graph, p: Pattern, exclude: Iterable[int] = ()) -> Optional[Embedding]:
-    """First embedding of p in g in canonical order, or None."""
-    return p.find(g, colors=None, exclude=exclude)
+        return search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)
 
 
 def _edges(spec: str) -> frozenset[tuple[str, str]]:
@@ -342,5 +312,5 @@ def contains_s222(g: Graph) -> Optional[Embedding]:
                             m2 = adj[b2]
                             for b3 in l3:
                                 if b3 not in m1 and b3 not in m2:
-                                    return Embedding({"c": c, "a1": a1, "a2": a2, "a3": a3, "b1": b1, "b2": b2, "b3": b3})
+                                    return {"c": c, "a1": a1, "a2": a2, "a3": a3, "b1": b1, "b2": b2, "b3": b3}
     return None

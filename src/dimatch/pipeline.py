@@ -31,7 +31,8 @@ NO = "NO"
 class LongClawPresent(ValueError):
     def __init__(self, embedding: Embedding):
         self.embedding = embedding
-        super().__init__(f"input contains an induced long claw: {embedding}")
+        roles = ",".join(f"{r}:{v}" for r, v in sorted(embedding.items()))
+        super().__init__(f"input contains an induced long claw: <{roles}>")
 
 
 @dataclass

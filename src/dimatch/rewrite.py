@@ -99,12 +99,11 @@ class RewriteRule:
         return None
 
     def apply(self, g: Graph, c: PartialColoring, emb: Embedding) -> tuple[Graph, PartialColoring, RewriteStep]:
-        amap = emb.assignment
         added_ids = dict(zip(self.new_vertices, g.fresh_ids(len(self.new_vertices))))
-        lookup = {**amap, **added_ids}
+        lookup = {**emb, **added_ids}
         added = tuple((lookup[a], lookup[b]) for a, b in self.add_edges)
-        surv_del = tuple((amap[a], amap[b]) for a, b in self.remove_survivor_edges)
-        return _rewrite(g, c, self.id, dict(amap), (amap[r] for r in self.grey), added_ids, added, surv_del)
+        surv_del = tuple((emb[a], emb[b]) for a, b in self.remove_survivor_edges)
+        return _rewrite(g, c, self.id, emb, (emb[r] for r in self.grey), added_ids, added, surv_del)
 
 
 # --------------------------------------------------------------------------
@@ -460,17 +459,17 @@ def _five_cycle_at(g: Graph, v: int) -> Optional[frozenset[int]]:
 
 def _c5_component(g: Graph, wl: Optional[Worklist] = None) -> Optional[frozenset[int]]:
     """The component that is a five-cycle with the least minimum vertex, or
-    None.  With wl, a check after one that found none on wl looks only at
-    the components of the vertices logged since: a component no change
-    reached is as it was then."""
-    starts = wl.anchors(g, "_c5", 0) if wl is not None else None
+    None.  A check after one that found none on wl looks only at the
+    components of the vertices logged since: a component no change reached
+    is as it was then.  Without wl the check is whole."""
+    wl = Worklist() if wl is None else wl
+    starts = wl.anchors(g, "_c5", 0)
     if starts is None:
         found = [comp for comp in g.components() if len(comp) == 5 and all(g.degree(v) == 2 for v in comp)]
     else:
         found = [comp for v in starts if (comp := _five_cycle_at(g, v))]
     if not found:
-        if wl is not None:
-            wl.found_nothing("_c5")
+        wl.found_nothing("_c5")
         return None
     return min(found, key=min)
 

@@ -533,8 +533,6 @@ CATALOG: tuple[Rule, ...] = (
     _demands("braced_pendant", FORCED, P_BRACED_PENDANT, y=WHITE),
 )
 
-RULES_BY_ID = {r.id: r for r in CATALOG}
-
 
 def propagate(
     g: Graph,
@@ -629,14 +627,15 @@ def clean_pair_violation(g: Graph, c: PartialColoring, wl: Optional[Worklist] = 
     A violation on a clean pair produced by the pipeline means the
     instance admits no completion, so the caller may refute.
 
-    With wl, a check after one that passed on wl looks only within two of
-    the vertices logged since: a vertex gains a triangle only next to an
+    A check after one that passed on wl looks only within two of the
+    vertices logged since: a vertex gains a triangle only next to an
     edited vertex, and two triangles newly joined by three edges are
     matched by them, so the least vertex of each lies that close to an
     edited one.  Anchors ascend, so the violation found first is the one
-    a whole scan finds first.
+    a whole scan finds first.  Without wl the check is whole.
     """
-    anchors = wl.anchors(g, "_clean_pair", 2) if wl is not None else None
+    wl = Worklist() if wl is None else wl
+    anchors = wl.anchors(g, "_clean_pair", 2)
     tri_at = g.triangles_at()
     for v in tri_at if anchors is None else anchors:
         if len(tri_at[v]) > 1:
@@ -649,6 +648,5 @@ def clean_pair_violation(g: Graph, c: PartialColoring, wl: Optional[Worklist] = 
             between = [(a, b) for a in t1 for b in t2 if g.has_edge(a, b)]
             if len(between) > 2:
                 return f"triangles {t1} and {t2} joined by {len(between)} edges"
-    if wl is not None:
-        wl.found_nothing("_clean_pair")
+    wl.found_nothing("_clean_pair")
     return None

@@ -10,8 +10,8 @@ import random
 from itertools import combinations
 
 from dimatch.coloring import verify_complete
-from dimatch.graph import all_graphs, complete, cycle, from_edges, path, star
-from dimatch.matching import is_matching, max_matching, saturates, solve_saturation
+from dimatch.graph import complete, cycle, from_edges, path, star
+from dimatch.matching import max_matching, saturates, solve_saturation
 from dimatch.oracle import brute_dim, mixed_instance
 from dimatch.pipeline import solve
 from dimatch.rewrite import LiftError
@@ -20,9 +20,11 @@ from dimatch.setmatch import solve_hitting
 from .test_setmatch import _random_instance
 from .util import (
     OracleAudit,
+    all_graphs,
     brute_hitting,
     brute_max_matching_size,
     brute_saturation_exists,
+    is_matching,
     membership_ok,
 )
 

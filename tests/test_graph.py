@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dimatch.graph import (
     Graph,
     GraphFormatError,
-    all_graphs,
     complete,
     cycle,
     from_edges,
@@ -19,9 +18,9 @@ from dimatch.graph import (
     save_graph,
     star,
 )
-from dimatch.patterns import find_induced, pattern
+from dimatch.patterns import pattern
 
-from .util import parser_text, random_host, rewrite_chain
+from .util import all_graphs, parser_text, random_host, rewrite_chain
 
 
 def test_load_c4():
@@ -114,7 +113,7 @@ def test_butterfly_free_matches_induced_search():
         p = rng.uniform(0.2, 0.6)
         graphs.append(from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
     for g in graphs:
-        assert g.is_butterfly_free() == (find_induced(g, BUTTERFLY) is None), g.edges()
+        assert g.is_butterfly_free() == (next(BUTTERFLY.find_all(g), None) is None), g.edges()
 
 
 def test_rewrite_preserves_surviving_ids():
@@ -161,8 +160,8 @@ def test_rewrite_carries_the_triangle_index():
 
 
 def test_anchored_triangles_read_the_index_as_the_per_anchor_scan_does():
-    """triangles(anchors) equals the concatenated per-anchor scans with no
-    index, with the index built, and with it carried along rewrites."""
+    """triangles(anchors) equals the concatenated per-anchor scans with the
+    index built and with it carried along rewrites."""
     rng = random.Random(5)
 
     def check(g: Graph) -> None:
@@ -171,9 +170,6 @@ def test_anchored_triangles_read_the_index_as_the_per_anchor_scan_does():
 
     for _ in range(150):
         g = random_host(rng, rng.randint(4, 16), rng.uniform(0.1, 0.6))
-        assert "triangles_at" not in g._cache
-        check(g)
-        g.triangles_at()
         check(g)
     for seed in range(3):
         for g in rewrite_chain(seed, 100):

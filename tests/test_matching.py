@@ -5,10 +5,10 @@ import random
 import pytest
 
 from dimatch.graph import complete, cycle, from_edges, path
-from dimatch.matching import is_matching, max_matching, saturates, solve_saturation
+from dimatch.matching import max_matching, saturates, solve_saturation
 from dimatch.oracle import mixed_instance
 
-from .util import brute_max_matching_size, brute_saturation_exists
+from .util import all_graphs, brute_max_matching_size, brute_saturation_exists, is_matching
 
 
 def petersen():
@@ -42,8 +42,6 @@ def test_blossom_handles_odd_structures():
 
 
 def test_max_matching_exhaustive_small():
-    from dimatch.graph import all_graphs
-
     for n in range(0, 6):
         for g in all_graphs(n):
             m = max_matching(g)
@@ -86,8 +84,6 @@ def test_saturation_requires_known_vertices():
 
 def test_saturation_exhaustive_tiny_all_subsets():
     from itertools import combinations
-
-    from dimatch.graph import all_graphs
 
     for n in range(1, 5):
         for g in all_graphs(n):

@@ -20,7 +20,6 @@ from dimatch.patterns import (
     MUST_BLACK,
     Pattern,
     contains_s222,
-    find_induced,
     pattern,
 )
 from dimatch.rules import (
@@ -35,15 +34,15 @@ from .util import LONG_CLAW, brute_force_find_all, decorate, random_host, refere
 
 def test_find_induced_c4_pattern():
     p = pattern("square", "a b c d", "a-b b-c c-d d-a", degree={r: (2, 2) for r in "abcd"})
-    emb = find_induced(cycle(4), p)
+    emb = next(p.find_all(cycle(4)), None)
     assert emb is not None
-    assert emb.image() == frozenset({1, 2, 3, 4})
+    assert set(emb.values()) == {1, 2, 3, 4}
 
 
 def test_claw_not_in_triangle():
     claw = pattern("claw", "c x y z", "c-x c-y c-z")
-    assert find_induced(complete(3), claw) is None
-    assert find_induced(star(3), claw) is not None
+    assert next(claw.find_all(complete(3)), None) is None
+    assert next(claw.find_all(star(3)), None) is not None
 
 
 def test_degree_constrained_path_matches_interior():
@@ -52,7 +51,7 @@ def test_degree_constrained_path_matches_interior():
     host = path(4)
     found = {m["v3"] for m in brute_force_find_all(host, p4)}
     assert found == {2, 3}
-    emb = find_induced(host, p4)
+    emb = next(p4.find_all(host), None)
     assert emb is not None and emb["v3"] in (2, 3)
 
 
@@ -72,7 +71,7 @@ def test_matcher_agrees_with_brute_force_on_random_hosts():
         g = from_edges(n, edges)
         for p in patterns:
             canon = lambda ms: sorted(tuple(sorted(m.items())) for m in ms)
-            fast = canon(dict(e.assignment) for e in p.find_all(g))
+            fast = canon(p.find_all(g))
             slow = canon(brute_force_find_all(g, p))
             assert fast == slow, (p.name, edges)
 
@@ -80,16 +79,9 @@ def test_matcher_agrees_with_brute_force_on_random_hosts():
 def test_matcher_is_deterministic_and_canonical():
     host = cycle(6)
     p = pattern("p3", "a b c", "a-b b-c")
-    first = find_induced(host, p)
-    again = find_induced(host, p)
-    assert first is not None and first.assignment == again.assignment
-
-
-def test_exclude_vertices():
-    p = pattern("edge", "a b", "a-b")
-    g = path(3)
-    emb = find_induced(g, p, exclude={1})
-    assert emb is not None and 1 not in emb.image()
+    first = next(p.find_all(host), None)
+    again = next(p.find_all(host), None)
+    assert first is not None and first == again
 
 
 def test_contains_s222_on_the_long_claw_itself():
@@ -133,10 +125,10 @@ def test_contains_s222_agrees_with_generic_matcher():
         edges = [e for e in slots if rng.random() < rng.choice((0.15, 0.3))]
         g = from_edges(n, edges)
         fast = contains_s222(g)
-        slow = LONG_CLAW.find(g)
+        slow = next(LONG_CLAW.find_all(g), None)
         assert (fast is None) == (slow is None), edges
         if fast is not None:
-            amap = fast.assignment
+            amap = fast
             c = amap["c"]
             for i in "123":
                 assert g.has_edge(c, amap[f"a{i}"])
@@ -187,7 +179,7 @@ def test_full_catalog_matcher_agrees_with_brute_force():
             if len(p.roles) > n or len(p.roles) > 7 or (n == 8 and len(p.roles) > 6):
                 continue
             canon = lambda ms: sorted(tuple(sorted(m.items())) for m in ms)
-            fast = canon(dict(e.assignment) for e in p.find_all(g, colors))
+            fast = canon(p.find_all(g, colors))
             slow = canon(brute_force_find_all(g, p, colors))
             assert fast == slow, (p.name, g.edges(), colors)
     # the bigger patterns get one exact-size host each: the pattern must
@@ -198,12 +190,12 @@ def test_full_catalog_matcher_agrees_with_brute_force():
         roles = list(p.roles)
         ids = {r: i + 1 for i, r in enumerate(roles)}
         host = Graph(ids.values(), [(ids[a], ids[b]) for a, b in p.required])
-        assert p.find(host) is not None, p.name
+        assert next(p.find_all(host), None) is not None, p.name
 
 
-def test_enumeration_order_is_canonical_with_anchors_and_exclusions():
-    """find_all yields the reference embeddings sorted by their vertices in
-    role order, also when restricted to anchors or kept off vertices."""
+def test_enumeration_order_is_canonical_with_anchors():
+    """find_all yields the reference embeddings, as plain dicts, sorted by
+    their vertices in role order, also when restricted to anchors."""
     catalog = [p for p in _catalog() if len(p.roles) <= 7]
     rng = random.Random(37)
     seen = 0
@@ -213,22 +205,15 @@ def test_enumeration_order_is_canonical_with_anchors_and_exclusions():
         g = from_edges(n, [e for e in slots if rng.random() < 0.35])
         colors = {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.3}
         anchors = sorted(rng.sample(g.vertices, rng.randint(1, n)))
-        exclude = set(rng.sample(g.vertices, rng.randint(1, 2)))
         for p in catalog:
             if len(p.roles) > n or (n == 8 and len(p.roles) > 6):
                 continue
             ref = sorted(brute_force_find_all(g, p, colors), key=lambda m: [m[r] for r in p.order])
             at_anchors = [m for m in ref if m[p.order[0]] in anchors]
-            off_excluded = [m for m in ref if not exclude & set(m.values())]
-            assert [e.assignment for e in p.find_all(g, colors)] == ref, (p.name, g.edges(), colors)
-            got = [e.assignment for e in p.find_all(g, colors, anchors=anchors)]
+            got = list(p.find_all(g, colors))
+            assert got == ref and all(type(e) is dict for e in got), (p.name, g.edges(), colors)
+            got = list(p.find_all(g, colors, anchors=anchors))
             assert got == at_anchors, (p.name, g.edges(), colors, anchors)
-            got = [e.assignment for e in p.find_all(g, colors, exclude=exclude)]
-            assert got == off_excluded, (p.name, g.edges(), colors, exclude)
-            both = [m for m in at_anchors if m in off_excluded]
-            assert both == [m for m in off_excluded if m in at_anchors]
-            got = [e.assignment for e in p.find_all(g, colors, exclude=exclude, anchors=anchors)]
-            assert got == both, (p.name, g.edges(), colors, anchors, exclude)
             seen += len(ref)
     assert seen > 100, seen
 
@@ -248,7 +233,7 @@ def test_patterns_compile_on_first_search_from_integers_only():
     vocabulary = {
         "def", "search", "adj", "first", "verts", "C", "for", "in", "if", "or", "and", "not",
         "is", "None", "continue", "sorted", "intersection", "difference", "len", "get", "BLACK", "U",
-        "yield", "Embedding", "dict", "zip", "R",
+        "yield", "dict", "zip", "R",
     }
     for p in _catalog():
         src = p._source()
@@ -307,11 +292,11 @@ def test_large_closure_patterns_equal_filtered_open_patterns():
                     colors[v] = rng.choice((BLACK, WHITE))
             want = []
             for e in open_twin.find_all(host, colors):
-                if all(host.neighbors(e[r]) <= e.image() for r in p.closure):
-                    want.append(e.assignment)
+                if all(host.neighbors(e[r]) <= set(e.values()) for r in p.closure):
+                    want.append(e)
                 else:
                     dropped += 1
-            got = [e.assignment for e in p.find_all(host, colors)]
+            got = list(p.find_all(host, colors))
             assert got == want, (p.name, seed, host.edges(), colors)
             kept += len(got)
     assert kept > 0 and dropped > 0, (kept, dropped)

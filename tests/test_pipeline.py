@@ -14,7 +14,7 @@ from dimatch.patterns import contains_s222
 from dimatch.pipeline import LongClawPresent, solve
 from dimatch.rewrite import RewriteStep
 
-from .util import REWRITE_HOSTS, OracleAudit, decorate
+from .util import REWRITE_HOSTS, OracleAudit, decorate, random_host, reference_contains_s222
 
 
 def test_no_check_in_the_solver_is_an_assert_statement():
@@ -51,6 +51,31 @@ def test_long_claw_input_rejected():
     g = from_edges(7, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7)])
     with pytest.raises(LongClawPresent):
         solve(g)
+
+
+def test_long_claw_rejection_carries_the_reference_claw():
+    """On seeded hosts with a long claw, solve raises LongClawPresent.  Its
+    embedding is the reference claw as a plain dict, and its message lists
+    that claw in sorted role order."""
+    long_claw = from_edges(7, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7)])
+    with pytest.raises(LongClawPresent) as info:
+        solve(long_claw)
+    assert str(info.value) == "input contains an induced long claw: <a1:2,a2:3,a3:4,b1:5,b2:6,b3:7,c:1>"
+    rng = random.Random(223)
+    claws = 0
+    for trial in range(300):
+        g = random_host(rng, rng.randint(7, 14), rng.uniform(0.15, 0.4))
+        want = reference_contains_s222(g)
+        if want is None:
+            continue
+        with pytest.raises(LongClawPresent) as info:
+            solve(g)
+        emb = info.value.embedding
+        assert type(emb) is dict and emb == want, (trial, g.edges())
+        roles = ",".join(f"{r}:{emb[r]}" for r in ("a1", "a2", "a3", "b1", "b2", "b3", "c"))
+        assert str(info.value) == f"input contains an induced long claw: <{roles}>"
+        claws += 1
+    assert claws > 50, claws
 
 
 def test_empty_and_tiny_graphs():

@@ -46,7 +46,7 @@ def catalog_scan(rule):
 def rewrite_scan(rule):
     def scan(g, c, anchors):
         return [
-            emb.assignment for emb in rule.pattern.find_all(g, c.state, anchors=anchors)
+            emb for emb in rule.pattern.find_all(g, c.state, anchors=anchors)
             if rule.guard is None or rule.guard(g, c, emb)
         ]
 

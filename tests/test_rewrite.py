@@ -325,7 +325,8 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
 
     monkeypatch.setattr(Graph, "components", counted("components", Graph.components,
                                                        lambda g: "components" not in g._cache))
-    monkeypatch.setattr(Graph, "_triangle_index", counted("triangle index", Graph._triangle_index))
+    monkeypatch.setattr(Graph, "triangles_at", counted("triangle index", Graph.triangles_at,
+                                                         lambda g: "triangles_at" not in g._cache))
     monkeypatch.setattr(dimatch.rewrite, "bad_vertex_count", counted("bad count", dimatch.rewrite.bad_vertex_count))
     per_n = []
     for n in (240, 480):

@@ -13,7 +13,6 @@ from dimatch.oracle import brute_dim, mixed_instance
 from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
-    RULES_BY_ID,
     Worklist,
     _triangle_outsiders,
     clean_pair_violation,
@@ -21,7 +20,7 @@ from dimatch.rules import (
     propagate,
 )
 
-from .util import FORCING_HOSTS, OracleAudit, random_host, reference_triangle_outsiders, rewrite_chain
+from .util import FORCING_HOSTS, RULES_BY_ID, OracleAudit, random_host, reference_triangle_outsiders, rewrite_chain
 
 # initial state plus one demand the rule itself must produce on it
 EXPECTED_DEMAND = {

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from hypothesis import strategies as st
 
@@ -13,8 +13,11 @@ from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Embedding, Pattern, contains_s222, pattern
 from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep, _changed
-from dimatch.rules import FORCED
+from dimatch.rules import CATALOG, FORCED
 from dimatch.setmatch import SetFamilyInstance
+
+# the forcing rules by id
+RULES_BY_ID = {r.id: r for r in CATALOG}
 
 # The long claw: a claw with every edge subdivided once.
 LONG_CLAW = pattern(
@@ -66,6 +69,23 @@ def brute_force_find_all(g: Graph, p: Pattern, colors: Optional[Coloring] = None
     return out
 
 
+def all_graphs(n: int) -> Iterator[Graph]:
+    """Every labelled graph on vertices 1..n, in bitmask order."""
+    slots = list(combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(slots)):
+        yield from_edges(n, (e for i, e in enumerate(slots) if mask >> i & 1))
+
+
+def is_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
+    """The pairs of m are edges of g and pairwise disjoint."""
+    seen: set[int] = set()
+    for u, v in m:
+        if not g.has_edge(u, v) or u in seen or v in seen:
+            return False
+        seen |= {u, v}
+    return True
+
+
 def reference_contains_s222(g: Graph) -> Optional[Embedding]:
     """Reference for `dimatch.patterns.contains_s222`: every independent
     arm triple at every centre, each leg tested one edge at a time."""
@@ -103,7 +123,7 @@ def _grow_legs(g: Graph, c: int, arms: tuple[int, int, int]) -> Optional[Embeddi
             for b3 in others[2]:
                 if b3 in (b1, b2) or g.has_edge(b1, b3) or g.has_edge(b2, b3):
                     continue
-                return Embedding({"c": c, "a1": arms[0], "a2": arms[1], "a3": arms[2], "b1": b1, "b2": b2, "b3": b3})
+                return {"c": c, "a1": arms[0], "a2": arms[1], "a3": arms[2], "b1": b1, "b2": b2, "b3": b3}
     return None
 
 
