@@ -87,7 +87,7 @@ class Graph:
         return sorted(_pair(u, v) for u in self._vertices for v in self._adj[u] if u < v)
 
     def max_degree(self) -> int:
-        return max((len(ns) for ns in self._adj.values()), default=0)
+        return max(self.degree_counts(), default=0)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
@@ -116,6 +116,27 @@ class Graph:
                 comps.append(frozenset(comp))
             cached = comps
             self._cache["components"] = cached
+        return cached  # type: ignore[return-value]
+
+    def degree_counts(self) -> dict[int, int]:
+        """How many vertices have each degree; degrees no vertex has are
+        left out.  `rewrite` carries it over to the new graph."""
+        cached = self._cache.get("degree_counts")
+        if cached is None:
+            cached = self._cache["degree_counts"] = {}
+            for ns in self._adj.values():
+                d = len(ns)
+                cached[d] = cached.get(d, 0) + 1
+        return cached  # type: ignore[return-value]
+
+    def degree_mask(self) -> int:
+        """The degrees of the vertices as a bit mask, bit d for degree d."""
+        cached = self._cache.get("degree_mask")
+        if cached is None:
+            cached = 0
+            for d in self.degree_counts():
+                cached |= 1 << d
+            self._cache["degree_mask"] = cached
         return cached  # type: ignore[return-value]
 
     def low_degree_vertices(self) -> tuple[int, ...]:
@@ -249,7 +270,8 @@ class Graph:
         """This graph less some vertices (with their edges) and edges, plus
         some vertices and then edges.  Removals may name vertices and edges
         that are not here.  The new graph shares the neighborhoods no edit
-        touches, and takes over this graph's triangle index if it has one."""
+        touches, and takes over this graph's degree census and triangle
+        index if it has them."""
         adj = dict(self._adj)
         touched: dict[int, set[int]] = {}
         m = self._m
@@ -306,9 +328,28 @@ class Graph:
         g._m = m
         g._cache = {}
         g._id_floor = self._id_floor
+        if "degree_counts" in self._cache:
+            g._carry_degrees(self, touched, gone, added)
         if "triangles_at" in self._cache:
             g._carry_triangles(self, touched, gone, added)
         return g
+
+    def _carry_degrees(self, parent: Graph, touched: Collection[int], gone: list[int], added: list[int]) -> None:
+        """Take over parent's degree census.  Only the removed, added and
+        edited vertices change degree; an added vertex starts at degree 0,
+        also when its id was removed in the same rewrite."""
+        counts = dict(parent.degree_counts())
+        old, adj, new = parent._adj, self._adj, set(added)
+        if added:
+            counts[0] = counts.get(0, 0) + len(added)
+        for v in touched:
+            d = len(adj[v])
+            counts[d] = counts.get(d, 0) + 1
+        for v in gone:
+            counts[len(old[v])] -= 1
+        for v in touched:
+            counts[0 if v in new else len(old[v])] -= 1
+        self._cache["degree_counts"] = {d: k for d, k in counts.items() if k}
 
     def _carry_triangles(self, parent: Graph, touched: Collection[int], gone: list[int], added: list[int]) -> None:
         """Take over parent's triangle index and butterfly centres.  A

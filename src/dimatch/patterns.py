@@ -7,12 +7,14 @@ host degree, demand that the host vertex keeps all its neighbors inside
 the matched image (closure), or require a color state.  Each pattern is
 searched by a function generated from its declaration and compiled the
 first time the pattern is searched; a search yields each occurrence as a
-plain role -> vertex dict.
+plain role -> vertex dict.  A host with no vertex in some role's degree
+window is not searched at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -142,6 +144,48 @@ class Pattern:
 
     # -- matching ----------------------------------------------------------
 
+    def _windows(self) -> tuple[list[tuple[int, Optional[int]]], list[int]]:
+        """Each role's host degree window (lo, hi) in `order`, hi None for
+        no cap, and the positions of the closure roles with optional edges.
+
+        A role's vertex has a neighbor per required edge.  A closure role's
+        neighbors are its required partners plus some optional ones, which
+        caps its degree; without optional edges the window is exact and
+        settles the closure test.
+        """
+        bounds: list[tuple[int, Optional[int]]] = []
+        loose: list[int] = []
+        for i, r in enumerate(self.order):
+            n_req = sum(1 for e in self._req if r in e)
+            lo, hi = self.degree.get(r, (0, None))
+            if r in self.closure:
+                n_opt = sum(1 for e in self._opt if r in e)
+                hi = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
+                if n_opt:
+                    loose.append(i)
+            bounds.append((max(lo, n_req), hi))
+        return bounds, loose
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """One bit mask per role's degree window, bit d for degree d; a
+        window with no cap has a negative mask, whose bits from lo up never
+        end.  A mask that holds every bit of a narrower one is dropped,
+        since a host that meets the narrower meets it too.  Capped windows
+        go first: they fail most."""
+        masks = {-(1 << lo) if hi is None else (1 << hi + 1) - (1 << lo) for lo, hi in self._windows()[0]}
+        return tuple(sorted((a for a in masks if not any(b != a and not b & ~a for b in masks)),
+                            key=lambda a: (a < 0, a)))
+
+    def fits(self, g: Graph) -> bool:
+        """Whether every role's degree window holds the degree of some host
+        vertex; a host where one holds none has no embedding."""
+        host = g.degree_mask()
+        for mask in self._masks:
+            if not host & mask:
+                return False
+        return True
+
     def _source(self) -> str:
         """Source of `search(adj, first, verts, C)`, this pattern's scan.
 
@@ -163,21 +207,7 @@ class Pattern:
         partners = [[pos[s] for s in self.order[:i] if _rp(r, s) in self._req] for i, r in enumerate(self.order)]
         strangers = [[pos[s] for s in self.order[:i] if _rp(r, s) not in self._req | self._opt]
                      for i, r in enumerate(self.order)]
-        # A role's vertex has a neighbor per required edge.  A closure role's
-        # neighbors are its required partners plus some optional ones, which
-        # caps its degree; without optional edges the range is exact and
-        # settles the closure test.
-        bounds: list[tuple[int, Optional[int]]] = []
-        loose: list[int] = []
-        for i, r in enumerate(self.order):
-            n_req = sum(1 for e in self._req if r in e)
-            lo, hi = self.degree.get(r, (0, None))
-            if r in self.closure:
-                n_opt = sum(1 for e in self._opt if r in e)
-                hi = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
-                if n_opt:
-                    loose.append(i)
-            bounds.append((max(lo, n_req), hi))
+        bounds, loose = self._windows()
         read = {j for i in range(k) for j in partners[i] + strangers[i]} | set(loose)
 
         lines = ["def search(adj, first, verts, C):"]
@@ -247,11 +277,14 @@ class Pattern:
         With anchors (ascending host vertices), only the embeddings that
         place the first role on an anchor, still in canonical order; no
         change farther than `radius` from its anchors alters such a scan.
+        A host this pattern does not fit (see `fits`) is not searched.
         """
         verts = g.vertices
         if len(verts) < len(self.roles):
             return iter(())
         search = self._search or self._compile()
+        if not self.fits(g):
+            return iter(())
         return search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)
 
 

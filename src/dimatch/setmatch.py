@@ -47,8 +47,9 @@ def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
     Returns None when everything holds, else a description.  A violation
     on a pipeline-produced irreducible pair refutes the instance.
     """
-    if g.max_degree() > 4:
-        return f"maximum degree {g.max_degree()} exceeds four"
+    top = g.max_degree()
+    if top > 4:
+        return f"maximum degree {top} exceeds four"
     tri_at = g.triangles_at()
     for v in g.vertices:
         if len(tri_at[v]) > 1:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from dimatch.graph import (
 )
 from dimatch.patterns import pattern
 
-from .util import all_graphs, parser_text, random_host, rewrite_chain
+from .util import all_graphs, fresh_degree_counts, parser_text, random_host, rewrite_chain
 
 
 def test_load_c4():
@@ -157,6 +158,38 @@ def test_rewrite_carries_the_triangle_index():
             assert g.triangles() == fresh.triangles(), (seed, step)
             assert g.is_butterfly_free() == fresh.is_butterfly_free(), (seed, step)
             assert g.m == fresh.m == len(fresh.edges()), (seed, step)
+
+
+def test_rewrite_carries_the_degree_census():
+    """Along chains of 300 seeded rewrites, each new graph's degree census,
+    degree mask and maximum degree equal a fresh count.  The chains remove
+    ids, add isolated ids, cut edges and bring removed ids back; one
+    rewrite removes a vertex and adds its id back in the same call."""
+    seen = Counter()
+
+    def check(g: Graph) -> None:
+        fresh = fresh_degree_counts(g)
+        assert "degree_counts" in g._cache and g.degree_counts() == fresh, (g.edges(), g.degree_counts())
+        assert g.degree_mask() == sum(1 << d for d in fresh) and g.max_degree() == max(fresh, default=0)
+
+    for seed in range(4):
+        gone: set[int] = set()
+        prev: Graph | None = None
+        for g in rewrite_chain(seed, 300):
+            check(g)
+            if prev is not None:
+                left = set(prev.vertices) - set(g.vertices)
+                new = set(g.vertices) - set(prev.vertices)
+                cut = [(u, v) for u, v in prev.edges() if u in g and v in g and not g.has_edge(u, v)]
+                seen.update(removed=bool(left), isolated=any(not g.degree(v) for v in new),
+                            cut=bool(cut), back=bool(new & gone))
+                gone |= left
+            prev = g
+    assert all(seen[k] for k in ("removed", "isolated", "cut", "back")), seen
+    g = from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5), (5, 6)])
+    g.degree_counts()
+    for g2 in (g.rewrite([2], [2], [(2, 6)]), g.rewrite([5, 2], [2, 7], [(2, 1), (2, 7)], [(3, 4)])):
+        check(g2)
 
 
 def test_anchored_triangles_read_the_index_as_the_per_anchor_scan_does():

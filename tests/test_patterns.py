@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,43 @@ def test_enumeration_order_is_canonical_with_anchors():
             assert got == at_anchors, (p.name, g.edges(), colors, anchors)
             seen += len(ref)
     assert seen > 100, seen
+
+
+def _wide_host(rng: random.Random) -> Graph:
+    """A random host plus a hub on 64 to 70 new leaves and on about half of
+    the host, so some vertex has degree 64 or more."""
+    g = random_host(rng, rng.randint(6, 12), rng.uniform(0.1, 0.5))
+    hub = max(g.vertices) + 1
+    leaves = range(hub + 1, hub + 1 + rng.randint(64, 70))
+    spokes = [(hub, x) for x in leaves] + [(v, hub) for v in g.vertices if rng.random() < 0.5]
+    return Graph([*g.vertices, hub, *leaves], g.edges() + spokes)
+
+
+def test_degree_check_never_drops_an_embedding():
+    """On seeded random hosts of density 0.1 to 0.5, and on hosts with a
+    vertex of degree 64 or more, so the host's degree mask is wide, every
+    pattern's find_all, whole, anchored and with colors, yields what its
+    compiled search yields when called directly.  `fits` is False exactly
+    when some role's degree window holds no host degree."""
+    rng = random.Random(43)
+    hosts = [random_host(rng, rng.randint(5, 12), rng.uniform(0.1, 0.5)) for _ in range(60)]
+    hosts += [_wide_host(rng) for _ in range(6)]
+    outcomes = Counter()
+    for g in hosts:
+        degrees = {g.degree(v) for v in g.vertices}
+        colors = {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.3}
+        anchors = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
+        for p in _catalog():
+            fits = all(any(lo <= d and (hi is None or d <= hi) for d in degrees) for lo, hi in p._windows()[0])
+            assert p.fits(g) == fits, (p.name, g.edges())
+            search = p._search or p._compile()
+            for first, c in ((g.vertices, {}), (anchors, {}), (g.vertices, colors), (anchors, colors)):
+                want = list(search(g.adjacency, first, g.vertices, c))
+                got = list(p.find_all(g, c, anchors=None if first is g.vertices else first))
+                assert got == want, (p.name, g.edges(), c, first)
+                outcomes[fits, bool(want), g.max_degree() >= 64] += 1
+    # both sides of the check are taken, on narrow and on wide hosts
+    assert all(outcomes[True, True, wide] and outcomes[False, False, wide] for wide in (False, True)), outcomes
 
 
 def test_patterns_compile_on_first_search_from_integers_only():

@@ -21,6 +21,7 @@ from dimatch.pipeline import solve
 from dimatch.rewrite import (
     REWRITE_RULES,
     LiftError,
+    ReductionAudit,
     RewriteRule,
     _c5_component,
     _lift_step,
@@ -41,6 +42,7 @@ from .util import (
     all_completions,
     decorate,
     forward,
+    fresh_degree_counts,
     product_lift_step,
     replay_backwards,
 )
@@ -310,9 +312,10 @@ def test_anchored_five_cycle_check_returns_the_least_component():
 
 
 def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeypatch):
-    """The components, the triangle index and the bad-vertex count are
-    built whole as often on cycle(480) as on cycle(240): every later round
-    updates them from the step's changes."""
+    """The components, the degree census, the triangle index and the
+    bad-vertex count are built whole at most once, and as often on
+    cycle(480) as on cycle(240): every later round updates them from the
+    step's changes."""
     builds = Counter()
 
     def counted(name, fn, whole=lambda *args: True):
@@ -325,6 +328,8 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
 
     monkeypatch.setattr(Graph, "components", counted("components", Graph.components,
                                                        lambda g: "components" not in g._cache))
+    monkeypatch.setattr(Graph, "degree_counts", counted("degree census", Graph.degree_counts,
+                                                          lambda g: "degree_counts" not in g._cache))
     monkeypatch.setattr(Graph, "triangles_at", counted("triangle index", Graph.triangles_at,
                                                          lambda g: "triangles_at" not in g._cache))
     monkeypatch.setattr(dimatch.rewrite, "bad_vertex_count", counted("bad count", dimatch.rewrite.bad_vertex_count))
@@ -335,7 +340,42 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
         assert rr.rewrite_steps > n // 4
         per_n.append(dict(builds))
     assert per_n[0] == per_n[1]
-    assert all(k <= 1 for k in per_n[0].values()), per_n[0]
+    assert all(k <= 1 for k in per_n[0].values()) and per_n[0]["degree census"] == 1, per_n[0]
+
+
+class CensusAudit(ReductionAudit):
+    """Checks that every graph a cleaning step or rewrite makes carries a
+    degree census equal to a fresh count."""
+
+    def __init__(self) -> None:
+        self.graphs = 0
+
+    def on_clean(self, g_pre, c_pre, g_post, c_post):
+        self._check(g_post)
+
+    def on_rewrite(self, step, g_pre, c_pre, g_post, c_post):
+        self._check(g_post)
+
+    def _check(self, g: Graph) -> None:
+        assert "degree_counts" in g._cache and g.degree_counts() == fresh_degree_counts(g), g.edges()
+        self.graphs += 1
+
+
+def test_reduction_carries_the_degree_census():
+    """Along the reduction of cycle(240) and of mixed instances, every
+    graph made carries a degree census equal to a fresh count."""
+    audit = CensusAudit()
+    steps = reduce_to_irreducible(cycle(240), audit=audit).rewrite_steps
+    assert audit.graphs >= steps > 60
+    rng, mixed = random.Random(23), 0
+    while mixed < 5:
+        try:
+            g = mixed_instance(rng.randint(12, 22), rng.randrange(1 << 30))
+        except GeneratorError:
+            continue
+        before = audit.graphs
+        reduce_to_irreducible(g, audit=audit)
+        mixed += audit.graphs > before
 
 
 @given(st.integers(7, 22), st.integers(0, 10**6))

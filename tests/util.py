@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional
 
@@ -141,11 +142,13 @@ def reference_triangle_outsiders(g: Graph, anchors: Optional[list[int]]) -> Iter
 
 def rewrite_chain(seed: int, steps: int, n: int = 10) -> Iterator[Graph]:
     """The graphs of a seeded chain of random rewrites from a random graph
-    on 1..n whose triangle index and butterfly test are built, so each
-    step carries them.  Fresh ids are mostly the top ids, as in the
-    reduction; now and then a removed id comes back below the top."""
+    on 1..n whose degree census, triangle index and butterfly test are
+    built, so each step carries them.  Fresh ids are mostly the top ids,
+    as in the reduction; now and then a removed id comes back below the
+    top."""
     rng = random.Random(seed)
     g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3])
+    g.degree_counts()
     g.is_butterfly_free()
     gone: list[int] = []
     for _ in range(steps):
@@ -160,6 +163,13 @@ def rewrite_chain(seed: int, steps: int, n: int = 10) -> Iterator[Graph]:
         cut = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 3))] if len(verts) > 1 else []
         g = g.rewrite(drop, new, added, cut)
         yield g
+
+
+def fresh_degree_counts(g: Graph) -> dict[int, int]:
+    """How many vertices have each degree, counted on a graph built anew
+    from g's vertices and edges."""
+    fresh = Graph(g.vertices, g.edges())
+    return dict(Counter(len(fresh.neighbors(v)) for v in fresh.vertices))
 
 
 def random_host(rng: random.Random, n: int, density: float) -> Graph:
