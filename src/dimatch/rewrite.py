@@ -380,9 +380,15 @@ def try_rewrite(
 ) -> Optional[tuple[Graph, PartialColoring, RewriteStep]]:
     """Apply the first applicable rewrite in fixed priority order.  A rule
     searches only near the changes logged in wl since its last search that
-    found nothing, as in `propagate`; on a fresh worklist, everywhere."""
+    found nothing, as in `propagate`; on a fresh worklist, everywhere.  A
+    rule whose pattern does not fit g's degree census (see `Pattern.fits`)
+    has no embedding anywhere on g: it asks for no anchors, is not
+    searched, and is recorded as a search that found nothing."""
     wl = Worklist() if wl is None else wl
     for rule in REWRITE_RULES:
+        if not rule.pattern.fits(g):
+            wl.found_nothing(rule.id)
+            continue
         emb = rule.find(g, c, wl.anchors(g, rule.id, rule.pattern.radius))
         if emb is not None:
             return rule.apply(g, c, emb)

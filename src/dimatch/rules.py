@@ -35,15 +35,25 @@ Anchors = Optional[Sequence[int]]
 
 @dataclass(frozen=True)
 class Rule:
+    """A forcing rule.  `propagate` checks the host's degree census
+    against `shape` before it asks for anchors; a rule the census rules
+    out costs no anchors and no call, and counts as a whole scan that
+    found nothing."""
+
     id: str
     tag: str
     fn: RuleFn
-    # None: every scan is whole, called as fn(g, c).  That form is kept only
-    # because bench/spans.py rebuilds each rule as Rule(id, tag, fn).
+    # None: every scan is whole, called as fn(g, c).  That form and the
+    # defaults below are kept only because bench/spans.py rebuilds each
+    # rule as Rule(id, tag, fn), losing radius, when and shape.
     radius: Optional[int] = None
     # a whole-graph condition the rule needs; while it fails, propagate does
-    # not call the rule, and that counts as no scan
+    # not call the rule, and that counts as no scan: unlike a shape that does
+    # not fit, it suppresses firings the graph may hold.  Checked after shape.
     when: Optional[Callable[[Graph], bool]] = None
+    # a pattern every firing contains, under any coloring; a host it does
+    # not fit has no firing anywhere, so that counts as a whole scan
+    shape: Optional[Pattern] = None
 
 
 class Worklist:
@@ -59,7 +69,9 @@ class Worklist:
     as the graph has vertices were logged since, the ball costs about as
     much as the graph, and the rescan is whole.  Graphs are immutable and
     every change is logged, so a whole pass recorded on the current graph
-    at the current log length read exactly the current state.
+    at the current log length read exactly the current state.  A rule
+    whose shape the degree census rules out asks for no anchors: it is
+    recorded as a whole pass that found nothing.
     """
 
     __slots__ = ("log", "quiet", "whole", "_balls", "_state")
@@ -219,6 +231,10 @@ def rule_square_alternation(g: Graph, c: PartialColoring, anchors: Anchors = Non
             break
 
 
+# The shapes of the code rules (see Rule.shape) sit beside them.
+P_TRIANGLE_OUTSIDER = pattern("triangle_outsider", "t r1 r2 u", "t-r1 t-r2 r1-r2 t-u")
+
+
 def _triangle_outsiders(g: Graph, anchors: Anchors) -> Iterator[tuple[int, int]]:
     """Pairs (t, u): t in a triangle, u a neighbor of t outside it and
     nonadjacent to the other two triangle vertices."""
@@ -256,7 +272,10 @@ def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
             yield [(emb[role], color) for role, color in colors.items()]
 
     # propagate reads the demanded vertices' colors
-    return Rule(rule_id, tag, fn, p.reach(colors))
+    return Rule(rule_id, tag, fn, p.reach(colors), shape=p)
+
+
+P_DEGREE_ONE = pattern("degree_one", "v", "", degree={"v": (0, 1)})
 
 
 def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
@@ -299,6 +318,12 @@ def _triangle_pairs(g: Graph, shared: int, anchors: Anchors) -> Iterator[set[int
                 yield common
 
 
+# two triangles sharing only c, with any edges between their other vertices
+P_BOWTIE = pattern("bowtie", "c a1 b1 a2 b2", "c-a1 c-b1 a1-b1 c-a2 c-b2 a2-b2", opt="a1-a2 a1-b2 b1-a2 b1-b2")
+# two triangles sharing the edge a-b
+P_DIAMOND = pattern("diamond", "a b c d", "a-b a-c b-c a-d b-d", opt="c-d")
+
+
 def rule_bowtie_center(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     for common in _triangle_pairs(g, 1, anchors):
         yield [(common.pop(), WHITE)]
@@ -307,6 +332,9 @@ def rule_bowtie_center(g: Graph, c: PartialColoring, anchors: Anchors = None) ->
 def rule_diamond_pair(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     for common in _triangle_pairs(g, 2, anchors):
         yield [(v, BLACK) for v in sorted(common)]
+
+
+P_LEAF_SURPLUS = pattern("leaf_surplus", "s l1 l2", "s-l1 s-l2", degree={"l1": (1, 1), "l2": (1, 1)})
 
 
 def rule_leaf_surplus(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
@@ -439,6 +467,10 @@ def _isolated_in_neighborhood(g: Graph, v: int) -> list[int]:
     return [w for w in sorted(ns) if not (g.neighbors(w) & ns)]
 
 
+# three pairwise nonadjacent neighbors of v
+P_CLAW = pattern("claw", "v a b c", "v-a v-b v-c")
+
+
 def rule_scattered_neighborhood(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # Needs a host with no induced long claw: three pairwise "isolated"
     # neighbors of a white vertex would grow into one.
@@ -460,6 +492,9 @@ P_CUBIC_CAPS = pattern(
         "v2": (2, 2),
     },
 )
+
+
+P_LONE_WING = pattern("lone_wing", "v w1 w2 w3 w4", "v-w1 v-w2 v-w3 v-w4 w1-w2", degree={"v": (4, 4)})
 
 
 def rule_lone_wing(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
@@ -510,25 +545,25 @@ P_BRACED_PENDANT = pattern(
 # passed its butterfly test.
 CATALOG: tuple[Rule, ...] = (
     Rule("square_alternation", FORCED, rule_square_alternation, 2),
-    Rule("triangle_outsider", FORCED, rule_triangle_outsider, 2),
-    Rule("degree_one", FORCED, rule_degree_one, 1),
+    Rule("triangle_outsider", FORCED, rule_triangle_outsider, 2, shape=P_TRIANGLE_OUTSIDER),
+    Rule("degree_one", FORCED, rule_degree_one, 1, shape=P_DEGREE_ONE),
     Rule("black_pair_neighbors", FORCED, rule_black_pair_neighbors, 2),
-    Rule("bowtie_center", FORCED, rule_bowtie_center, 2),
-    Rule("diamond_pair", FORCED, rule_diamond_pair, 1),
-    Rule("leaf_surplus", EXCHANGE, rule_leaf_surplus, 1),
+    Rule("bowtie_center", FORCED, rule_bowtie_center, 2, shape=P_BOWTIE),
+    Rule("diamond_pair", FORCED, rule_diamond_pair, 1, shape=P_DIAMOND),
+    Rule("leaf_surplus", EXCHANGE, rule_leaf_surplus, 1, shape=P_LEAF_SURPLUS),
     _demands("chain_step", FORCED, P_CHAIN, v4=BLACK),
     _demands("triangle_tail", FORCED, P_TRIANGLE_TAIL, x=BLACK),
     _demands("house_apex", FORCED, P_HOUSE, x=BLACK),
-    Rule("hat_pentagon", FORCED, rule_hat_pentagon, P_HAT_PENTAGON.radius + 1),
+    Rule("hat_pentagon", FORCED, rule_hat_pentagon, P_HAT_PENTAGON.radius + 1, shape=P_HAT_PENTAGON),
     _demands("hat_pentagon_swap", EXCHANGE, P_HAT_PENTAGON_RIGID, w1=WHITE),
-    Rule("anchored_pentagon", FORCED, rule_anchored_pentagon, P_ANCHORED_PENTAGON.radius),
+    Rule("anchored_pentagon", FORCED, rule_anchored_pentagon, P_ANCHORED_PENTAGON.radius, shape=P_ANCHORED_PENTAGON),
     _demands("spoked_triangle", FORCED, P_SPOKED_TRIANGLE, u=WHITE),
     Rule("square_degree_two", FORCED, rule_square_degree_two, 2),
     _demands("triangle_circuit", FORCED, P_TRIANGLE_CIRCUIT, x=WHITE),
     _demands("twin_fan_swap", EXCHANGE, P_TWIN_FAN, w1=WHITE, w2=WHITE),
-    Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood, 1),
+    Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood, 1, shape=P_CLAW),
     _demands("cubic_caps", FORCED, P_CUBIC_CAPS, y1=WHITE, y2=WHITE),
-    Rule("lone_wing", FORCED, rule_lone_wing, 2, when=Graph.is_butterfly_free),
+    Rule("lone_wing", FORCED, rule_lone_wing, 2, when=Graph.is_butterfly_free, shape=P_LONE_WING),
     _demands("seven_cycle_step", FORCED, P_SEVEN_CYCLE, z=BLACK),
     _demands("braced_pendant", FORCED, P_BRACED_PENDANT, y=WHITE),
 )
@@ -553,8 +588,12 @@ def propagate(
     every rule's first scan is whole.  Every group a rescan misses was
     already satisfied then and still is, and its anchors are ascending,
     so the first firing is the one a full scan finds.  A whole scan that
-    finds nothing is recorded in wl with its graph.  A rule whose `when`
-    fails on g is not called, and its last scan stays the one before.
+    finds nothing is recorded in wl with its graph.  A rule whose `shape`
+    does not fit g's degree census has no firing on g under any coloring:
+    it is not called, asks wl for no anchors, and is recorded as a whole
+    scan that found nothing.  A rule whose `when` fails on g (checked
+    after the shape) is not called, and its last scan stays the one
+    before.
 
     The rules in skip are known to find nothing on g and c as passed in, so
     they are not called until something is colored.
@@ -569,6 +608,9 @@ def propagate(
         fired = False
         for rule in CATALOG:
             if rule.id in skip and len(wl.log) == start:
+                continue
+            if rule.shape is not None and not rule.shape.fits(g):
+                wl.found_nothing(rule.id, g)
                 continue
             if rule.when is not None and not rule.when(g):
                 continue

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -315,7 +316,9 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
     """The components, the degree census, the triangle index and the
     bad-vertex count are built whole at most once, and as often on
     cycle(480) as on cycle(240): every later round updates them from the
-    step's changes."""
+    step's changes.  The butterfly centres are never built: no cycle has
+    a vertex of degree four, so lone_wing's shape is checked and fails
+    before its butterfly test."""
     builds = Counter()
 
     def counted(name, fn, whole=lambda *args: True):
@@ -332,6 +335,8 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
                                                           lambda g: "degree_counts" not in g._cache))
     monkeypatch.setattr(Graph, "triangles_at", counted("triangle index", Graph.triangles_at,
                                                          lambda g: "triangles_at" not in g._cache))
+    monkeypatch.setattr(Graph, "_butterfly_centres", counted("butterfly centres", Graph._butterfly_centres,
+                                                              lambda g: "butterfly_centres" not in g._cache))
     monkeypatch.setattr(dimatch.rewrite, "bad_vertex_count", counted("bad count", dimatch.rewrite.bad_vertex_count))
     per_n = []
     for n in (240, 480):
@@ -341,6 +346,65 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
         per_n.append(dict(builds))
     assert per_n[0] == per_n[1]
     assert all(k <= 1 for k in per_n[0].values()) and per_n[0]["degree census"] == 1, per_n[0]
+    assert "butterfly centres" not in per_n[0], per_n[0]
+
+
+# the keys that ask the worklist for anchors while cycle(n) is reduced
+CYCLE_KEYS = {
+    "_basic", "_clean_pair", "_c5", "square_alternation", "black_pair_neighbors",
+    "chain_step", "square_degree_two", "seven_cycle_step", "contract_path",
+}
+
+
+def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
+    """Along the reduction of cycle(240) and of 5 mixed instances, no
+    catalog rule whose shape and no rewrite whose pattern does not fit the
+    current graph asks for anchors or is called.  On the cycle only the
+    rules a cycle fits ask for anchors."""
+    shapes = {r.id: r.shape for r in dimatch.rules.CATALOG}
+    shapes.update((r.id, r.pattern) for r in REWRITE_RULES)
+    asked, misfits = Counter(), []
+
+    def check(key: str, g: Graph) -> None:
+        shape = shapes.get(key)
+        if shape is not None and not shape.fits(g):
+            misfits.append((key, g.n))
+
+    anchors = Worklist.anchors
+
+    def counted_anchors(self, g, key, radius):
+        asked[key] += 1
+        check(key, g)
+        return anchors(self, g, key, radius)
+
+    find = RewriteRule.find
+
+    def counted_find(self, g, c, anchors=None):
+        check(self.id, g)
+        return find(self, g, c, anchors)
+
+    def counted(rule):
+        def fn(g, c, *anchors):
+            check(rule.id, g)
+            return rule.fn(g, c, *anchors)
+
+        return dataclasses.replace(rule, fn=fn)
+
+    monkeypatch.setattr(Worklist, "anchors", counted_anchors)
+    monkeypatch.setattr(RewriteRule, "find", counted_find)
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in dimatch.rules.CATALOG))
+    assert reduce_to_irreducible(cycle(240)).rewrite_steps > 60
+    assert set(asked) == CYCLE_KEYS, asked
+    rng, mixed = random.Random(29), 0
+    while mixed < 5:
+        try:
+            g = mixed_instance(rng.randint(12, 22), rng.randrange(1 << 30))
+        except GeneratorError:
+            continue
+        reduce_to_irreducible(g)
+        mixed += 1
+    assert misfits == [], misfits[:5]
+    assert set(asked) - CYCLE_KEYS, asked
 
 
 class CensusAudit(ReductionAudit):

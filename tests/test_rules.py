@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -180,6 +181,48 @@ def test_triangle_outsiders_equal_the_reference():
     assert pairs > 1000
 
 
+SHAPED = [r for r in CATALOG if r.shape is not None]
+
+
+def _leafy_host(rng: random.Random, i: int) -> Graph:
+    """A seeded random host of density 0.05 to 0.5; for i = 1 mod 3 with
+    one or two leaves hung on a few vertices, for i = 2 mod 3 also with a
+    hub joined to three or more of them."""
+    g = random_host(rng, rng.randint(4, 12), rng.uniform(0.05, 0.5))
+    if i % 3 == 0:
+        return g
+    edges, nxt = g.edges(), max(g.vertices) + 1
+    for v in rng.sample(g.vertices, rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 2)):
+            edges.append((v, nxt))
+            nxt += 1
+    if i % 3 == 2:
+        edges += [(nxt, v) for v in rng.sample(g.vertices, rng.randint(3, g.n))]
+    return Graph(sorted({*g.vertices, *(v for e in edges for v in e)}), edges)
+
+
+def test_a_rule_finds_nothing_on_a_host_its_shape_does_not_fit():
+    """Rule.shape is a pattern every firing contains, so a host whose
+    degree census it does not fit yields no group, under random partial
+    colorings, whole and from random anchors.  Every shaped rule meets
+    hosts it fits and hosts it does not, and fits its own forcing host."""
+    rng = random.Random(71)
+    outcomes = Counter()
+    for i in range(300):
+        g = _leafy_host(rng, i)
+        density = rng.choice((0.0, 0.3, 0.6))
+        c = PartialColoring({v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < density})
+        anchors = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
+        for rule in SHAPED:
+            fits = rule.shape.fits(g)
+            outcomes[rule.id, fits] += 1
+            if not fits:
+                assert next(rule.fn(g, c), None) is None, (rule.id, g.edges(), c.state)
+                assert next(rule.fn(g, c, anchors), None) is None, (rule.id, g.edges(), c.state, anchors)
+    assert len(SHAPED) == 19 and all(outcomes[r.id, True] and outcomes[r.id, False] for r in SHAPED), outcomes
+    assert all(r.shape.fits(FORCING_HOSTS[r.id][0]) for r in SHAPED)
+
+
 # -- cleaning ---------------------------------------------------------------
 
 
@@ -273,6 +316,43 @@ def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(mon
     rr = dimatch.rewrite.reduce_to_irreducible(g)
     assert not rr.is_refuted and rr.trace == [] and rr.graph is g
     assert calls == ["square_alternation", "triangle_outsider"]
+
+
+def test_rules_the_census_rules_out_are_recorded_whole(monkeypatch):
+    """Once propagation reaches a fixpoint, every catalog rule whose shape
+    does not fit is recorded as a whole scan that found nothing, so on the
+    hosts where nothing was colored the fixpoint check calls none of
+    them."""
+    calls = []
+
+    def counted(rule):
+        def fn(g, c, *anchors):
+            calls.append(rule.id)
+            return rule.fn(g, c, *anchors)
+
+        return dataclasses.replace(rule, fn=fn)
+
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in CATALOG))
+    rng = random.Random(73)
+    hosts = [cycle(n) for n in range(5, 17)]
+    # two disjoint cycles
+    hosts += [Graph(range(1, a + b + 1), cycle(a).edges() + [(u + a, v + a) for u, v in cycle(b).edges()])
+              for a in (3, 5, 6) for b in (3, 5, 7)]
+    hosts += [_leafy_host(rng, i) for i in range(200)]
+    recorded = probed = 0
+    for g in hosts:
+        c, wl = PartialColoring(), Worklist()
+        if propagate(g, c, wl=wl) is not None:
+            continue
+        ruled_out = {r.id for r in SHAPED if not r.shape.fits(g)}
+        assert ruled_out <= wl.scanned_whole(g), (g.edges(), ruled_out - wl.scanned_whole(g))
+        recorded += len(ruled_out)
+        if not c.state:
+            calls.clear()
+            assert is_clean_pair(g, c, wl)
+            assert not ruled_out & set(calls), (g.edges(), calls)
+            probed += 1
+    assert recorded >= 500 and probed >= 15, (recorded, probed)
 
 
 def test_scanned_whole_needs_the_same_graph_and_log_length():
