@@ -64,6 +64,9 @@ class Pattern:
     name: str = ""
 
     def __post_init__(self):
+        # edges are kept as sorted pairs
+        self.required = frozenset(_rp(a, b) for a, b in self.required)
+        self.optional = frozenset(_rp(a, b) for a, b in self.optional)
         roles = set(self.roles)
         for a, b in self.required | self.optional:
             if a not in roles or b not in roles:
@@ -80,8 +83,6 @@ class Pattern:
             if not (isinstance(bounds, tuple) and len(bounds) == 2 and _count(bounds[0])
                     and (bounds[1] is None or _count(bounds[1]) and bounds[1] >= bounds[0])):
                 raise ValueError(f"{self.name}: degree of {r} is {bounds!r}, not (lo, hi) with ints 0 <= lo <= hi or hi None")
-        self._req = {_rp(a, b) for a, b in self.required}
-        self._opt = {_rp(a, b) for a, b in self.optional}
         self.order = self._role_order()
         self._depth = self._depths(self.order[0])
         self.radius = self._radius()
@@ -89,24 +90,19 @@ class Pattern:
 
     def _role_order(self) -> tuple[str, ...]:
         """Most-constrained first, then expand along required edges."""
-
-        def weight(r: str) -> tuple:
-            return (
-                r not in self.color,
-                r not in self.degree,
-                -sum(1 for e in self._req if r in e),
-                self.roles.index(r),
-            )
-
-        remaining = set(self.roles)
-        order = [min(remaining, key=weight)]
-        remaining.discard(order[0])
-        while remaining:
-            attached = [r for r in remaining if any(_rp(r, s) in self._req for s in order)]
-            pool = attached or sorted(remaining)
-            nxt = min(pool, key=weight)
+        partners: dict[str, set[str]] = {r: set() for r in self.roles}
+        for a, b in self.required:
+            partners[a].add(b)
+            partners[b].add(a)
+        weight = {r: (r not in self.color, r not in self.degree, -len(partners[r]), i)
+                  for i, r in enumerate(self.roles)}
+        order = [min(self.roles, key=weight.get)]
+        attached = set(partners[order[0]])
+        while len(order) < len(self.roles):
+            rest = [r for r in self.roles if r not in order]
+            nxt = min([r for r in rest if r in attached] or rest, key=weight.get)
             order.append(nxt)
-            remaining.discard(nxt)
+            attached |= partners[nxt]
         return tuple(order)
 
     def _depths(self, start: str) -> dict[str, int]:
@@ -116,7 +112,7 @@ class Pattern:
         while frontier:
             d += 1
             frontier = [s for s in self.roles if s not in depth
-                        and any(_rp(r, s) in self._req for r in frontier)]
+                        and any(_rp(r, s) in self.required for r in frontier)]
             depth.update((s, d) for s in frontier)
         return depth
 
@@ -134,7 +130,7 @@ class Pattern:
         far = max(self._depth.values())
         ring = [r for r in self.roles if self._depth[r] == far]
         bare = not any(r in self.color or r in self.degree or r in self.closure for r in ring)
-        return far - 1 if far and bare and all(_rp(a, b) in self._opt for a, b in combinations(ring, 2)) else far
+        return far - 1 if far and bare and all(_rp(a, b) in self.optional for a, b in combinations(ring, 2)) else far
 
     def reach(self, roles: Iterable[str]) -> Optional[int]:
         """The radius of a scan that also reads the colors of roles."""
@@ -156,10 +152,10 @@ class Pattern:
         bounds: list[tuple[int, Optional[int]]] = []
         loose: list[int] = []
         for i, r in enumerate(self.order):
-            n_req = sum(1 for e in self._req if r in e)
+            n_req = sum(1 for e in self.required if r in e)
             lo, hi = self.degree.get(r, (0, None))
             if r in self.closure:
-                n_opt = sum(1 for e in self._opt if r in e)
+                n_opt = sum(1 for e in self.optional if r in e)
                 hi = n_req + n_opt if hi is None else min(hi, n_req + n_opt)
                 if n_opt:
                     loose.append(i)
@@ -204,8 +200,8 @@ class Pattern:
         """
         k = len(self.order)
         pos = {r: i for i, r in enumerate(self.order)}
-        partners = [[pos[s] for s in self.order[:i] if _rp(r, s) in self._req] for i, r in enumerate(self.order)]
-        strangers = [[pos[s] for s in self.order[:i] if _rp(r, s) not in self._req | self._opt]
+        partners = [[pos[s] for s in self.order[:i] if _rp(r, s) in self.required] for i, r in enumerate(self.order)]
+        strangers = [[pos[s] for s in self.order[:i] if _rp(r, s) not in self.required | self.optional]
                      for i, r in enumerate(self.order)]
         bounds, loose = self._windows()
         read = {j for i in range(k) for j in partners[i] + strangers[i]} | set(loose)
@@ -289,7 +285,7 @@ class Pattern:
 
 
 def _edges(spec: str) -> frozenset[tuple[str, str]]:
-    return frozenset(_rp(*e.split("-")) for e in spec.split())
+    return frozenset(tuple(e.split("-")) for e in spec.split())
 
 
 def pattern(name: str, roles: str, req: str, opt: str = "", **kw) -> Pattern:
