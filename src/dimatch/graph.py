@@ -227,28 +227,6 @@ class Graph:
             if c > a and c not in na
         ]
 
-    def is_butterfly_free(self) -> bool:
-        """No induced butterfly: no two triangles at one vertex v that share
-        only v and have no edge between their other vertices."""
-        return not self._butterfly_centres()
-
-    def _butterfly_centres(self) -> frozenset[int]:
-        """The vertices v at which an induced butterfly meets; `rewrite`
-        carries them over with the triangle index."""
-        cached = self._cache.get("butterfly_centres")
-        if cached is None:
-            cached = self._cache["butterfly_centres"] = frozenset(
-                v for v, ts in self.triangles_at().items() if self._is_centre(v, ts)
-            )
-        return cached  # type: ignore[return-value]
-
-    def _is_centre(self, v: int, ts: list[tuple[int, int, int]]) -> bool:
-        return any(self._wings_apart(v, t1, t2) for t1, t2 in combinations(ts, 2))
-
-    def _wings_apart(self, v: int, t1: tuple[int, ...], t2: tuple[int, ...]) -> bool:
-        wing1, wing2 = set(t1) - {v}, set(t2) - {v}
-        return not wing1 & wing2 and not any(self._adj[a] & wing2 for a in wing1)
-
     # -- construction of derived graphs -----------------------------------
 
     def subgraph(self, keep: Iterable[int], id_floor: int | None = None) -> Graph:
@@ -352,12 +330,10 @@ class Graph:
         self._cache["degree_counts"] = {d: k for d, k in counts.items() if k}
 
     def _carry_triangles(self, parent: Graph, touched: Collection[int], gone: list[int], added: list[int]) -> None:
-        """Take over parent's triangle index and butterfly centres.  A
-        triangle at x comes or goes only with an edge at x, which edits x,
-        or with an edge between two neighbors of x, which edits both; the
-        same holds for an edge between the wings of a butterfly at x.  So
-        only the edited vertices and the vertices next to two of them are
-        recomputed."""
+        """Take over parent's triangle index.  A triangle at x comes or
+        goes only with an edge at x, which edits x, or with an edge between
+        two neighbors of x, which edits both.  So only the edited vertices
+        and the vertices next to two of them are recomputed."""
         adj = self._adj
         near = set(touched)
         seen: set[int] = set()
@@ -378,10 +354,6 @@ class Graph:
         if added and tuple(added) != self._vertices[len(self._vertices) - len(added):]:
             at = {v: at[v] for v in self._vertices}
         self._cache["triangles_at"] = at
-        if "butterfly_centres" in parent._cache:
-            self._cache["butterfly_centres"] = (parent._butterfly_centres() - near).difference(gone) | {
-                v for v in near if len(at[v]) > 1 and self._is_centre(v, at[v])
-            }
 
     def fresh_ids(self, k: int) -> list[int]:
         """k ids above every vertex and at least the id floor."""

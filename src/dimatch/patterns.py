@@ -8,7 +8,7 @@ the matched image (closure), or require a color state.  Each pattern is
 searched by a function generated from its declaration and compiled the
 first time the pattern is searched; a search yields each occurrence as a
 plain role -> vertex dict.  A host with no vertex in some role's degree
-window is not searched at all.
+window has no occurrence; the drivers ask `fits` before they search.
 """
 
 from __future__ import annotations
@@ -273,14 +273,13 @@ class Pattern:
         With anchors (ascending host vertices), only the embeddings that
         place the first role on an anchor, still in canonical order; no
         change farther than `radius` from its anchors alters such a scan.
-        A host this pattern does not fit (see `fits`) is not searched.
+        The census is not asked here: a host this pattern does not fit
+        (see `fits`) yields nothing, and the drivers skip it beforehand.
         """
         verts = g.vertices
         if len(verts) < len(self.roles):
             return iter(())
         search = self._search or self._compile()
-        if not self.fits(g):
-            return iter(())
         return search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)
 
 

@@ -76,9 +76,6 @@ def clean(g: Graph, c: PartialColoring) -> tuple[Graph, PartialColoring, Optiona
     return _rewrite(g, c, "clean", {}, removed, {})
 
 
-GuardFn = Callable[[Graph, PartialColoring, Embedding], bool]
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     id: str
@@ -88,7 +85,7 @@ class RewriteRule:
     # edges among survivors and new vertices, by role
     add_edges: tuple[tuple[str, str], ...] = ()
     remove_survivor_edges: tuple[tuple[str, str], ...] = ()
-    guard: Optional[GuardFn] = None
+    guard: Optional[Callable[[Graph, PartialColoring, Embedding], bool]] = None
 
     def find(self, g: Graph, c: PartialColoring, anchors: Anchors = None) -> Optional[Embedding]:
         """The first embedding the guard accepts, in canonical order; with
@@ -383,11 +380,10 @@ def try_rewrite(
     found nothing, as in `propagate`; on a fresh worklist, everywhere.  A
     rule whose pattern does not fit g's degree census (see `Pattern.fits`)
     has no embedding anywhere on g: it asks for no anchors, is not
-    searched, and is recorded as a search that found nothing."""
+    searched and leaves no record, as in `propagate`."""
     wl = Worklist() if wl is None else wl
     for rule in REWRITE_RULES:
         if not rule.pattern.fits(g):
-            wl.found_nothing(rule.id)
             continue
         emb = rule.find(g, c, wl.anchors(g, rule.id, rule.pattern.radius))
         if emb is not None:

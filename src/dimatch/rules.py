@@ -37,22 +37,17 @@ Anchors = Optional[Sequence[int]]
 class Rule:
     """A forcing rule.  `propagate` checks the host's degree census
     against `shape` before it asks for anchors; a rule the census rules
-    out costs no anchors and no call, and counts as a whole scan that
-    found nothing."""
+    out costs no anchors and no call, and leaves no record."""
 
     id: str
     tag: str
     fn: RuleFn
     # None: every scan is whole, called as fn(g, c).  That form and the
-    # defaults below are kept only because bench/spans.py rebuilds each
-    # rule as Rule(id, tag, fn), losing radius, when and shape.
+    # default shape are kept only because bench/spans.py rebuilds each
+    # rule as Rule(id, tag, fn), losing radius and shape.
     radius: Optional[int] = None
-    # a whole-graph condition the rule needs; while it fails, propagate does
-    # not call the rule, and that counts as no scan: unlike a shape that does
-    # not fit, it suppresses firings the graph may hold.  Checked after shape.
-    when: Optional[Callable[[Graph], bool]] = None
     # a pattern every firing contains, under any coloring; a host it does
-    # not fit has no firing anywhere, so that counts as a whole scan
+    # not fit has no firing anywhere
     shape: Optional[Pattern] = None
 
 
@@ -70,8 +65,8 @@ class Worklist:
     much as the graph, and the rescan is whole.  Graphs are immutable and
     every change is logged, so a whole pass recorded on the current graph
     at the current log length read exactly the current state.  A rule
-    whose shape the degree census rules out asks for no anchors: it is
-    recorded as a whole pass that found nothing.
+    whose shape the degree census rules out makes no pass and leaves no
+    record: its last pass that found nothing still bounds what changed.
     """
 
     __slots__ = ("log", "quiet", "whole", "_balls", "_state")
@@ -498,12 +493,13 @@ P_LONE_WING = pattern("lone_wing", "v w1 w2 w3 w4", "v-w1 v-w2 v-w3 v-w4 w1-w2",
 
 
 def rule_lone_wing(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    # v has exactly four neighbors with a single adjacent pair among them,
-    # and the two loose neighbors admit no private disjoint extensions.
-    # The catalog gates the rule on the butterfly test as well; this copy
-    # keeps the rule sound when called on its own.
-    if not g.is_butterfly_free():
-        return
+    # v has exactly four neighbors with a single adjacent pair w1-w2 among
+    # them, and the two loose neighbors w3, w4 admit no private pair.  If v
+    # were white, all four would be black and w1-w2 a matched pair.  w3 is
+    # next to none of w1, w2, w4, so its partner u3 lies outside N[v]; u3
+    # may have no other black neighbor, so N(u3) meets N[v] in w3 alone.
+    # The same holds for w4 and its partner u4, and u3, u4 are distinct and
+    # nonadjacent: a private pair.  Without one, v is black.
     for v in g.vertices if anchors is None else anchors:
         if g.degree(v) != 4:
             continue
@@ -541,8 +537,7 @@ P_BRACED_PENDANT = pattern(
 # Radii: the farthest vertex a scan reads, counted from its anchor.  The
 # pentagon rules also demand colors of x's neighbors, one ring beyond x:
 # outside hat_pentagon's pattern, inside anchored_pentagon's (its x is next
-# to the anchor).  lone_wing reads two rings, once the whole graph has
-# passed its butterfly test.
+# to the anchor).
 CATALOG: tuple[Rule, ...] = (
     Rule("square_alternation", FORCED, rule_square_alternation, 2),
     Rule("triangle_outsider", FORCED, rule_triangle_outsider, 2, shape=P_TRIANGLE_OUTSIDER),
@@ -563,7 +558,7 @@ CATALOG: tuple[Rule, ...] = (
     _demands("twin_fan_swap", EXCHANGE, P_TWIN_FAN, w1=WHITE, w2=WHITE),
     Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood, 1, shape=P_CLAW),
     _demands("cubic_caps", FORCED, P_CUBIC_CAPS, y1=WHITE, y2=WHITE),
-    Rule("lone_wing", FORCED, rule_lone_wing, 2, when=Graph.is_butterfly_free, shape=P_LONE_WING),
+    Rule("lone_wing", FORCED, rule_lone_wing, 2, shape=P_LONE_WING),
     _demands("seven_cycle_step", FORCED, P_SEVEN_CYCLE, z=BLACK),
     _demands("braced_pendant", FORCED, P_BRACED_PENDANT, y=WHITE),
 )
@@ -590,10 +585,9 @@ def propagate(
     so the first firing is the one a full scan finds.  A whole scan that
     finds nothing is recorded in wl with its graph.  A rule whose `shape`
     does not fit g's degree census has no firing on g under any coloring:
-    it is not called, asks wl for no anchors, and is recorded as a whole
-    scan that found nothing.  A rule whose `when` fails on g (checked
-    after the shape) is not called, and its last scan stays the one
-    before.
+    it is not called, asks wl for no anchors and leaves no record.  Every
+    change is logged, so its last recorded scan still bounds what changed
+    since, and the fixpoint check applies the same gate.
 
     The rules in skip are known to find nothing on g and c as passed in, so
     they are not called until something is colored.
@@ -610,9 +604,6 @@ def propagate(
             if rule.id in skip and len(wl.log) == start:
                 continue
             if rule.shape is not None and not rule.shape.fits(g):
-                wl.found_nothing(rule.id, g)
-                continue
-            if rule.when is not None and not rule.when(g):
                 continue
             anchors = wl.anchors(g, rule.id, rule.radius)
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):

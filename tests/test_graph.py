@@ -19,7 +19,6 @@ from dimatch.graph import (
     save_graph,
     star,
 )
-from dimatch.patterns import pattern
 
 from .util import all_graphs, fresh_degree_counts, parser_text, random_host, rewrite_chain
 
@@ -96,27 +95,6 @@ def test_induced_c4s():
     assert len(cycle(6).induced_c4s()) == 0
 
 
-def test_butterfly_and_diamond_detection():
-    bowtie = from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
-    assert not bowtie.is_butterfly_free()
-    diamond = from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-    assert diamond.is_butterfly_free()
-
-
-BUTTERFLY = pattern("butterfly", "v a b c d", "v-a v-b v-c v-d a-b c-d")
-
-
-def test_butterfly_free_matches_induced_search():
-    rng = random.Random(29)
-    graphs = [g for n in range(6) for g in all_graphs(n)]
-    for _ in range(300):
-        n = rng.randint(6, 12)
-        p = rng.uniform(0.2, 0.6)
-        graphs.append(from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
-    for g in graphs:
-        assert g.is_butterfly_free() == (next(BUTTERFLY.find_all(g), None) is None), g.edges()
-
-
 def test_rewrite_preserves_surviving_ids():
     g = path(5)
     g2 = g.rewrite(remove_vertices=[3], add_vertices=[9], add_edges=[(2, 9), (9, 4)])
@@ -148,15 +126,14 @@ def test_rewrite_equals_full_rebuild_and_leaves_source_alone():
 
 def test_rewrite_carries_the_triangle_index():
     """Along chains of 300 seeded rewrites from a graph whose triangle index
-    and butterfly test are built, each new graph's triangle index (values
-    and key order), triangles, butterfly test and m equal a fresh build's."""
+    is built, each new graph's triangle index (values and key order),
+    triangles and m equal a fresh build's."""
     for seed in range(4):
         for step, g in enumerate(rewrite_chain(seed, 300)):
             fresh = Graph(g.vertices, g.edges())
-            assert "triangles_at" in g._cache and "butterfly_centres" in g._cache, (seed, step)
+            assert "triangles_at" in g._cache, (seed, step)
             assert list(g.triangles_at().items()) == list(fresh.triangles_at().items()), (seed, step)
             assert g.triangles() == fresh.triangles(), (seed, step)
-            assert g.is_butterfly_free() == fresh.is_butterfly_free(), (seed, step)
             assert g.m == fresh.m == len(fresh.edges()), (seed, step)
 
 

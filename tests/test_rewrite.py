@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,11 +18,12 @@ import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, complete, cycle, from_edges, path
 from dimatch.oracle import MAX_ORACLE_VERTICES, GeneratorError, brute_dim, mixed_instance
-from dimatch.patterns import contains_s222, pattern
+from dimatch.patterns import Pattern, contains_s222, pattern
 from dimatch.pipeline import solve
 from dimatch.rewrite import (
     REWRITE_RULES,
     LiftError,
+    ReduceResult,
     ReductionAudit,
     RewriteRule,
     _c5_component,
@@ -316,9 +318,7 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
     """The components, the degree census, the triangle index and the
     bad-vertex count are built whole at most once, and as often on
     cycle(480) as on cycle(240): every later round updates them from the
-    step's changes.  The butterfly centres are never built: no cycle has
-    a vertex of degree four, so lone_wing's shape is checked and fails
-    before its butterfly test."""
+    step's changes."""
     builds = Counter()
 
     def counted(name, fn, whole=lambda *args: True):
@@ -335,8 +335,6 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
                                                           lambda g: "degree_counts" not in g._cache))
     monkeypatch.setattr(Graph, "triangles_at", counted("triangle index", Graph.triangles_at,
                                                          lambda g: "triangles_at" not in g._cache))
-    monkeypatch.setattr(Graph, "_butterfly_centres", counted("butterfly centres", Graph._butterfly_centres,
-                                                              lambda g: "butterfly_centres" not in g._cache))
     monkeypatch.setattr(dimatch.rewrite, "bad_vertex_count", counted("bad count", dimatch.rewrite.bad_vertex_count))
     per_n = []
     for n in (240, 480):
@@ -346,7 +344,6 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
         per_n.append(dict(builds))
     assert per_n[0] == per_n[1]
     assert all(k <= 1 for k in per_n[0].values()) and per_n[0]["degree census"] == 1, per_n[0]
-    assert "butterfly centres" not in per_n[0], per_n[0]
 
 
 # the keys that ask the worklist for anchors while cycle(n) is reduced
@@ -393,18 +390,68 @@ def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
     monkeypatch.setattr(Worklist, "anchors", counted_anchors)
     monkeypatch.setattr(RewriteRule, "find", counted_find)
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in dimatch.rules.CATALOG))
-    assert reduce_to_irreducible(cycle(240)).rewrite_steps > 60
+    reductions = _census_walk()
+    assert next(reductions).rewrite_steps > 60
     assert set(asked) == CYCLE_KEYS, asked
+    for _ in reductions:
+        pass
+    assert misfits == [], misfits[:5]
+    assert set(asked) - CYCLE_KEYS, asked
+
+
+def _census_walk() -> Iterator[ReduceResult]:
+    """The reductions of cycle(240) and of 5 mixed instances, in turn."""
+    yield reduce_to_irreducible(cycle(240))
     rng, mixed = random.Random(29), 0
     while mixed < 5:
         try:
             g = mixed_instance(rng.randint(12, 22), rng.randrange(1 << 30))
         except GeneratorError:
             continue
-        reduce_to_irreducible(g)
+        yield reduce_to_irreducible(g)
         mixed += 1
-    assert misfits == [], misfits[:5]
-    assert set(asked) - CYCLE_KEYS, asked
+
+
+def test_the_census_is_asked_outside_the_search(monkeypatch):
+    """Along the same reductions, `Pattern.fits` is asked by the drivers
+    only, never from inside `Pattern.find_all`."""
+    inside, asked = [], Counter()
+    find_all, fits = Pattern.find_all, Pattern.fits
+
+    def counted_find_all(self, *args, **kw):
+        inside.append(self.name)
+        try:
+            return find_all(self, *args, **kw)
+        finally:
+            inside.pop()
+
+    def counted_fits(self, g):
+        asked[bool(inside)] += 1
+        return fits(self, g)
+
+    monkeypatch.setattr(Pattern, "find_all", counted_find_all)
+    monkeypatch.setattr(Pattern, "fits", counted_fits)
+    assert sum(rr.rewrite_steps for rr in _census_walk()) > 60
+    assert asked[False] > 1000 and not asked[True], asked
+
+
+def test_reimports_leave_one_graph_class_alive():
+    """Importing dimatch afresh three times leaves only the last Graph
+    class alive: no module-level declaration keeps an old one."""
+    code = (
+        "import gc, importlib, sys\n"
+        "for _ in range(3):\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'dimatch']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('dimatch')\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, type) and o.__module__ == 'dimatch.graph' and o.__name__ == 'Graph'\n"
+        "          for o in gc.get_objects()))\n"
+    )
+    src = str(Path(dimatch.rules.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "1", out.stdout
 
 
 class CensusAudit(ReductionAudit):

@@ -11,6 +11,7 @@ import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.oracle import brute_dim, mixed_instance
+from dimatch.patterns import pattern
 from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
@@ -318,11 +319,10 @@ def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(mon
     assert calls == ["square_alternation", "triangle_outsider"]
 
 
-def test_rules_the_census_rules_out_are_recorded_whole(monkeypatch):
-    """Once propagation reaches a fixpoint, every catalog rule whose shape
-    does not fit is recorded as a whole scan that found nothing, so on the
-    hosts where nothing was colored the fixpoint check calls none of
-    them."""
+def test_rules_the_census_rules_out_leave_no_record(monkeypatch):
+    """Once propagation reaches a fixpoint, no catalog rule whose shape
+    does not fit has a record in the worklist, and on the hosts where
+    nothing was colored the fixpoint check calls none of them."""
     calls = []
 
     def counted(rule):
@@ -339,20 +339,20 @@ def test_rules_the_census_rules_out_are_recorded_whole(monkeypatch):
     hosts += [Graph(range(1, a + b + 1), cycle(a).edges() + [(u + a, v + a) for u, v in cycle(b).edges()])
               for a in (3, 5, 6) for b in (3, 5, 7)]
     hosts += [_leafy_host(rng, i) for i in range(200)]
-    recorded = probed = 0
+    unrecorded = probed = 0
     for g in hosts:
         c, wl = PartialColoring(), Worklist()
         if propagate(g, c, wl=wl) is not None:
             continue
         ruled_out = {r.id for r in SHAPED if not r.shape.fits(g)}
-        assert ruled_out <= wl.scanned_whole(g), (g.edges(), ruled_out - wl.scanned_whole(g))
-        recorded += len(ruled_out)
+        assert not ruled_out & (wl.quiet.keys() | wl.whole.keys()), (g.edges(), ruled_out)
+        unrecorded += len(ruled_out)
         if not c.state:
             calls.clear()
             assert is_clean_pair(g, c, wl)
             assert not ruled_out & set(calls), (g.edges(), calls)
             probed += 1
-    assert recorded >= 500 and probed >= 15, (recorded, probed)
+    assert unrecorded >= 500 and probed >= 15, (unrecorded, probed)
 
 
 def test_scanned_whole_needs_the_same_graph_and_log_length():
@@ -421,26 +421,49 @@ def test_anchors_equal_a_fresh_ball_for_every_radius_log_and_graph():
     assert min(nones.values()) > 50 and balls > 2000, (nones, balls)
 
 
-def test_lone_wing_is_not_called_while_the_graph_has_a_butterfly(monkeypatch):
-    """lone_wing's host beside a bowtie, with lone_wing the only catalog
-    rule (others color its anchor first on this host).  While the bowtie
-    stands, propagate does not call lone_wing, and that counts as no scan.
-    Removing the bowtie with Graph.rewrite logs nothing, so propagation on
-    the result from the old worklist must still scan lone_wing whole and
-    color as a fresh propagation does."""
+BUTTERFLY = pattern("butterfly", "v a b c d", "v-a v-b v-c v-d a-b c-d")
+
+
+def _wing_host(rng: random.Random, i: int) -> Graph:
+    """Vertex 1 of degree four with the one inner edge 2-3, random edges
+    among the other vertices, and for odd i a bowtie whose centre is
+    joined to a random vertex."""
+    n = rng.randint(9, 13)
+    p = rng.uniform(0.08, 0.25)
+    edges = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)]
+    edges += [(u, w) for u in range(2, n + 1) for w in range(max(u + 1, 6), n + 1) if rng.random() < p]
+    if i % 2 == 0:
+        return from_edges(n, edges)
+    c = n + 1
+    edges += [(c, c + 1), (c, c + 2), (c + 1, c + 2), (c, c + 3), (c, c + 4), (c + 3, c + 4), (rng.randint(2, n), c)]
+    return from_edges(n + 5, edges)
+
+
+def test_lone_wing_is_sound_beside_a_butterfly(monkeypatch):
+    """Every vertex lone_wing blackens is black in every completion, on
+    graphs with and without an induced butterfly: with it white, brute_dim
+    finds none.  Enough of the firings fall on YES graphs, where the claim
+    has teeth.  On lone_wing's host beside a bowtie, propagation with
+    lone_wing alone blackens its vertex."""
+    rng = random.Random(79)
+    fired = Counter()
+    for i in range(400):
+        g = _wing_host(rng, i)
+        butterfly = next(BUTTERFLY.find_all(g), None) is not None
+        yes = brute_dim(g) is not None
+        for ((v, col),) in RULES_BY_ID["lone_wing"].fn(g, PartialColoring()):
+            assert col == BLACK and brute_dim(g, PartialColoring({v: WHITE})) is None, (g.edges(), v)
+            fired[butterfly, yes] += 1
+    for butterfly in (True, False):
+        assert fired[butterfly, True] + fired[butterfly, False] >= 50 and fired[butterfly, True] >= 10, fired
     monkeypatch.setattr(dimatch.rules, "CATALOG", (RULES_BY_ID["lone_wing"],))
     host, coloring = FORCING_HOSTS["lone_wing"]
     bowtie = [(11, 12), (11, 13), (12, 13), (11, 14), (11, 15), (14, 15)]
     g = Graph([*host.vertices, 11, 12, 13, 14, 15], host.edges() + bowtie)
-    c, wl = PartialColoring(coloring), Worklist()
-    assert propagate(g, c, wl=wl) is None
-    assert c.get(1) is None
-    g2 = g.rewrite(remove_vertices=[11, 12, 13, 14, 15])
-    assert g2 == host and g2.is_butterfly_free()
-    old, fresh = c.restrict(g2.vertices), c.restrict(g2.vertices)
-    assert propagate(g2, old, wl=wl) is None
-    assert propagate(g2, fresh) is None
-    assert old == fresh and old.get(1) == BLACK
+    assert next(BUTTERFLY.find_all(g), None) is not None
+    c = PartialColoring(coloring)
+    assert propagate(g, c) is None and c.get(1) == BLACK
+    assert brute_dim(g, PartialColoring({**coloring, 1: WHITE})) is None
 
 
 def test_clean_pair_violation_reports_k4():

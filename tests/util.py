@@ -142,14 +142,14 @@ def reference_triangle_outsiders(g: Graph, anchors: Optional[list[int]]) -> Iter
 
 def rewrite_chain(seed: int, steps: int, n: int = 10) -> Iterator[Graph]:
     """The graphs of a seeded chain of random rewrites from a random graph
-    on 1..n whose degree census, triangle index and butterfly test are
-    built, so each step carries them.  Fresh ids are mostly the top ids,
+    on 1..n whose degree census and triangle index are built, so each
+    step carries them.  Fresh ids are mostly the top ids,
     as in the reduction; now and then a removed id comes back below the
     top."""
     rng = random.Random(seed)
     g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3])
     g.degree_counts()
-    g.is_butterfly_free()
+    g.triangles_at()
     gone: list[int] = []
     for _ in range(steps):
         verts = list(g.vertices)
