@@ -78,14 +78,21 @@ def clean(g: Graph, c: PartialColoring) -> tuple[Graph, PartialColoring, Optiona
 
 @dataclass(frozen=True)
 class RewriteRule:
-    id: str
+    """A rewrite declared by its pattern: the rule is named after it and
+    deletes its closure roles, the roles whose whole neighbourhood lies in
+    the match.  It then adds the new vertices and edges and removes the
+    survivor edges given here."""
+
     pattern: Pattern
-    grey: tuple[str, ...]
     new_vertices: tuple[str, ...] = ()
     # edges among survivors and new vertices, by role
     add_edges: tuple[tuple[str, str], ...] = ()
     remove_survivor_edges: tuple[tuple[str, str], ...] = ()
     guard: Optional[Callable[[Graph, PartialColoring, Embedding], bool]] = None
+
+    @property
+    def id(self) -> str:
+        return self.pattern.name
 
     def find(self, g: Graph, c: PartialColoring, anchors: Anchors = None) -> Optional[Embedding]:
         """The first embedding the guard accepts, in canonical order; with
@@ -100,7 +107,7 @@ class RewriteRule:
         lookup = {**emb, **added_ids}
         added = tuple((lookup[a], lookup[b]) for a, b in self.add_edges)
         surv_del = tuple((emb[a], emb[b]) for a, b in self.remove_survivor_edges)
-        return _rewrite(g, c, self.id, emb, (emb[r] for r in self.grey), added_ids, added, surv_del)
+        return _rewrite(g, c, self.id, emb, (emb[r] for r in self.pattern.closure), added_ids, added, surv_del)
 
 
 # --------------------------------------------------------------------------
@@ -317,36 +324,28 @@ P_CONTRACT_PATH = pattern(
 
 
 REWRITE_RULES: tuple[RewriteRule, ...] = (
-    RewriteRule("prune_tail", P_TAIL, grey=("x", "y", "z")),
-    RewriteRule("prune_spider", P_SPIDER, grey=("x", "u", "v", "w")),
-    RewriteRule("prune_fan5", P_FAN5, grey=("v", "w1", "w2", "w3", "w4", "w5")),
-    RewriteRule("prune_fan4", P_FAN4, grey=("v", "w1", "w2", "w3", "w4")),
+    RewriteRule(P_TAIL),
+    RewriteRule(P_SPIDER),
+    RewriteRule(P_FAN5),
+    RewriteRule(P_FAN4),
+    RewriteRule(P_HUB_TRIANGLE, guard=guard_hub_triangle),
+    RewriteRule(P_DOUBLE_HOUSE),
+    RewriteRule(P_TWIN_TRIANGLE, guard=guard_twin_triangle),
+    RewriteRule(P_CAPPED_HOUSE),
     RewriteRule(
-        "prune_hub_triangle", P_HUB_TRIANGLE, grey=("w2", "u2", "u2p"), guard=guard_hub_triangle,
-    ),
-    RewriteRule("prune_double_house", P_DOUBLE_HOUSE, grey=("a", "b", "c", "y", "w2", "u2")),
-    RewriteRule(
-        "prune_twin_triangle", P_TWIN_TRIANGLE, grey=("w1", "u1", "u1p"), guard=guard_twin_triangle,
-    ),
-    RewriteRule("prune_capped_house", P_CAPPED_HOUSE, grey=("x", "y", "z", "w1", "w2", "v")),
-    RewriteRule(
-        "fold_fan5", P_FOLD_FAN5, grey=("v", "w1", "w2", "w3", "w4", "w5"),
-        new_vertices=("a", "b", "c"),
+        P_FOLD_FAN5, new_vertices=("a", "b", "c"),
         add_edges=(("a", "b"), ("a", "c"), ("b", "c"), ("b", "x"), ("c", "y")),
     ),
-    RewriteRule("fold_fan4", P_FOLD_FAN4, grey=("v", "w1", "w2", "w3", "w4"), add_edges=(("x", "y"),)),
+    RewriteRule(P_FOLD_FAN4, add_edges=(("x", "y"),)),
     RewriteRule(
-        "fold_fan_leaf", P_FOLD_FAN_LEAF, grey=("v", "w1", "w2", "w3", "w4"),
-        new_vertices=("a1", "a2", "a3", "a4", "a5", "a6", "a7"),
+        P_FOLD_FAN_LEAF, new_vertices=("a1", "a2", "a3", "a4", "a5", "a6", "a7"),
         add_edges=(
             ("a1", "a2"), ("a1", "a3"), ("a2", "a3"), ("a1", "a4"),
             ("a4", "a5"), ("a5", "a6"), ("a5", "a7"), ("a1", "x"), ("a7", "u3"),
         ),
     ),
     RewriteRule(
-        "fold_twin_spiders", P_TWIN_SPIDERS,
-        grey=("x", "y", "z", "w1", "w2", "w3", "w4", "u1", "u2"),
-        new_vertices=("f1", "f2"),
+        P_TWIN_SPIDERS, new_vertices=("f1", "f2"),
         add_edges=(("f1", "f2"), ("f1", "d"), ("f1", "e")),
     ),
     # The replacement keeps f's matching partner available (lf is black in
@@ -354,21 +353,16 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
     # triangle, so it is white whenever u is black and u keeps relying on
     # its outside partner.  Chaining lf-k-m1 rules out f and u both black.
     RewriteRule(
-        "fold_hub", P_FOLD_HUB, grey=("v", "w1", "w2", "x", "y", "z"),
-        new_vertices=("lf", "p", "k", "m1", "m2", "m3"),
+        P_FOLD_HUB, new_vertices=("lf", "p", "k", "m1", "m2", "m3"),
         add_edges=(
             ("lf", "p"), ("lf", "f"), ("lf", "k"), ("k", "m1"),
             ("m1", "m2"), ("m1", "m3"), ("m2", "m3"), ("m1", "u"),
         ),
     ),
-    RewriteRule("fold_cross_link", P_CROSS_LINK, grey=("a", "b", "c"), add_edges=(("x", "w2"), ("y", "w1"))),
-    RewriteRule("unlink_triangles", P_UNLINK, grey=(), remove_survivor_edges=(("b", "x"),)),
-    RewriteRule(
-        "fold_claw_chain", P_CLAW_CHAIN, grey=("z1", "y1", "x2", "q", "y2", "z2"),
-        new_vertices=("n1", "n2"),
-        add_edges=(("n1", "n2"), ("n1", "x1"), ("n1", "r")),
-    ),
-    RewriteRule("contract_path", P_CONTRACT_PATH, grey=("v2", "v3", "v4"), add_edges=(("v1", "v5"),)),
+    RewriteRule(P_CROSS_LINK, add_edges=(("x", "w2"), ("y", "w1"))),
+    RewriteRule(P_UNLINK, remove_survivor_edges=(("b", "x"),)),
+    RewriteRule(P_CLAW_CHAIN, new_vertices=("n1", "n2"), add_edges=(("n1", "n2"), ("n1", "x1"), ("n1", "r"))),
+    RewriteRule(P_CONTRACT_PATH, add_edges=(("v1", "v5"),)),
 )
 
 
@@ -503,8 +497,10 @@ def reduce_to_irreducible(
     lexicographically at every rewrite, and the number of rewrites may not
     exceed STEP_CAP_FACTOR * n^2.  The measure is counted whole once, at
     the first rewrite, and then carried through every step by `remeasure`;
-    the per-round clean-pair and five-cycle checks, like the rules, look
-    only near the changes the worklist logged since their last pass.
+    the per-round five-cycle check, like the rules, looks only near the
+    changes the worklist logged since its last pass.  The final pair must
+    be clean and keep the facts of `clean_pair_violation`, which the rules
+    pre-empt; either failing is a fault (AssertionError), never a NO.
     """
     if c is None:
         c = PartialColoring()
@@ -528,17 +524,15 @@ def reduce_to_irreducible(
                 measured = remeasure(measured, g, g2, cstep)
             g, c = g2, c2
             continue
-        violation = clean_pair_violation(g, c, wl)
-        if violation is not None:
-            return ReduceResult(Conflict("clean_pair", -1, "", violation), g, c, trace, steps)
         comp = _c5_component(g, wl)
         if comp is not None:
             witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
             return ReduceResult(witness, g, c, trace, steps)
         outcome = try_rewrite(g, c, wl)
         if outcome is None:
-            if not is_clean_pair(g, c, wl):
-                raise AssertionError("fixpoint is not a clean pair")
+            violation = clean_pair_violation(g)
+            if violation is not None or not is_clean_pair(g, c, wl):
+                raise AssertionError(f"fixpoint is not a clean pair: {violation or 'is_clean_pair fails'}")
             return ReduceResult(None, g, c, trace, steps)
         g2, c2, step = outcome
         before = measure(g) if measured is None else measured

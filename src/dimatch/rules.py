@@ -654,32 +654,33 @@ def is_clean_pair(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -
     return probe.state == c.state
 
 
-def clean_pair_violation(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -> Optional[str]:
-    """Structural facts every completable clean pair satisfies.
+def clean_pair_violation(g: Graph) -> Optional[str]:
+    """The first of two structural facts that g breaks, or None: no vertex
+    lies in two triangles, and no two triangles are joined by three edges.
 
-    A violation on a clean pair produced by the pipeline means the
-    instance admits no completion, so the caller may refute.
-
-    A check after one that passed on wl looks only within two of the
-    vertices logged since: a vertex gains a triangle only next to an
-    edited vertex, and two triangles newly joined by three edges are
-    matched by them, so the least vertex of each lies that close to an
-    edited one.  Anchors ascend, so the violation found first is the one
-    a whole scan finds first.  Without wl the check is whole.
+    Every clean pair the reduction reaches has both, because the forcing
+    rules pre-empt each break.  The reduction reaches one only after
+    propagation found nothing and cleaning made no step, so no rule has a
+    group that would change a color, no vertex is white and no black vertex
+    has a black neighbour.  If a vertex v lies in two triangles that share
+    only v, `bowtie_center` demands v white; if they share an edge ab,
+    `diamond_pair` demands a and b black, a matched pair that cleaning
+    would drop.  The census lets both rules run, since v has degree at
+    least four and a, b at least three.  So triangles are disjoint, and a
+    vertex of one has at most one neighbour in another, since two would
+    close a triangle at that neighbour.  Three edges between a1a2a3 and
+    b1b2b3 then match each ai to bi, a prism, in which a1 a2 a3 b3 b2 is an
+    induced house with apex a1, and likewise for every vertex; so
+    `house_apex` demands all six black, and a1 with a2 is a matched pair.
+    A break is therefore a fault of the program, not a refutation.
     """
-    wl = Worklist() if wl is None else wl
-    anchors = wl.anchors(g, "_clean_pair", 2)
     tri_at = g.triangles_at()
-    for v in tri_at if anchors is None else anchors:
+    for v in tri_at:
         if len(tri_at[v]) > 1:
             return f"vertex {v} lies in {len(tri_at[v])} triangles"
-    # No vertex lies in two triangles, which rules out K4s, diamonds and
-    # butterflies.  So triangles are disjoint, and a vertex of one has at
-    # most one neighbour in another (two would close a third triangle).
-    for t1 in g.triangles(anchors):
+    for t1 in g.triangles():
         for t2 in sorted({t for a in t1 for b in g.neighbors(a) for t in tri_at[b] if t > t1}):
             between = [(a, b) for a in t1 for b in t2 if g.has_edge(a, b)]
             if len(between) > 2:
                 return f"triangles {t1} and {t2} joined by {len(between)} edges"
-    wl.found_nothing("_clean_pair")
     return None

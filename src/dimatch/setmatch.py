@@ -34,7 +34,6 @@ class Claw:
 
 @dataclass(frozen=True)
 class IrreducibleDecomposition:
-    triangle_vertices: frozenset[int]
     claws: tuple[Claw, ...]
     degree4_triangles: tuple[tuple[int, int, int], ...]  # (r, p, q); deg r = 4
     core: frozenset[int]  # triangle vertices minus spokes minus blacks
@@ -138,7 +137,6 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
     core = frozenset(tverts - spokes - c.blacks())
     candidates = core | {cl.a2 for cl in claws}
     return IrreducibleDecomposition(
-        triangle_vertices=tverts,
         claws=tuple(claws),
         degree4_triangles=tuple(sorted(deg4)),
         core=core,

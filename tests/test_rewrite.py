@@ -13,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dimatch.cli
 import dimatch.rewrite
 import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
-from dimatch.graph import Graph, complete, cycle, from_edges, path
+from dimatch.graph import Graph, complete, cycle, from_edges, path, save_graph
 from dimatch.oracle import MAX_ORACLE_VERTICES, GeneratorError, brute_dim, mixed_instance
 from dimatch.patterns import Pattern, contains_s222, pattern
 from dimatch.pipeline import solve
@@ -269,37 +270,20 @@ def _edit_chain(seed: int, steps: int):
 
 
 def test_anchored_structure_checks_equal_whole_scans():
-    """clean_pair_violation and _c5_component on a worklist that logged
-    every edited vertex since their last pass give what a whole scan gives:
-    the first violation in whole-scan order, the five-cycle component with
-    the least vertex."""
-    found = Counter()
-    c = PartialColoring()
+    """_c5_component on a worklist that logged every edited vertex since
+    its last pass gives what a whole scan gives: the five-cycle component
+    with the least vertex."""
+    found = 0
     for seed in range(40):
         wl, prev = Worklist(), None
         for g in _edit_chain(seed, 100):
             if prev is not None:
                 wl.log.extend(v for v in g.vertices if v not in prev or prev.neighbors(v) != g.neighbors(v))
-            want = clean_pair_violation(g, c)
-            assert clean_pair_violation(g, c, wl) == want, (seed, g.edges())
             five = next((k for k in g.components() if len(k) == 5 and all(g.degree(v) == 2 for v in k)), None)
             assert _c5_component(g, wl) == five == _c5_component(g), (seed, g.edges())
-            found["vertex" if want and want.startswith("vertex") else "link" if want else "clean"] += 1
-            found["c5"] += five is not None
+            found += five is not None
             prev = g
-    assert min(found[k] for k in ("clean", "vertex", "link", "c5")) >= 15, found
-
-
-def test_anchored_clean_pair_check_looks_two_rings_out():
-    """Closing the second triangle of a prism edits only two of its
-    vertices; the first triangle's least vertex lies two edges from them,
-    and the anchored check must still report the pair."""
-    c, wl = PartialColoring(), Worklist()
-    g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (1, 4), (2, 5), (3, 6)])
-    assert clean_pair_violation(g, c, wl) is None
-    g2 = g.rewrite(add_edges=[(5, 6)])
-    wl.log += [5, 6]
-    assert clean_pair_violation(g2, c, wl) == "triangles (1, 2, 3) and (4, 5, 6) joined by 3 edges"
+    assert found >= 15, found
 
 
 def test_anchored_five_cycle_check_returns_the_least_component():
@@ -348,7 +332,7 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
 
 # the keys that ask the worklist for anchors while cycle(n) is reduced
 CYCLE_KEYS = {
-    "_basic", "_clean_pair", "_c5", "square_alternation", "black_pair_neighbors",
+    "_basic", "_c5", "square_alternation", "black_pair_neighbors",
     "chain_step", "square_degree_two", "seven_cycle_step", "contract_path",
 }
 
@@ -516,7 +500,7 @@ def test_trace_replays_to_the_input_and_lifts_a_final_completion(n, seed):
 
 def test_a_rewrite_that_does_not_drop_the_measure_is_caught(monkeypatch):
     # a rule hanging a new leaf on a vertex raises n and m
-    grow = RewriteRule("grow", pattern("grow", "x y", "x-y"), grey=(), new_vertices=("a",), add_edges=(("a", "x"),))
+    grow = RewriteRule(pattern("grow", "x y", "x-y"), new_vertices=("a",), add_edges=(("a", "x"),))
     monkeypatch.setattr(dimatch.rewrite, "REWRITE_RULES", (grow,))
     with pytest.raises(AssertionError, match=r"measure did not drop at grow: \(0, 6, 6\) -> \(0, 7, 7\)"):
         reduce_to_irreducible(cycle(6))
@@ -562,6 +546,68 @@ def test_fixpoint_check_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", SHORT_RADIUS], capture_output=True, text=True, env=env)
     assert out.returncode != 0
     assert "AssertionError: fixpoint is not a clean pair" in out.stderr
+
+
+def test_a_clean_pair_break_at_the_fixpoint_is_a_fault_not_a_no(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(dimatch.rewrite, "clean_pair_violation", lambda g: "planted break")
+    with pytest.raises(AssertionError, match="fixpoint is not a clean pair: planted break"):
+        reduce_to_irreducible(cycle(6))
+    gpath = tmp_path / "c6.g"
+    gpath.write_text(save_graph(cycle(6)))
+    assert dimatch.cli.main(["solve", str(gpath)]) == dimatch.cli.EXIT_INTERNAL
+    assert "planted break" in capsys.readouterr().err
+
+
+# two triangles joined by a perfect matching, two sharing a vertex, two
+# sharing an edge: (vertex count, edges)
+CLEAN_PAIR_BREAKS = (
+    (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]),
+    (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    (4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),
+)
+
+
+def test_the_forcing_rules_pre_empt_every_clean_pair_break(monkeypatch):
+    """Whenever the reducer reaches a clean pair (cleaning made no step,
+    so it asks for a five-cycle component next), the graph keeps the facts
+    of clean_pair_violation.  Mixed instances, a third with a prism,
+    bowtie or diamond hung on by one or two edges and a third with a
+    random partial coloring; bowtie_center, diamond_pair and house_apex,
+    the rules the argument rests on, must each color often."""
+    checkpoints = 0
+    c5_component = dimatch.rewrite._c5_component
+
+    def checked(g, wl=None):
+        nonlocal checkpoints
+        checkpoints += 1
+        assert clean_pair_violation(g) is None, g.edges()
+        return c5_component(g, wl)
+
+    monkeypatch.setattr(dimatch.rewrite, "_c5_component", checked)
+    colored = Counter()
+
+    class Colorings(ReductionAudit):
+        def on_color(self, g, rule_id, tag, v, color, pre):
+            colored[rule_id] += 1
+
+    audit = Colorings()
+    rng = random.Random(17)
+    for seed in range(600):
+        try:
+            g = mixed_instance(7 + seed % 16, seed)
+        except GeneratorError:
+            continue
+        c = PartialColoring()
+        if seed % 3 == 1:
+            k, edges = rng.choice(CLEAN_PAIR_BREAKS)
+            ids = g.fresh_ids(k)
+            links = [(ids[rng.randrange(k)], rng.choice(g.vertices)) for _ in range(rng.randint(1, 2))]
+            g = g.rewrite(add_vertices=ids, add_edges=[(ids[a], ids[b]) for a, b in edges] + links)
+        elif seed % 3 == 2:
+            c = PartialColoring({v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.1})
+        reduce_to_irreducible(g, c, audit)
+    assert checkpoints >= 300, checkpoints
+    assert min(colored[r] for r in ("bowtie_center", "diamond_pair", "house_apex")) >= 50, colored
 
 
 def test_reduce_k3_succeeds():

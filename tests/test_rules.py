@@ -286,7 +286,7 @@ def test_engine_fixpoint_state_is_clean():
     assert propagate(g, c) is None
     g2, c2, _ = clean(g, c)
     assert is_clean_pair(g2, c2)
-    assert clean_pair_violation(g2, c2) is None
+    assert clean_pair_violation(g2) is None
 
 
 def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(monkeypatch):
@@ -467,23 +467,23 @@ def test_lone_wing_is_sound_beside_a_butterfly(monkeypatch):
 
 
 def test_clean_pair_violation_reports_k4():
-    assert clean_pair_violation(complete(4), PartialColoring()) == "vertex 1 lies in 3 triangles"
+    assert clean_pair_violation(complete(4)) == "vertex 1 lies in 3 triangles"
 
 
 def test_clean_pair_violation_reports_triangle_links():
     # two triangles joined by two edges sharing an endpoint
     g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 4)])
-    msg = clean_pair_violation(g, PartialColoring())
+    msg = clean_pair_violation(g)
     assert msg is not None
 
 
 def test_clean_pair_violation_reports_prism():
     # two triangles joined by a perfect matching of three edges
     g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)])
-    msg = clean_pair_violation(g, PartialColoring())
+    msg = clean_pair_violation(g)
     assert msg == "triangles (1, 2, 3) and (4, 5, 6) joined by 3 edges"
 
 
 def test_clean_pair_violation_accepts_unjoined_triangles():
     g = from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-    assert clean_pair_violation(g, PartialColoring()) is None
+    assert clean_pair_violation(g) is None

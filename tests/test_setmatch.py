@@ -65,7 +65,6 @@ def test_structure_accepts_claw_bridge_and_decomposes():
     g, c = fig_claw_bridge()
     assert assert_irreducible_structure(g, c) is None
     d = decompose(g, c)
-    assert d.triangle_vertices == frozenset({1, 2, 3, 4, 5, 6})
     assert len(d.claws) == 1
     claw = d.claws[0]
     assert claw.center == 7 and claw.a2 == 10
