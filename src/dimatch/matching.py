@@ -102,21 +102,24 @@ class _Matcher:
                 return n
         return -1
 
-    def augment_from(self, v: int, spare: AbstractSet[int] = frozenset()) -> bool:
+    def augment_from(self, v: int, spare: AbstractSet[int] = frozenset()) -> Optional[int]:
         """Search an augmenting path rooted at exposed vertex v; flip it.
 
         Every index in spare counts as adjacent to a virtual exposed helper
         vertex.  A path that ends at the helper frees its spare vertex, so
         the matching keeps its size and saturates v in that vertex's place.
+        Returns the far end of the flipped path, the exposed index it
+        saturated or the spare index it freed, or None if there is no path.
+        Every other index on the path was saturated and still is.
         """
         root = self.index[v]
         if self.match[root] != -1:
             raise ValueError(f"{v} is already saturated")
-        finish = self._find_path(root, spare)
+        finish = end = self._find_path(root, spare)
         if finish == -1:
-            return False
+            return None
         if finish == self.n:
-            freed = self.p[finish]
+            end = freed = self.p[finish]
             finish = self.match[freed]
             self.match[freed] = -1
         while finish != -1:
@@ -125,7 +128,7 @@ class _Matcher:
             self.match[finish] = pv
             self.match[pv] = finish
             finish = ppv
-        return True
+        return end
 
     def maximize(self) -> None:
         for i in range(self.n):
@@ -153,19 +156,30 @@ def solve_saturation(g: Graph, required: Iterable[int]) -> Optional[Matching]:
     vertex adjacent to every saturated non-required vertex.  Success
     trades a non-required saturated vertex for the required one; failure
     anywhere is final.  The result is still a maximum matching.
+
+    The set of saturated non-required indices is built once and then kept
+    up to date from the far end of each flipped path, the only index on
+    it whose saturation changed besides the required root.
     """
     req = sorted(set(required))
     if not set(req) <= set(g.vertices):
         raise ValueError("required vertices outside graph")
     solver = _Matcher(g)
     solver.maximize()
+    match = solver.match
     req_index = {solver.index[v] for v in req}
+    spare = {i for i, j in enumerate(match) if j != -1 and i not in req_index}
     for v in req:
-        if solver.match[solver.index[v]] != -1:
+        if match[solver.index[v]] != -1:
             continue
-        spare = {i for i, j in enumerate(solver.match) if j != -1 and i not in req_index}
-        if not solver.augment_from(v, spare):
+        end = solver.augment_from(v, spare)
+        if end is None:
             return None
+        if match[end] == -1:
+            spare.discard(end)
+        elif end not in req_index:
+            # an exposed non-required end; after maximize() none is left
+            spare.add(end)
     current = solver.matching()
     if not saturates(current, req):
         raise AssertionError("matching leaves a required vertex exposed")

@@ -18,6 +18,7 @@ from .graph import Graph
 from .patterns import MUST_BLACK, MUST_UNCOLORED, Embedding, Pattern, pattern
 from .rules import (
     Anchors,
+    DispatchPlan,
     ReductionAudit,
     Worklist,
     clean_pair_violation,
@@ -366,19 +367,21 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
 )
 
 
+_PLAN: DispatchPlan[RewriteRule] = DispatchPlan(lambda rule: rule.pattern)
+
+
 def try_rewrite(
     g: Graph, c: PartialColoring, wl: Optional[Worklist] = None
 ) -> Optional[tuple[Graph, PartialColoring, RewriteStep]]:
     """Apply the first applicable rewrite in fixed priority order.  A rule
     searches only near the changes logged in wl since its last search that
-    found nothing, as in `propagate`; on a fresh worklist, everywhere.  A
-    rule whose pattern does not fit g's degree census (see `Pattern.fits`)
-    has no embedding anywhere on g: it asks for no anchors, is not
-    searched and leaves no record, as in `propagate`."""
+    found nothing, as in `propagate`; on a fresh worklist, everywhere.
+    Only the rules of g's dispatch plan (see `DispatchPlan`) are tried: a
+    rule whose pattern does not fit g's degree census has no embedding
+    anywhere on g, so it asks for no anchors, is not searched and leaves
+    no record, as in `propagate`."""
     wl = Worklist() if wl is None else wl
-    for rule in REWRITE_RULES:
-        if not rule.pattern.fits(g):
-            continue
+    for rule in _PLAN(REWRITE_RULES, g):
         emb = rule.find(g, c, wl.anchors(g, rule.id, rule.pattern.radius))
         if emb is not None:
             return rule.apply(g, c, emb)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from bisect import insort
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Generic, Iterator, Optional, Sequence, TypeVar
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
@@ -35,8 +35,8 @@ Anchors = Optional[Sequence[int]]
 
 @dataclass(frozen=True)
 class Rule:
-    """A forcing rule.  `propagate` checks the host's degree census
-    against `shape` before it asks for anchors; a rule the census rules
+    """A forcing rule.  `propagate` runs only the rules whose `shape` fits
+    the host's degree census (see `DispatchPlan`); a rule the census rules
     out costs no anchors and no call, and leaves no record."""
 
     id: str
@@ -49,6 +49,38 @@ class Rule:
     # a pattern every firing contains, under any coloring; a host it does
     # not fit has no firing anywhere
     shape: Optional[Pattern] = None
+
+
+Entry = TypeVar("Entry")
+
+
+class DispatchPlan(Generic[Entry]):
+    """The entries of a driver's table that can fire on a host, by degree
+    mask: those whose shape is None or fits the mask, in table order.
+
+    Whether a shape fits depends only on the host's degree mask, so each
+    mask's tuple is built once, the first time a host with that mask is
+    seen, and `Pattern.fits` is asked nowhere else.  The plan remembers the
+    table it was built from and starts afresh when asked about another
+    one, so a table rebound at module level (as the bench tracer does) is
+    followed, and rebinding the original back rebuilds its tuples."""
+
+    __slots__ = ("shape", "table", "by_mask")
+
+    def __init__(self, shape: Callable[[Entry], Optional[Pattern]]) -> None:
+        self.shape = shape
+        self.table: Sequence[Entry] = ()
+        self.by_mask: dict[int, tuple[Entry, ...]] = {}
+
+    def __call__(self, table: Sequence[Entry], g: Graph) -> tuple[Entry, ...]:
+        if table is not self.table:
+            self.table, self.by_mask = table, {}
+        mask = g.degree_mask()
+        entries = self.by_mask.get(mask)
+        if entries is None:
+            shape = self.shape
+            entries = self.by_mask[mask] = tuple(e for e in table if (p := shape(e)) is None or p.fits(g))
+        return entries
 
 
 class Worklist:
@@ -65,8 +97,8 @@ class Worklist:
     much as the graph, and the rescan is whole.  Graphs are immutable and
     every change is logged, so a whole pass recorded on the current graph
     at the current log length read exactly the current state.  A rule
-    whose shape the degree census rules out makes no pass and leaves no
-    record: its last pass that found nothing still bounds what changed.
+    that the dispatch plan leaves out makes no pass and leaves no record:
+    its last pass that found nothing still bounds what changed.
     """
 
     __slots__ = ("log", "quiet", "whole", "_balls", "_state")
@@ -564,6 +596,9 @@ CATALOG: tuple[Rule, ...] = (
 )
 
 
+_PLAN: DispatchPlan[Rule] = DispatchPlan(lambda rule: rule.shape)
+
+
 def propagate(
     g: Graph,
     c: PartialColoring,
@@ -583,11 +618,12 @@ def propagate(
     every rule's first scan is whole.  Every group a rescan misses was
     already satisfied then and still is, and its anchors are ascending,
     so the first firing is the one a full scan finds.  A whole scan that
-    finds nothing is recorded in wl with its graph.  A rule whose `shape`
-    does not fit g's degree census has no firing on g under any coloring:
-    it is not called, asks wl for no anchors and leaves no record.  Every
-    change is logged, so its last recorded scan still bounds what changed
-    since, and the fixpoint check applies the same gate.
+    finds nothing is recorded in wl with its graph.  Only the rules of
+    g's dispatch plan run, once looked up per call, since coloring leaves
+    the degree mask alone: a rule whose `shape` does not fit g's degree
+    census has no firing on g under any coloring, so it is not called,
+    asks wl for no anchors and leaves no record.  Every change is logged,
+    so its last recorded scan still bounds what changed since.
 
     The rules in skip are known to find nothing on g and c as passed in, so
     they are not called until something is colored.
@@ -595,15 +631,14 @@ def propagate(
     wl = Worklist() if wl is None else wl
     get = c.state.get
     start = len(wl.log)
+    plan = _PLAN(CATALOG, g)
     while True:
         conflict = _basic_fixpoint(g, c, wl)
         if conflict is not None:
             return conflict
         fired = False
-        for rule in CATALOG:
+        for rule in plan:
             if rule.id in skip and len(wl.log) == start:
-                continue
-            if rule.shape is not None and not rule.shape.fits(g):
                 continue
             anchors = wl.anchors(g, rule.id, rule.radius)
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
@@ -636,10 +671,11 @@ def is_clean_pair(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -
     """No whites, blacks pairwise at distance >= 3, rules at fixpoint.
 
     The fixpoint is confirmed by one propagation from a fresh worklist, in
-    which every rule scans the whole of g.  wl, if given, is the worklist
-    that logged every change to c on g: a rule whose last whole scan
-    recorded there found nothing on g as it stands already has that scan
-    and is not called again.
+    which every rule of g's dispatch plan scans the whole of g; the rules
+    the census rules out are left out there, without asking it again.
+    wl, if given, is the worklist that logged every change to c on g: a
+    rule whose last whole scan recorded there found nothing on g as it
+    stands already has that scan and is not called again.
     """
     if c.whites():
         return False

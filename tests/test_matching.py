@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from dimatch.graph import complete, cycle, from_edges, path
-from dimatch.matching import max_matching, saturates, solve_saturation
+from dimatch.matching import _Matcher, max_matching, saturates, solve_saturation
 from dimatch.oracle import mixed_instance
 
 from .util import all_graphs, brute_max_matching_size, brute_saturation_exists, is_matching
@@ -129,3 +130,46 @@ def test_saturation_random_larger():
             # spot-check infeasibility with the brute oracle on small hosts
             if g.n <= 10:
                 assert not brute_saturation_exists(g, req), (g.edges(), req)
+
+
+def test_augment_from_returns_the_far_end_of_the_flipped_path():
+    # a path ending at a real exposed vertex saturates it
+    m = _Matcher(path(2))
+    assert m.augment_from(1) == m.index[2] and m.match[m.index[2]] == m.index[1]
+    # one ending at the helper frees its spare vertex: 3-2 replaces 1-2
+    m = _Matcher(path(3))
+    m.maximize()
+    assert m.match[m.index[1]] == m.index[2]
+    assert m.augment_from(3, {m.index[1]}) == m.index[1] and m.match[m.index[1]] == -1
+    assert m.augment_from(1) is None
+
+
+def test_saturation_keeps_spare_equal_to_a_rebuild(monkeypatch):
+    """On seeded random hosts and required sets, the spare set passed to
+    every augmenting search, and the one left after the last, equals the
+    saturated non-required indices rebuilt from the matching then."""
+    augment, seen = _Matcher.augment_from, Counter()
+    state = {}
+
+    def rebuilt(m: _Matcher) -> set[int]:
+        return {i for i, j in enumerate(m.match) if j != -1 and m.verts[i] not in state["req"]}
+
+    def checked(self, v, spare=None):
+        if spare is None:  # maximize()
+            return augment(self, v)
+        assert spare == rebuilt(self)
+        state["last"] = (self, spare)
+        end = augment(self, v, spare)
+        seen["none" if end is None else "freed" if self.match[end] == -1 else "saturated"] += 1
+        return end
+
+    monkeypatch.setattr(_Matcher, "augment_from", checked)
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(6, 24)
+        g = from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.25])
+        state["req"], state["last"] = {v for v in g.vertices if rng.random() < 0.5}, None
+        if solve_saturation(g, state["req"]) is not None and state["last"] is not None:
+            m, spare = state["last"]
+            assert spare == rebuilt(m)
+    assert seen["freed"] >= 80 and seen["none"] >= 40, seen

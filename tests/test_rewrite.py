@@ -38,7 +38,7 @@ from dimatch.rewrite import (
     remeasure,
     try_rewrite,
 )
-from dimatch.rules import Worklist, clean_pair_violation
+from dimatch.rules import DispatchPlan, Worklist, clean_pair_violation
 
 from .util import (
     REWRITE_HOSTS,
@@ -397,10 +397,13 @@ def _census_walk() -> Iterator[ReduceResult]:
 
 
 def test_the_census_is_asked_outside_the_search(monkeypatch):
-    """Along the same reductions, `Pattern.fits` is asked by the drivers
-    only, never from inside `Pattern.find_all`."""
+    """Along the same reductions, `Pattern.fits` is never asked from inside
+    `Pattern.find_all`.  While one catalog and one rewrite table stay
+    bound, each shape of a table is asked exactly once per degree mask its
+    driver meets: when that mask's dispatch plan is built."""
     inside, asked = [], Counter()
     find_all, fits = Pattern.find_all, Pattern.fits
+    masks = {"rules": set(), "rewrite": set()}
 
     def counted_find_all(self, *args, **kw):
         inside.append(self.name)
@@ -410,13 +413,70 @@ def test_the_census_is_asked_outside_the_search(monkeypatch):
             inside.pop()
 
     def counted_fits(self, g):
-        asked[bool(inside)] += 1
+        assert not inside, (inside, self.name)
+        asked[self.name, g.degree_mask()] += 1
         return fits(self, g)
 
+    def seen(key, driver):
+        def wrapped(g, *args, **kw):
+            masks[key].add(g.degree_mask())
+            return driver(g, *args, **kw)
+
+        return wrapped
+
+    # fresh table objects, so both plans start empty
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(list(dimatch.rules.CATALOG)))
+    monkeypatch.setattr(dimatch.rewrite, "REWRITE_RULES", tuple(list(REWRITE_RULES)))
+    monkeypatch.setattr(dimatch.rewrite, "propagate", seen("rules", dimatch.rewrite.propagate))
+    monkeypatch.setattr(dimatch.rewrite, "try_rewrite", seen("rewrite", dimatch.rewrite.try_rewrite))
     monkeypatch.setattr(Pattern, "find_all", counted_find_all)
     monkeypatch.setattr(Pattern, "fits", counted_fits)
     assert sum(rr.rewrite_steps for rr in _census_walk()) > 60
-    assert asked[False] > 1000 and not asked[True], asked
+    want = Counter((r.shape.name, m) for m in masks["rules"] for r in dimatch.rules.CATALOG if r.shape is not None)
+    want.update((r.pattern.name, m) for m in masks["rewrite"] for r in REWRITE_RULES)
+    assert len(masks["rules"]) > 1 and len(masks["rewrite"]) > 1, masks
+    assert asked == want, (asked - want, want - asked)
+
+
+def test_the_dispatch_plans_equal_the_census_gates(monkeypatch):
+    """On every graph the drivers meet along the same reductions, the
+    dispatch plan is, in order, the catalog rules whose shape is None or
+    fits the graph and the rewrites whose pattern fits it."""
+    call, checked = DispatchPlan.__call__, Counter()
+
+    def checked_call(self, table, g):
+        plan = call(self, table, g)
+        if table is dimatch.rules.CATALOG:
+            gate = [r for r in dimatch.rules.CATALOG if r.shape is None or r.shape.fits(g)]
+            checked["rules"] += 1
+        else:
+            assert table is dimatch.rewrite.REWRITE_RULES
+            gate = [r for r in REWRITE_RULES if r.pattern.fits(g)]
+            checked["rewrite"] += 1
+        assert list(plan) == gate, (g.edges(), [r.id for r in plan])
+        return plan
+
+    monkeypatch.setattr(DispatchPlan, "__call__", checked_call)
+    assert sum(rr.rewrite_steps for rr in _census_walk()) > 60
+    assert checked["rules"] > 80 and checked["rewrite"] > 60, checked
+
+
+def test_the_rewrite_plan_follows_a_rebound_table(monkeypatch):
+    """try_rewrite tries the rewrites of whichever table REWRITE_RULES is
+    bound to, on hosts of one degree mask, each time two bindings
+    alternate, and the original table's once it is restored."""
+    g = cycle(6)
+    grow = RewriteRule(pattern("grow", "x y", "x-y"), new_vertices=("a",), add_edges=(("a", "x"),))
+    copies = tuple(dataclasses.replace(r) for r in REWRITE_RULES)
+    want = try_rewrite(g, PartialColoring())[2]
+    assert want.rule_id == "contract_path"
+    for _ in range(2):
+        monkeypatch.setattr(dimatch.rewrite, "REWRITE_RULES", (grow,))
+        assert try_rewrite(g, PartialColoring())[2].rule_id == "grow"
+        monkeypatch.setattr(dimatch.rewrite, "REWRITE_RULES", copies)
+        assert try_rewrite(g, PartialColoring())[2] == want
+    monkeypatch.undo()
+    assert try_rewrite(g, PartialColoring())[2] == want
 
 
 def test_reimports_leave_one_graph_class_alive():

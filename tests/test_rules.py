@@ -11,10 +11,11 @@ import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.oracle import brute_dim, mixed_instance
-from dimatch.patterns import pattern
+from dimatch.patterns import Pattern, pattern
 from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
+    Rule,
     Worklist,
     _triangle_outsiders,
     clean_pair_violation,
@@ -353,6 +354,65 @@ def test_rules_the_census_rules_out_leave_no_record(monkeypatch):
             assert not ruled_out & set(calls), (g.edges(), calls)
             probed += 1
     assert unrecorded >= 500 and probed >= 15, (unrecorded, probed)
+
+
+def test_the_dispatch_plan_follows_a_rebound_catalog(monkeypatch):
+    """Rebinding CATALOG to copies built as Rule(id, tag, fn), as a tracer
+    does, makes propagate call every copy; binding the shaped rules back
+    calls only those the census lets through, and this holds each time
+    the two bindings alternate.  Once the catalog is restored, no copy is
+    called."""
+    g = cycle(7)
+    calls = []
+
+    def counted(rule, tag):
+        def fn(g, c, *anchors):
+            calls.append((tag, rule.id))
+            return rule.fn(g, c, *anchors)
+
+        return fn
+
+    shaped = tuple(dataclasses.replace(r, fn=counted(r, "shaped")) for r in CATALOG)
+    bare = tuple(Rule(r.id, r.tag, counted(r, "bare")) for r in CATALOG)
+    fitting = [("shaped", r.id) for r in CATALOG if r.shape is None or r.shape.fits(g)]
+    assert 0 < len(fitting) < len(CATALOG)
+    for _ in range(2):
+        for table, want in ((shaped, fitting), (bare, [("bare", r.id) for r in CATALOG])):
+            monkeypatch.setattr(dimatch.rules, "CATALOG", table)
+            calls.clear()
+            c = PartialColoring()
+            assert propagate(g, c) is None and not c.state
+            assert calls == want
+    monkeypatch.undo()
+    calls.clear()
+    assert propagate(g, PartialColoring()) is None
+    assert calls == []
+
+
+def test_the_fixpoint_probe_asks_no_census_once_the_plan_exists(monkeypatch):
+    """On the clean pairs the reduction of cycle(7) and of mixed instances
+    reaches, is_clean_pair makes no `Pattern.fits` call: the plan of the
+    pair's degree mask was built while reducing, and the rules it leaves
+    out are skipped without asking."""
+    fits, asked = Pattern.fits, []
+
+    def counted_fits(self, g):
+        asked.append(self.name)
+        return fits(self, g)
+
+    pairs, rng = [], random.Random(31)
+    hosts = [cycle(7)] + [mixed_instance(rng.randint(8, 16), rng.randrange(1 << 30)) for _ in range(40)]
+    for g in hosts:
+        rr = dimatch.rewrite.reduce_to_irreducible(g)
+        if not rr.is_refuted and rr.graph.n:
+            pairs.append((rr.graph, rr.coloring))
+    monkeypatch.setattr(Pattern, "fits", counted_fits)
+    ruled_out = 0
+    for g, c in pairs:
+        ruled_out += sum(r.shape is not None and not fits(r.shape, g) for r in CATALOG)
+        assert is_clean_pair(g, c)
+        assert asked == [], (g.edges(), asked)
+    assert len(pairs) >= 10 and ruled_out >= 50, (len(pairs), ruled_out)
 
 
 def test_scanned_whole_needs_the_same_graph_and_log_length():
