@@ -56,10 +56,6 @@ class PartialColoring:
     def whites(self) -> set[int]:
         return {v for v, c in self.state.items() if c == WHITE}
 
-    def restrict(self, vertices) -> PartialColoring:
-        keep = set(vertices)
-        return PartialColoring({v: c for v, c in self.state.items() if v in keep})
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PartialColoring) and self.state == other.state
 

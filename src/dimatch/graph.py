@@ -1,9 +1,11 @@
-"""Immutable simple undirected graphs with stable integer vertex ids."""
+"""Simple undirected graphs with stable integer vertex ids, edited in place
+only through `Graph.edit`."""
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Collection, Iterable, Mapping
+from bisect import bisect_left, insort
+from itertools import combinations, count
+from typing import Iterable, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -20,16 +22,23 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+_versions = count()
+
+
 class Graph:
-    """Simple undirected graph. Instances are immutable after construction.
+    """Simple undirected graph.
 
     Vertex ids are arbitrary integers and survive unchanged through
-    subgraph / rewrite operations, which always return new graphs.  The id
-    floor is the least id `fresh_ids` may hand out; subgraph / rewrite carry
-    it over, so graphs cut from one host can allocate disjoint fresh ids.
+    subgraph / rewrite / edit.  `edit` changes a graph in place; every
+    other operation leaves it alone, and `subgraph` / `rewrite` return new
+    graphs.  The id floor is the least id `fresh_ids` may hand out;
+    subgraph / rewrite carry it over, so graphs cut from one host can
+    allocate disjoint fresh ids.  The version (read only) is drawn afresh,
+    from one count shared by all graphs, at construction and at every
+    edit, so it names one graph in one state.
     """
 
-    __slots__ = ("_adj", "_vertices", "_m", "_cache", "_id_floor")
+    __slots__ = ("_adj", "_vertices", "_m", "_cache", "_id_floor", "version")
 
     def __init__(
         self,
@@ -47,15 +56,17 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._vertices = tuple(sorted(self._adj))
+        self._vertices = sorted(adj)
         self._m = sum(map(len, adj.values())) // 2
         self._cache: dict[str, object] = {}
         self._id_floor = id_floor
+        self.version = next(_versions)
 
     # -- basic queries ----------------------------------------------------
 
     @property
-    def vertices(self) -> tuple[int, ...]:
+    def vertices(self) -> Sequence[int]:
+        """The vertices, ascending; read only."""
         return self._vertices
 
     @property
@@ -95,7 +106,8 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    # -- derived structure (cached; the graph is immutable) ---------------
+    # -- derived structure (cached; `edit` keeps the degree census and the
+    # triangle index up to date and drops the rest) -----------------------
 
     def components(self) -> list[frozenset[int]]:
         cached = self._cache.get("components")
@@ -120,7 +132,7 @@ class Graph:
 
     def degree_counts(self) -> dict[int, int]:
         """How many vertices have each degree; degrees no vertex has are
-        left out.  `rewrite` carries it over to the new graph."""
+        left out.  `edit` keeps it up to date."""
         cached = self._cache.get("degree_counts")
         if cached is None:
             cached = self._cache["degree_counts"] = {}
@@ -166,7 +178,7 @@ class Graph:
 
     def triangles_at(self) -> dict[int, list[tuple[int, int, int]]]:
         """Every vertex's triangles in sorted order, keyed in ascending
-        vertex order.  `rewrite` carries it over to the new graph."""
+        vertex order.  `edit` keeps it up to date."""
         cached = self._cache.get("triangles_at")
         if cached is None:
             cached = self._cache["triangles_at"] = {v: [] for v in self._vertices}
@@ -238,6 +250,21 @@ class Graph:
         edges = [(u, v) for u in sorted(keep_set) for v in sorted(adj[u]) if v > u and v in keep_set]
         return Graph(keep_set, edges, self._id_floor if id_floor is None else id_floor)
 
+    def copy(self) -> Graph:
+        """An equal graph with a new version, sharing this one's
+        neighborhoods (an edit replaces those it changes, never alters
+        them); it takes over the degree census and the triangle index if
+        they are built."""
+        g = Graph.__new__(Graph)
+        g._adj = dict(self._adj)
+        g._vertices = list(self._vertices)
+        g._m = self._m
+        # the structures an edit keeps up to date
+        g._cache = {key: dict(self._cache[key]) for key in ("degree_counts", "triangles_at") if key in self._cache}
+        g._id_floor = self._id_floor
+        g.version = next(_versions)
+        return g
+
     def rewrite(
         self,
         remove_vertices: Iterable[int] = (),
@@ -245,14 +272,38 @@ class Graph:
         add_edges: Iterable[tuple[int, int]] = (),
         remove_edges: Iterable[tuple[int, int]] = (),
     ) -> Graph:
-        """This graph less some vertices (with their edges) and edges, plus
-        some vertices and then edges.  Removals may name vertices and edges
-        that are not here.  The new graph shares the neighborhoods no edit
-        touches, and takes over this graph's degree census and triangle
-        index if it has them."""
-        adj = dict(self._adj)
+        """A copy of this graph with the same `edit` made on it; this graph
+        is left alone."""
+        g = self.copy()
+        g.edit(remove_vertices, add_vertices, add_edges, remove_edges)
+        return g
+
+    def edit(
+        self,
+        remove_vertices: Iterable[int] = (),
+        add_vertices: Iterable[int] = (),
+        add_edges: Iterable[tuple[int, int]] = (),
+        remove_edges: Iterable[tuple[int, int]] = (),
+    ) -> None:
+        """Remove some vertices (with their edges) and edges, then add some
+        vertices and then edges, in place.  Removals may name vertices and
+        edges that are not here.  An added edge that is a loop or names a
+        vertex not here afterwards raises ValueError before anything
+        changes.  Only the edited neighborhoods are replaced.  The degree
+        census and the triangle index, if built, are updated at the edited
+        vertices; every other cached structure is dropped, and the version
+        is drawn afresh."""
+        adj, verts = self._adj, self._vertices
+        # dicts: ordered, without repeats
+        gone = {v: None for v in remove_vertices if v in adj}
+        added = {v: None for v in map(int, add_vertices) if v not in adj or v in gone}
+        add_edges = [(int(u), int(v)) for u, v in add_edges]
+        for u, v in add_edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if (u not in adj or u in gone) and u not in added or (v not in adj or v in gone) and v not in added:
+                raise ValueError(f"edge ({u},{v}) uses unknown vertex")
         touched: dict[int, set[int]] = {}
-        m = self._m
 
         def edit(v: int) -> set[int]:
             ns = touched.get(v)
@@ -260,26 +311,20 @@ class Graph:
                 ns = touched[v] = set(adj[v])
             return ns
 
-        verts: tuple[int, ...] | None = self._vertices
-        gone: list[int] = []
-        for v in remove_vertices:
-            ns = adj.pop(v, None)
-            if ns is None:
-                continue
-            verts = None
-            gone.append(v)
+        m = self._m
+        dropped: list[int] = []  # the degrees of the removed vertices
+        for v in gone:
+            ns = adj.pop(v)
+            dropped.append(len(ns))
             for w in ns:
                 if w in adj:
                     edit(w).discard(v)
                     m -= 1
             touched.pop(v, None)
-        added: list[int] = []
-        for v in add_vertices:
-            v = int(v)
-            if v not in adj:
-                adj[v] = frozenset()
-                added.append(v)
-                verts = None
+            del verts[bisect_left(verts, v)]
+        for v in added:
+            adj[v] = frozenset()
+            insort(verts, v)
         for u, v in remove_edges:
             if u in adj and v in adj:
                 ns = edit(u)
@@ -288,52 +333,40 @@ class Graph:
                     edit(v).discard(u)
                     m -= 1
         for u, v in add_edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u},{v}) uses unknown vertex")
             ns = edit(u)
             if v not in ns:
                 ns.add(v)
                 edit(v).add(u)
                 m += 1
+        self._m = m
+        self.version = next(_versions)
+        counts = self._cache.get("degree_counts")
+        at = self._cache.get("triangles_at")
+        self._cache = {}
+        if counts is not None:
+            # an added vertex starts at degree 0, also when its id was removed
+            for d in dropped:
+                counts[d] -= 1
+            counts[0] = counts.get(0, 0) + len(added)
+            for v, ns in touched.items():
+                counts[len(adj[v])] -= 1
+                counts[len(ns)] = counts.get(len(ns), 0) + 1
+            for d in [d for d, k in counts.items() if not k]:
+                del counts[d]
+            self._cache["degree_counts"] = counts
         for v, ns in touched.items():
             adj[v] = frozenset(ns)
-        g = Graph.__new__(Graph)
-        g._adj = adj
-        g._vertices = tuple(sorted(adj)) if verts is None else verts
-        g._m = m
-        g._cache = {}
-        g._id_floor = self._id_floor
-        if "degree_counts" in self._cache:
-            g._carry_degrees(self, touched, gone, added)
-        if "triangles_at" in self._cache:
-            g._carry_triangles(self, touched, gone, added)
-        return g
+        if at is not None:
+            self._cache["triangles_at"] = self._retriangle(at, touched, gone, list(added))
 
-    def _carry_degrees(self, parent: Graph, touched: Collection[int], gone: list[int], added: list[int]) -> None:
-        """Take over parent's degree census.  Only the removed, added and
-        edited vertices change degree; an added vertex starts at degree 0,
-        also when its id was removed in the same rewrite."""
-        counts = dict(parent.degree_counts())
-        old, adj, new = parent._adj, self._adj, set(added)
-        if added:
-            counts[0] = counts.get(0, 0) + len(added)
-        for v in touched:
-            d = len(adj[v])
-            counts[d] = counts.get(d, 0) + 1
-        for v in gone:
-            counts[len(old[v])] -= 1
-        for v in touched:
-            counts[0 if v in new else len(old[v])] -= 1
-        self._cache["degree_counts"] = {d: k for d, k in counts.items() if k}
-
-    def _carry_triangles(self, parent: Graph, touched: Collection[int], gone: list[int], added: list[int]) -> None:
-        """Take over parent's triangle index.  A triangle at x comes or
-        goes only with an edge at x, which edits x, or with an edge between
-        two neighbors of x, which edits both.  So only the edited vertices
-        and the vertices next to two of them are recomputed."""
+    def _retriangle(
+        self, at: dict[int, list[tuple[int, int, int]]], touched: Iterable[int], gone: Iterable[int], added: list[int]
+    ) -> dict[int, list[tuple[int, int, int]]]:
+        """The triangle index updated in place after an edit.  A triangle
+        at x comes or goes only with an edge at x, which edits x, or with
+        an edge between two neighbors of x, which edits both.  So only the
+        edited vertices and the vertices next to two of them are
+        recomputed."""
         adj = self._adj
         near = set(touched)
         seen: set[int] = set()
@@ -343,7 +376,6 @@ class Graph:
                     near.add(x)
                 else:
                     seen.add(x)
-        at = dict(parent.triangles_at())
         for v in gone:
             del at[v]
         for v in added:
@@ -351,9 +383,9 @@ class Graph:
         for v in near:
             at[v] = self._triangles_at_vertex(v)
         # new keys went last; that is ascending when they are the top ids
-        if added and tuple(added) != self._vertices[len(self._vertices) - len(added):]:
+        if added and added != self._vertices[len(self._vertices) - len(added):]:
             at = {v: at[v] for v in self._vertices}
-        self._cache["triangles_at"] = at
+        return at
 
     def fresh_ids(self, k: int) -> list[int]:
         """k ids above every vertex and at least the id floor."""

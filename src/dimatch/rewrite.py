@@ -5,12 +5,13 @@ Each rewrite replaces a matched local configuration by a smaller one while
 preserving exactly whether a feasible complete coloring exists; cleaning
 drops white vertices and matched black pairs.  Both record a RewriteStep
 with enough of the removed material to translate a completion of the
-final graph back into one of the original graph.
+final graph back into one of the original graph; `RewriteStep.make` then
+makes the step on a graph and coloring in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring
@@ -43,8 +44,25 @@ class RewriteStep:
     added_edges: tuple[tuple[int, int], ...]
     removed_survivor_edges: tuple[tuple[int, int], ...]
 
+    # the surviving and new vertices whose adjacency the step changes;
+    # read only.  The driver, the measure and the lift each read it.
+    changed: set[int] = field(init=False, repr=False, compare=False)
 
-def _rewrite(
+    def __post_init__(self) -> None:
+        edges = self.removed_incident_edges + self.added_edges + self.removed_survivor_edges
+        touched = {v for e in edges for v in e} | set(self.added_ids.values())
+        object.__setattr__(self, "changed", touched - set(self.removed_vertices))
+
+    def make(self, g: Graph, c: PartialColoring) -> None:
+        """Make this step on g, the graph it was recorded on, and on c, in
+        place: the removed vertices leave both, then the added vertices and
+        edges join g and the removed survivor edges leave it."""
+        g.edit(self.removed_vertices, self.added_ids.values(), self.added_edges, self.removed_survivor_edges)
+        for v in self.removed_vertices:
+            c.state.pop(v, None)
+
+
+def _record(
     g: Graph,
     c: PartialColoring,
     rule_id: str,
@@ -53,28 +71,26 @@ def _rewrite(
     added_ids: dict[str, int],
     added_edges: tuple[tuple[int, int], ...] = (),
     removed_survivor_edges: tuple[tuple[int, int], ...] = (),
-) -> tuple[Graph, PartialColoring, RewriteStep]:
-    """Make the change on g, restrict c to the new graph and record the
-    step, with the removed vertices' edges and colors."""
+) -> RewriteStep:
+    """The step making the change on g, with the removed vertices' edges
+    and colors."""
     removed = tuple(sorted(removed))
     incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
-    g2 = g.rewrite(removed, added_ids.values(), added_edges, removed_survivor_edges)
-    step = RewriteStep(
+    return RewriteStep(
         rule_id, embedding, removed, {v: c.get(v) for v in removed}, incident,
         added_ids, added_edges, removed_survivor_edges,
     )
-    return g2, c.restrict(g2.vertices), step
 
 
-def clean(g: Graph, c: PartialColoring) -> tuple[Graph, PartialColoring, Optional[RewriteStep]]:
-    """Drop white vertices and matched black pairs; restrict the coloring.
-    The step has rule "clean", an empty embedding and colors every vertex
-    it removes."""
+def clean(g: Graph, c: PartialColoring) -> Optional[RewriteStep]:
+    """The step dropping the white vertices and matched black pairs, or
+    None if there are none; it is not yet made.  It has rule "clean", an
+    empty embedding and colors every vertex it removes."""
     blacks = c.blacks()
     removed = c.whites() | {v for v in blacks if g.neighbors(v) & blacks}
     if not removed:
-        return g, c, None
-    return _rewrite(g, c, "clean", {}, removed, {})
+        return None
+    return _record(g, c, "clean", {}, removed, {})
 
 
 @dataclass(frozen=True)
@@ -103,12 +119,13 @@ class RewriteRule:
                 return emb
         return None
 
-    def apply(self, g: Graph, c: PartialColoring, emb: Embedding) -> tuple[Graph, PartialColoring, RewriteStep]:
+    def apply(self, g: Graph, c: PartialColoring, emb: Embedding) -> RewriteStep:
+        """The step this rewrite takes at emb, not yet made."""
         added_ids = dict(zip(self.new_vertices, g.fresh_ids(len(self.new_vertices))))
         lookup = {**emb, **added_ids}
         added = tuple((lookup[a], lookup[b]) for a, b in self.add_edges)
         surv_del = tuple((emb[a], emb[b]) for a, b in self.remove_survivor_edges)
-        return _rewrite(g, c, self.id, emb, (emb[r] for r in self.pattern.closure), added_ids, added, surv_del)
+        return _record(g, c, self.id, emb, (emb[r] for r in self.pattern.closure), added_ids, added, surv_del)
 
 
 # --------------------------------------------------------------------------
@@ -370,12 +387,11 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
 _PLAN: DispatchPlan[RewriteRule] = DispatchPlan(lambda rule: rule.pattern)
 
 
-def try_rewrite(
-    g: Graph, c: PartialColoring, wl: Optional[Worklist] = None
-) -> Optional[tuple[Graph, PartialColoring, RewriteStep]]:
-    """Apply the first applicable rewrite in fixed priority order.  A rule
-    searches only near the changes logged in wl since its last search that
-    found nothing, as in `propagate`; on a fresh worklist, everywhere.
+def try_rewrite(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -> Optional[RewriteStep]:
+    """The step of the first applicable rewrite in fixed priority order,
+    not yet made, or None.  A rule searches only near the changes logged
+    in wl since its last search that found nothing, as in `propagate`; on
+    a fresh worklist, everywhere.
     Only the rules of g's dispatch plan (see `DispatchPlan`) are tried: a
     rule whose pattern does not fit g's degree census has no embedding
     anywhere on g, so it asks for no anchors, is not searched and leaves
@@ -387,13 +403,6 @@ def try_rewrite(
             return rule.apply(g, c, emb)
         wl.found_nothing(rule.id)
     return None
-
-
-def _changed(step: RewriteStep) -> set[int]:
-    """The surviving and new vertices whose adjacency a step changed."""
-    edges = step.removed_incident_edges + step.added_edges + step.removed_survivor_edges
-    touched = {v for e in edges for v in e} | set(step.added_ids.values())
-    return touched - set(step.removed_vertices)
 
 
 # --------------------------------------------------------------------------
@@ -419,24 +428,28 @@ def measure(g: Graph) -> tuple[int, int, int]:
     return (bad_vertex_count(g), g.n, g.m)
 
 
-def remeasure(before: tuple[int, int, int], g: Graph, g2: Graph, step: RewriteStep) -> tuple[int, int, int]:
-    """measure(g2), given before = measure(g) and the step that made g2 from
-    g.  Whether a vertex is bad depends on its degree, its triangles and
-    their other vertices' degrees, so only the vertices the step changed or
-    removed and the neighbors of changed ones are recounted.  A neighbor
-    before the step is one after it unless their edge went, and then it
-    was changed or removed itself."""
-    changed = _changed(step)
+def remeasure(before: tuple[int, int, int], g: Graph, c: PartialColoring, step: RewriteStep) -> tuple[int, int, int]:
+    """Make step on g and c, and return measure(g) after it, given before =
+    measure(g) before it.  Whether a vertex is bad depends on its degree,
+    its triangles and their other vertices' degrees, so only the step's
+    neighbourhood is recounted, once before the edit and once after: the
+    vertices it changes or removes and, taken before the edit, the
+    neighbors of the changed ones.  A neighbor after the step was one
+    before it unless their edge is new, and then it is changed itself."""
+    changed = step.changed
     near = changed.union(step.removed_vertices)
     for v in changed:
-        near |= g2.neighbors(v)
+        if v in g:
+            near |= g.neighbors(v)
     bad = before[0]
     for v in near:
         if v in g:
             bad -= _bad(g, v)
-        if v in g2:
-            bad += _bad(g2, v)
-    return (bad, g2.n, g2.m)
+    step.make(g, c)
+    for v in near:
+        if v in g:
+            bad += _bad(g, v)
+    return (bad, g.n, g.m)
 
 
 def _five_cycle_at(g: Graph, v: int) -> Optional[frozenset[int]]:
@@ -504,6 +517,12 @@ def reduce_to_irreducible(
     changes the worklist logged since its last pass.  The final pair must
     be clean and keep the facts of `clean_pair_violation`, which the rules
     pre-empt; either failing is a fault (AssertionError), never a NO.
+
+    Up to the first cleaning or rewrite step, g and c are the ones passed
+    in, and propagation colors c.  That step copies both, and it and every
+    later step edit the copies in place, so g itself is never edited and
+    an input that needs no step is returned as it is, with every index it
+    built.
     """
     if c is None:
         c = PartialColoring()
@@ -511,47 +530,50 @@ def reduce_to_irreducible(
     steps = 0
     cap = max(STEP_CAP_FACTOR * g.n * g.n, 16)
     wl = Worklist()
+    owned = False
     # measure(g) from the first rewrite on
     measured: Optional[tuple[int, int, int]] = None
     while True:
         conflict = propagate(g, c, audit, wl)
         if conflict is not None:
             return ReduceResult(conflict, g, c, trace, steps)
-        g2, c2, cstep = clean(g, c)
-        if cstep is not None:
+        step = clean(g, c)
+        rewriting = step is None
+        if rewriting:
+            comp = _c5_component(g, wl)
+            if comp is not None:
+                witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
+                return ReduceResult(witness, g, c, trace, steps)
+            step = try_rewrite(g, c, wl)
+            if step is None:
+                violation = clean_pair_violation(g)
+                if violation is not None or not is_clean_pair(g, c, wl):
+                    raise AssertionError(f"fixpoint is not a clean pair: {violation or 'is_clean_pair fails'}")
+                return ReduceResult(None, g, c, trace, steps)
+            if measured is None:
+                measured = measure(g)
+        if not owned:
+            g, c, owned = g.copy(), c.copy(), True
+        pre = (g.copy(), c.copy()) if audit else None
+        before = measured
+        if measured is None:
+            step.make(g, c)
+        else:
+            measured = remeasure(measured, g, c, step)
+        if rewriting:
+            if not measured < before:
+                raise AssertionError(
+                    f"measure did not drop at {step.rule_id}: {before} -> {measured}"
+                )
+            steps += 1
+            if steps > cap:
+                raise AssertionError(f"rewrite budget exceeded: {steps} > {cap}")
             if audit:
-                audit.on_clean(g, c, g2, c2)
-            trace.append(cstep)
-            wl.log.extend(_changed(cstep))
-            if measured is not None:
-                measured = remeasure(measured, g, g2, cstep)
-            g, c = g2, c2
-            continue
-        comp = _c5_component(g, wl)
-        if comp is not None:
-            witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
-            return ReduceResult(witness, g, c, trace, steps)
-        outcome = try_rewrite(g, c, wl)
-        if outcome is None:
-            violation = clean_pair_violation(g)
-            if violation is not None or not is_clean_pair(g, c, wl):
-                raise AssertionError(f"fixpoint is not a clean pair: {violation or 'is_clean_pair fails'}")
-            return ReduceResult(None, g, c, trace, steps)
-        g2, c2, step = outcome
-        before = measure(g) if measured is None else measured
-        after = remeasure(before, g, g2, step)
-        if not after < before:
-            raise AssertionError(
-                f"measure did not drop at {step.rule_id}: {before} -> {after}"
-            )
-        steps += 1
-        if steps > cap:
-            raise AssertionError(f"rewrite budget exceeded: {steps} > {cap}")
-        if audit:
-            audit.on_rewrite(step, g, c, g2, c2)
+                audit.on_rewrite(step, *pre, g, c)
+        elif audit:
+            audit.on_clean(*pre, g, c)
         trace.append(step)
-        wl.log.extend(_changed(step))
-        g, c, measured = g2, c2, after
+        wl.log.extend(step.changed)
 
 
 def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
@@ -568,8 +590,9 @@ def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
     checked as soon as it and its neighbours in the step are colored.  A
     clean step colored all of them, so its lift only checks.
     """
-    changed = _changed(step)
-    missing = changed - colors.keys()
+    changed = step.changed
+    # a set minus colors.keys() would walk every key of colors
+    missing = {v for v in changed if v not in colors}
     if missing:
         raise LiftError(f"{step.rule_id}: vertex {min(missing)} is uncolored")
     owed = dict.fromkeys(changed - set(step.added_ids.values()), 0)

@@ -86,7 +86,7 @@ class DispatchPlan(Generic[Entry]):
 class Worklist:
     """The vertices whose color or adjacency changed during one reduction,
     in order, and per scan the log position of its last pass that found
-    nothing; for a whole pass also the graph it read.
+    nothing; for a whole pass also the version of the graph it read.
 
     A scan whose anchors lie farther than its radius from every vertex
     logged since then would read exactly what it read then, so only the
@@ -94,9 +94,12 @@ class Worklist:
     changes since one log position come from one breadth-first search,
     grown ring by ring as larger radii are asked for.  Once as many changes
     as the graph has vertices were logged since, the ball costs about as
-    much as the graph, and the rescan is whole.  Graphs are immutable and
-    every change is logged, so a whole pass recorded on the current graph
-    at the current log length read exactly the current state.  A rule
+    much as the graph, and the rescan is whole.  An edit draws the graph a
+    new version and every change is logged, so a whole pass recorded at
+    the graph's current version and the current log length read exactly
+    the current state, even after an edit that logged nothing (one that
+    removes a whole component).  The balls are kept for one version and
+    log length too.  A rule
     that the dispatch plan leaves out makes no pass and leaves no record:
     its last pass that found nothing still bounds what changed.
     """
@@ -106,21 +109,23 @@ class Worklist:
     def __init__(self) -> None:
         self.log: list[int] = []
         self.quiet: dict[str, int] = {}
-        self.whole: dict[str, tuple[Graph, int]] = {}
+        # key -> (graph version, log length) of its last whole pass
+        self.whole: dict[str, tuple[int, int]] = {}
         # one breadth-first search per log position, on the current graph
-        # and log: [ball, last ring, [sorted ball at radius 0, 1, ...]]
+        # version and log: [ball, last ring, [sorted ball at radius 0, 1, ...]]
         self._balls: dict[int, list] = {}
-        self._state: tuple[Optional[Graph], int] = (None, 0)
+        self._state: tuple[int, int] = (-1, 0)
 
     def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
         """Ascending anchors to rescan for key; None means all of g: on
         its first pass, without a radius, or after at least g.n logged
         changes."""
         since, now = self.quiet.get(key), len(self.log)
-        if since is None or radius is None or now - since >= len(g.vertices):
+        if since is None or radius is None or now - since >= g.n:
             return None
-        if self._state[0] is not g or self._state[1] != now:
-            self._state, self._balls = (g, now), {}
+        state = (g.version, now)
+        if self._state != state:
+            self._state, self._balls = state, {}
         grown = self._balls.get(since)
         if grown is None:
             ball = {v for v in self.log[since:] if v in g}
@@ -140,17 +145,20 @@ class Worklist:
         whole pass read."""
         self.quiet[key] = len(self.log)
         if whole_on is not None:
-            self.whole[key] = (whole_on, len(self.log))
+            self.whole[key] = (whole_on.version, len(self.log))
 
     def scanned_whole(self, g: Graph) -> set[str]:
         """The keys whose last whole pass found nothing on g as it stands."""
-        now = len(self.log)
-        return {key for key, (h, at) in self.whole.items() if h is g and at == now}
+        now = (g.version, len(self.log))
+        return {key for key, at in self.whole.items() if at == now}
 
 
 class ReductionAudit:
     """Observer of every coloring, cleaning step and rewrite the reduction
-    makes; the methods are no-ops, so a subclass overrides what it needs."""
+    makes; the methods are no-ops, so a subclass overrides what it needs.
+    g_pre and c_pre are copies taken before the step, only when an audit is
+    passed; g_post and c_post are the reduction's own graph and coloring,
+    which later steps edit in place."""
 
     def on_color(self, g: Graph, rule_id: str, tag: str, v: int, color: str, pre: PartialColoring) -> None:
         pass

@@ -107,7 +107,7 @@ def test_rewrite_equals_full_rebuild_and_leaves_source_alone():
     for trial in range(300):
         n = rng.randint(1, 12)
         g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3], id_floor=40)
-        before = (g.vertices, g.edges())
+        before = (tuple(g.vertices), g.edges())
         # removals may name vertices and edges that are not in g
         drop = set(rng.sample(range(1, n + 3), rng.randint(0, 3)))
         cut = [(u, v) for u, v in combinations(range(1, n + 3), 2) if rng.random() < 0.1]
@@ -119,9 +119,9 @@ def test_rewrite_equals_full_rebuild_and_leaves_source_alone():
         cut_pairs = {(min(e), max(e)) for e in cut}
         kept = [e for e in g.edges() if e[0] not in drop and e[1] not in drop and e not in cut_pairs]
         assert g2 == Graph(pool, kept + added), trial
-        assert g2.vertices == tuple(sorted(pool)) and g2.edges() == sorted(set(kept + added))
+        assert g2.vertices == sorted(pool) and g2.edges() == sorted(set(kept + added))
         assert g2.fresh_ids(1) == [max([*pool, 39]) + 1]
-        assert (g.vertices, g.edges()) == before
+        assert (tuple(g.vertices), g.edges()) == before
 
 
 def test_rewrite_carries_the_triangle_index():
@@ -167,6 +167,35 @@ def test_rewrite_carries_the_degree_census():
     g.degree_counts()
     for g2 in (g.rewrite([2], [2], [(2, 6)]), g.rewrite([5, 2], [2, 7], [(2, 1), (2, 7)], [(3, 4)])):
         check(g2)
+
+
+# every query that reads a cached structure
+QUERIES = (
+    Graph.degree_counts,
+    Graph.degree_mask,
+    Graph.low_degree_vertices,
+    lambda g: list(g.triangles_at().items()),
+    Graph.triangles,
+    Graph.induced_c4s,
+    Graph.components,
+    lambda g: list(g.vertices),
+    Graph.edges,
+    lambda g: g.m,
+)
+
+
+def test_edits_in_place_keep_every_query_equal_to_a_fresh_build():
+    """Along chains of 300 seeded edits of one graph, made with every
+    cached structure built, each query after an edit equals a fresh
+    build's, and each edit draws a new version."""
+    versions = set()
+    for seed in range(4):
+        for step, g in enumerate(rewrite_chain(seed, 300, in_place=True)):
+            assert g.version not in versions, (seed, step)
+            versions.add(g.version)
+            fresh = Graph(g.vertices, g.edges())
+            for query in QUERIES:
+                assert query(g) == query(fresh), (seed, step, query)
 
 
 def test_anchored_triangles_read_the_index_as_the_per_anchor_scan_does():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import random
 from pathlib import Path
 
@@ -9,10 +10,10 @@ import pytest
 import dimatch
 from dimatch.coloring import BLACK, verify_complete
 from dimatch.graph import Graph, complete, cycle, from_edges, path
-from dimatch.oracle import brute_dim, mixed_instance
+from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
 from dimatch.patterns import contains_s222
 from dimatch.pipeline import LongClawPresent, solve
-from dimatch.rewrite import RewriteStep
+from dimatch.rewrite import RewriteStep, reduce_to_irreducible
 
 from .util import REWRITE_HOSTS, OracleAudit, decorate, random_host, reference_contains_s222
 
@@ -206,3 +207,63 @@ def test_fresh_ids_are_unique_across_components(rule_id):
             assert len(ids) == len(set(ids)), (seed, ids)
             fresh += len(ids)
     assert fresh > 0
+
+
+# each cached structure of a graph and the query that builds it
+CACHE_QUERIES = {
+    "components": Graph.components,
+    "degree_counts": Graph.degree_counts,
+    "degree_mask": Graph.degree_mask,
+    "low_degree": Graph.low_degree_vertices,
+    "triangles": Graph.triangles,
+    "triangles_at": Graph.triangles_at,
+    "induced_c4s": Graph.induced_c4s,
+}
+
+
+def _state(g: Graph) -> tuple:
+    """g's edges, vertex sequence, m and cached structures, copied."""
+    return g.edges(), tuple(g.vertices), g.m, copy.deepcopy(g._cache)
+
+
+def _report(rep) -> tuple:
+    return rep.decision, rep.certificate, rep.witness, rep.trace, rep.rewrite_steps, rep.irreducible_order
+
+
+def test_solving_never_edits_its_input():
+    """cycle(240), a union of YES mixed instances and mixed instances of
+    one and of several components, some with every cached structure built
+    beforehand: solve and reduce_to_irreducible leave the input's edges,
+    vertex sequence, m and cached values as they were, every structure
+    cached afterwards equals a fresh build's, and solving the same graph
+    twice gives identical reports."""
+    rng = random.Random(41)
+    mixed, yes_parts = [], []
+    while len(mixed) < 24:
+        try:
+            g = mixed_instance(rng.randint(8, 18), rng.randrange(1 << 30))
+        except GeneratorError:
+            continue
+        mixed.append(g)
+        if brute_dim(g) is not None and len(g.components()) == 1:
+            yes_parts.append(g)
+    inputs = [cycle(240), disjoint_union(yes_parts[:6])] + mixed
+    assert sum(len(g.components()) > 1 for g in inputs) >= 3
+    steps = 0
+    for i, g in enumerate(inputs):
+        if i % 2:
+            for query in CACHE_QUERIES.values():
+                query(g)
+        before = _state(g)
+        first = solve(g)
+        assert _state(g)[:3] == before[:3]
+        assert all(g._cache[key] == value for key, value in before[3].items())
+        rr = reduce_to_irreducible(g)
+        steps += rr.rewrite_steps
+        assert _state(g)[:3] == before[:3]
+        assert all(g._cache[key] == value for key, value in before[3].items())
+        fresh = Graph(g.vertices, g.edges())
+        for key, value in g._cache.items():
+            assert value == CACHE_QUERIES[key](fresh), key
+        assert _report(solve(g)) == _report(first)
+    assert steps > 60

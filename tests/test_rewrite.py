@@ -47,6 +47,7 @@ from .util import (
     decorate,
     forward,
     fresh_degree_counts,
+    made,
     product_lift_step,
     replay_backwards,
 )
@@ -69,7 +70,8 @@ def test_rewrite_rule_on_host(rule_id, idx):
     assert contains_s222(g) is None, "host must be long-claw free"
     emb = rule.find(g, c)
     assert emb is not None, "pattern must match its host"
-    g2, c2, step = rule.apply(g, c, emb)
+    step = rule.apply(g, c, emb)
+    g2, c2 = made(g, c, step)
     # validity: completability is preserved in both directions
     assert (brute_dim(g, c) is not None) == (brute_dim(g2, c2) is not None)
     # no long claw is introduced
@@ -119,7 +121,8 @@ def test_backtracking_lift_equals_the_product_search():
             for relabel in range(3):
                 g, coloring = (g0, coloring0) if relabel == 0 else _relabelled(g0, coloring0, rng)
                 c = PartialColoring(coloring)
-                g2, c2, step = rule.apply(g, c, rule.find(g, c))
+                step = rule.apply(g, c, rule.find(g, c))
+                g2, c2 = made(g, c, step)
                 fulls = [full.state for full in all_completions(g2, c2)]
                 fulls += [{v: rng.choice((BLACK, WHITE)) for v in g2.vertices} for _ in range(8)]
                 for full in fulls:
@@ -130,6 +133,33 @@ def test_backtracking_lift_equals_the_product_search():
     assert lifted > 100 and failed > 100
 
 
+class _Unwalkable(dict):
+    """A coloring that may be read and written by vertex but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("walked every vertex of the coloring")
+
+    def keys(self):
+        raise AssertionError("asked for every vertex of the coloring")
+
+
+def test_a_lift_step_reads_the_coloring_only_at_its_own_vertices():
+    """Lifting each step of the reduction of cycle(240) never walks the
+    whole coloring, so a lift costs what its step touched; the result is
+    the one lift_completion gives."""
+    g = cycle(240)
+    rr = reduce_to_irreducible(g)
+    final = brute_dim(rr.graph, rr.coloring)
+    assert len(rr.trace) > 60 and final is not None
+    colors = _Unwalkable(final.state)
+    for step in reversed(rr.trace):
+        _lift_step(step, colors)
+        for v in step.added_ids.values():
+            colors.pop(v, None)
+    lifted = PartialColoring(dict(dict.items(colors)))
+    assert lifted == lift_completion(rr.trace, final) and verify_complete(g, lifted)
+
+
 def test_lift_rejects_completion_with_no_valid_choice():
     # contracting 1-2-3-4-5 joins 1 and 5; with both white no coloring of
     # 2, 3, 4 is valid, since 2 and 4 would each need a white neighbour
@@ -138,7 +168,7 @@ def test_lift_rejects_completion_with_no_valid_choice():
     rule = RULES_BY_ID["contract_path"]
     emb = rule.find(g, c)
     assert emb is not None
-    _, _, step = rule.apply(g, c, emb)
+    step = rule.apply(g, c, emb)
     with pytest.raises(LiftError):
         lift_completion([step], PartialColoring({1: WHITE, 5: WHITE}))
 
@@ -149,7 +179,8 @@ def test_lift_checks_survivors_of_a_step_that_removes_no_vertex():
     g, coloring = REWRITE_HOSTS["unlink_triangles"][0]
     c = PartialColoring(coloring)
     rule = RULES_BY_ID["unlink_triangles"]
-    g2, _, step = rule.apply(g, c, rule.find(g, c))
+    step = rule.apply(g, c, rule.find(g, c))
+    g2, _ = made(g, c, step)
     b, x = step.removed_survivor_edges[0]
     colors = {v: BLACK for v in g2.vertices} | {b: WHITE, x: WHITE}
     with pytest.raises(LiftError):
@@ -158,9 +189,9 @@ def test_lift_checks_survivors_of_a_step_that_removes_no_vertex():
 
 def test_rewrite_priority_is_first_match():
     g, coloring = REWRITE_HOSTS["prune_tail"][0]
-    out = try_rewrite(g, PartialColoring(coloring))
-    assert out is not None
-    assert out[2].rule_id == "prune_tail"
+    step = try_rewrite(g, PartialColoring(coloring))
+    assert step is not None
+    assert step.rule_id == "prune_tail"
 
 
 def test_no_rewrite_on_triangle():
@@ -169,18 +200,19 @@ def test_no_rewrite_on_triangle():
 
 def test_cycle_contracts_to_triangle():
     # a six-cycle carries a contractible run of degree-two vertices
-    out = try_rewrite(cycle(6), PartialColoring())
-    assert out is not None and out[2].rule_id == "contract_path"
-    assert out[0].n == 3
+    g, c = cycle(6), PartialColoring()
+    step = try_rewrite(g, c)
+    assert step is not None and step.rule_id == "contract_path"
+    assert made(g, c, step)[0].n == 3
 
 
 def test_contract_path_shortens_long_paths():
     # a run of inner degree-two vertices between two triangle anchors
     g = from_edges(11, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
                         (1, 8), (1, 9), (8, 9), (7, 10), (7, 11), (10, 11)])
-    out = try_rewrite(g, PartialColoring())
-    assert out is not None and out[2].rule_id == "contract_path"
-    g2 = out[0]
+    step = try_rewrite(g, PartialColoring())
+    assert step is not None and step.rule_id == "contract_path"
+    g2, _ = made(g, PartialColoring(), step)
     assert g2.n == g.n - 3
     assert (brute_dim(g) is not None) == (brute_dim(g2) is not None)
 
@@ -204,7 +236,7 @@ def test_measure_decreases_on_hosts():
             rule = RULES_BY_ID[rid]
             c = PartialColoring(coloring)
             emb = rule.find(g, c)
-            g2, _, _ = rule.apply(g, c, emb)
+            g2, _ = made(g, c, rule.apply(g, c, emb))
             assert measure(g2) < measure(g), rid
 
 
@@ -221,13 +253,11 @@ def test_step_wise_measure_equals_a_whole_count():
     kinds = Counter()
     for g in graphs:
         rr = reduce_to_irreducible(g)
-        carried = measure(g)
+        carried, g, c = measure(g), g.copy(), PartialColoring()
         for step in rr.trace:
-            g2 = forward([step], g)
-            carried = remeasure(carried, g, g2, step)
-            assert carried == measure(Graph(g2.vertices, g2.edges())), step.rule_id
+            carried = remeasure(carried, g, c, step)
+            assert carried == measure(Graph(g.vertices, g.edges())), step.rule_id
             kinds[step.rule_id == "clean"] += 1
-            g = g2
     assert kinds[True] > 40 and kinds[False] > 500, kinds
 
 
@@ -468,15 +498,15 @@ def test_the_rewrite_plan_follows_a_rebound_table(monkeypatch):
     g = cycle(6)
     grow = RewriteRule(pattern("grow", "x y", "x-y"), new_vertices=("a",), add_edges=(("a", "x"),))
     copies = tuple(dataclasses.replace(r) for r in REWRITE_RULES)
-    want = try_rewrite(g, PartialColoring())[2]
+    want = try_rewrite(g, PartialColoring())
     assert want.rule_id == "contract_path"
     for _ in range(2):
         monkeypatch.setattr(dimatch.rewrite, "REWRITE_RULES", (grow,))
-        assert try_rewrite(g, PartialColoring())[2].rule_id == "grow"
+        assert try_rewrite(g, PartialColoring()).rule_id == "grow"
         monkeypatch.setattr(dimatch.rewrite, "REWRITE_RULES", copies)
-        assert try_rewrite(g, PartialColoring())[2] == want
+        assert try_rewrite(g, PartialColoring()) == want
     monkeypatch.undo()
-    assert try_rewrite(g, PartialColoring())[2] == want
+    assert try_rewrite(g, PartialColoring()) == want
 
 
 def test_reimports_leave_one_graph_class_alive():
@@ -499,11 +529,16 @@ def test_reimports_leave_one_graph_class_alive():
 
 
 class CensusAudit(ReductionAudit):
-    """Checks that every graph a cleaning step or rewrite makes carries a
-    degree census equal to a fresh count."""
+    """Checks that after every cleaning step and rewrite the working graph
+    carries a degree census equal to a fresh count, and equals a graph
+    built afresh from its vertices and edges in degree mask, triangle
+    index (values and ascending key order), low-degree tuple, vertex order
+    and m.  Its first check builds the triangle index, so every later one
+    reads an index the edits kept up to date."""
 
     def __init__(self) -> None:
         self.graphs = 0
+        self.triangles = 0
 
     def on_clean(self, g_pre, c_pre, g_post, c_post):
         self._check(g_post)
@@ -513,15 +548,23 @@ class CensusAudit(ReductionAudit):
 
     def _check(self, g: Graph) -> None:
         assert "degree_counts" in g._cache and g.degree_counts() == fresh_degree_counts(g), g.edges()
+        fresh = Graph(g.vertices, g.edges())
+        assert g.degree_counts() == fresh.degree_counts() and g.degree_mask() == fresh.degree_mask()
+        self.triangles += "triangles_at" in g._cache
+        assert list(g.triangles_at().items()) == list(fresh.triangles_at().items()), g.edges()
+        assert g.low_degree_vertices() == fresh.low_degree_vertices()
+        assert list(g.vertices) == list(fresh.vertices) and g.m == fresh.m
         self.graphs += 1
 
 
 def test_reduction_carries_the_degree_census():
-    """Along the reduction of cycle(240) and of mixed instances, every
-    graph made carries a degree census equal to a fresh count."""
+    """Along the reduction of cycle(240) and of mixed instances, the
+    working graph after every step carries a degree census and a triangle
+    index equal to a fresh build's, and its other indices, vertex order
+    and m equal a fresh build's."""
     audit = CensusAudit()
     steps = reduce_to_irreducible(cycle(240), audit=audit).rewrite_steps
-    assert audit.graphs >= steps > 60
+    assert audit.graphs >= steps > 60 and audit.triangles == audit.graphs - 1
     rng, mixed = random.Random(23), 0
     while mixed < 5:
         try:
@@ -531,6 +574,7 @@ def test_reduction_carries_the_degree_census():
         before = audit.graphs
         reduce_to_irreducible(g, audit=audit)
         mixed += audit.graphs > before
+    assert audit.triangles >= audit.graphs - 1 - mixed
 
 
 @given(st.integers(7, 22), st.integers(0, 10**6))
@@ -691,8 +735,9 @@ def test_reduce_emits_clean_steps_and_lift_restores_them():
 def test_lift_checks_clean_steps():
     # cleaning the white middle of a path keeps its color when lifted, and
     # with both ends white no valid coloring of the path remains
-    g2, _, step = clean(path(3), PartialColoring({2: WHITE}))
-    assert set(g2.vertices) == {1, 3}
+    g, c = path(3), PartialColoring({2: WHITE})
+    step = clean(g, c)
+    assert set(made(g, c, step)[0].vertices) == {1, 3}
     with pytest.raises(LiftError):
         lift_completion([step], PartialColoring({1: WHITE, 3: WHITE}))
 

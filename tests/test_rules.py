@@ -23,7 +23,7 @@ from dimatch.rules import (
     propagate,
 )
 
-from .util import FORCING_HOSTS, RULES_BY_ID, OracleAudit, random_host, reference_triangle_outsiders, rewrite_chain
+from .util import FORCING_HOSTS, RULES_BY_ID, OracleAudit, made, random_host, reference_triangle_outsiders, rewrite_chain
 
 # initial state plus one demand the rule itself must produce on it
 EXPECTED_DEMAND = {
@@ -231,8 +231,10 @@ def test_a_rule_finds_nothing_on_a_host_its_shape_does_not_fit():
 def test_clean_black_pair_leaves_empty_graph():
     g = path(2)
     c = PartialColoring({1: BLACK, 2: BLACK})
-    g2, c2, step = clean(g, c)
-    assert g2.n == 0 and step is not None
+    step = clean(g, c)
+    assert step is not None
+    g2, c2 = made(g, c, step)
+    assert g2.n == 0 and not c2.state
     assert step.removed_vertices == (1, 2)
     assert step.removed_colors == {1: BLACK, 2: BLACK}
 
@@ -240,16 +242,15 @@ def test_clean_black_pair_leaves_empty_graph():
 def test_clean_removes_single_white():
     g = path(3)
     c = PartialColoring({2: WHITE})
-    g2, c2, step = clean(g, c)
-    assert set(g2.vertices) == {1, 3}
+    step = clean(g, c)
+    g2, c2 = made(g, c, step)
+    assert set(g2.vertices) == {1, 3} and not c2.state
     assert step.removed_vertices == (2,)
     assert step.removed_colors == {2: WHITE}
 
 
 def test_clean_identity_when_uncolored():
-    g = cycle(5)
-    g2, c2, step = clean(g, PartialColoring())
-    assert step is None and g2 is g
+    assert clean(cycle(5), PartialColoring()) is None
 
 
 def test_clean_preserves_completability_randomized():
@@ -261,7 +262,8 @@ def test_clean_preserves_completability_randomized():
         if propagate(g, c) is not None:
             assert brute_dim(g) is None
             continue
-        g2, c2, _ = clean(g, c)
+        step = clean(g, c)
+        g2, c2 = (g, c) if step is None else made(g, c, step)
         assert (brute_dim(g, c) is not None) == (brute_dim(g2, c2) is not None)
 
 
@@ -285,7 +287,8 @@ def test_engine_fixpoint_state_is_clean():
     g = cycle(6)
     c = PartialColoring()
     assert propagate(g, c) is None
-    g2, c2, _ = clean(g, c)
+    step = clean(g, c)
+    g2, c2 = (g, c) if step is None else made(g, c, step)
     assert is_clean_pair(g2, c2)
     assert clean_pair_violation(g2) is None
 
@@ -424,6 +427,22 @@ def test_scanned_whole_needs_the_same_graph_and_log_length():
     assert wl.scanned_whole(cycle(6)) == set()
     wl.log.append(1)
     assert wl.scanned_whole(g) == set()
+
+
+def test_an_unlogged_edit_ends_whole_records_and_cached_balls():
+    """An edit that logs nothing (as when a cleaning step drops a whole
+    component) still ends every whole record on the graph and every ball
+    cached for it: the key leaves scanned_whole, and anchors drop the
+    removed vertex."""
+    g, wl = cycle(8), Worklist()
+    wl.found_nothing("near")
+    wl.log.append(3)
+    wl.found_nothing("whole", g)
+    assert wl.scanned_whole(g) == {"whole"}
+    assert wl.anchors(g, "near", 1) == [2, 3, 4]
+    g.edit(remove_vertices=[4])
+    assert wl.scanned_whole(g) == set()
+    assert wl.anchors(g, "near", 1) == [2, 3]
 
 
 def _fresh_ball(g: Graph, logged: list[int], radius: int) -> list[int]:

@@ -13,7 +13,7 @@ from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Embedding, Pattern, contains_s222, pattern
-from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep, _changed
+from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep
 from dimatch.rules import CATALOG, FORCED
 from dimatch.setmatch import SetFamilyInstance
 
@@ -140,12 +140,12 @@ def reference_triangle_outsiders(g: Graph, anchors: Optional[list[int]]) -> Iter
                     yield t, u
 
 
-def rewrite_chain(seed: int, steps: int, n: int = 10) -> Iterator[Graph]:
+def rewrite_chain(seed: int, steps: int, n: int = 10, in_place: bool = False) -> Iterator[Graph]:
     """The graphs of a seeded chain of random rewrites from a random graph
     on 1..n whose degree census and triangle index are built, so each
     step carries them.  Fresh ids are mostly the top ids,
     as in the reduction; now and then a removed id comes back below the
-    top."""
+    top.  In place, each step is an edit of the one graph, yielded again."""
     rng = random.Random(seed)
     g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3])
     g.degree_counts()
@@ -161,7 +161,10 @@ def rewrite_chain(seed: int, steps: int, n: int = 10) -> Iterator[Graph]:
         live = [v for v in verts if v not in drop] + new
         added = [tuple(rng.sample(live, 2)) for _ in range(rng.randint(0, 4))] if len(live) > 1 else []
         cut = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 3))] if len(verts) > 1 else []
-        g = g.rewrite(drop, new, added, cut)
+        if in_place:
+            g.edit(drop, new, added, cut)
+        else:
+            g = g.rewrite(drop, new, added, cut)
         yield g
 
 
@@ -198,12 +201,19 @@ def forward(trace: list[RewriteStep], g: Graph) -> Graph:
     return g
 
 
+def made(g: Graph, c: PartialColoring, step: RewriteStep) -> tuple[Graph, PartialColoring]:
+    """Copies of g and c with step made on them; g and c stay as they are."""
+    g2, c2 = g.copy(), c.copy()
+    step.make(g2, c2)
+    return g2, c2
+
+
 def product_lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
     """Reference for `dimatch.rewrite._lift_step`: try every choice for the
     uncolored removed vertices (ascending, BLACK before WHITE) and check
     every removed vertex and touched survivor for each, keeping the first
     valid one."""
-    changed = _changed(step)
+    changed = step.changed
     missing = changed - colors.keys()
     if missing:
         raise LiftError(f"{step.rule_id}: vertex {min(missing)} is uncolored")
