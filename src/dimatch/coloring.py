@@ -64,17 +64,6 @@ class PartialColoring:
         return f"PartialColoring({inner})"
 
 
-def is_feasible_partial(g: Graph, c: PartialColoring) -> bool:
-    """No two adjacent whites; every black has at most one black neighbor."""
-    for v, col in c.state.items():
-        ns = g.neighbors(v)
-        if col == WHITE and any(c.get(w) == WHITE for w in ns):
-            return False
-        if col == BLACK and sum(1 for w in ns if c.get(w) == BLACK) > 1:
-            return False
-    return True
-
-
 def verify_complete(g: Graph, c: PartialColoring) -> bool:
     """True iff c is a feasible complete coloring of g: whites independent
     and every black vertex has exactly one black neighbor.

@@ -198,22 +198,6 @@ class Graph:
             for a in ns for b in adj[a] & ns if a < b
         )
 
-    def maximal_cliques_of_size_ge2(self) -> list[tuple[int, ...]]:
-        """Maximal cliques with at least two vertices.
-
-        Only supported when every maximal clique has at most three
-        vertices; a larger clique raises ValueError.
-        """
-        for a, b, c in self.triangles():
-            for d in self._adj[a] & self._adj[b] & self._adj[c]:
-                raise ValueError(f"clique of size >=4 at {sorted((a, b, c, d))}")
-        tri_edges = set()
-        for a, b, c in self.triangles():
-            tri_edges |= {_pair(a, b), _pair(a, c), _pair(b, c)}
-        out: list[tuple[int, ...]] = list(self.triangles())
-        out.extend(e for e in self.edges() if e not in tri_edges)
-        return sorted(out, key=lambda t: (len(t), t))
-
     def induced_c4s(self, anchors: Iterable[int] | None = None) -> list[tuple[int, int, int, int]]:
         """Chordless 4-cycles (a, b, c, d) with edges ab, bc, cd, da.
 

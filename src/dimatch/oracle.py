@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
+from .coloring import BLACK, WHITE, PartialColoring
 from .graph import Graph, complete, cycle, from_edges, path, star
 from .patterns import contains_s222
 
@@ -15,6 +15,17 @@ MAX_ORACLE_VERTICES = 26
 
 class OracleSizeError(ValueError):
     pass
+
+
+def is_feasible_partial(g: Graph, c: PartialColoring) -> bool:
+    """No two adjacent whites; every black has at most one black neighbor."""
+    for v, col in c.state.items():
+        ns = g.neighbors(v)
+        if col == WHITE and any(c.get(w) == WHITE for w in ns):
+            return False
+        if col == BLACK and sum(1 for w in ns if c.get(w) == BLACK) > 1:
+            return False
+    return True
 
 
 def brute_dim(
@@ -97,7 +108,7 @@ RETRY_BUDGET = 400
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    model: str  # uniform | triangle_chain | claw_gadget | path_of_triangles | known
+    model: str  # uniform | triangle_chain | claw_gadget | path_of_triangles | sparse_tree | known
     n: int
     seed: int
     family: str = "cycle"  # for model == "known"
@@ -218,7 +229,7 @@ def generate(spec: GeneratorSpec) -> Graph:
     raise ValueError(f"unknown generator model {spec.model!r}")
 
 
-MIXED_MODELS = ("uniform", "triangle_chain", "claw_gadget", "path_of_triangles", "sparse_tree")
+MIXED_MODELS = tuple(_RANDOM_MODELS)
 
 
 def mixed_instance(n: int, seed: int) -> Graph:

@@ -163,24 +163,18 @@ class Pattern:
         return bounds, loose
 
     @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        """One bit mask per role's degree window, bit d for degree d; a
+    def _masks(self) -> frozenset[int]:
+        """One bit mask per distinct degree window, bit d for degree d; a
         window with no cap has a negative mask, whose bits from lo up never
-        end.  A mask that holds every bit of a narrower one is dropped,
-        since a host that meets the narrower meets it too.  Capped windows
-        go first: they fail most."""
-        masks = {-(1 << lo) if hi is None else (1 << hi + 1) - (1 << lo) for lo, hi in self._windows()[0]}
-        return tuple(sorted((a for a in masks if not any(b != a and not b & ~a for b in masks)),
-                            key=lambda a: (a < 0, a)))
+        end."""
+        return frozenset(-(1 << lo) if hi is None else (1 << hi + 1) - (1 << lo)
+                         for lo, hi in self._windows()[0])
 
     def fits(self, g: Graph) -> bool:
         """Whether every role's degree window holds the degree of some host
         vertex; a host where one holds none has no embedding."""
         host = g.degree_mask()
-        for mask in self._masks:
-            if not host & mask:
-                return False
-        return True
+        return all(host & mask for mask in self._masks)
 
     def _source(self) -> str:
         """Source of `search(adj, first, verts, C)`, this pattern's scan.

@@ -17,7 +17,8 @@ from .rewrite import (
     reduce_to_irreducible,
 )
 from .setmatch import (
-    assert_irreducible_structure,
+    StructureViolation,
+    assert_irreducible_structure,  # not called here; bench/spans.py rebinds this name
     build_family,
     coloring_from_hit,
     decompose,
@@ -92,15 +93,15 @@ def _solve_connected(g: Graph, audit: Optional[ReductionAudit]) -> RunReport:
     if rr.is_refuted:
         return RunReport(NO, None, str(rr.refuted), rr.trace, rr.rewrite_steps, rr.graph.n)
     g_star, c_star = rr.graph, rr.coloring
-    violation = assert_irreducible_structure(g_star, c_star)
-    if violation is not None:
+    try:
+        d = decompose(g_star, c_star)
+    except StructureViolation as violation:
         # the structure facts hold for every completable irreducible pair,
         # so a violation refutes the instance
         return RunReport(
             NO, None, f"irreducible structure: {violation}", rr.trace,
             rr.rewrite_steps, g_star.n,
         )
-    d = decompose(g_star, c_star)
     family = build_family(g_star, c_star, d)
     chosen = solve_hitting(family)
     if chosen is None:

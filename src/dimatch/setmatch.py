@@ -3,9 +3,12 @@
 An irreducible pair has rigid structure: maximum degree four, each vertex
 in at most one triangle, degree-four vertices in triangles whose other
 two vertices have degree two, and every component left after deleting all
-triangle vertices is a claw hanging between two distinct triangles.  That
-structure turns the coloring question into hitting a family of small sets
-exactly once, which in turn is a saturating-matching question.
+triangle vertices is a claw hanging between two distinct triangles.
+`decompose` checks that structure and reads the triangles, claws and core
+off the pair in one walk.  The structure turns the coloring question into
+hitting a family of small sets exactly once: the core's part of each
+triangle, each core edge between two triangles and one triple per claw.
+That in turn is a saturating-matching question.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .matching import solve_saturation
 
 
 class StructureViolation(RuntimeError):
-    pass
+    """The pair breaks the structure every completable irreducible pair
+    has, so the instance is NO."""
 
 
 @dataclass(frozen=True)
@@ -41,106 +45,92 @@ class IrreducibleDecomposition:
 
 
 def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
-    """Check the structure every completable irreducible pair must have.
-
-    Returns None when everything holds, else a description.  A violation
-    on a pipeline-produced irreducible pair refutes the instance.
-    """
-    top = g.max_degree()
-    if top > 4:
-        return f"maximum degree {top} exceeds four"
-    tri_at = g.triangles_at()
-    for v in g.vertices:
-        if len(tri_at[v]) > 1:
-            return f"vertex {v} lies in {len(tri_at[v])} triangles"
-        if g.degree(v) == 0:
-            return f"isolated vertex {v}"
-    for v in g.vertices:
-        if g.degree(v) == 4:
-            if not tri_at[v]:
-                return f"degree-4 vertex {v} outside every triangle"
-            t = tri_at[v][0]
-            others = [w for w in t if w != v]
-            if any(g.degree(w) != 2 for w in others):
-                return f"triangle of degree-4 vertex {v} has high-degree partners"
-    tverts = {v for v in g.vertices if tri_at[v]}
-    for v in sorted(c.blacks()):
-        if v in tverts and g.degree(v) != 2:
-            return f"black triangle vertex {v} has degree {g.degree(v)}"
-    outside = g.subgraph(v for v in g.vertices if v not in tverts)
-    for comp in outside.components():
-        err = _claw_violation(g, c, outside, comp, tverts)
-        if err:
-            return err
-    return None
-
-
-def _claw_violation(
-    g: Graph, c: PartialColoring, outside: Graph, comp: frozenset[int], tverts: set[int]
-) -> Optional[str]:
-    label = sorted(comp)
-    if len(comp) != 4:
-        return f"non-claw component {label} outside the triangles"
-    centers = [v for v in comp if outside.degree(v) == 3]
-    leaves = [v for v in comp if outside.degree(v) == 1]
-    if len(centers) != 1 or len(leaves) != 3:
-        return f"component {label} is not a claw"
-    x = centers[0]
-    if g.degree(x) != 3:
-        return f"claw center {x} has outside attachments"
-    if c.get(x) != BLACK:
-        return f"claw center {x} is not black"
-    tips = sorted(v for v in leaves if g.degree(v) == 1)
-    arms = sorted(v for v in leaves if g.degree(v) == 2)
-    if len(tips) != 1 or len(arms) != 2:
-        return f"claw {label} lacks the one-pendant shape"
-    if any(c.get(v) is not None for v in leaves):
-        return f"claw {label} has a colored leaf"
-    anchors = []
-    for a in arms:
-        others = [w for w in g.neighbors(a) if w != x]
-        if len(others) != 1 or others[0] not in tverts:
-            return f"claw arm {a} not anchored in a triangle"
-        anchors.append(others[0])
-    t_at = g.triangles_at()
-    if t_at[anchors[0]][0] == t_at[anchors[1]][0]:
-        return f"claw {label} anchored twice in one triangle"
+    """None when `decompose` accepts the pair, else its violation's text."""
+    try:
+        decompose(g, c)
+    except StructureViolation as err:
+        return str(err)
     return None
 
 
 def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
-    """Split an irreducible pair into triangles, claws and the core.
+    """Check the structure of an irreducible pair and split it into
+    triangles, claws and the core, in one walk.
 
-    Precondition: `assert_irreducible_structure(g, c)` returned None; the
-    pipeline checks that first, and nothing here checks it again.
+    Raises StructureViolation for the first fact broken, in this order:
+    the maximum degree; shared triangles and isolated vertices; degree-four
+    vertices; black triangle vertices, which need degree two; then each
+    component outside the triangles, by least vertex, which must be a claw
+    with a black center, uncolored leaves and one pendant tip, its arms
+    anchored in two distinct triangles.  On a pipeline-produced
+    irreducible pair a violation refutes the instance.
     """
+    top = g.max_degree()
+    if top > 4:
+        raise StructureViolation(f"maximum degree {top} exceeds four")
     tri_at = g.triangles_at()
-    tverts = frozenset(v for v in g.vertices if tri_at[v])
-    deg4 = []
-    for t in g.triangles():
-        highs = [v for v in t if g.degree(v) == 4]
-        if highs:
-            r = highs[0]
-            p, q = sorted(v for v in t if v != r)
-            deg4.append((r, p, q))
-    spokes = frozenset(x for _, p, q in deg4 for x in (p, q))
+    outside: list[int] = []
+    deg4: list[tuple[int, int, int]] = []
+    # the first break of the degree-four and black facts; either waits for
+    # the walk's end, as a later shared triangle or isolated vertex comes first
+    hub = black = None
+    for v in g.vertices:
+        ts, d = tri_at[v], g.degree(v)
+        if len(ts) > 1:
+            raise StructureViolation(f"vertex {v} lies in {len(ts)} triangles")
+        if d == 0:
+            raise StructureViolation(f"isolated vertex {v}")
+        if not ts:
+            if d == 4:
+                hub = hub or f"degree-4 vertex {v} outside every triangle"
+            outside.append(v)
+            continue
+        if d == 4:
+            p, q = (w for w in ts[0] if w != v)
+            if g.degree(p) != 2 or g.degree(q) != 2:
+                hub = hub or f"triangle of degree-4 vertex {v} has high-degree partners"
+            deg4.append((v, p, q))
+        if d != 2 and c.get(v) == BLACK:
+            black = black or f"black triangle vertex {v} has degree {d}"
+    if hub or black:
+        raise StructureViolation(hub or black)
     claws = []
-    outside = g.subgraph(v for v in g.vertices if v not in tverts)
-    for comp in sorted(outside.components(), key=min):
-        x = next(v for v in comp if outside.degree(v) == 3)
-        leaves = sorted(v for v in comp if v != x)
-        a2 = next(v for v in leaves if g.degree(v) == 1)
-        a1, a3 = sorted(v for v in leaves if v != a2)
-        v_anchor = next(w for w in g.neighbors(a1) if w != x)
-        u_anchor = next(w for w in g.neighbors(a3) if w != x)
-        claws.append(Claw(x, a1, a2, a3, v_anchor, u_anchor))
-    core = frozenset(tverts - spokes - c.blacks())
-    candidates = core | {cl.a2 for cl in claws}
+    rest = g.subgraph(outside)
+    for comp in rest.components():  # by least vertex
+        label = sorted(comp)
+        if len(comp) != 4:
+            raise StructureViolation(f"non-claw component {label} outside the triangles")
+        centers = [v for v in label if rest.degree(v) == 3]
+        leaves = [v for v in label if rest.degree(v) == 1]
+        if len(centers) != 1 or len(leaves) != 3:
+            raise StructureViolation(f"component {label} is not a claw")
+        x = centers[0]
+        if g.degree(x) != 3:
+            raise StructureViolation(f"claw center {x} has outside attachments")
+        if c.get(x) != BLACK:
+            raise StructureViolation(f"claw center {x} is not black")
+        tips = [v for v in leaves if g.degree(v) == 1]
+        arms = [v for v in leaves if g.degree(v) == 2]
+        if len(tips) != 1 or len(arms) != 2:
+            raise StructureViolation(f"claw {label} lacks the one-pendant shape")
+        if any(c.get(v) is not None for v in leaves):
+            raise StructureViolation(f"claw {label} has a colored leaf")
+        anchors = []
+        for a in arms:
+            others = [w for w in g.neighbors(a) if w != x]
+            if len(others) != 1 or not tri_at[others[0]]:
+                raise StructureViolation(f"claw arm {a} not anchored in a triangle")
+            anchors.append(others[0])
+        if tri_at[anchors[0]][0] == tri_at[anchors[1]][0]:
+            raise StructureViolation(f"claw {label} anchored twice in one triangle")
+        claws.append(Claw(x, arms[0], tips[0], arms[1], anchors[0], anchors[1]))
+    spokes = {w for _, p, q in deg4 for w in (p, q)}
+    core = frozenset(v for v in g.vertices if tri_at[v] and v not in spokes and c.get(v) != BLACK)
     return IrreducibleDecomposition(
         claws=tuple(claws),
-        degree4_triangles=tuple(sorted(deg4)),
+        degree4_triangles=tuple(deg4),
         core=core,
-        candidates=frozenset(candidates),
+        candidates=core | {cl.a2 for cl in claws},
     )
 
 
@@ -156,18 +146,24 @@ class SetFamilyInstance:
 
 def build_family(g: Graph, c: PartialColoring, d: IrreducibleDecomposition) -> SetFamilyInstance:
     """Nontrivial maximal cliques of the core graph, plus one anchor triple
-    per claw.  Hitting each set exactly once is equivalent to extending c."""
-    core_graph = g.subgraph(d.core)
-    sets: list[frozenset[int]] = [frozenset(cl) for cl in core_graph.maximal_cliques_of_size_ge2()]
-    for cl in d.claws:
-        sets.append(frozenset({cl.v, cl.u, cl.a2}))
-    sets_sorted = tuple(sorted(sets, key=lambda a: sorted(a)))
+    per claw.  Hitting each set exactly once is equivalent to extending c.
+
+    The core holds triangle vertices only, each in one triangle, so those
+    cliques are the core's part of each triangle when it has two or three
+    vertices, and the core edges between two triangles."""
+    core = d.core
+    tri_at = g.triangles_at()
+    sets = [part for t in g.triangles() if len(part := core.intersection(t)) >= 2]
+    sets += [frozenset((u, w)) for u in core for w in g.neighbors(u)
+             if u < w and w in core and tri_at[u][0] != tri_at[w][0]]
+    sets += [frozenset((cl.v, cl.u, cl.a2)) for cl in d.claws]
+    sets_sorted = tuple(sorted(sets, key=sorted))
     elements = tuple(sorted({e for a in sets_sorted for e in a}))
     # memberships are checked by solve_hitting's element index
     if not all(2 <= len(a) <= 3 for a in sets_sorted):
-        raise StructureViolation("set family violates size bounds")
+        raise AssertionError("set family violates size bounds")
     if not set(elements) <= d.candidates:
-        raise StructureViolation("set family leaks outside the candidate set")
+        raise AssertionError("set family leaks outside the candidate set")
     return SetFamilyInstance(elements, sets_sorted)
 
 

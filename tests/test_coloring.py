@@ -10,11 +10,11 @@ from dimatch.coloring import (
     PartialColoring,
     assign,
     format_certificate,
-    is_feasible_partial,
     parse_certificate,
     verify_complete,
 )
 from dimatch.graph import complete, cycle, from_edges
+from dimatch.oracle import is_feasible_partial
 
 from .util import parser_text
 

@@ -66,20 +66,13 @@ def test_save_load_roundtrip_canonical():
     assert save_graph(load_graph(text)) == text
 
 
-def test_triangles_and_cliques():
+def test_triangles():
     k3 = complete(3)
     assert k3.triangles() == [(1, 2, 3)]
-    assert k3.maximal_cliques_of_size_ge2() == [(1, 2, 3)]
     c6 = cycle(6)
     assert c6.triangles() == []
-    assert len(c6.maximal_cliques_of_size_ge2()) == 6
     bowtie = from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
     assert len(bowtie.triangles()) == 2
-
-
-def test_maximal_cliques_reject_k4():
-    with pytest.raises(ValueError, match="size >=4"):
-        complete(4).maximal_cliques_of_size_ge2()
 
 
 def test_components_and_max_degree():

@@ -8,9 +8,9 @@ import pytest
 
 import dimatch.rewrite
 import dimatch.rules
-from dimatch.coloring import BLACK, WHITE, PartialColoring, is_feasible_partial
+from dimatch.coloring import BLACK, WHITE, PartialColoring
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
-from dimatch.oracle import brute_dim, mixed_instance
+from dimatch.oracle import brute_dim, is_feasible_partial, mixed_instance
 from dimatch.patterns import Pattern, pattern
 from dimatch.rewrite import clean
 from dimatch.rules import (

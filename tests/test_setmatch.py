@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from dimatch.coloring import BLACK, PartialColoring, verify_complete
-from dimatch.graph import complete, from_edges
-from dimatch.oracle import brute_dim, mixed_instance
+import dimatch.pipeline
+from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
+from dimatch.graph import Graph, complete, from_edges, star
+from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
+from dimatch.pipeline import NO, solve
 from dimatch.rewrite import reduce_to_irreducible
 from dimatch.setmatch import (
     SetFamilyInstance,
+    StructureViolation,
     assert_irreducible_structure,
     build_family,
     coloring_from_hit,
@@ -17,7 +22,7 @@ from dimatch.setmatch import (
     solve_hitting,
 )
 
-from .util import brute_hitting, membership_ok
+from .util import brute_hitting, brute_maximal_cliques, membership_ok
 
 
 def fig_claw_bridge():
@@ -84,6 +89,67 @@ def test_structure_rejects_claw_into_one_triangle():
     assert msg is not None and "anchored twice" in msg
 
 
+def _claw_bridge_with(edges=(), colors=None) -> tuple[Graph, PartialColoring]:
+    g, c = fig_claw_bridge()
+    return from_edges(10, [*g.edges(), *edges]), PartialColoring(colors or c.state)
+
+
+# one pair per reachable structure fact, with the text of its violation
+REJECTING = {
+    "high degree": (star(5), PartialColoring(), "maximum degree 5 exceeds four"),
+    "bowtie": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]), PartialColoring(),
+               "vertex 1 lies in 2 triangles"),
+    "isolated": (from_edges(4, [(1, 2), (1, 3), (2, 3)]), PartialColoring(), "isolated vertex 4"),
+    "hub outside": (star(4), PartialColoring(), "degree-4 vertex 1 outside every triangle"),
+    "hub partners": (from_edges(6, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (2, 6)]), PartialColoring(),
+                     "triangle of degree-4 vertex 1 has high-degree partners"),
+    "black anchor": (*_claw_bridge_with(colors={7: BLACK, 1: BLACK}), "black triangle vertex 1 has degree 3"),
+    "pendant path": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5)]), PartialColoring(),
+                     "non-claw component [4, 5] outside the triangles"),
+    "long path": (from_edges(7, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7)]), PartialColoring(),
+                  "component [4, 5, 6, 7] is not a claw"),
+    "white center": (*_claw_bridge_with(colors={7: WHITE}), "claw center 7 is not black"),
+    "no tip": (*_claw_bridge_with(edges=[(10, 5)]), "claw [7, 8, 9, 10] lacks the one-pendant shape"),
+    "colored tip": (*_claw_bridge_with(colors={7: BLACK, 10: WHITE}), "claw [7, 8, 9, 10] has a colored leaf"),
+    "one triangle": (from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7), (5, 1), (6, 2)]),
+                     PartialColoring({4: BLACK}), "claw [4, 5, 6, 7] anchored twice in one triangle"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTING))
+def test_decompose_raises_what_the_structure_check_reports(name):
+    g, c, want = REJECTING[name]
+    assert assert_irreducible_structure(g, c) == want
+    with pytest.raises(StructureViolation) as err:
+        decompose(g, c)
+    assert str(err.value) == want
+
+
+def test_a_structure_violation_answers_no_with_its_text(monkeypatch):
+    def planted(g, c):
+        raise StructureViolation("planted")
+
+    monkeypatch.setattr(dimatch.pipeline, "decompose", planted)
+    rep = solve(fig_claw_bridge()[0])
+    assert rep.decision == NO and rep.witness == "irreducible structure: planted"
+
+
+def test_solving_the_claw_bridge_cuts_one_subgraph(monkeypatch):
+    """The structure check and the decomposition share one walk, and the
+    set family reads the triangles, so the outside graph is the only
+    subgraph a solve cuts."""
+    calls = []
+    cut = Graph.subgraph
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return cut(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "subgraph", counted)
+    assert solve(fig_claw_bridge()[0]).is_yes
+    assert len(calls) == 1
+
+
 # -- family construction ------------------------------------------------------
 
 
@@ -111,6 +177,52 @@ def test_family_empty_graph():
     inst = build_family(g, c, decompose(g, c))
     assert inst.sets == ()
     assert solve_hitting(inst) == frozenset()
+
+
+def _irreducible_pairs(workloads):
+    """The irreducible pairs the reduction reaches on seeded mixed
+    instances and on triangle-claw networks of 4, 16 and 64 triangles."""
+    graphs = []
+    for n in range(7, 23):
+        for seed in range(20):
+            try:
+                graphs.append(mixed_instance(n, seed))
+            except GeneratorError:
+                pass
+    for triangles in (4, 16, 64):
+        n, edges, _ = workloads.clawnet_edges(triangles, random.Random(triangles))
+        graphs.append(Graph(range(1, n + 1), edges))
+    for g in graphs:
+        rr = reduce_to_irreducible(g)
+        if not rr.is_refuted:
+            yield rr.graph, rr.coloring
+
+
+def test_family_is_the_core_cliques_plus_the_claw_triples(monkeypatch):
+    """`build_family` reads the cliques off the triangles; they must be the
+    maximal cliques of two or more vertices of the graph the core induces."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    seen = Counter()
+    for g, c in _irreducible_pairs(workloads):
+        if assert_irreducible_structure(g, c) is not None:
+            continue
+        d = decompose(g, c)
+        sets = build_family(g, c, d).sets
+        want = brute_maximal_cliques(g.subgraph(d.core)) | {frozenset((cl.v, cl.u, cl.a2)) for cl in d.claws}
+        assert len(sets) == len(set(sets)) and set(sets) == want, (g.edges(), c)
+        seen["pairs"] += 1
+        tri_at = g.triangles_at()
+        for a in sets:
+            if not a <= d.core:
+                seen["claw triple"] += 1
+            elif len({tri_at[v][0] for v in a}) == 2:
+                seen["edge between triangles"] += 1
+            else:
+                seen[f"{len(a)} of a triangle"] += 1
+    # every kind of set is met
+    assert seen["pairs"] > 100 and len(seen) == 5, seen
 
 
 # -- hitting -------------------------------------------------------------------

@@ -299,6 +299,20 @@ def membership_ok(inst: SetFamilyInstance) -> bool:
     return all(2 <= len(a) <= 3 for a in inst.sets)
 
 
+def brute_maximal_cliques(g: Graph) -> set[frozenset[int]]:
+    """Every maximal clique of g with two or more vertices.  A clique lies
+    in the closed neighborhood of each of its vertices, so every subset of
+    every neighborhood is tried."""
+    cliques = set()
+    for v in g.vertices:
+        ns = sorted(g.neighbors(v))
+        for r in range(1, len(ns) + 1):
+            for combo in combinations(ns, r):
+                if all(g.has_edge(a, b) for a, b in combinations(combo, 2)):
+                    cliques.add(frozenset((v, *combo)))
+    return {k for k in cliques if not any(k < other for other in cliques)}
+
+
 def brute_hitting(elements, sets) -> bool:
     elems = sorted(elements)
     for r in range(len(elems) + 1):
