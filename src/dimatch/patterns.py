@@ -6,9 +6,11 @@ other role pair must be a non-edge.  Roles can additionally constrain the
 host degree, demand that the host vertex keeps all its neighbors inside
 the matched image (closure), or require a color state.  Each pattern is
 searched by a function generated from its declaration and compiled the
-first time the pattern is searched; a search yields each occurrence as a
-plain role -> vertex dict.  A host with no vertex in some role's degree
-window has no occurrence; the drivers ask `fits` before they search.
+first time the pattern is searched; a search takes each role's candidates
+in set order, sorts the occurrences found at each vertex of the first role
+once, and yields each as a plain role -> vertex dict.  A host with no
+vertex in some role's degree window has no occurrence; the drivers ask
+`fits` before they search.
 """
 
 from __future__ import annotations
@@ -184,13 +186,17 @@ class Pattern:
         neighbors of its earlier required partners less the neighbors of
         the earlier roles it must not touch, built by one chained set
         operation such as `n3.intersection(n5).difference(n0, n1)` and
-        taken in ascending order; a role with no earlier partner draws from
+        taken in set order; a role with no earlier partner draws from
         `first` (role 0) or `verts`.  Degree and color tests are written
         only for the roles that need them, and the closure test of closure
-        roles with optional edges only inside the last loop, which yields
-        `dict(zip(R, (v0, v1, ...)))` with R the roles in `order`.  The
-        text holds no role name: only role positions and the validated
-        degree bounds.
+        roles with optional edges only inside the last loop, which appends
+        the image `(v0, v1, ...)` to the list `found`.  Once a role-0
+        vertex's loops end, its images, if any, are sorted and each yielded
+        as `dict(zip(R, t))` with R the roles in `order`, and a new list
+        takes their place: role 0 runs over `first` in its order and the
+        images are distinct, so embeddings come out in canonical order with
+        one sort per anchor that has any.  The text holds no role name:
+        only role positions and the validated degree bounds.
         """
         k = len(self.order)
         pos = {r: i for i, r in enumerate(self.order)}
@@ -200,7 +206,7 @@ class Pattern:
         bounds, loose = self._windows()
         read = {j for i in range(k) for j in partners[i] + strangers[i]} | set(loose)
 
-        lines = ["def search(adj, first, verts, C):"]
+        lines = ["def search(adj, first, verts, C):", "    found = []"]
         for i, r in enumerate(self.order):
             pad = "    " * (i + 1)
             if partners[i]:
@@ -208,7 +214,7 @@ class Pattern:
                 cands = head + (f".intersection({', '.join(more)})" if more else "")
                 if strangers[i]:
                     cands += f".difference({', '.join(f'n{j:d}' for j in strangers[i])})"
-                lines.append(f"{pad}for v{i:d} in sorted({cands}):")
+                lines.append(f"{pad}for v{i:d} in {cands}:")
                 # a candidate is a neighbor of each partner, so not a partner
                 placed = [j for j in range(i) if j not in partners[i]]
                 skip = []
@@ -246,7 +252,9 @@ class Pattern:
         if loose:
             lines.append(f"{pad}U = {{{image}}}")
             lines += [f"{pad}if not ({' and '.join(f'n{j:d} <= U' for j in loose)}):", f"{pad}    continue"]
-        lines.append(f"{pad}yield dict(zip(R, ({image},)))")
+        lines.append(f"{pad}found.append(({image},))")
+        lines += ["        if found:", "            found.sort()", "            for t in found:",
+                  "                yield dict(zip(R, t))", "            found = []"]
         return "\n".join(lines) + "\n"
 
     def _compile(self) -> Callable[..., Iterator[Embedding]]:
@@ -262,7 +270,8 @@ class Pattern:
         anchors: Optional[Sequence[int]] = None,
     ) -> Iterator[Embedding]:
         """Every embedding as a fresh role -> vertex dict, in canonical
-        order (role order, ascending vertex ids).
+        order (role order, ascending vertex ids): the search takes
+        candidates in set order and sorts each anchor's embeddings once.
 
         With anchors (ascending host vertices), only the embeddings that
         place the first role on an anchor, still in canonical order; no

@@ -88,7 +88,9 @@ def solve(g: Graph, audit: Optional[ReductionAudit] = None) -> RunReport:
 
 def _solve_connected(g: Graph, audit: Optional[ReductionAudit]) -> RunReport:
     """Reduce, decompose, match and lift one long-claw-free component.  A
-    YES certificate is not yet verified on g; the caller verifies it."""
+    YES certificate is not yet verified on g; the caller verifies it.  The
+    irreducible pair's coloring is verified before lifting only when the
+    reduction took a step: with none, that pair is g itself."""
     rr: ReduceResult = reduce_to_irreducible(g, PartialColoring(), audit=audit)
     if rr.is_refuted:
         return RunReport(NO, None, str(rr.refuted), rr.trace, rr.rewrite_steps, rr.graph.n)
@@ -110,7 +112,7 @@ def _solve_connected(g: Graph, audit: Optional[ReductionAudit]) -> RunReport:
             rr.rewrite_steps, g_star.n,
         )
     colored = coloring_from_hit(g_star, c_star, d, chosen)
-    if not verify_complete(g_star, colored):
+    if rr.trace and not verify_complete(g_star, colored):
         raise AssertionError("hit-set expansion produced an invalid coloring")
     full = lift_completion(rr.trace, colored)
     return RunReport(YES, full, None, rr.trace, rr.rewrite_steps, g_star.n)

@@ -104,9 +104,9 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
         leaves = [v for v in label if rest.degree(v) == 1]
         if len(centers) != 1 or len(leaves) != 3:
             raise StructureViolation(f"component {label} is not a claw")
+        # the center has degree three in g: more would make it a vertex of
+        # degree four outside every triangle, or five, raised above
         x = centers[0]
-        if g.degree(x) != 3:
-            raise StructureViolation(f"claw center {x} has outside attachments")
         if c.get(x) != BLACK:
             raise StructureViolation(f"claw center {x} is not black")
         tips = [v for v in leaves if g.degree(v) == 1]
@@ -115,12 +115,9 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
             raise StructureViolation(f"claw {label} lacks the one-pendant shape")
         if any(c.get(v) is not None for v in leaves):
             raise StructureViolation(f"claw {label} has a colored leaf")
-        anchors = []
-        for a in arms:
-            others = [w for w in g.neighbors(a) if w != x]
-            if len(others) != 1 or not tri_at[others[0]]:
-                raise StructureViolation(f"claw arm {a} not anchored in a triangle")
-            anchors.append(others[0])
+        # an arm has degree two and is a leaf of its component, so its other
+        # neighbor is a triangle vertex: an outside one would share the component
+        anchors = [w for a in arms for w in g.neighbors(a) if w != x]
         if tri_at[anchors[0]][0] == tri_at[anchors[1]][0]:
             raise StructureViolation(f"claw {label} anchored twice in one triangle")
         claws.append(Claw(x, arms[0], tips[0], arms[1], anchors[0], anchors[1]))

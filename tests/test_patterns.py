@@ -194,10 +194,21 @@ def test_full_catalog_matcher_agrees_with_brute_force():
         assert next(p.find_all(host), None) is not None, p.name
 
 
+def _spread(v: int) -> int:
+    """An increasing relabelling of the ids 1..8 to large, sparse ids
+    whose low 20 bits decrease, so that a set of up to eight of them
+    iterates in descending order."""
+    return (v << 20) | ((1 << 20) - v)
+
+
 def test_enumeration_order_is_canonical_with_anchors():
     """find_all yields the reference embeddings, as plain dicts, sorted by
-    their vertices in role order, also when restricted to anchors."""
+    their vertices in role order, also when restricted to anchors.  Each
+    host is also searched relabelled by `_spread`, where every candidate
+    set iterates out of ascending order."""
     catalog = [p for p in _catalog() if len(p.roles) <= 7]
+    # the relabelling keeps the order, so it maps the reference
+    moved = lambda ms: [{r: _spread(v) for r, v in m.items()} for m in ms]
     rng = random.Random(37)
     seen = 0
     for trial in range(40):
@@ -206,6 +217,9 @@ def test_enumeration_order_is_canonical_with_anchors():
         g = from_edges(n, [e for e in slots if rng.random() < 0.35])
         colors = {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.3}
         anchors = sorted(rng.sample(g.vertices, rng.randint(1, n)))
+        spread = Graph(map(_spread, g.vertices), [(_spread(u), _spread(v)) for u, v in g.edges()])
+        spread_colors = {_spread(v): x for v, x in colors.items()}
+        assert all(list(s) == sorted(s, reverse=True) for s in spread.adjacency.values())
         for p in catalog:
             if len(p.roles) > n or (n == 8 and len(p.roles) > 6):
                 continue
@@ -215,6 +229,10 @@ def test_enumeration_order_is_canonical_with_anchors():
             assert got == ref and all(type(e) is dict for e in got), (p.name, g.edges(), colors)
             got = list(p.find_all(g, colors, anchors=anchors))
             assert got == at_anchors, (p.name, g.edges(), colors, anchors)
+            got = list(p.find_all(spread, spread_colors))
+            assert got == moved(ref), (p.name, g.edges(), colors)
+            got = list(p.find_all(spread, spread_colors, anchors=[_spread(v) for v in anchors]))
+            assert got == moved(at_anchors), (p.name, g.edges(), colors, anchors)
             seen += len(ref)
     assert seen > 100, seen
 
@@ -259,7 +277,9 @@ def test_degree_check_never_drops_an_embedding():
 def test_patterns_compile_on_first_search_from_integers_only():
     """Importing the solver compiles nothing, and the generated source
     names only its own variables and positions, never a role.  It has no
-    binary `-` or `&`: each candidate set is one chained set operation."""
+    binary `-` or `&`: each candidate set is one chained set operation.
+    It never calls `sorted`: candidates are taken in set order and only
+    each anchor's `found` list is sorted, once."""
     code = (
         "import dimatch, dimatch.rules as rl, dimatch.rewrite as rw\n"
         "from dimatch.patterns import Pattern\n"
@@ -270,8 +290,8 @@ def test_patterns_compile_on_first_search_from_integers_only():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
     vocabulary = {
         "def", "search", "adj", "first", "verts", "C", "for", "in", "if", "or", "and", "not",
-        "is", "None", "continue", "sorted", "intersection", "difference", "len", "get", "BLACK", "U",
-        "yield", "dict", "zip", "R",
+        "is", "None", "continue", "intersection", "difference", "len", "get", "BLACK", "U",
+        "found", "append", "sort", "t", "yield", "dict", "zip", "R",
     }
     for p in _catalog():
         src = p._source()

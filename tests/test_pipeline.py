@@ -99,6 +99,23 @@ def test_report_counts_steps():
     assert rep.wall_time >= 0
 
 
+def test_a_certificate_is_verified_twice_only_after_a_step(monkeypatch):
+    """With no reduction step the irreducible pair is the input itself, so
+    only `solve`'s final check reads it; a step adds the check on the
+    irreducible pair before lifting."""
+    calls = []
+
+    def counted(g, c):
+        calls.append(g.n)
+        return verify_complete(g, c)
+
+    monkeypatch.setattr(dimatch.pipeline, "verify_complete", counted)
+    for g, steps, checked in ((complete(3), 0, [3]), (cycle(6), 1, [3, 6])):
+        calls.clear()
+        rep = solve(g)
+        assert rep.is_yes and len(rep.trace) == steps and calls == checked
+
+
 def test_randomized_agreement_with_certificates():
     rng = random.Random(123)
     for _ in range(600):

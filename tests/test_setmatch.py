@@ -94,7 +94,8 @@ def _claw_bridge_with(edges=(), colors=None) -> tuple[Graph, PartialColoring]:
     return from_edges(10, [*g.edges(), *edges]), PartialColoring(colors or c.state)
 
 
-# one pair per reachable structure fact, with the text of its violation
+# one pair per reachable structure fact, with the text of its violation; a
+# claw center's fourth neighbor is a degree-4 vertex outside every triangle
 REJECTING = {
     "high degree": (star(5), PartialColoring(), "maximum degree 5 exceeds four"),
     "bowtie": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]), PartialColoring(),
@@ -108,6 +109,7 @@ REJECTING = {
                      "non-claw component [4, 5] outside the triangles"),
     "long path": (from_edges(7, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7)]), PartialColoring(),
                   "component [4, 5, 6, 7] is not a claw"),
+    "attached center": (*_claw_bridge_with(edges=[(7, 2)]), "degree-4 vertex 7 outside every triangle"),
     "white center": (*_claw_bridge_with(colors={7: WHITE}), "claw center 7 is not black"),
     "no tip": (*_claw_bridge_with(edges=[(10, 5)]), "claw [7, 8, 9, 10] lacks the one-pendant shape"),
     "colored tip": (*_claw_bridge_with(colors={7: BLACK, 10: WHITE}), "claw [7, 8, 9, 10] has a colored leaf"),
