@@ -17,7 +17,6 @@ from .rewrite import (
     reduce_to_irreducible,
 )
 from .setmatch import (
-    StructureViolation,
     assert_irreducible_structure,  # not called here; bench/spans.py rebinds this name
     build_family,
     coloring_from_hit,
@@ -95,15 +94,7 @@ def _solve_connected(g: Graph, audit: Optional[ReductionAudit]) -> RunReport:
     if rr.is_refuted:
         return RunReport(NO, None, str(rr.refuted), rr.trace, rr.rewrite_steps, rr.graph.n)
     g_star, c_star = rr.graph, rr.coloring
-    try:
-        d = decompose(g_star, c_star)
-    except StructureViolation as violation:
-        # the structure facts hold for every completable irreducible pair,
-        # so a violation refutes the instance
-        return RunReport(
-            NO, None, f"irreducible structure: {violation}", rr.trace,
-            rr.rewrite_steps, g_star.n,
-        )
+    d = decompose(g_star, c_star)  # a StructureViolation is a fault, not a NO
     family = build_family(g_star, c_star, d)
     chosen = solve_hitting(family)
     if chosen is None:

@@ -376,9 +376,10 @@ def rule_leaf_surplus(g: Graph, c: PartialColoring, anchors: Anchors = None) -> 
     # A support vertex keeps at most one of its leaves non-white; whiten
     # the rest (valid recoloring, not a forced consequence).
     for v in g.vertices if anchors is None else anchors:
-        leaves = sorted(w for w in g.neighbors(v) if g.degree(w) == 1)
+        leaves = [w for w in g.neighbors(v) if g.degree(w) == 1]
         if len(leaves) < 2:
             continue
+        leaves.sort()
         black = [w for w in leaves if c.get(w) == BLACK]
         keep = black[0] if black else leaves[0]
         group = [(w, WHITE) for w in leaves if w != keep and c.get(w) is None]

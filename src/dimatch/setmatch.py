@@ -3,12 +3,13 @@
 An irreducible pair has rigid structure: maximum degree four, each vertex
 in at most one triangle, degree-four vertices in triangles whose other
 two vertices have degree two, and every component left after deleting all
-triangle vertices is a claw hanging between two distinct triangles.
-`decompose` checks that structure and reads the triangles, claws and core
-off the pair in one walk.  The structure turns the coloring question into
-hitting a family of small sets exactly once: the core's part of each
-triangle, each core edge between two triangles and one triple per claw.
-That in turn is a saturating-matching question.
+triangle vertices is a star with a black center and two or three leaves,
+each an arm anchored in its own triangle or, for at most one, a pendant
+tip.  `decompose` checks that structure and reads the triangles, stars and
+core off the pair in one walk.  The structure turns the coloring question
+into hitting a family of small sets exactly once: the core's part of each
+triangle, each core edge between two triangles and the representatives of
+each star's leaves.  That in turn is a saturating-matching question.
 """
 
 from __future__ import annotations
@@ -22,26 +23,31 @@ from .matching import solve_saturation
 
 
 class StructureViolation(RuntimeError):
-    """The pair breaks the structure every completable irreducible pair
-    has, so the instance is NO."""
+    """The pair breaks the structure `decompose` reads.  The reduction
+    leaves only pairs with that structure, so a violation is a fault of
+    the program, not a refutation of the instance."""
 
 
 @dataclass(frozen=True)
-class Claw:
+class Star:
+    """A component outside the triangles: a black center and its two or
+    three uncolored leaves.  A leaf's representative is the leaf itself
+    when it is a pendant tip, else the triangle vertex its arm is anchored
+    at.  The center needs exactly one black leaf; a tip is black when
+    chosen, and an arm is black exactly when its anchor is white, that is
+    chosen.  So exactly one representative is chosen."""
+
     center: int
-    a1: int
-    a2: int
-    a3: int
-    v: int  # neighbor of a1 outside the claw
-    u: int  # neighbor of a3 outside the claw
+    leaves: tuple[int, ...]
+    reps: tuple[int, ...]  # the representative of each leaf, in order
 
 
 @dataclass(frozen=True)
 class IrreducibleDecomposition:
-    claws: tuple[Claw, ...]
+    stars: tuple[Star, ...]
     degree4_triangles: tuple[tuple[int, int, int], ...]  # (r, p, q); deg r = 4
     core: frozenset[int]  # triangle vertices minus spokes minus blacks
-    candidates: frozenset[int]  # core plus the pendant claw tips
+    candidates: frozenset[int]  # core plus the pendant star tips
 
 
 def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
@@ -55,15 +61,15 @@ def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
 
 def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
     """Check the structure of an irreducible pair and split it into
-    triangles, claws and the core, in one walk.
+    triangles, stars and the core, in one walk.
 
     Raises StructureViolation for the first fact broken, in this order:
     the maximum degree; shared triangles and isolated vertices; degree-four
     vertices; black triangle vertices, which need degree two; then each
-    component outside the triangles, by least vertex, which must be a claw
-    with a black center, uncolored leaves and one pendant tip, its arms
-    anchored in two distinct triangles.  On a pipeline-produced
-    irreducible pair a violation refutes the instance.
+    component outside the triangles, by least vertex, which must be a star
+    with a black center adjacent to its two or three uncolored leaves only,
+    at most one leaf a pendant tip and the others arms anchored in distinct
+    triangles.
     """
     top = g.max_degree()
     if top > 4:
@@ -94,40 +100,42 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
             black = black or f"black triangle vertex {v} has degree {d}"
     if hub or black:
         raise StructureViolation(hub or black)
-    claws = []
+    stars, tips = [], set()
     rest = g.subgraph(outside)
     for comp in rest.components():  # by least vertex
         label = sorted(comp)
-        if len(comp) != 4:
-            raise StructureViolation(f"non-claw component {label} outside the triangles")
-        centers = [v for v in label if rest.degree(v) == 3]
         leaves = [v for v in label if rest.degree(v) == 1]
-        if len(centers) != 1 or len(leaves) != 3:
-            raise StructureViolation(f"component {label} is not a claw")
-        # the center has degree three in g: more would make it a vertex of
-        # degree four outside every triangle, or five, raised above
-        x = centers[0]
+        # a connected component whose other vertices are all leaves is a star
+        if not 3 <= len(label) <= 4 or len(leaves) != len(label) - 1:
+            raise StructureViolation(f"component {label} outside the triangles is not a star of 2 or 3 leaves")
+        x = next(v for v in label if rest.degree(v) > 1)
         if c.get(x) != BLACK:
-            raise StructureViolation(f"claw center {x} is not black")
-        tips = [v for v in leaves if g.degree(v) == 1]
-        arms = [v for v in leaves if g.degree(v) == 2]
-        if len(tips) != 1 or len(arms) != 2:
-            raise StructureViolation(f"claw {label} lacks the one-pendant shape")
-        if any(c.get(v) is not None for v in leaves):
-            raise StructureViolation(f"claw {label} has a colored leaf")
-        # an arm has degree two and is a leaf of its component, so its other
-        # neighbor is a triangle vertex: an outside one would share the component
-        anchors = [w for a in arms for w in g.neighbors(a) if w != x]
-        if tri_at[anchors[0]][0] == tri_at[anchors[1]][0]:
-            raise StructureViolation(f"claw {label} anchored twice in one triangle")
-        claws.append(Claw(x, arms[0], tips[0], arms[1], anchors[0], anchors[1]))
+            raise StructureViolation(f"star center {x} is not black")
+        # only a center of two leaves can have a neighbor in a triangle: a claw
+        # center's fourth neighbor makes it a degree-4 vertex outside every
+        # triangle, raised above
+        if g.degree(x) != len(leaves):
+            raise StructureViolation(f"star center {x} has a neighbor in a triangle")
+        degs = [g.degree(a) for a in leaves]
+        if max(degs) > 2 or degs.count(1) > 1:
+            raise StructureViolation(f"star {label} lacks the shape of arms and at most one pendant tip")
+        if any(c.get(a) is not None for a in leaves):
+            raise StructureViolation(f"star {label} has a colored leaf")
+        # a pendant tip represents itself; an arm's other neighbor lies in a
+        # triangle, as an outside one would share the component
+        reps = [a if d == 1 else next(w for w in g.neighbors(a) if w != x) for a, d in zip(leaves, degs)]
+        anchored = [tri_at[r][0] for r, d in zip(reps, degs) if d == 2]
+        if len(set(anchored)) != len(anchored):
+            raise StructureViolation(f"star {label} anchored twice in one triangle")
+        tips.update(a for a, d in zip(leaves, degs) if d == 1)
+        stars.append(Star(x, tuple(leaves), tuple(reps)))
     spokes = {w for _, p, q in deg4 for w in (p, q)}
     core = frozenset(v for v in g.vertices if tri_at[v] and v not in spokes and c.get(v) != BLACK)
     return IrreducibleDecomposition(
-        claws=tuple(claws),
+        stars=tuple(stars),
         degree4_triangles=tuple(deg4),
         core=core,
-        candidates=core | {cl.a2 for cl in claws},
+        candidates=core | tips,
     )
 
 
@@ -142,8 +150,9 @@ class SetFamilyInstance:
 
 
 def build_family(g: Graph, c: PartialColoring, d: IrreducibleDecomposition) -> SetFamilyInstance:
-    """Nontrivial maximal cliques of the core graph, plus one anchor triple
-    per claw.  Hitting each set exactly once is equivalent to extending c.
+    """Nontrivial maximal cliques of the core graph, plus the set of
+    representatives of each star.  Hitting each set exactly once is
+    equivalent to extending c.
 
     The core holds triangle vertices only, each in one triangle, so those
     cliques are the core's part of each triangle when it has two or three
@@ -153,7 +162,7 @@ def build_family(g: Graph, c: PartialColoring, d: IrreducibleDecomposition) -> S
     sets = [part for t in g.triangles() if len(part := core.intersection(t)) >= 2]
     sets += [frozenset((u, w)) for u in core for w in g.neighbors(u)
              if u < w and w in core and tri_at[u][0] != tri_at[w][0]]
-    sets += [frozenset((cl.v, cl.u, cl.a2)) for cl in d.claws]
+    sets += [frozenset(s.reps) for s in d.stars]
     sets_sorted = tuple(sorted(sets, key=sorted))
     elements = tuple(sorted({e for a in sets_sorted for e in a}))
     # memberships are checked by solve_hitting's element index
@@ -228,19 +237,10 @@ def coloring_from_hit(
             delta[open_spokes[-1]] = WHITE
             for t in open_spokes[:-1]:
                 delta[t] = BLACK
-    for cl in d.claws:
-        if delta.get(cl.center) != BLACK:
-            raise AssertionError(f"claw center {cl.center} is not black")
-        hit = [t for t in (cl.a2, cl.u, cl.v) if t in chosen]
-        if not hit:
-            raise AssertionError(f"claw triple at {cl.center} was not hit")
-        if cl.a2 in chosen:
-            plan = {cl.a2: BLACK, cl.a1: WHITE, cl.a3: WHITE}
-        elif cl.u in chosen:
-            plan = {cl.a2: WHITE, cl.a1: WHITE, cl.a3: BLACK}
-        else:
-            plan = {cl.a2: WHITE, cl.a3: WHITE, cl.a1: BLACK}
-        delta.update(plan)
+    # each star's set is hit exactly once: its chosen leaf partners the center
+    for s in d.stars:
+        for a, r in zip(s.leaves, s.reps):
+            delta[a] = BLACK if r in chosen else WHITE
     missing = [v for v in g.vertices if v not in delta]
     if missing:
         raise AssertionError(f"uncolored vertices remain: {missing}")

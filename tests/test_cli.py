@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 import dimatch.cli
+import dimatch.pipeline
 from dimatch.cli import main
-from dimatch.graph import cycle, save_graph
+from dimatch.graph import complete, cycle, save_graph
+from dimatch.setmatch import StructureViolation
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -182,6 +184,18 @@ def test_internal_fault_exit_code(tmp_path, monkeypatch, capsys):
     assert "solver fault" in capsys.readouterr().err
     gpath = write(tmp_path, "bad.g", "2 1\n1 x\n")
     assert main(["solve", gpath]) == 2
+
+
+def test_a_structure_fault_exits_3_without_an_answer(tmp_path, monkeypatch, capsys):
+    def broken_decompose(g, c):
+        raise StructureViolation("planted break")
+
+    monkeypatch.setattr(dimatch.pipeline, "decompose", broken_decompose)
+    gpath = write(tmp_path, "k3.g", save_graph(complete(3)))
+    assert main(["solve", gpath]) == 3
+    out, err = capsys.readouterr()
+    assert "YES" not in out and "NO" not in out
+    assert "internal error: StructureViolation: planted break" in err
 
 
 def test_saturate_rejects_vertex_outside_graph(tmp_path):

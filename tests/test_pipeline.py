@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dimatch
+import dimatch.pipeline
 from dimatch.coloring import BLACK, verify_complete
 from dimatch.graph import Graph, complete, cycle, from_edges, path
 from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
@@ -15,7 +16,7 @@ from dimatch.patterns import contains_s222
 from dimatch.pipeline import LongClawPresent, solve
 from dimatch.rewrite import RewriteStep, reduce_to_irreducible
 
-from .util import REWRITE_HOSTS, OracleAudit, decorate, random_host, reference_contains_s222
+from .util import PLANTED_HOSTS, REWRITE_HOSTS, OracleAudit, decorate, planted, random_host, reference_contains_s222
 
 
 def test_no_check_in_the_solver_is_an_assert_statement():
@@ -166,6 +167,70 @@ def _host_parts(rng: random.Random, k: int) -> list[Graph]:
         if g.n <= 20 and len(g.components()) == 1 and contains_s222(g) is None:
             parts.append(g)
     return parts
+
+
+def test_planted_shapes_answer_what_the_oracle_answers(monkeypatch):
+    """C4, C5 and every rule's hosts, planted in random gadget context:
+    on each long-claw-free input of at most 20 vertices, `solve` answers as
+    `brute_dim` does.  Some irreducible pairs keep a star of two leaves, a
+    shape once refused as a structure break."""
+    stars = []
+    read = dimatch.pipeline.decompose
+
+    def recorded(g, c):
+        d = read(g, c)
+        stars.extend(len(s.leaves) for s in d.stars)
+        return d
+
+    monkeypatch.setattr(dimatch.pipeline, "decompose", recorded)
+    checked = 0
+    for name, g, colors in PLANTED_HOSTS:
+        for seed in range(100):
+            h = planted(g, colors, seed)
+            if h.n > 20 or contains_s222(h) is not None:
+                continue
+            checked += 1
+            rep = solve(h)
+            assert rep.is_yes == (brute_dim(h) is not None), (name, seed, h.edges())
+    assert checked > 3000 and stars.count(2) > 5, (checked, stars.count(2))
+
+
+# long-claw-free inputs on which `solve` takes a rule that never fired on
+# the 36 221 inputs of an earlier census (ROADMAP item 6)
+REACHED = {
+    "anchored_pentagon": [(1, 2), (1, 5), (1, 6), (1, 7), (2, 3), (2, 9), (2, 10), (3, 4), (4, 5), (4, 8), (6, 7),
+                          (9, 10)],
+    "seven_cycle_step": [(1, 2), (1, 7), (1, 8), (1, 9), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (8, 9)],
+    "triangle_circuit": [(1, 2), (1, 3), (1, 4), (2, 3), (2, 7), (3, 8), (4, 5), (4, 9), (4, 10), (5, 6), (6, 7),
+                         (6, 8), (9, 10)],
+    "spoked_triangle": [(1, 2), (1, 3), (1, 4), (1, 9), (2, 3), (2, 5), (2, 11), (3, 6), (4, 7), (5, 7), (6, 7),
+                        (7, 8), (9, 10), (10, 11), (10, 12)],
+    "prune_twin_triangle": [(1, 2), (1, 3), (1, 7), (1, 8), (2, 3), (4, 5), (4, 6), (4, 8), (5, 6), (7, 10), (7, 11),
+                            (7, 12), (8, 9), (8, 10), (9, 10), (11, 12)],
+    "prune_capped_house": [(1, 5), (1, 8), (1, 9), (2, 3), (2, 5), (3, 4), (3, 5), (4, 7), (5, 6), (6, 7), (8, 9)],
+    "fold_fan5": [(1, 2), (1, 3), (1, 4), (1, 5), (1, 12), (2, 6), (3, 7), (4, 8), (5, 9), (6, 7), (6, 10), (6, 14),
+                  (7, 10), (8, 9), (8, 11), (8, 13), (9, 11), (13, 15), (14, 15)],
+    "fold_fan4": [(1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 7), (4, 8), (5, 9), (6, 7), (6, 10), (6, 13), (7, 10),
+                  (8, 9), (8, 11), (9, 11), (9, 12), (12, 14), (13, 14)],
+    "fold_fan_leaf": [(1, 2), (1, 3), (1, 8), (1, 9), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6), (6, 7), (7, 13),
+                      (7, 14), (9, 10), (10, 11), (10, 12), (11, 12), (13, 14)],
+    "fold_hub": [(1, 2), (1, 8), (1, 9), (2, 3), (2, 4), (2, 7), (3, 4), (4, 5), (5, 6), (6, 7), (6, 10), (8, 9)],
+    "fold_claw_chain": [(1, 2), (1, 10), (1, 14), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7), (7, 8), (7, 9), (8, 9),
+                        (10, 11), (11, 12), (11, 13), (12, 13)],
+}
+
+
+@pytest.mark.parametrize("rule_id", sorted(REACHED))
+def test_solve_reaches_a_rule_the_census_never_fired(rule_id):
+    """`solve` takes the rule, every step agrees with the oracle, and so
+    does the answer."""
+    g = from_edges(max(v for e in REACHED[rule_id] for v in e), REACHED[rule_id])
+    assert contains_s222(g) is None
+    audit = OracleAudit(cap=g.n)
+    rep = solve(g, audit=audit)
+    assert rule_id in {rid for rid, _ in audit.color_events} | set(audit.rewrite_events)
+    assert audit.violations == []
+    assert rep.is_yes == (brute_dim(g) is not None)
 
 
 def test_union_of_hosts_is_yes_iff_every_part_is():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,12 @@ import dimatch.pipeline
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, complete, from_edges, star
 from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
-from dimatch.pipeline import NO, solve
+from dimatch.patterns import contains_s222
+from dimatch.pipeline import solve
 from dimatch.rewrite import reduce_to_irreducible
 from dimatch.setmatch import (
     SetFamilyInstance,
+    Star,
     StructureViolation,
     assert_irreducible_structure,
     build_family,
@@ -22,7 +25,7 @@ from dimatch.setmatch import (
     solve_hitting,
 )
 
-from .util import brute_hitting, brute_maximal_cliques, membership_ok
+from .util import all_completions, brute_hitting, brute_maximal_cliques, membership_ok
 
 
 def fig_claw_bridge():
@@ -70,10 +73,8 @@ def test_structure_accepts_claw_bridge_and_decomposes():
     g, c = fig_claw_bridge()
     assert assert_irreducible_structure(g, c) is None
     d = decompose(g, c)
-    assert len(d.claws) == 1
-    claw = d.claws[0]
-    assert claw.center == 7 and claw.a2 == 10
-    assert {claw.v, claw.u} == {1, 4}
+    # the pendant tip 10 represents itself, the arms 8 and 9 their anchors
+    assert d.stars == (Star(7, (8, 9, 10), (1, 4, 10)),)
     assert d.degree4_triangles == ()
     assert d.core == frozenset({1, 2, 3, 4, 5, 6})
 
@@ -89,13 +90,16 @@ def test_structure_rejects_claw_into_one_triangle():
     assert msg is not None and "anchored twice" in msg
 
 
+_TWO_TRIANGLES = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+
+
 def _claw_bridge_with(edges=(), colors=None) -> tuple[Graph, PartialColoring]:
     g, c = fig_claw_bridge()
     return from_edges(10, [*g.edges(), *edges]), PartialColoring(colors or c.state)
 
 
-# one pair per reachable structure fact, with the text of its violation; a
-# claw center's fourth neighbor is a degree-4 vertex outside every triangle
+# one pair per structure fact, with the text of its violation; a claw
+# center's fourth neighbor is a degree-4 vertex outside every triangle
 REJECTING = {
     "high degree": (star(5), PartialColoring(), "maximum degree 5 exceeds four"),
     "bowtie": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]), PartialColoring(),
@@ -106,15 +110,21 @@ REJECTING = {
                      "triangle of degree-4 vertex 1 has high-degree partners"),
     "black anchor": (*_claw_bridge_with(colors={7: BLACK, 1: BLACK}), "black triangle vertex 1 has degree 3"),
     "pendant path": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5)]), PartialColoring(),
-                     "non-claw component [4, 5] outside the triangles"),
+                     "component [4, 5] outside the triangles is not a star of 2 or 3 leaves"),
     "long path": (from_edges(7, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7)]), PartialColoring(),
-                  "component [4, 5, 6, 7] is not a claw"),
+                  "component [4, 5, 6, 7] outside the triangles is not a star of 2 or 3 leaves"),
     "attached center": (*_claw_bridge_with(edges=[(7, 2)]), "degree-4 vertex 7 outside every triangle"),
-    "white center": (*_claw_bridge_with(colors={7: WHITE}), "claw center 7 is not black"),
-    "no tip": (*_claw_bridge_with(edges=[(10, 5)]), "claw [7, 8, 9, 10] lacks the one-pendant shape"),
-    "colored tip": (*_claw_bridge_with(colors={7: BLACK, 10: WHITE}), "claw [7, 8, 9, 10] has a colored leaf"),
+    "path center attached": (from_edges(9, [*_TWO_TRIANGLES, (7, 8), (7, 9), (8, 1), (9, 4), (7, 2)]),
+                             PartialColoring({7: BLACK}), "star center 7 has a neighbor in a triangle"),
+    "white center": (*_claw_bridge_with(colors={7: WHITE}), "star center 7 is not black"),
+    "two tips": (from_edges(10, [*_TWO_TRIANGLES, (7, 8), (7, 9), (7, 10), (8, 1)]), PartialColoring({7: BLACK}),
+                 "star [7, 8, 9, 10] lacks the shape of arms and at most one pendant tip"),
+    "thick leaf": (*_claw_bridge_with(edges=[(10, 2), (10, 5)]),
+                   "star [7, 8, 9, 10] lacks the shape of arms and at most one pendant tip"),
+    "no tip": (*_claw_bridge_with(edges=[(10, 5)]), "star [7, 8, 9, 10] anchored twice in one triangle"),
+    "colored tip": (*_claw_bridge_with(colors={7: BLACK, 10: WHITE}), "star [7, 8, 9, 10] has a colored leaf"),
     "one triangle": (from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7), (5, 1), (6, 2)]),
-                     PartialColoring({4: BLACK}), "claw [4, 5, 6, 7] anchored twice in one triangle"),
+                     PartialColoring({4: BLACK}), "star [4, 5, 6, 7] anchored twice in one triangle"),
 }
 
 
@@ -127,13 +137,65 @@ def test_decompose_raises_what_the_structure_check_reports(name):
     assert str(err.value) == want
 
 
-def test_a_structure_violation_answers_no_with_its_text(monkeypatch):
+def test_a_structure_violation_is_a_fault_not_a_no(monkeypatch):
+    """The reduction leaves only pairs with the structure, so a break is
+    raised out of `solve` instead of answered as a NO."""
     def planted(g, c):
         raise StructureViolation("planted")
 
     monkeypatch.setattr(dimatch.pipeline, "decompose", planted)
-    rep = solve(fig_claw_bridge()[0])
-    assert rep.decision == NO and rep.witness == "irreducible structure: planted"
+    with pytest.raises(StructureViolation, match="planted"):
+        solve(fig_claw_bridge()[0])
+
+
+# long-claw-free graphs with a DIM whose irreducible pair keeps a path a1-x-a3
+# outside the triangles: a black center of degree two, its arms anchored in
+# distinct triangles.  A claw-only reading refused that star as a NO.
+TWO_ARM_STARS = {
+    9: [(1, 2), (1, 5), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5), (4, 8), (4, 9), (6, 7), (8, 9)],
+    11: [(1, 2), (1, 5), (1, 6), (1, 7), (2, 3), (2, 9), (2, 10), (3, 4), (4, 5), (4, 8), (4, 11),
+         (6, 7), (9, 10)],
+    12: [(1, 2), (1, 5), (1, 8), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5), (4, 11), (4, 12), (6, 7),
+         (8, 9), (9, 10), (11, 12)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(TWO_ARM_STARS))
+def test_a_star_of_two_arms_is_solved_as_the_oracle_answers(n):
+    g = from_edges(n, TWO_ARM_STARS[n])
+    assert contains_s222(g) is None and brute_dim(g) is not None
+    rr = reduce_to_irreducible(g)
+    stars = decompose(rr.graph, rr.coloring).stars
+    assert any(len(s.leaves) == 2 and not set(s.leaves) & set(s.reps) for s in stars)
+    rep = solve(g)
+    assert rep.is_yes and verify_complete(g, rep.certificate)
+
+
+# stars bridging triangles 1-2-3, 4-5-6 and 7-8-9 from a black center 10
+STAR_PAIRS = {
+    "three arms": ([(10, 11), (10, 12), (10, 13), (11, 1), (12, 4), (13, 7)], Star(10, (11, 12, 13), (1, 4, 7))),
+    "two arms": ([(10, 11), (10, 12), (11, 1), (12, 4)], Star(10, (11, 12), (1, 4))),
+    "arm and tip": ([(10, 11), (10, 12), (11, 1)], Star(10, (11, 12), (1, 12))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_PAIRS))
+def test_a_star_expands_its_hits_to_exactly_the_completions(name):
+    """The star's set is its representatives, and the exact hitting sets of
+    the family expand to exactly the completions brute force finds."""
+    edges, star = STAR_PAIRS[name]
+    triangles = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (7, 8), (7, 9), (8, 9)]
+    g = from_edges(max(v for e in edges for v in e), triangles + edges)
+    c = PartialColoring({10: BLACK})
+    d = decompose(g, c)
+    assert d.stars == (star,)
+    inst = build_family(g, c, d)
+    assert frozenset(star.reps) in inst.sets
+    hits = [frozenset(h) for k in range(len(inst.elements) + 1) for h in combinations(inst.elements, k)
+            if all(len(a.intersection(h)) == 1 for a in inst.sets)]
+    expanded = {frozenset(coloring_from_hit(g, c, d, h).state.items()) for h in hits}
+    assert expanded == {frozenset(full.state.items()) for full in all_completions(g, c)}
+    assert (brute_dim(g, c) is not None) == bool(hits)
 
 
 def test_solving_the_claw_bridge_cuts_one_subgraph(monkeypatch):
@@ -208,17 +270,16 @@ def test_family_is_the_core_cliques_plus_the_claw_triples(monkeypatch):
 
     seen = Counter()
     for g, c in _irreducible_pairs(workloads):
-        if assert_irreducible_structure(g, c) is not None:
-            continue
         d = decompose(g, c)
         sets = build_family(g, c, d).sets
-        want = brute_maximal_cliques(g.subgraph(d.core)) | {frozenset((cl.v, cl.u, cl.a2)) for cl in d.claws}
+        star_sets = {frozenset(s.reps) for s in d.stars}
+        want = brute_maximal_cliques(g.subgraph(d.core)) | star_sets
         assert len(sets) == len(set(sets)) and set(sets) == want, (g.edges(), c)
         seen["pairs"] += 1
         tri_at = g.triangles_at()
         for a in sets:
-            if not a <= d.core:
-                seen["claw triple"] += 1
+            if a in star_sets:
+                seen["star set"] += 1
             elif len({tri_at[v][0] for v in a}) == 2:
                 seen["edge between triangles"] += 1
             else:
@@ -314,9 +375,9 @@ def test_coloring_from_hit_claw_bridge():
     assert chosen is not None
     colored = coloring_from_hit(g, c, d, chosen)
     assert verify_complete(g, colored)
-    claw = d.claws[0]
-    if claw.a2 in chosen:
-        assert colored.get(claw.a2) == BLACK
+    # the center's black partner is the leaf whose representative was chosen
+    (star,) = d.stars
+    assert [colored.get(a) for a in star.leaves] == [BLACK if r in chosen else WHITE for r in star.reps]
 
 
 def test_irreducible_roundtrip_on_pipeline_corpus():
@@ -331,8 +392,6 @@ def test_irreducible_roundtrip_on_pipeline_corpus():
         if rr.is_refuted or rr.graph.n == 0:
             continue
         g2, c2 = rr.graph, rr.coloring
-        if assert_irreducible_structure(g2, c2) is not None:
-            continue
         seen += 1
         d = decompose(g2, c2)
         chosen = solve_hitting(build_family(g2, c2, d))

@@ -505,6 +505,19 @@ def decorate(g: Graph, seed: int) -> Graph:
     return Graph(sorted({v for e in edges for v in e}), edges)
 
 
+def planted(g: Graph, colors: dict[int, str], seed: int) -> Graph:
+    """`g` in random gadget context: each vertex `colors` makes black gets a
+    pendant leaf, which forces it black, and `decorate` hangs gadgets off
+    the result."""
+    edges = list(g.edges())
+    nxt = max(g.vertices) + 1
+    for v in sorted(colors):
+        if colors[v] == BLACK:
+            edges.append((v, nxt))
+            nxt += 1
+    return decorate(Graph(range(1, nxt), edges), seed)
+
+
 # hosts on which each forcing rule fires during propagation
 FORCING_HOSTS: dict[str, tuple[Graph, dict[int, str]]] = {
     "square_alternation": (from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)]), {1: BLACK}),
@@ -536,3 +549,12 @@ FORCING_HOSTS: dict[str, tuple[Graph, dict[int, str]]] = {
     "braced_pendant": (from_edges(9, [(1, 2), (1, 3), (1, 4), (3, 5), (4, 6), (5, 6), (5, 7),
                                       (6, 8), (7, 8), (7, 9), (8, 9)]), {1: BLACK}),
 }
+
+
+# every shape the planted audit embeds: C4, C5 and each rule's hosts
+PLANTED_HOSTS: list[tuple[str, Graph, dict[int, str]]] = [
+    ("C4", from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)]), {}),
+    ("C5", from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), {}),
+    *((rule_id, g, colors) for rule_id, (g, colors) in FORCING_HOSTS.items()),
+    *((rule_id, g, colors) for rule_id, hosts in REWRITE_HOSTS.items() for g, colors in hosts),
+]
