@@ -198,31 +198,6 @@ class Graph:
             for a in ns for b in adj[a] & ns if a < b
         )
 
-    def induced_c4s(self, anchors: Iterable[int] | None = None) -> list[tuple[int, int, int, int]]:
-        """Chordless 4-cycles (a, b, c, d) with edges ab, bc, cd, da.
-
-        Canonical labelling: a is the smallest vertex and b < d.  With
-        anchors (ascending), only the cycles whose a is an anchor.
-        """
-        if anchors is not None:
-            return [q for a in anchors for q in self._c4s_from(a)]
-        cached = self._cache.get("induced_c4s")
-        if cached is None:
-            cached = [q for a in self._vertices for q in self._c4s_from(a)]
-            self._cache["induced_c4s"] = cached
-        return cached  # type: ignore[return-value]
-
-    def _c4s_from(self, a: int) -> list[tuple[int, int, int, int]]:
-        adj = self._adj
-        na = adj[a]
-        return [
-            (a, b, c, d)
-            for b, d in combinations(sorted(na), 2)
-            if b > a and b not in adj[d]
-            for c in adj[b] & adj[d]
-            if c > a and c not in na
-        ]
-
     # -- construction of derived graphs -----------------------------------
 
     def subgraph(self, keep: Iterable[int], id_floor: int | None = None) -> Graph:

@@ -170,10 +170,6 @@ class ReductionAudit:
         pass
 
 
-def _opp(color: str) -> str:
-    return WHITE if color == BLACK else BLACK
-
-
 # --------------------------------------------------------------------------
 # cheap local rules: whites force black neighbors, a matched black pair
 # whitens its surroundings, a black vertex with one escape forces it.
@@ -247,24 +243,14 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conf
 
 
 # --------------------------------------------------------------------------
-# structural equalities: chordless squares alternate, a triangle vertex and
-# a private outside neighbor always disagree.
+# structural equalities: a black corner of a chordless square makes the
+# opposite corner black and the other two white, and a black triangle vertex
+# or private outside neighbor whitens the other.  White halves would never
+# fire: every rule scans at the basic fixpoint, where each neighbor of a
+# white vertex is black already (`assign` never whitens a vertex next to a
+# white one), so the black halves draw the same conclusions.
 
-
-def rule_square_alternation(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    get = c.state.get
-    for cyc in g.induced_c4s(anchors):
-        for i in range(4):
-            col = get(cyc[i])
-            if col is None:
-                continue
-            yield [
-                (cyc[(i + 2) % 4], col),
-                (cyc[(i + 1) % 4], _opp(col)),
-                (cyc[(i + 3) % 4], _opp(col)),
-            ]
-            break
-
+P_BLACK_SQUARE = pattern("black_square", "a b c d", "a-b b-c c-d d-a", color={"a": MUST_BLACK})
 
 # The shapes of the code rules (see Rule.shape) sit beside them.
 P_TRIANGLE_OUTSIDER = pattern("triangle_outsider", "t r1 r2 u", "t-r1 t-r2 r1-r2 t-u")
@@ -283,14 +269,16 @@ def _triangle_outsiders(g: Graph, anchors: Anchors) -> Iterator[tuple[int, int]]
                     yield t, u
 
 
+# Code, not a declaration: that takes one pattern per black role under one
+# id, and merging their scans by anchor cost +5 % on the claw networks.
 def rule_triangle_outsider(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     get = c.state.get
     for t, u in _triangle_outsiders(g, anchors):
         ct, cu = get(t), get(u)
-        if ct is not None and cu is None:
-            yield [(u, _opp(ct))]
-        elif cu is not None and ct is None:
-            yield [(t, _opp(cu))]
+        if ct == BLACK and cu is None:
+            yield [(u, WHITE)]
+        elif cu == BLACK and ct is None:
+            yield [(t, WHITE)]
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +301,8 @@ def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
 P_DEGREE_ONE = pattern("degree_one", "v", "", degree={"v": (0, 1)})
 
 
+# Code, not a declaration: a filter over g.vertices in place of the
+# low_degree_vertices index cost +25 % opcodes on claw networks.
 def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # only groups not yet satisfied: a leaf's support not yet black, an
     # isolated vertex not yet white
@@ -328,17 +318,8 @@ def rule_degree_one(g: Graph, c: PartialColoring, anchors: Anchors = None) -> It
                 yield [(s, BLACK)]
 
 
-def _blacks(c: PartialColoring, anchors: Anchors) -> list[int]:
-    return sorted(c.blacks()) if anchors is None else [v for v in anchors if c.get(v) == BLACK]
-
-
-def rule_black_pair_neighbors(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    # black pairs u < v at distance two, found from u's second neighborhood
-    for u in _blacks(c, anchors):
-        nu = g.neighbors(u)
-        far = {v for w in nu for v in g.neighbors(w) if v > u and v not in nu and c.get(v) == BLACK}
-        for v in sorted(far):
-            yield [(w, WHITE) for w in sorted(nu & g.neighbors(v))]
+# two black vertices at distance two, and a common neighbor w
+P_BLACK_PAIR = pattern("black_pair", "u v w", "u-w v-w", color={"u": MUST_BLACK, "v": MUST_BLACK})
 
 
 def _triangle_pairs(g: Graph, shared: int, anchors: Anchors) -> Iterator[set[int]]:
@@ -359,11 +340,16 @@ P_BOWTIE = pattern("bowtie", "c a1 b1 a2 b2", "c-a1 c-b1 a1-b1 c-a2 c-b2 a2-b2",
 P_DIAMOND = pattern("diamond", "a b c d", "a-b a-c b-c a-d b-d", opt="c-d")
 
 
+# Code, not a declaration: P_BOWTIE matches every bowtie 8 times, which
+# cost +7 % on the largest bench batch and raised its growth exponent.
 def rule_bowtie_center(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     for common in _triangle_pairs(g, 1, anchors):
         yield [(common.pop(), WHITE)]
 
 
+# Code, not a declaration: this reads the triangle index, where a search of
+# P_DIAMOND tries every edge at every vertex; declared, it cost +2 % on the
+# claw networks.
 def rule_diamond_pair(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     for common in _triangle_pairs(g, 2, anchors):
         yield [(v, BLACK) for v in sorted(common)]
@@ -372,6 +358,7 @@ def rule_diamond_pair(g: Graph, c: PartialColoring, anchors: Anchors = None) -> 
 P_LEAF_SURPLUS = pattern("leaf_surplus", "s l1 l2", "s-l1 s-l2", degree={"l1": (1, 1), "l2": (1, 1)})
 
 
+# Code, not a declaration: a group whitens all leaves of v but one.
 def rule_leaf_surplus(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # A support vertex keeps at most one of its leaves non-white; whiten
     # the rest (valid recoloring, not a forced consequence).
@@ -420,6 +407,7 @@ P_HAT_PENTAGON = pattern(
 )
 
 
+# Code, not a declaration: a group can whiten every other neighbor of x.
 def rule_hat_pentagon(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     for emb in P_HAT_PENTAGON.find_all(g, anchors=anchors):
         x, y = emb["x"], emb["y"]
@@ -451,6 +439,7 @@ P_ANCHORED_PENTAGON = pattern(
 )
 
 
+# Code, not a declaration: a group whitens every other neighbor of x.
 def rule_anchored_pentagon(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     for emb in P_ANCHORED_PENTAGON.find_all(g, anchors=anchors):
         x, y, z = emb["x"], emb["y"], emb["z"]
@@ -467,10 +456,17 @@ P_SPOKED_TRIANGLE = pattern(
 )
 
 
+# Code, not a declaration: a pattern would find each square twice per shared
+# neighbor and read two rings out; v's own ring settles the condition.
 def rule_square_degree_two(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    for cyc in g.induced_c4s(anchors):
-        for v in cyc:
-            if g.degree(v) == 2:
+    # v of degree two on a chordless square: its two neighbors are
+    # nonadjacent and share a neighbor other than v
+    adj = g.adjacency
+    for v in g.vertices if anchors is None else anchors:
+        ns = adj[v]
+        if len(ns) == 2:
+            x, y = ns
+            if y not in adj[x] and len(adj[x] & adj[y]) > 1:
                 yield [(v, WHITE)]
 
 
@@ -507,6 +503,7 @@ def _isolated_in_neighborhood(g: Graph, v: int) -> list[int]:
 P_CLAW = pattern("claw", "v a b c", "v-a v-b v-c")
 
 
+# Code, not a declaration: its condition reads every neighbor of v.
 def rule_scattered_neighborhood(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # Needs a host with no induced long claw: three pairwise "isolated"
     # neighbors of a white vertex would grow into one.
@@ -533,6 +530,7 @@ P_CUBIC_CAPS = pattern(
 P_LONE_WING = pattern("lone_wing", "v w1 w2 w3 w4", "v-w1 v-w2 v-w3 v-w4 w1-w2", degree={"v": (4, 4)})
 
 
+# Code, not a declaration: it reads every outside neighbor of w3 and w4.
 def rule_lone_wing(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # v has exactly four neighbors with a single adjacent pair w1-w2 among
     # them, and the two loose neighbors w3, w4 admit no private pair.  If v
@@ -580,10 +578,10 @@ P_BRACED_PENDANT = pattern(
 # outside hat_pentagon's pattern, inside anchored_pentagon's (its x is next
 # to the anchor).
 CATALOG: tuple[Rule, ...] = (
-    Rule("square_alternation", FORCED, rule_square_alternation, 2),
+    _demands("square_alternation", FORCED, P_BLACK_SQUARE, c=BLACK, b=WHITE, d=WHITE),
     Rule("triangle_outsider", FORCED, rule_triangle_outsider, 2, shape=P_TRIANGLE_OUTSIDER),
     Rule("degree_one", FORCED, rule_degree_one, 1, shape=P_DEGREE_ONE),
-    Rule("black_pair_neighbors", FORCED, rule_black_pair_neighbors, 2),
+    _demands("black_pair_neighbors", FORCED, P_BLACK_PAIR, w=WHITE),
     Rule("bowtie_center", FORCED, rule_bowtie_center, 2, shape=P_BOWTIE),
     Rule("diamond_pair", FORCED, rule_diamond_pair, 1, shape=P_DIAMOND),
     Rule("leaf_surplus", EXCHANGE, rule_leaf_surplus, 1, shape=P_LEAF_SURPLUS),
@@ -594,7 +592,7 @@ CATALOG: tuple[Rule, ...] = (
     _demands("hat_pentagon_swap", EXCHANGE, P_HAT_PENTAGON_RIGID, w1=WHITE),
     Rule("anchored_pentagon", FORCED, rule_anchored_pentagon, P_ANCHORED_PENTAGON.radius, shape=P_ANCHORED_PENTAGON),
     _demands("spoked_triangle", FORCED, P_SPOKED_TRIANGLE, u=WHITE),
-    Rule("square_degree_two", FORCED, rule_square_degree_two, 2),
+    Rule("square_degree_two", FORCED, rule_square_degree_two, 1),
     _demands("triangle_circuit", FORCED, P_TRIANGLE_CIRCUIT, x=WHITE),
     _demands("twin_fan_swap", EXCHANGE, P_TWIN_FAN, w1=WHITE, w2=WHITE),
     Rule("scattered_neighborhood", FORCED, rule_scattered_neighborhood, 1, shape=P_CLAW),

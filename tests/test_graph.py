@@ -82,12 +82,6 @@ def test_components_and_max_degree():
     assert star(4).max_degree() == 4
 
 
-def test_induced_c4s():
-    assert cycle(4).induced_c4s() == [(1, 2, 3, 4)]
-    assert complete(4).induced_c4s() == []
-    assert len(cycle(6).induced_c4s()) == 0
-
-
 def test_rewrite_preserves_surviving_ids():
     g = path(5)
     g2 = g.rewrite(remove_vertices=[3], add_vertices=[9], add_edges=[(2, 9), (9, 4)])
@@ -169,7 +163,6 @@ QUERIES = (
     Graph.low_degree_vertices,
     lambda g: list(g.triangles_at().items()),
     Graph.triangles,
-    Graph.induced_c4s,
     Graph.components,
     lambda g: list(g.vertices),
     Graph.edges,

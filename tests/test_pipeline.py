@@ -299,7 +299,6 @@ CACHE_QUERIES = {
     "low_degree": Graph.low_degree_vertices,
     "triangles": Graph.triangles,
     "triangles_at": Graph.triangles_at,
-    "induced_c4s": Graph.induced_c4s,
 }
 
 

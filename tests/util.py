@@ -140,6 +140,25 @@ def reference_triangle_outsiders(g: Graph, anchors: Optional[list[int]]) -> Iter
                     yield t, u
 
 
+def reference_square_degree_two(g: Graph, anchors: Optional[list[int]]) -> Iterator[list[tuple[int, str]]]:
+    """Reference for `dimatch.rules.rule_square_degree_two`: every closed
+    walk a-b-c-d-a with neither chord marks a chordless square, and each of
+    its vertices of degree two, in ascending order (of the anchors), is
+    demanded white."""
+    on_square: set[int] = set()
+    for a in g.vertices:
+        for b in g.neighbors(a):
+            for c in g.neighbors(b):
+                if c == a or g.has_edge(a, c):
+                    continue
+                for d in g.neighbors(c):
+                    if d != b and g.has_edge(d, a) and not g.has_edge(b, d):
+                        on_square.update((a, b, c, d))
+    for v in g.vertices if anchors is None else anchors:
+        if v in on_square and g.degree(v) == 2:
+            yield [(v, WHITE)]
+
+
 def rewrite_chain(seed: int, steps: int, n: int = 10, in_place: bool = False) -> Iterator[Graph]:
     """The graphs of a seeded chain of random rewrites from a random graph
     on 1..n whose degree census and triangle index are built, so each
