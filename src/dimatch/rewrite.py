@@ -452,38 +452,22 @@ def remeasure(before: tuple[int, int, int], g: Graph, c: PartialColoring, step: 
     return (bad, g.n, g.m)
 
 
-def _five_cycle_at(g: Graph, v: int) -> Optional[frozenset[int]]:
-    """v's component if it is a five-cycle; stops at the first vertex of
-    degree other than two or past five vertices."""
-    comp, stack = {v}, [v]
-    while stack:
-        ns = g.neighbors(stack.pop())
-        if len(ns) != 2:
-            return None
-        for w in ns:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-        if len(comp) > 5:
-            return None
-    return frozenset(comp) if len(comp) == 5 else None
-
-
-def _c5_component(g: Graph, wl: Optional[Worklist] = None) -> Optional[frozenset[int]]:
+def _c5_component(g: Graph) -> Optional[frozenset[int]]:
     """The component that is a five-cycle with the least minimum vertex, or
-    None.  A check after one that found none on wl looks only at the
-    components of the vertices logged since: a component no change reached
-    is as it was then.  Without wl the check is whole."""
-    wl = Worklist() if wl is None else wl
-    starts = wl.anchors(g, "_c5", 0)
-    if starts is None:
-        found = [comp for comp in g.components() if len(comp) == 5 and all(g.degree(v) == 2 for v in comp)]
-    else:
-        found = [comp for v in starts if (comp := _five_cycle_at(g, v))]
-    if not found:
-        wl.found_nothing("_c5")
-        return None
-    return min(found, key=min)
+    None: components come in least-vertex order, so it is the first.
+
+    The driver asks only at the fixpoint, where no rewrite applies, and
+    decides as an ask in any earlier round would.  Whenever propagation
+    found nothing and cleaning made no step, a five-cycle component is
+    uncolored: no vertex is white, and a black one would make `chain_step`
+    demand a second black two steps away, between which
+    `black_pair_neighbors` demands a white.  An uncolored five-cycle has no
+    dominating induced matching, and it holds no occurrence of a catalog
+    rule, a rewrite pattern or a basic rule: every pattern is connected,
+    and none embeds in an uncolored five-cycle.  So no later step touches
+    it, and once it is there the answer is NO whenever it is read.
+    """
+    return next((comp for comp in g.components() if len(comp) == 5 and all(g.degree(v) == 2 for v in comp)), None)
 
 
 STEP_CAP_FACTOR = 10
@@ -512,11 +496,11 @@ def reduce_to_irreducible(
     Termination is audited: the (bad vertices, n, m) measure must drop
     lexicographically at every rewrite, and the number of rewrites may not
     exceed STEP_CAP_FACTOR * n^2.  The measure is counted whole once, at
-    the first rewrite, and then carried through every step by `remeasure`;
-    the per-round five-cycle check, like the rules, looks only near the
-    changes the worklist logged since its last pass.  The final pair must
-    be clean and keep the facts of `clean_pair_violation`, which the rules
-    pre-empt; either failing is a fault (AssertionError), never a NO.
+    the first rewrite, and then carried through every step by `remeasure`.
+    At the fixpoint, a five-cycle component answers NO (see
+    `_c5_component`); otherwise the final pair must be clean and keep the
+    facts of `clean_pair_violation`, which the rules pre-empt, and either
+    failing is a fault (AssertionError), never a NO.
 
     Up to the first cleaning or rewrite step, g and c are the ones passed
     in, and propagation colors c.  That step copies both, and it and every
@@ -540,12 +524,12 @@ def reduce_to_irreducible(
         step = clean(g, c)
         rewriting = step is None
         if rewriting:
-            comp = _c5_component(g, wl)
-            if comp is not None:
-                witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
-                return ReduceResult(witness, g, c, trace, steps)
             step = try_rewrite(g, c, wl)
             if step is None:
+                comp = _c5_component(g)
+                if comp is not None:
+                    witness = Conflict("c5_component", min(comp), "", f"component {sorted(comp)} is a five-cycle")
+                    return ReduceResult(witness, g, c, trace, steps)
                 violation = clean_pair_violation(g)
                 if violation is not None or not is_clean_pair(g, c, wl):
                     raise AssertionError(f"fixpoint is not a clean pair: {violation or 'is_clean_pair fails'}")

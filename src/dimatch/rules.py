@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from bisect import insort
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Collection, Generic, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, Iterator, Optional, Sequence, TypeVar
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
@@ -611,7 +611,6 @@ def propagate(
     c: PartialColoring,
     audit: Optional[ReductionAudit] = None,
     wl: Optional[Worklist] = None,
-    skip: Collection[str] = (),
 ) -> Optional[Conflict]:
     """Run every rule to a joint fixpoint.  Mutates c; returns the conflict
     that refutes the instance, or None.
@@ -631,13 +630,9 @@ def propagate(
     census has no firing on g under any coloring, so it is not called,
     asks wl for no anchors and leaves no record.  Every change is logged,
     so its last recorded scan still bounds what changed since.
-
-    The rules in skip are known to find nothing on g and c as passed in, so
-    they are not called until something is colored.
     """
     wl = Worklist() if wl is None else wl
     get = c.state.get
-    start = len(wl.log)
     plan = _PLAN(CATALOG, g)
     while True:
         conflict = _basic_fixpoint(g, c, wl)
@@ -645,8 +640,6 @@ def propagate(
             return conflict
         fired = False
         for rule in plan:
-            if rule.id in skip and len(wl.log) == start:
-                continue
             anchors = wl.anchors(g, rule.id, rule.radius)
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
                 todo = [(v, col) for v, col in group if get(v) != col]
@@ -677,24 +670,32 @@ def propagate(
 def is_clean_pair(g: Graph, c: PartialColoring, wl: Optional[Worklist] = None) -> bool:
     """No whites, blacks pairwise at distance >= 3, rules at fixpoint.
 
-    The fixpoint is confirmed by one propagation from a fresh worklist, in
-    which every rule of g's dispatch plan scans the whole of g; the rules
-    the census rules out are left out there, without asking it again.
-    wl, if given, is the worklist that logged every change to c on g: a
-    rule whose last whole scan recorded there found nothing on g as it
-    stands already has that scan and is not called again.
+    The fixpoint is read, not propagated again.  With no white and no two
+    blacks within distance two, a basic rule can act only at a black vertex
+    with fewer than two neighbours, and a catalog rule only by yielding a
+    group that would change a color; so each rule of g's dispatch plan
+    scans the whole of g once, and the first such group decides.  The
+    rules the census rules out are left out without asking it again.  wl,
+    if given, is the worklist that logged every change to c on g: a rule
+    whose last whole scan recorded there found nothing on g as it stands
+    is not scanned again.
     """
     if c.whites():
         return False
     for u in c.blacks():
-        for w in g.neighbors(u):
+        ns = g.neighbors(u)
+        if len(ns) < 2:
+            return False
+        for w in ns:
             if c.get(w) == BLACK or any(x != u and c.get(x) == BLACK for x in g.neighbors(w)):
                 return False
-    probe = c.copy()
     done = wl.scanned_whole(g) if wl is not None else ()
-    if propagate(g, probe, skip=done) is not None:
-        return False
-    return probe.state == c.state
+    for rule in _PLAN(CATALOG, g):
+        if rule.id not in done:
+            for group in rule.fn(g, c):
+                if any(c.get(v) != col for v, col in group):
+                    return False
+    return True
 
 
 def clean_pair_violation(g: Graph) -> Optional[str]:

@@ -261,71 +261,13 @@ def test_step_wise_measure_equals_a_whole_count():
     assert kinds[True] > 40 and kinds[False] > 500, kinds
 
 
-def _edit_chain(seed: int, steps: int):
-    """Seeded random edits of a union of triangles, short paths and
-    cycles.  The starting triangles come in pairs; most toggled edges join
-    the i-th vertices of a pair or lie inside a triangle, so shared
-    triangle vertices, triangles joined by three edges and five-cycle
-    components come and go."""
-    rng = random.Random(seed)
-    edges, nxt, triangles = [], 1, []
-    for k in (3, 3, 3, 3, 3, 3, 2, 4, 5, 5, 6):
-        vs = list(range(nxt, nxt + k))
-        nxt += k
-        edges += list(zip(vs, vs[1:])) + ([(vs[0], vs[-1])] if k > 2 else [])
-        if k == 3:
-            triangles.append(vs)
-    g = Graph(range(1, nxt), edges)
-    yield g
-    for _ in range(steps):
-        verts = g.vertices
-        op = rng.random()
-        if op < 0.8:
-            if op < 0.4:
-                pair = rng.randrange(len(triangles) // 2)
-                i = rng.randrange(3)
-                u, v = triangles[2 * pair][i], triangles[2 * pair + 1][i]
-            elif op < 0.7:
-                u, v = rng.sample(rng.choice(triangles), 2)
-            else:
-                u, v = rng.sample(verts, 2)
-            if u in g and v in g:
-                g = g.rewrite(remove_edges=[(u, v)]) if g.has_edge(u, v) else g.rewrite(add_edges=[(u, v)])
-        elif op < 0.9:
-            g = g.rewrite(remove_vertices=[rng.choice(verts)])
-        else:
-            x = g.fresh_ids(1)[0]
-            g = g.rewrite(add_vertices=[x], add_edges=[(x, w) for w in rng.sample(verts, min(len(verts), 2))])
-        yield g
-
-
-def test_anchored_structure_checks_equal_whole_scans():
-    """_c5_component on a worklist that logged every edited vertex since
-    its last pass gives what a whole scan gives: the five-cycle component
-    with the least vertex."""
-    found = 0
-    for seed in range(40):
-        wl, prev = Worklist(), None
-        for g in _edit_chain(seed, 100):
-            if prev is not None:
-                wl.log.extend(v for v in g.vertices if v not in prev or prev.neighbors(v) != g.neighbors(v))
-            five = next((k for k in g.components() if len(k) == 5 and all(g.degree(v) == 2 for v in k)), None)
-            assert _c5_component(g, wl) == five == _c5_component(g), (seed, g.edges())
-            found += five is not None
-            prev = g
-    assert found >= 15, found
-
-
 def test_anchored_five_cycle_check_returns_the_least_component():
-    """Two paths closed into five-cycles by one edit: the logged vertices
-    meet the component {2..6} first, but a whole scan returns the one
-    holding vertex 1."""
-    wl = Worklist()
+    """Two paths closed into five-cycles: the check returns the one holding
+    vertex 1, not the one an edit at 2 or 6 reached first."""
     g = from_edges(10, [(1, 7), (7, 8), (8, 9), (1, 10), (2, 3), (3, 4), (4, 5), (5, 6)])
-    assert _c5_component(g, wl) is None
+    assert _c5_component(g) is None
     g2 = g.rewrite(add_edges=[(9, 10), (2, 6)])
-    wl.log += [2, 6, 9, 10]
-    assert _c5_component(g2, wl) == _c5_component(g2) == frozenset({1, 7, 8, 9, 10})
+    assert _c5_component(g2) == frozenset({1, 7, 8, 9, 10})
 
 
 def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeypatch):
@@ -362,7 +304,7 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
 
 # the keys that ask the worklist for anchors while cycle(n) is reduced
 CYCLE_KEYS = {
-    "_basic", "_c5", "square_alternation", "black_pair_neighbors",
+    "_basic", "square_alternation", "black_pair_neighbors",
     "chain_step", "square_degree_two", "seven_cycle_step", "contract_path",
 }
 
@@ -621,6 +563,27 @@ def test_reduce_c5_refutes_with_component_witness():
     assert rr.refuted.rule == "c5_component"
 
 
+def test_no_rule_or_rewrite_occurs_in_an_uncolored_five_cycle():
+    """The premise of reading the five-cycle exit at the fixpoint: no
+    catalog rule yields a group and no rewrite pattern embeds there, each
+    asked directly, past the dispatch plan."""
+    g, c = cycle(5), PartialColoring()
+    assert dimatch.rules.propagate(g, c) is None and c.state == {}
+    assert all(next(iter(r.fn(g, c)), None) is None for r in dimatch.rules.CATALOG)
+    assert all(next(iter(r.pattern.find_all(g, c.state)), None) is None for r in REWRITE_RULES)
+
+
+def test_a_five_cycle_left_by_rewrites_refutes_at_the_fixpoint():
+    """cycle(3k + 2) contracts to a five-cycle in k - 1 contract_path
+    steps; nothing applies there, so the fixpoint reads it as NO."""
+    for k in range(1, 11):
+        rep = solve(cycle(3 * k + 2))
+        assert rep.decision == "NO"
+        assert rep.witness.endswith(f"component {list(range(3 * k - 2, 3 * k + 3))} is a five-cycle"), rep.witness
+        assert rep.rewrite_steps == k - 1
+        assert [step.rule_id for step in rep.trace] == ["contract_path"] * (k - 1)
+
+
 # triangle_outsider with radius 0: its rescans miss the far side of a
 # triangle, so propagation stops short of the fixpoint on this input and
 # the final check must notice.
@@ -673,21 +636,21 @@ CLEAN_PAIR_BREAKS = (
 
 def test_the_forcing_rules_pre_empt_every_clean_pair_break(monkeypatch):
     """Whenever the reducer reaches a clean pair (cleaning made no step,
-    so it asks for a five-cycle component next), the graph keeps the facts
-    of clean_pair_violation.  Mixed instances, a third with a prism,
+    so it searches for a rewrite next), the graph keeps the facts of
+    clean_pair_violation.  Mixed instances, a third with a prism,
     bowtie or diamond hung on by one or two edges and a third with a
     random partial coloring; bowtie_center, diamond_pair and house_apex,
     the rules the argument rests on, must each color often."""
     checkpoints = 0
-    c5_component = dimatch.rewrite._c5_component
+    rewrite = dimatch.rewrite.try_rewrite
 
-    def checked(g, wl=None):
+    def checked(g, c, wl=None):
         nonlocal checkpoints
         checkpoints += 1
         assert clean_pair_violation(g) is None, g.edges()
-        return c5_component(g, wl)
+        return rewrite(g, c, wl)
 
-    monkeypatch.setattr(dimatch.rewrite, "_c5_component", checked)
+    monkeypatch.setattr(dimatch.rewrite, "try_rewrite", checked)
     colored = Counter()
 
     class Colorings(ReductionAudit):

@@ -10,7 +10,7 @@ import dimatch.rewrite
 import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
-from dimatch.oracle import brute_dim, is_feasible_partial, mixed_instance
+from dimatch.oracle import GeneratorError, brute_dim, is_feasible_partial, mixed_instance
 from dimatch.patterns import Pattern, pattern
 from dimatch.rewrite import clean
 from dimatch.rules import (
@@ -29,6 +29,7 @@ from .util import (
     OracleAudit,
     made,
     random_host,
+    reference_is_clean_pair,
     reference_square_degree_two,
     reference_triangle_outsiders,
     rewrite_chain,
@@ -360,6 +361,69 @@ def test_engine_fixpoint_state_is_clean():
     g2, c2 = (g, c) if step is None else made(g, c, step)
     assert is_clean_pair(g2, c2)
     assert clean_pair_violation(g2) is None
+
+
+def _scattered_blacks(rng: random.Random, g: Graph) -> PartialColoring:
+    """Blacks pairwise at distance three or more, in random order, and no
+    whites: only the rules can fault such a pair."""
+    c = PartialColoring()
+    for v in rng.sample(g.vertices, g.n):
+        near = {v} | g.neighbors(v)
+        near |= {x for w in g.neighbors(v) for x in g.neighbors(w)}
+        if rng.random() < 0.5 and not near & c.blacks():
+            c.state[v] = BLACK
+    return c
+
+
+def test_the_fixpoint_read_answers_as_a_second_propagation(monkeypatch):
+    """is_clean_pair, without a worklist and with one that logged every
+    change, answers as one more propagation on a copy would: on random
+    hosts with random partial colorings, on the hosts of the forcing rules
+    and at the fixpoints the reduction of mixed instances reaches."""
+    answers = Counter()
+
+    def agree(g, c, wl=None):
+        want = reference_is_clean_pair(g, c)
+        assert is_clean_pair(g, c) == want, (g.edges(), c.state)
+        if wl is not None:
+            assert is_clean_pair(g, c, wl) == want, (g.edges(), c.state)
+        return want
+
+    rng, scattered = random.Random(41), []
+    for i in range(400):
+        g = random_host(rng, rng.randint(3, 12), rng.choice((0.15, 0.3, 0.5)))
+        if i % 2:
+            c = PartialColoring({v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.2})
+        else:
+            c = _scattered_blacks(rng, g)
+        answer = agree(g, c, Worklist())
+        if i % 2 == 0:
+            # the scattered blacks pass the checks before the basic rules
+            leaf = any(g.degree(v) < 2 for v in c.blacks())
+            answers["scattered", answer, leaf] += 1
+            scattered.append((g, c.copy()))
+        wl = Worklist()
+        if propagate(g, c, wl=wl) is None:
+            agree(g, c, wl)
+    for g, colors in FORCING_HOSTS.values():
+        answers["forcing", agree(g, PartialColoring(colors))] += 1
+    # without degree_one, only the basic rules fault a black of degree < 2
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(r for r in CATALOG if r.id != "degree_one"))
+    for g, c in scattered:
+        agree(g, c)
+    monkeypatch.setattr(dimatch.rules, "CATALOG", CATALOG)
+    monkeypatch.setattr(dimatch.rewrite, "is_clean_pair", lambda g, c, wl: agree(g, c, wl))
+    for seed in range(200):
+        try:
+            g = mixed_instance(7 + seed % 16, seed)
+        except GeneratorError:
+            continue
+        rr = dimatch.rewrite.reduce_to_irreducible(g)
+        answers["fixpoint", not rr.is_refuted] += 1
+    # among the scattered blacks, the basic rules at a black of degree < 2
+    # and the catalog's read each fault many pairs
+    assert answers["scattered", False, True] >= 20 and answers["scattered", False, False] >= 20, answers
+    assert answers["forcing", False] >= 15 and answers["fixpoint", True] >= 100, answers
 
 
 def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(monkeypatch):

@@ -14,7 +14,7 @@ from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Embedding, Pattern, contains_s222, pattern
 from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep
-from dimatch.rules import CATALOG, FORCED
+from dimatch.rules import CATALOG, FORCED, propagate
 from dimatch.setmatch import SetFamilyInstance
 
 # the forcing rules by id
@@ -185,6 +185,20 @@ def rewrite_chain(seed: int, steps: int, n: int = 10, in_place: bool = False) ->
         else:
             g = g.rewrite(drop, new, added, cut)
         yield g
+
+
+def reference_is_clean_pair(g: Graph, c: PartialColoring) -> bool:
+    """No whites, blacks pairwise at distance >= 3, and one propagation on
+    a copy of c, from a fresh worklist, colors nothing and meets no
+    conflict."""
+    if c.whites():
+        return False
+    for u in c.blacks():
+        for w in g.neighbors(u):
+            if c.get(w) == BLACK or any(x != u and c.get(x) == BLACK for x in g.neighbors(w)):
+                return False
+    probe = c.copy()
+    return propagate(g, probe) is None and probe.state == c.state
 
 
 def fresh_degree_counts(g: Graph) -> dict[int, int]:
