@@ -6,15 +6,21 @@ independent set.  For hosts with no induced long claw (the claw with each
 edge subdivided once) the decision is made by propagation rules, local
 rewrites down to an irreducible graph, and a saturating-matching search;
 YES answers come with a verified certificate.
+
+`import dimatch` loads only the solver.  The brute-force oracle and the
+instance generators (`dimatch.oracle`) load on first access to one of
+their names here.
 """
 
 from .coloring import BLACK, WHITE, PartialColoring, verify_complete
 from .graph import Graph, load_graph, save_graph
 from .matching import max_matching, solve_saturation
-from .oracle import GeneratorSpec, brute_dim, generate
 from .patterns import contains_s222
 from .pipeline import RunReport, solve
 from .rewrite import lift_completion, reduce_to_irreducible, try_rewrite
+
+# the names __getattr__ reads from dimatch.oracle on first access
+_ORACLE_NAMES = frozenset({"GeneratorSpec", "brute_dim", "generate"})
 
 __all__ = [
     "BLACK",
@@ -36,3 +42,11 @@ __all__ = [
     "try_rewrite",
     "verify_complete",
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,9 @@ Exit codes: 0 yes/ok, 1 no/infeasible, 2 usage or parse error, 3 internal
 fault.  `UsageError` is raised only where the user's arguments and files
 are read, parsed, checked or written; any other exception is a fault of
 the program.
+
+Only `gen`, `oracle` and `compare` import the oracle and the generators,
+so `solve`, `check` and `saturate` start with the solver alone.
 """
 
 from __future__ import annotations
@@ -16,16 +19,6 @@ from pathlib import Path
 from .coloring import format_certificate, parse_certificate, verify_complete
 from .graph import Graph, GraphFormatError, load_graph, save_graph
 from .matching import solve_saturation
-from .oracle import (
-    MAX_ORACLE_VERTICES,
-    MIXED_MODELS,
-    GeneratorError,
-    GeneratorSpec,
-    OracleSizeError,
-    brute_dim,
-    generate,
-    mixed_instance,
-)
 from .pipeline import LongClawPresent, solve
 from .rewrite import format_trace
 
@@ -108,6 +101,11 @@ def _nonnegative(args: argparse.Namespace, *names: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .oracle import MIXED_MODELS, GeneratorError, GeneratorSpec, generate
+
+    models = (*MIXED_MODELS, "known")
+    if args.model not in models:
+        raise UsageError(f"--model must be one of {', '.join(models)}, not {args.model!r}")
     _nonnegative(args, "n")
     spec = GeneratorSpec(model=args.model, n=args.n, seed=args.seed, family=args.family)
     try:
@@ -123,6 +121,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import OracleSizeError, brute_dim
+
     g = _read_graph(args.graph)
     try:
         coloring = brute_dim(g)
@@ -137,6 +137,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .oracle import MAX_ORACLE_VERTICES, GeneratorError, brute_dim, mixed_instance
+
     _nonnegative(args, "count", "min_n")
     if args.min_n > args.max_n:
         raise UsageError(f"--min-n {args.min_n} exceeds --max-n {args.max_n}")
@@ -207,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gen", help="generate a long-claw-free instance")
-    p.add_argument("--model", default="uniform", choices=list(MIXED_MODELS) + ["known"])
+    # checked by cmd_gen, so that building the parser loads no generator
+    p.add_argument("--model", default="uniform", help="a random model, or 'known' for --family")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="cycle", choices=["cycle", "path", "complete", "star"])

@@ -8,8 +8,7 @@ colorings relax "exactly one" to "at most one".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import Graph
 
@@ -17,8 +16,7 @@ BLACK = "B"
 WHITE = "W"
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """Why an assignment was rejected; `rule` names the demanding rule."""
 
     rule: str

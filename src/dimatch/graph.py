@@ -62,6 +62,20 @@ class Graph:
         self._id_floor = id_floor
         self.version = next(_versions)
 
+    @classmethod
+    def _unchecked(cls, adj: dict[int, frozenset[int]], vertices: list[int], m: int, id_floor: int) -> Graph:
+        """The graph with these neighborhoods, taken as they are: no check
+        and no copy.  The caller vouches that adj is symmetric and
+        loop-free, vertices are its keys ascending and m its edge count."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        g._vertices = vertices
+        g._m = m
+        g._cache = {}
+        g._id_floor = id_floor
+        g.version = next(_versions)
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -204,24 +218,21 @@ class Graph:
         """The induced subgraph on keep; it inherits this graph's id floor
         unless id_floor is given."""
         keep_set = set(keep)
-        adj = self._adj
-        # the same sorted edge order as filtering edges(), at the cost of keep
-        edges = [(u, v) for u in sorted(keep_set) for v in sorted(adj[u]) if v > u and v in keep_set]
-        return Graph(keep_set, edges, self._id_floor if id_floor is None else id_floor)
+        # each neighborhood inserted in ascending order and then frozen, as
+        # Graph() does from sorted edges, so that it iterates in the same
+        # order (see load_graph)
+        adj = {v: frozenset(set(sorted(self._adj[v] & keep_set))) for v in keep_set}
+        m = sum(map(len, adj.values())) // 2
+        return Graph._unchecked(adj, sorted(keep_set), m, self._id_floor if id_floor is None else id_floor)
 
     def copy(self) -> Graph:
         """An equal graph with a new version, sharing this one's
         neighborhoods (an edit replaces those it changes, never alters
         them); it takes over the degree census and the triangle index if
         they are built."""
-        g = Graph.__new__(Graph)
-        g._adj = dict(self._adj)
-        g._vertices = list(self._vertices)
-        g._m = self._m
+        g = Graph._unchecked(dict(self._adj), list(self._vertices), self._m, self._id_floor)
         # the structures an edit keeps up to date
         g._cache = {key: dict(self._cache[key]) for key in ("degree_counts", "triangles_at") if key in self._cache}
-        g._id_floor = self._id_floor
-        g.version = next(_versions)
         return g
 
     def rewrite(
@@ -359,13 +370,14 @@ class Graph:
 
 
 def load_graph(text: str) -> Graph:
+    """The graph the text describes, on vertices 1..n with id floor 0;
+    each edge is checked once."""
     header: tuple[int, int] | None = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split("#", 1)[0].split() if "#" in line else line.split()
+        if not parts:
             continue
-        parts = line.split()
         if header is None:
             if len(parts) != 2:
                 raise GraphFormatError("expected header 'n m'", lineno)
@@ -385,10 +397,9 @@ def load_graph(text: str) -> Graph:
             raise GraphFormatError("edge endpoints must be integers", lineno) from None
         if u == v:
             raise GraphFormatError("self-loops are not allowed", lineno)
-        n = header[0]
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"vertex out of range 1..{n}", lineno)
-        e = _pair(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in edges:
             raise GraphFormatError(f"edge {e[0]} {e[1]} listed twice", lineno)
         edges.add(e)
@@ -397,7 +408,15 @@ def load_graph(text: str) -> Graph:
     n, m = header
     if len(edges) != m:
         raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
-    return Graph(range(1, n + 1), edges)
+    # every edge is checked above, so the graph is built unchecked.  The
+    # neighborhoods are filled in the edge set's order, as Graph() fills
+    # them: a frozenset's iteration order follows its insertion order, and
+    # propagation's conflict witnesses name neighbors in that order.
+    nbrs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph._unchecked({v: frozenset(ns) for v, ns in nbrs.items()}, list(nbrs), m, 0)
 
 
 def save_graph(g: Graph) -> str:

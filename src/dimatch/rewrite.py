@@ -11,8 +11,7 @@ makes the step on a graph and coloring in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring
 from .graph import Graph
@@ -33,8 +32,7 @@ class LiftError(RuntimeError):
     completion of the reduced graph."""
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     rule_id: str
     embedding: dict[str, int]
     removed_vertices: tuple[int, ...]
@@ -43,15 +41,10 @@ class RewriteStep:
     added_ids: dict[str, int]
     added_edges: tuple[tuple[int, int], ...]
     removed_survivor_edges: tuple[tuple[int, int], ...]
-
-    # the surviving and new vertices whose adjacency the step changes;
-    # read only.  The driver, the measure and the lift each read it.
-    changed: set[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        edges = self.removed_incident_edges + self.added_edges + self.removed_survivor_edges
-        touched = {v for e in edges for v in e} | set(self.added_ids.values())
-        object.__setattr__(self, "changed", touched - set(self.removed_vertices))
+    # the surviving and new vertices whose adjacency the step changes, as
+    # `_record` derives them from the fields above; read only.  The
+    # driver, the measure and the lift each read it.
+    changed: set[int]
 
     def make(self, g: Graph, c: PartialColoring) -> None:
         """Make this step on g, the graph it was recorded on, and on c, in
@@ -76,9 +69,10 @@ def _record(
     and colors."""
     removed = tuple(sorted(removed))
     incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
+    touched = {v for e in incident + added_edges + removed_survivor_edges for v in e} | set(added_ids.values())
     return RewriteStep(
         rule_id, embedding, removed, {v: c.get(v) for v in removed}, incident,
-        added_ids, added_edges, removed_survivor_edges,
+        added_ids, added_edges, removed_survivor_edges, touched - set(removed),
     )
 
 
@@ -93,8 +87,7 @@ def clean(g: Graph, c: PartialColoring) -> Optional[RewriteStep]:
     return _record(g, c, "clean", {}, removed, {})
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """A rewrite declared by its pattern: the rule is named after it and
     deletes its closure roles, the roles whose whole neighbourhood lies in
     the match.  It then adds the new vertices and edges and removes the
@@ -473,8 +466,7 @@ def _c5_component(g: Graph) -> Optional[frozenset[int]]:
 STEP_CAP_FACTOR = 10
 
 
-@dataclass
-class ReduceResult:
+class ReduceResult(NamedTuple):
     refuted: Optional[Conflict]
     graph: Graph
     coloring: PartialColoring

@@ -8,10 +8,9 @@ losing completability because any completion can be recolored to comply
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import insort
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Generic, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
@@ -33,8 +32,7 @@ RuleFn = Callable[..., Iterator[list[Demand]]]
 Anchors = Optional[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A forcing rule.  `propagate` runs only the rules whose `shape` fits
     the host's degree census (see `DispatchPlan`); a rule the census rules
     out costs no anchors and no call, and leaves no record."""

@@ -14,8 +14,7 @@ each star's leaves.  That in turn is a saturating-matching question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coloring import BLACK, WHITE, PartialColoring
 from .graph import Graph
@@ -28,8 +27,7 @@ class StructureViolation(RuntimeError):
     the program, not a refutation of the instance."""
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     """A component outside the triangles: a black center and its two or
     three uncolored leaves.  A leaf's representative is the leaf itself
     when it is a pendant tip, else the triangle vertex its arm is anchored
@@ -42,8 +40,7 @@ class Star:
     reps: tuple[int, ...]  # the representative of each leaf, in order
 
 
-@dataclass(frozen=True)
-class IrreducibleDecomposition:
+class IrreducibleDecomposition(NamedTuple):
     stars: tuple[Star, ...]
     degree4_triangles: tuple[tuple[int, int, int], ...]  # (r, p, q); deg r = 4
     core: frozenset[int]  # triangle vertices minus spokes minus blacks
@@ -143,8 +140,7 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
 # the set family
 
 
-@dataclass(frozen=True)
-class SetFamilyInstance:
+class SetFamilyInstance(NamedTuple):
     elements: tuple[int, ...]
     sets: tuple[frozenset[int], ...]
 

@@ -141,6 +141,16 @@ def test_gen_rejects_negative_order(capsys):
     assert captured.out == ""
 
 
+def test_gen_rejects_an_unknown_model_naming_the_valid_ones(capsys):
+    assert main(["gen", "--model", "lattice", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --model must be one of uniform, triangle_chain, claw_gadget, "
+        "path_of_triangles, sparse_tree, known, not 'lattice'\n"
+    )
+
+
 @pytest.mark.parametrize("family", ["cycle", "path", "complete", "star"])
 def test_gen_known_family_has_the_requested_order(family, capsys):
     for n in range(5):

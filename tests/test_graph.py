@@ -46,17 +46,75 @@ def test_load_comments_blank_lines_and_duplicates():
     assert g.m == 3
 
 
+# (text, message, line): every GraphFormatError load_graph raises
+FORMAT_ERRORS = {
+    "header with one token": ("3\n", "expected header 'n m'", 1),
+    "header with three tokens": ("# c\n3 1 1\n1 2\n", "expected header 'n m'", 2),
+    "non-integer header": ("3 x\n", "header values must be integers", 1),
+    "negative vertex count": ("-3 0\n", "header values must be nonnegative", 1),
+    "negative edge count": ("3 -1\n", "header values must be nonnegative", 1),
+    "edge with one token": ("3 1\n1\n", "expected edge 'u v'", 2),
+    "edge with three tokens": ("3 1\n1 2 3\n", "expected edge 'u v'", 2),
+    "non-integer endpoint": ("3 1\n1 b\n", "edge endpoints must be integers", 2),
+    "endpoint above n": ("3 1\n1 4\n", "vertex out of range 1..3", 2),
+    "endpoint zero": ("3 2\n1 2\n0 3\n", "vertex out of range 1..3", 3),
+    "self-loop": ("3 1\n\n2 2\n", "self-loops are not allowed", 3),
+    "repeated edge": ("3 2\n1 2\n1 2\n", "edge 1 2 listed twice", 3),
+    "repeated edge reversed": ("3 3\n2 3\n# again\n3 2\n1 2\n", "edge 2 3 listed twice", 4),
+    "fewer edges than announced": ("3 2\n1 2\n", "header announces 2 edges, found 1", None),
+    "more edges than announced": ("3 1\n1 2\n2 3\n", "header announces 1 edges, found 2", None),
+    "empty input": ("", "empty input: missing header 'n m'", None),
+    "comments only": ("# nothing\n\n", "empty input: missing header 'n m'", None),
+}
+
+
 def test_load_errors_carry_line_numbers():
-    with pytest.raises(GraphFormatError, match="line 2"):
-        load_graph("2 1\n1 1\n")
-    with pytest.raises(GraphFormatError):
-        load_graph("")
-    with pytest.raises(GraphFormatError, match="out of range"):
-        load_graph("2 1\n1 5\n")
-    with pytest.raises(GraphFormatError, match="announces"):
-        load_graph("3 2\n1 2\n")
-    with pytest.raises(GraphFormatError, match="line 3: edge 1 2 listed twice"):
-        load_graph("2 2\n1 2\n2 1\n")
+    for case, (text, message, line) in FORMAT_ERRORS.items():
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(text)
+        assert info.value.line == line, case
+        assert str(info.value) == (message if line is None else f"line {line}: {message}"), case
+
+
+def _edge_lines(rng: random.Random, g: Graph) -> list[tuple[int, int]]:
+    """g's edges in a random order, each pair in a random order."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_a_loaded_graph_is_the_checked_construction():
+    """load_graph builds what Graph(range(1, n + 1), edges) builds from
+    its edge set: equal, with the same vertex order, m and id floor 0, and
+    each neighborhood iterating in the same order (conflict witnesses name
+    neighbors in that order)."""
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        g = from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.2])
+        lines = _edge_lines(rng, g)
+        loaded = load_graph("\n".join([f"{n} {len(lines)}"] + [f"{u} {v}" for u, v in lines]))
+        ref = Graph(range(1, n + 1), {(min(e), max(e)) for e in lines})
+        assert loaded == ref and loaded.m == ref.m
+        assert list(loaded.vertices) == list(ref.vertices) == list(range(1, n + 1))
+        assert [list(ns) for ns in loaded.adjacency.values()] == [list(ns) for ns in ref.adjacency.values()]
+        assert loaded._id_floor == ref._id_floor == 0
+
+
+def test_a_subgraph_is_the_checked_construction():
+    """subgraph builds what Graph() builds from the sorted induced edges,
+    neighborhood iteration order included, and keeps the id floor."""
+    rng = random.Random(8)
+    for _ in range(200):
+        host = random_host(rng, rng.randint(1, 40), 0.25)
+        keep = rng.sample(list(host.vertices), rng.randint(0, host.n))
+        sub = host.subgraph(keep, id_floor=500)
+        ref = Graph(set(keep), [(u, v) for u, v in host.edges() if u in keep and v in keep], 500)
+        assert sub == ref and sub.m == ref.m and list(sub.vertices) == list(ref.vertices)
+        assert [(v, list(ns)) for v, ns in sub.adjacency.items()] == [
+            (v, list(ns)) for v, ns in ref.adjacency.items()
+        ]
+        assert sub._id_floor == ref._id_floor == 500
 
 
 def test_save_load_roundtrip_canonical():

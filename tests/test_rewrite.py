@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -341,7 +340,7 @@ def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
             check(rule.id, g)
             return rule.fn(g, c, *anchors)
 
-        return dataclasses.replace(rule, fn=fn)
+        return rule._replace(fn=fn)
 
     monkeypatch.setattr(Worklist, "anchors", counted_anchors)
     monkeypatch.setattr(RewriteRule, "find", counted_find)
@@ -439,7 +438,7 @@ def test_the_rewrite_plan_follows_a_rebound_table(monkeypatch):
     alternate, and the original table's once it is restored."""
     g = cycle(6)
     grow = RewriteRule(pattern("grow", "x y", "x-y"), new_vertices=("a",), add_edges=(("a", "x"),))
-    copies = tuple(dataclasses.replace(r) for r in REWRITE_RULES)
+    copies = tuple(r._replace() for r in REWRITE_RULES)
     want = try_rewrite(g, PartialColoring())
     assert want.rule_id == "contract_path"
     for _ in range(2):
@@ -588,12 +587,11 @@ def test_a_five_cycle_left_by_rewrites_refutes_at_the_fixpoint():
 # triangle, so propagation stops short of the fixpoint on this input and
 # the final check must notice.
 SHORT_RADIUS = """
-import dataclasses
 import dimatch.rules as rules
 from dimatch.oracle import mixed_instance
 from dimatch.pipeline import solve
 rules.CATALOG = tuple(
-    dataclasses.replace(r, radius=0) if r.id == "triangle_outsider" else r for r in rules.CATALOG
+    r._replace(radius=0) if r.id == "triangle_outsider" else r for r in rules.CATALOG
 )
 solve(mixed_instance(7, 840))
 """

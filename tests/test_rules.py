@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -231,7 +230,7 @@ def test_every_rule_scans_where_each_neighbor_of_a_white_vertex_is_black(monkeyp
                 checked.append(v)
             return rule.fn(g, c, *anchors)
 
-        return dataclasses.replace(rule, fn=fn)
+        return rule._replace(fn=fn)
 
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(checking(r) for r in CATALOG))
     rng = random.Random(12)
@@ -440,7 +439,7 @@ def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(mon
                 calls.append(rule.id)
             return rule.fn(g, c, *anchors)
 
-        return dataclasses.replace(rule, fn=fn)
+        return rule._replace(fn=fn)
 
     def check(*args):
         checking.append(True)
@@ -467,7 +466,7 @@ def test_rules_the_census_rules_out_leave_no_record(monkeypatch):
             calls.append(rule.id)
             return rule.fn(g, c, *anchors)
 
-        return dataclasses.replace(rule, fn=fn)
+        return rule._replace(fn=fn)
 
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in CATALOG))
     rng = random.Random(73)
@@ -508,7 +507,7 @@ def test_the_dispatch_plan_follows_a_rebound_catalog(monkeypatch):
 
         return fn
 
-    shaped = tuple(dataclasses.replace(r, fn=counted(r, "shaped")) for r in CATALOG)
+    shaped = tuple(r._replace(fn=counted(r, "shaped")) for r in CATALOG)
     bare = tuple(Rule(r.id, r.tag, counted(r, "bare")) for r in CATALOG)
     fitting = [("shaped", r.id) for r in CATALOG if r.shape is None or r.shape.fits(g)]
     assert 0 < len(fitting) < len(CATALOG)
