@@ -23,8 +23,11 @@ FORCED = "forced"
 EXCHANGE = "exchange"
 
 Demand = tuple[int, str]
-# Rules yield one *group* of demands per firing; a group is applied
-# atomically and the whole scan restarts, so later firings see the result.
+# Rules yield one *group* of demands per firing, read from the coloring as
+# it stands when the group is yielded; a group is applied atomically.  A
+# forced rule's scan goes on after a firing and applies every unsatisfied
+# group it yields, an exchange rule's scan stops at its first firing; then
+# propagation restarts (see `propagate`).
 # A rule with a radius also takes ascending anchors and then yields only the
 # groups its full scan yields from those anchors, in the same order, reading
 # nothing farther than the radius from them.
@@ -84,7 +87,8 @@ class DispatchPlan(Generic[Entry]):
 class Worklist:
     """The vertices whose color or adjacency changed during one reduction,
     in order, and per scan the log position of its last pass that found
-    nothing; for a whole pass also the version of the graph it read.
+    nothing, or the start of its last pass that drained; for a whole pass
+    also the version of the graph it read.
 
     A scan whose anchors lie farther than its radius from every vertex
     logged since then would read exactly what it read then, so only the
@@ -100,6 +104,21 @@ class Worklist:
     log length too.  A rule
     that the dispatch plan leaves out makes no pass and leaves no record:
     its last pass that found nothing still bounds what changed.
+
+    A forced rule's pass that applied every group it yielded (see
+    `propagate`) gets as its quiet mark the log length before the pass,
+    since the pass read some anchors before its own changes.  A group
+    anchored outside the ball a later rescan asks for read nothing that
+    changed since that mark.  So it reads now what it read when the pass
+    came by, or, for an anchored pass that did not come by, what it read
+    at the pass's start, when the mark before covered it; either way
+    it was satisfied then, since applying it would have logged a vertex
+    within the radius, and it still is.  So once a rule's whole pass
+    drained, a later pass on the same graph version that finds nothing has
+    accounted for every group the rule has on the current state, drained
+    anchored passes in between included.  `propagate`, which never edits
+    the graph, records such a pass as whole too, so the fixpoint read may
+    skip the rule.
     """
 
     __slots__ = ("log", "quiet", "whole", "_balls", "_state")
@@ -613,36 +632,53 @@ def propagate(
     """Run every rule to a joint fixpoint.  Mutates c; returns the conflict
     that refutes the instance, or None.
 
-    One rule firing is applied per scan; the scan then restarts with the
-    cheap rules, so every firing sees an up-to-date coloring (the
-    exchange rules rely on that for their "still uncolored" guards).
+    A scan of a forced rule applies every unsatisfied group it yields; an
+    exchange rule's scan stops at its first.  After a scan that applied a
+    group, propagation restarts with the cheap rules, in catalog order.
+    Draining is sound: a forced group holds in every completion of the
+    coloring it was read from, and colorings only grow here, so a group
+    read before some of the scan's own colorings is still forced, and one
+    satisfied meanwhile is skipped.  Nor does it change where the forced
+    rules end: together with the basic ones they reach the same coloring
+    or a conflict in any order (chaotic iteration; Apt, "The essence of
+    constraint propagation", 1999), and only which conflict is met first
+    may change.  The exchange rules are exempt: their guards read "still
+    uncolored", so each of their firings must see every earlier one, and
+    one runs only once every rule before it in the catalog found nothing.
 
     A rule with a radius rescans only near the changes logged in wl since
-    its last scan that found nothing; on a fresh worklist (the default)
-    every rule's first scan is whole.  Every group a rescan misses was
-    already satisfied then and still is, and its anchors are ascending,
-    so the first firing is the one a full scan finds.  A whole scan that
-    finds nothing is recorded in wl with its graph.  Only the rules of
-    g's dispatch plan run, once looked up per call, since coloring leaves
-    the degree mask alone: a rule whose `shape` does not fit g's degree
-    census has no firing on g under any coloring, so it is not called,
-    asks wl for no anchors and leaves no record.  Every change is logged,
-    so its last recorded scan still bounds what changed since.
+    its last scan that found nothing, or since the start of its last scan
+    that drained; on a fresh worklist (the default) every rule's first
+    scan is whole.  Every group a rescan misses was already satisfied
+    then and still is (see `Worklist`), and its anchors are ascending, so
+    it fires where a full scan fires, in the same order.  A scan that
+    finds nothing is recorded in wl with its graph when it was whole, or
+    when a whole scan of the rule drained earlier in this call.  Only
+    the rules of g's dispatch plan run, once looked up per call, since
+    coloring leaves the degree mask alone: a rule whose `shape` does not
+    fit g's degree census has no firing on g under any coloring, so it is
+    not called, asks wl for no anchors and leaves no record.  Every change
+    is logged, so its last recorded scan still bounds what changed since.
     """
     wl = Worklist() if wl is None else wl
     get = c.state.get
     plan = _PLAN(CATALOG, g)
+    # the rules whose whole scan drained in this call, on this version of g
+    drained: set[str] = set()
     while True:
         conflict = _basic_fixpoint(g, c, wl)
         if conflict is not None:
             return conflict
-        fired = False
         for rule in plan:
             anchors = wl.anchors(g, rule.id, rule.radius)
+            since = None
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):
                 todo = [(v, col) for v, col in group if get(v) != col]
                 if not todo:
                     continue
+                if since is None:
+                    # a scan logs nothing before its first firing
+                    since = len(wl.log)
                 for v, col in todo:
                     pre = c.copy() if audit is not None else None
                     conflict = assign(g, c, v, col, rule.id)
@@ -651,12 +687,17 @@ def propagate(
                     wl.log.append(v)
                     if audit is not None:
                         audit.on_color(g, rule.id, rule.tag, v, col, pre)
-                fired = True
+                if rule.tag != FORCED:
+                    break
+            if since is not None:
+                if rule.tag == FORCED:
+                    # its next rescan covers every change since it began
+                    wl.quiet[rule.id] = since
+                    if anchors is None:
+                        drained.add(rule.id)
                 break
-            if fired:
-                break
-            wl.found_nothing(rule.id, g if anchors is None else None)
-        if not fired:
+            wl.found_nothing(rule.id, g if anchors is None or rule.id in drained else None)
+        else:
             return None
 
 

@@ -10,6 +10,8 @@ the seed, and for `cycle(240)`, `cycle(480)`, `cycle(960)` and one
 that claims not to alter behaviour must keep: decision, witness, trace
 text, certificate, rewrite step count and irreducible order.  Two trees
 give the same line exactly when those outputs agree byte for byte.
+Standard error gets one more digest per output, over the labels and that
+output alone, so a changed line shows which outputs moved.
 This is a script, not a test module; pytest does not collect it.
 """
 
@@ -33,6 +35,7 @@ import workloads  # noqa: E402
 
 EXTRA_CYCLES = (240, 480, 960)
 EXTRA_CLAWNET_TRIANGLES = 256
+FIELDS = ("decision", "witness", "trace", "certificate", "rewrite_steps", "irreducible_order")
 
 
 def inputs(seed: int):
@@ -51,15 +54,20 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=101)
     args = ap.parse_args()
     h, count = hashlib.sha256(), 0
+    per_field = {name: hashlib.sha256() for name in FIELDS}
     for label, g in inputs(args.seed):
         rep = solve(g)
         cert = format_certificate(rep.certificate) if rep.certificate is not None else ""
-        fields = (label, rep.decision, str(rep.witness), format_trace(rep.trace), cert,
+        fields = (rep.decision, str(rep.witness), format_trace(rep.trace), cert,
                   str(rep.rewrite_steps), str(rep.irreducible_order))
-        h.update("\x00".join(fields).encode())
+        h.update("\x00".join((label, *fields)).encode())
         h.update(b"\x01")
+        for name, value in zip(FIELDS, fields):
+            per_field[name].update(f"{label}\x00{value}\x01".encode())
         count += 1
     print(f"{h.hexdigest()}  {count} inputs, seed {args.seed}")
+    for name, d in per_field.items():
+        print(f"{d.hexdigest()}  {name}", file=sys.stderr)
     return 0
 
 

@@ -16,7 +16,16 @@ from dimatch.patterns import contains_s222
 from dimatch.pipeline import LongClawPresent, solve
 from dimatch.rewrite import RewriteStep, reduce_to_irreducible
 
-from .util import PLANTED_HOSTS, REWRITE_HOSTS, OracleAudit, decorate, planted, random_host, reference_contains_s222
+from .util import (
+    PLANTED_HOSTS,
+    REWRITE_HOSTS,
+    OracleAudit,
+    decorate,
+    disjoint_union,
+    planted,
+    random_host,
+    reference_contains_s222,
+)
 
 
 def test_no_check_in_the_solver_is_an_assert_statement():
@@ -140,17 +149,6 @@ def test_yes_instances_even_after_heavy_reduction():
         assert (rep.decision == "YES") == want
         if rep.is_yes:
             assert verify_complete(g, rep.certificate)
-
-
-def disjoint_union(parts: list[Graph]) -> Graph:
-    """The parts side by side, each shifted above the ones before it."""
-    verts: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for part in parts:
-        shift = max(verts, default=0) + 1 - min(part.vertices)
-        verts += [v + shift for v in part.vertices]
-        edges += [(u + shift, v + shift) for u, v in part.edges()]
-    return Graph(verts, edges)
 
 
 def added_ids(trace) -> list[int]:

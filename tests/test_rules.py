@@ -14,6 +14,7 @@ from dimatch.patterns import Pattern, pattern
 from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
+    FORCED,
     Rule,
     Worklist,
     _triangle_outsiders,
@@ -24,9 +25,12 @@ from dimatch.rules import (
 
 from .util import (
     FORCING_HOSTS,
+    PLANTED_HOSTS,
     RULES_BY_ID,
     OracleAudit,
+    disjoint_union,
     made,
+    planted,
     random_host,
     reference_is_clean_pair,
     reference_square_degree_two,
@@ -453,6 +457,70 @@ def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(mon
     rr = dimatch.rewrite.reduce_to_irreducible(g)
     assert not rr.is_refuted and rr.trace == [] and rr.graph is g
     assert calls == ["square_alternation", "triangle_outsider"]
+
+
+def test_the_forced_fixpoint_does_not_depend_on_rule_order(monkeypatch):
+    """Chaotic iteration: with only the forced rules in the catalog, every
+    order reaches the same coloring or a conflict.  On mixed instances with
+    n <= 16 and the planted corpus, the catalog order, its reverse and
+    random shuffles agree on whether propagation refutes, and on the
+    coloring when it does not."""
+    forced = [r for r in CATALOG if r.tag == FORCED]
+    hosts = []
+    for seed in range(120):
+        try:
+            hosts.append((mixed_instance(7 + seed % 10, seed), {}))
+        except GeneratorError:
+            continue
+    hosts += [(planted(g, colors, seed), {}) for _, g, colors in PLANTED_HOSTS for seed in range(3)]
+    hosts += [(g, colors) for _, g, colors in PLANTED_HOSTS]
+    rng, outcomes = random.Random(26), Counter()
+    for g, colors in hosts:
+        orders = [forced, forced[::-1], *(rng.sample(forced, len(forced)) for _ in range(3))]
+        seen = set()
+        for order in orders:
+            monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(order))
+            c = PartialColoring(colors)
+            refuted = propagate(g, c) is not None
+            seen.add((refuted, None if refuted else tuple(sorted(c.state.items()))))
+        assert len(seen) == 1, (g.edges(), colors, seen)
+        outcomes[seen.pop()[0]] += 1
+    assert outcomes[True] >= 40 and outcomes[False] >= 200, outcomes
+
+
+def test_a_forced_scan_applies_every_group_it_yields(monkeypatch):
+    """Twenty paths on four vertices beside a cycle: degree_one blackens
+    all forty supports, one group each, in its first (whole) scan; its
+    second scan, from the anchors near those changes, finds nothing and
+    counts as whole, so the fixpoint read skips it.  Restarting after
+    every group would scan 41 times."""
+    g = disjoint_union([*[path(4)] * 20, cycle(99)])
+    scans = []
+
+    def counted(rule):
+        if rule.id != "degree_one":
+            return rule
+
+        def fn(g, c, *anchors):
+            scans.append(anchors)
+            return rule.fn(g, c, *anchors)
+
+        return rule._replace(fn=fn)
+
+    class Colorings(dimatch.rules.ReductionAudit):
+        def __init__(self):
+            self.by_rule = Counter()
+
+        def on_color(self, g, rule_id, tag, v, color, pre):
+            self.by_rule[rule_id] += 1
+
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in CATALOG))
+    audit, c, wl = Colorings(), PartialColoring(), Worklist()
+    assert propagate(g, c, audit, wl) is None
+    assert audit.by_rule["degree_one"] == 40, audit.by_rule
+    assert len(scans) <= 2, len(scans)
+    assert scans[0] == () and len(scans) == 2 and scans[1] and len(scans[1][0]) < g.n, scans
+    assert "degree_one" in wl.scanned_whole(g)
 
 
 def test_rules_the_census_rules_out_leave_no_record(monkeypatch):

@@ -208,6 +208,17 @@ def fresh_degree_counts(g: Graph) -> dict[int, int]:
     return dict(Counter(len(fresh.neighbors(v)) for v in fresh.vertices))
 
 
+def disjoint_union(parts: list[Graph]) -> Graph:
+    """The parts side by side, each shifted above the ones before it."""
+    verts: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for part in parts:
+        shift = max(verts, default=0) + 1 - min(part.vertices)
+        verts += [v + shift for v in part.vertices]
+        edges += [(u + shift, v + shift) for u, v in part.edges()]
+    return Graph(verts, edges)
+
+
 def random_host(rng: random.Random, n: int, density: float) -> Graph:
     """A random graph on n ids drawn from 1..4n, so ids are not contiguous."""
     ids = sorted(rng.sample(range(1, 4 * n + 1), n))
