@@ -11,16 +11,22 @@ in set order, sorts the occurrences found at each vertex of the first role
 once, and yields each as a plain role -> vertex dict.  A host with no
 vertex in some role's degree window has no occurrence; the drivers ask
 `fits` before they search.
+
+`Pattern.find_all` yields every occurrence.  A consumer that needs only one
+occurrence of each orbit of the pattern's automorphisms, and none whose
+demanded colors already hold, searches through an `Orbits` instead: the
+same generator then compiles order tests `v_i < v_j` from the stabilizer
+chain of the automorphisms that keep the consumer's labels, and a demand
+test at the last demanded role, into the loops.  Automorphisms are computed
+and searches compiled only when first needed, never at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .coloring import BLACK
+from .coloring import BLACK, WHITE
 from .graph import Graph
 
 # color preconditions
@@ -30,6 +36,8 @@ MUST_UNCOLORED = "uncolored"
 Coloring = Mapping[int, str]
 # an occurrence of a pattern: its injective role -> vertex map
 Embedding = dict[str, int]
+# the compiled form of a search: search(adj, first, verts, C)
+Search = Callable[..., Iterator[Embedding]]
 
 
 def _rp(a: str, b: str) -> tuple[str, str]:
@@ -40,7 +48,6 @@ def _count(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-@dataclass
 class Pattern:
     """A small labelled graph to locate as an induced subgraph.
 
@@ -57,18 +64,27 @@ class Pattern:
     the bounds are written into that source.
     """
 
-    roles: tuple[str, ...]
-    required: frozenset[tuple[str, str]]
-    optional: frozenset[tuple[str, str]] = frozenset()
-    degree: dict[str, tuple[int, int | None]] = field(default_factory=dict)
-    closure: frozenset[str] = frozenset()
-    color: dict[str, str] = field(default_factory=dict)
-    name: str = ""
+    __slots__ = ("roles", "required", "optional", "degree", "closure", "color", "name",
+                 "order", "_depth", "radius", "_search", "_masks", "_auts", "_least")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        roles: tuple[str, ...],
+        required: Iterable[tuple[str, str]],
+        optional: Iterable[tuple[str, str]] = (),
+        degree: Optional[dict[str, tuple[int, Optional[int]]]] = None,
+        closure: frozenset[str] = frozenset(),
+        color: Optional[dict[str, str]] = None,
+        name: str = "",
+    ) -> None:
+        self.roles = roles
         # edges are kept as sorted pairs
-        self.required = frozenset(_rp(a, b) for a, b in self.required)
-        self.optional = frozenset(_rp(a, b) for a, b in self.optional)
+        self.required = frozenset(_rp(a, b) for a, b in required)
+        self.optional = frozenset(_rp(a, b) for a, b in optional)
+        self.degree = {} if degree is None else degree
+        self.closure = frozenset(closure)
+        self.color = {} if color is None else color
+        self.name = name
         roles = set(self.roles)
         for a, b in self.required | self.optional:
             if a not in roles or b not in roles:
@@ -88,7 +104,12 @@ class Pattern:
         self.order = self._role_order()
         self._depth = self._depths(self.order[0])
         self.radius = self._radius()
-        self._search: Optional[Callable[..., Iterator[Embedding]]] = None
+        # built on first use: the full search, the degree masks, the
+        # automorphisms and `least`
+        self._search: Optional[Search] = None
+        self._masks: Optional[frozenset[int]] = None
+        self._auts: Optional[tuple[tuple[int, ...], ...]] = None
+        self._least: Optional[Orbits] = None
 
     def _role_order(self) -> tuple[str, ...]:
         """Most-constrained first, then expand along required edges."""
@@ -164,21 +185,19 @@ class Pattern:
             bounds.append((max(lo, n_req), hi))
         return bounds, loose
 
-    @cached_property
-    def _masks(self) -> frozenset[int]:
-        """One bit mask per distinct degree window, bit d for degree d; a
-        window with no cap has a negative mask, whose bits from lo up never
-        end."""
-        return frozenset(-(1 << lo) if hi is None else (1 << hi + 1) - (1 << lo)
-                         for lo, hi in self._windows()[0])
-
     def fits(self, g: Graph) -> bool:
         """Whether every role's degree window holds the degree of some host
-        vertex; a host where one holds none has no embedding."""
+        vertex; a host where one holds none has no embedding.  The windows
+        are kept as one bit mask each, bit d for degree d; a window with no
+        cap has a negative mask, whose bits from lo up never end."""
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = frozenset(-(1 << lo) if hi is None else (1 << hi + 1) - (1 << lo)
+                                            for lo, hi in self._windows()[0])
         host = g.degree_mask()
-        return all(host & mask for mask in self._masks)
+        return all(host & mask for mask in masks)
 
-    def _source(self) -> str:
+    def _source(self, less: Sequence[tuple[int, int]] = (), demands: Sequence[tuple[int, str]] = ()) -> str:
         """Source of `search(adj, first, verts, C)`, this pattern's scan.
 
         The i-th role of `order` is bound to `v{i}` in the i-th nested loop
@@ -197,6 +216,13 @@ class Pattern:
         images are distinct, so embeddings come out in canonical order with
         one sort per anchor that has any.  The text holds no role name:
         only role positions and the validated degree bounds.
+
+        A consumer's search (see `Orbits`) adds two kinds of test.  Each
+        pair (i, j) of `less` skips `v{j}` in loop j unless it exceeds
+        `v{i}`, i < j, which also tells the two apart.  With `demands`, pairs (position, BLACK or WHITE),
+        the loop of the last demanded position skips the image once every
+        demanded vertex has its color.  Without either the source is the
+        full search of `find_all`.
         """
         k = len(self.order)
         pos = {r: i for i, r in enumerate(self.order)}
@@ -205,10 +231,12 @@ class Pattern:
                      for i, r in enumerate(self.order)]
         bounds, loose = self._windows()
         read = {j for i in range(k) for j in partners[i] + strangers[i]} | set(loose)
+        last = max((j for j, _ in demands), default=-1)
 
         lines = ["def search(adj, first, verts, C):", "    found = []"]
         for i, r in enumerate(self.order):
             pad = "    " * (i + 1)
+            below = [j for j, m in less if m == i]
             if partners[i]:
                 head, *more = (f"n{j:d}" for j in partners[i])
                 cands = head + (f".intersection({', '.join(more)})" if more else "")
@@ -222,6 +250,10 @@ class Pattern:
                 lines.append(f"{pad}for v{i:d} in {'verts' if i else 'first'}:")
                 placed = list(range(i))
                 skip = [f"v{i:d} in n{j:d}" for j in strangers[i]]
+            # an order test also tells the two vertices apart; it compares
+            # ids only, so it comes first
+            skip[:0] = [f"v{i:d} {'<=' if j in placed else '<'} v{j:d}" for j in below]
+            placed = [j for j in placed if j not in below]
             if len(placed) == 1:
                 skip.append(f"v{i:d} == v{placed[0]:d}")
             elif placed:
@@ -236,15 +268,20 @@ class Pattern:
                 tests.append(f"len(n{i:d}) < {lo:d}")
             elif hi is not None:
                 tests.append(f"len(n{i:d}) > {hi:d}")
+            # only the degree tests read the neighborhood
+            sized = bool(tests)
             want = self.color.get(r)
             if want == MUST_BLACK:
                 tests.append(f"C.get(v{i:d}) != BLACK")
             elif want == MUST_UNCOLORED:
                 tests.append(f"C.get(v{i:d}) is not None")
+            if i == last:
+                met = " and ".join(f"C.get(v{j:d}) == {'BLACK' if col == BLACK else 'WHITE'}" for j, col in demands)
+                tests.append(f"({met})" if len(demands) > 1 else met)
             pad += "    "
             if skip:
                 lines += [f"{pad}if {' or '.join(skip)}:", f"{pad}    continue"]
-            if i in read or tests:
+            if i in read or sized:
                 lines.append(f"{pad}n{i:d} = adj[v{i:d}]")
             if tests:
                 lines += [f"{pad}if {' or '.join(tests)}:", f"{pad}    continue"]
@@ -257,10 +294,13 @@ class Pattern:
                   "                yield dict(zip(R, t))", "            found = []"]
         return "\n".join(lines) + "\n"
 
-    def _compile(self) -> Callable[..., Iterator[Embedding]]:
-        namespace = {"BLACK": BLACK, "R": self.order}
-        exec(compile(self._source(), f"<pattern {self.name}>", "exec"), namespace)
-        self._search = namespace["search"]
+    def _exec(self, source: str) -> Search:
+        namespace = {"BLACK": BLACK, "WHITE": WHITE, "R": self.order}
+        exec(compile(source, f"<pattern {self.name}>", "exec"), namespace)
+        return namespace["search"]
+
+    def _compile(self) -> Search:
+        self._search = self._exec(self._source())
         return self._search
 
     def find_all(
@@ -281,6 +321,123 @@ class Pattern:
         """
         verts = g.vertices
         if len(verts) < len(self.roles):
+            return iter(())
+        search = self._search or self._compile()
+        return search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)
+
+    @property
+    def least(self) -> Orbits:
+        """The search of a consumer with no labels and no demands: of the
+        embeddings of `find_all`, the least of each orbit under every
+        automorphism, in the same order.  Its first is find_all's first."""
+        if self._least is None:
+            self._least = Orbits(self)
+        return self._least
+
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """The role permutations that keep the declaration: required,
+        optional and forbidden pairs, declared degree windows, closure and
+        color constraints.  Each is a tuple s over positions of `order`: s[i]
+        = j maps role order[i] to order[j].  Found by backtracking along
+        `order` on the first call, and kept."""
+        if self._auts is None:
+            order, k = self.order, len(self.order)
+            kind = [[2 if _rp(a, b) in self.required else _rp(a, b) in self.optional for b in order] for a in order]
+            sig = [(self.degree.get(r), r in self.closure, self.color.get(r)) for r in order]
+            found: list[tuple[int, ...]] = []
+
+            def extend(image: list[int]) -> None:
+                i = len(image)
+                if i == k:
+                    found.append(tuple(image))
+                    return
+                for j in range(k):
+                    if j not in image and sig[j] == sig[i] and all(kind[i][h] == kind[j][image[h]] for h in range(i)):
+                        image.append(j)
+                        extend(image)
+                        image.pop()
+
+            extend([])
+            self._auts = tuple(found)
+        return self._auts
+
+
+# Why a driver that reads an `Orbits` search acts exactly as on `find_all`,
+# witnesses included:
+# - A demand that holds stays held: colors only grow.  So an occurrence
+#   skipped as met would yield a group with nothing to do, now and later.
+# - The kept member of an orbit is the first one the full search yields,
+#   since canonical order is ascending in `order`.  Its group holds the same
+#   demands, so once it is applied every later copy is met; a consumer that
+#   reads only its first occurrence reads the same one.
+# - A copy tested later than the kept one, at another anchor, passes the
+#   color tests only if the kept one did, as long as no test can turn from
+#   failing to passing during a scan.  A MUST_UNCOLORED test cannot.  A
+#   MUST_BLACK one can, in a scan that blackens: such a consumer fixes the
+#   first role, so that all copies share one anchor and are tested at one
+#   moment.
+# - On an anchored rescan, the least copy of an unmet group lies inside the
+#   ball, so the rescan yields it: a copy anchored outside the ball read
+#   nothing new since the rule's last pass that found nothing, so its group,
+#   which every copy shares, would be met (see `Worklist` in dimatch.rules).
+# A consumer whose group is read from colors that its own scan can change
+# (rule_hat_pentagon) keeps `find_all`: a later copy could read more.
+class Orbits:
+    """A consumer's search of a pattern: of the occurrences `find_all`
+    yields, the least of each orbit under the automorphisms that keep the
+    consumer's labels, and with `demands` only those whose demanded colors
+    do not all hold yet, in the same order.
+
+    A role's label is its demanded color, or its own name for a role in
+    `fixed`.  On the first call the kept automorphisms G_0 give, along
+    `order`, a stabilizer chain: G_{i+1} fixes position i in G_i.  For each
+    other position j of the orbit of i under G_i the compiled search tests
+    v_i < v_j, so it keeps one member of each orbit, the least in `order`
+    (Grochow & Kellis, "Network motif discovery using subgraph enumeration
+    and symmetry-breaking", RECOMB 2007).  The demand test sits in the loop
+    of the last demanded role.  The argument above says why the drivers'
+    outputs do not change.
+    """
+
+    __slots__ = ("pattern", "size", "demands", "fixed", "_search")
+
+    def __init__(self, pattern: Pattern, demands: Optional[Mapping[str, str]] = None, fixed: Iterable[str] = ()) -> None:
+        self.pattern = pattern
+        self.size = len(pattern.roles)
+        # role -> the color the consumer demands of its vertex
+        self.demands: Mapping[str, str] = {} if demands is None else demands
+        self.fixed = tuple(fixed)
+        self._search: Optional[Search] = None
+
+    def less(self) -> list[tuple[int, int]]:
+        """The order tests (i, j), v_i < v_j, of the stabilizer chain of
+        the automorphisms that keep the labels; a fixed role's label is a
+        tuple of its name, which no other label equals."""
+        p = self.pattern
+        labels: dict[str, Hashable] = {**self.demands, **{r: (r,) for r in self.fixed}}
+        label = [labels.get(r) for r in p.order]
+        group = [s for s in p.automorphisms() if all(label[s[i]] == label[i] for i in range(len(s)))]
+        out = []
+        for i in range(len(p.order)):
+            out += [(i, j) for j in sorted({s[i] for s in group}) if j != i]
+            group = [s for s in group if s[i] == i]
+        return out
+
+    def _compile(self) -> Search:
+        self._search = self.pattern._exec(self.source())
+        return self._search
+
+    def source(self) -> str:
+        """The pattern's search source with this consumer's tests."""
+        p = self.pattern
+        pos = {r: i for i, r in enumerate(p.order)}
+        return p._source(self.less(), [(pos[r], col) for r, col in self.demands.items()])
+
+    def __call__(self, g: Graph, colors: Optional[Coloring] = None, anchors: Optional[Sequence[int]] = None) -> Iterator[Embedding]:
+        """The kept embeddings, as `Pattern.find_all` takes its arguments;
+        the search compiles on the first call."""
+        verts = g.vertices
+        if len(verts) < self.size:
             return iter(())
         search = self._search or self._compile()
         return search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .coloring import PartialColoring, verify_complete
@@ -35,15 +34,29 @@ class LongClawPresent(ValueError):
         super().__init__(f"input contains an induced long claw: <{roles}>")
 
 
-@dataclass
 class RunReport:
-    decision: str
-    certificate: Optional[PartialColoring]
-    witness: Optional[str]
-    trace: list[RewriteStep] = field(default_factory=list)
-    rewrite_steps: int = 0
-    irreducible_order: int = 0
-    wall_time: float = 0.0
+    """What `solve` decided, with the certificate of a YES or the witness
+    of a NO, the rewrite trace and its counts."""
+
+    __slots__ = ("decision", "certificate", "witness", "trace", "rewrite_steps", "irreducible_order", "wall_time")
+
+    def __init__(
+        self,
+        decision: str,
+        certificate: Optional[PartialColoring],
+        witness: Optional[str],
+        trace: Optional[list[RewriteStep]] = None,
+        rewrite_steps: int = 0,
+        irreducible_order: int = 0,
+        wall_time: float = 0.0,
+    ) -> None:
+        self.decision = decision
+        self.certificate = certificate
+        self.witness = witness
+        self.trace: list[RewriteStep] = [] if trace is None else trace
+        self.rewrite_steps = rewrite_steps
+        self.irreducible_order = irreducible_order
+        self.wall_time = wall_time
 
     @property
     def is_yes(self) -> bool:

@@ -106,9 +106,15 @@ class RewriteRule(NamedTuple):
 
     def find(self, g: Graph, c: PartialColoring, anchors: Anchors = None) -> Optional[Embedding]:
         """The first embedding the guard accepts, in canonical order; with
-        anchors, the first one placing the pattern's first role on one."""
+        anchors, the first one placing the pattern's first role on one.
+        Without a guard the first embedding is the least of its orbit under
+        the pattern's automorphisms, so the search yields one per orbit
+        (see `Orbits`).  A guard reads roles that an automorphism may
+        swap, so a guarded rule searches every embedding."""
+        if self.guard is None:
+            return next(self.pattern.least(g, c.state, anchors), None)
         for emb in self.pattern.find_all(g, c.state, anchors=anchors):
-            if self.guard is None or self.guard(g, c, emb):
+            if self.guard(g, c, emb):
                 return emb
         return None
 

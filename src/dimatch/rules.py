@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Generic, Iterator, NamedTuple, Optio
 
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
-from .patterns import MUST_BLACK, MUST_UNCOLORED, Pattern, pattern
+from .patterns import MUST_BLACK, MUST_UNCOLORED, Orbits, Pattern, pattern
 
 if TYPE_CHECKING:
     from .rewrite import RewriteStep
@@ -25,8 +25,12 @@ EXCHANGE = "exchange"
 Demand = tuple[int, str]
 # Rules yield one *group* of demands per firing, read from the coloring as
 # it stands when the group is yielded; a group is applied atomically.  A
-# forced rule's scan goes on after a firing and applies every unsatisfied
-# group it yields, an exchange rule's scan stops at its first firing; then
+# rule yields only groups with a demand that does not hold yet, and a
+# declared rule only one occurrence per orbit of its pattern's symmetries
+# (see `Orbits`), so every group it yields would change a color, unless
+# an earlier group of the same scan already made the change.  A forced
+# rule's scan goes on after a firing and applies every unsatisfied group
+# it yields, an exchange rule's scan stops at its first firing; then
 # propagation restarts (see `propagate`).
 # A rule with a radius also takes ascending anchors and then yields only the
 # groups its full scan yields from those anchors, in the same order, reading
@@ -303,12 +307,20 @@ def rule_triangle_outsider(g: Graph, c: PartialColoring, anchors: Anchors = None
 
 
 def _demands(rule_id: str, tag: str, p: Pattern, **colors: str) -> Rule:
-    """A rule that demands the given role colors on every embedding of p,
-    with p's radius.  The coloring is always passed on; patterns without
-    color constraints never read it."""
+    """A rule that demands the given role colors on the embeddings of p,
+    with p's radius.  It searches p through an `Orbits` labelled by the
+    demanded colors, so it yields one embedding per orbit of the
+    automorphisms that keep them, and none whose demands all hold already.
+
+    A forced scan that blackens could make a MUST_BLACK test pass for a
+    later copy of an occurrence whose least copy, at an earlier anchor,
+    failed it; for such a rule the first role is fixed too, so every copy
+    of an occurrence has one anchor and is tested at one moment."""
+    fixed = (p.order[0],) if BLACK in colors.values() and MUST_BLACK in p.color.values() else ()
+    find = Orbits(p, colors, fixed)
 
     def fn(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-        for emb in p.find_all(g, c.state, anchors=anchors):
+        for emb in find(g, c.state, anchors):
             yield [(emb[role], color) for role, color in colors.items()]
 
     # propagate reads the demanded vertices' colors
@@ -357,19 +369,27 @@ P_BOWTIE = pattern("bowtie", "c a1 b1 a2 b2", "c-a1 c-b1 a1-b1 c-a2 c-b2 a2-b2",
 P_DIAMOND = pattern("diamond", "a b c d", "a-b a-c b-c a-d b-d", opt="c-d")
 
 
-# Code, not a declaration: P_BOWTIE matches every bowtie 8 times, which
-# cost +7 % on the largest bench batch and raised its growth exponent.
+# Code, not a declaration: searched in full, P_BOWTIE matched every bowtie 8
+# times, which cost +7 % on the largest bench batch and raised its growth
+# exponent.  Declared through `_demands` it would find each once, which is
+# not measured yet.
 def rule_bowtie_center(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    get = c.state.get
     for common in _triangle_pairs(g, 1, anchors):
-        yield [(common.pop(), WHITE)]
+        v = common.pop()
+        if get(v) != WHITE:
+            yield [(v, WHITE)]
 
 
 # Code, not a declaration: this reads the triangle index, where a search of
 # P_DIAMOND tries every edge at every vertex; declared, it cost +2 % on the
 # claw networks.
 def rule_diamond_pair(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    get = c.state.get
     for common in _triangle_pairs(g, 2, anchors):
-        yield [(v, BLACK) for v in sorted(common)]
+        a, b = sorted(common)
+        if get(a) != BLACK or get(b) != BLACK:
+            yield [(a, BLACK), (b, BLACK)]
 
 
 P_LEAF_SURPLUS = pattern("leaf_surplus", "s l1 l2", "s-l1 s-l2", degree={"l1": (1, 1), "l2": (1, 1)})
@@ -425,16 +445,21 @@ P_HAT_PENTAGON = pattern(
 
 
 # Code, not a declaration: a group can whiten every other neighbor of x.
+# It searches every embedding, not one per orbit: the mirror copy of an
+# occurrence (w1, u1 swapped with w2, u2) comes later in the scan, and if
+# another group blackened y meanwhile it yields the whites this one did not.
 def rule_hat_pentagon(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    get = c.state.get
     for emb in P_HAT_PENTAGON.find_all(g, anchors=anchors):
         x, y = emb["x"], emb["y"]
         w1, w2 = emb["w1"], emb["w2"]
         group = [(x, BLACK)]
         if g.degree(x) == 2:
             group.append((y, BLACK))
-        if c.get(y) == BLACK:
+        if get(y) == BLACK:
             group.extend((z, WHITE) for z in sorted(g.neighbors(x)) if z not in (w1, w2))
-        yield group
+        if any(get(v) != col for v, col in group):
+            yield group
 
 
 # exchange variant: with these rigid degrees, a completion that blackens
@@ -454,15 +479,20 @@ P_ANCHORED_PENTAGON = pattern(
     "x-y y-u u-v v-z z-x u-s u-t s-t",
     degree={"y": (2, 2), "z": (2, 2)},
 )
+_ANCHORED_PENTAGON_AT_X = Orbits(P_ANCHORED_PENTAGON, fixed=("x",))
 
 
-# Code, not a declaration: a group whitens every other neighbor of x.
+# Code, not a declaration: a group whitens every other neighbor of x.  The
+# group reads x, y and z only, so one embedding per orbit of the symmetries
+# that fix x (s and t swapped) is enough.
 def rule_anchored_pentagon(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    for emb in P_ANCHORED_PENTAGON.find_all(g, anchors=anchors):
+    get = c.state.get
+    for emb in _ANCHORED_PENTAGON_AT_X(g, None, anchors):
         x, y, z = emb["x"], emb["y"], emb["z"]
         group = [(x, BLACK)]
         group.extend((w, WHITE) for w in sorted(g.neighbors(x)) if w not in (y, z))
-        yield group
+        if any(get(v) != col for v, col in group):
+            yield group
 
 
 P_SPOKED_TRIANGLE = pattern(
@@ -483,7 +513,7 @@ def rule_square_degree_two(g: Graph, c: PartialColoring, anchors: Anchors = None
         ns = adj[v]
         if len(ns) == 2:
             x, y = ns
-            if y not in adj[x] and len(adj[x] & adj[y]) > 1:
+            if y not in adj[x] and len(adj[x] & adj[y]) > 1 and c.get(v) != WHITE:
                 yield [(v, WHITE)]
 
 
@@ -524,8 +554,9 @@ P_CLAW = pattern("claw", "v a b c", "v-a v-b v-c")
 def rule_scattered_neighborhood(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
     # Needs a host with no induced long claw: three pairwise "isolated"
     # neighbors of a white vertex would grow into one.
+    get = c.state.get
     for v in g.vertices if anchors is None else anchors:
-        if g.degree(v) >= 3 and len(_isolated_in_neighborhood(g, v)) >= 3:
+        if get(v) != BLACK and g.degree(v) >= 3 and len(_isolated_in_neighborhood(g, v)) >= 3:
             yield [(v, BLACK)]
 
 
@@ -556,8 +587,9 @@ def rule_lone_wing(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Ite
     # may have no other black neighbor, so N(u3) meets N[v] in w3 alone.
     # The same holds for w4 and its partner u4, and u3, u4 are distinct and
     # nonadjacent: a private pair.  Without one, v is black.
+    get = c.state.get
     for v in g.vertices if anchors is None else anchors:
-        if g.degree(v) != 4:
+        if g.degree(v) != 4 or get(v) == BLACK:
             continue
         ns = sorted(g.neighbors(v))
         inner = [(a, b) for a, b in combinations(ns, 2) if g.has_edge(a, b)]

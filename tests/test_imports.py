@@ -66,6 +66,13 @@ def test_the_solver_imports_without_the_oracle():
         assert out.split() == ["False"], module
 
 
+def test_the_solver_imports_without_dataclasses_or_inspect():
+    """A cold start pays for neither: the solver's records are NamedTuples
+    and plain slotted classes."""
+    out = _fresh("import sys, dimatch\nprint(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    assert out.strip() == "[]", out
+
+
 def test_the_oracle_names_load_on_first_access():
     out = _fresh(
         "import sys, dimatch\n"

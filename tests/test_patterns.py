@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import os
 import random
@@ -9,21 +8,25 @@ import subprocess
 import sys
 import tokenize
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import dimatch.rewrite as rw
 import dimatch.rules as rl
-from dimatch.coloring import BLACK, WHITE
+from dimatch.coloring import BLACK, WHITE, PartialColoring
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.patterns import (
     MUST_BLACK,
+    MUST_UNCOLORED,
+    Orbits,
     Pattern,
     contains_s222,
     pattern,
 )
 from dimatch.rules import (
+    CATALOG,
     P_ANCHORED_PENTAGON,
     P_HAT_PENTAGON,
     P_HOUSE,
@@ -274,27 +277,41 @@ def test_degree_check_never_drops_an_embedding():
     assert all(outcomes[True, True, wide] and outcomes[False, False, wide] for wide in (False, True)), outcomes
 
 
+def _consumers() -> list[Orbits]:
+    """Every consumer search: each catalog rule's, from the rule's closure
+    or its module, and the unlabelled one of every pattern, which
+    `Pattern.least` and the rewrites without a guard read."""
+    found = [o for r in CATALOG for cell in r.fn.__closure__ or () if isinstance(o := cell.cell_contents, Orbits)]
+    found += [o for o in vars(rl).values() if isinstance(o, Orbits)]
+    return found + [p.least for p in _catalog()]
+
+
 def test_patterns_compile_on_first_search_from_integers_only():
-    """Importing the solver compiles nothing, and the generated source
-    names only its own variables and positions, never a role.  It has no
-    binary `-` or `&`: each candidate set is one chained set operation.
-    It never calls `sorted`: candidates are taken in set order and only
-    each anchor's `found` list is sorted, once."""
+    """Importing the solver compiles nothing and computes no automorphism,
+    and the generated source, of the full search and of every consumer's,
+    names only its own variables and positions, never a role, and holds no
+    string.  It has no binary `-` or `&`: each candidate set is one chained
+    set operation.  It never calls `sorted`: candidates are taken in set
+    order and only each anchor's `found` list is sorted, once."""
     code = (
         "import dimatch, dimatch.rules as rl, dimatch.rewrite as rw\n"
-        "from dimatch.patterns import Pattern\n"
+        "from dimatch.patterns import Orbits, Pattern\n"
         "ps = [o for m in (rl, rw) for o in vars(m).values() if isinstance(o, Pattern)]\n"
-        "assert ps and all(p._search is None for p in ps)\n"
+        "assert ps and all(p._search is p._auts is p._least is None for p in ps)\n"
+        "os = [c.cell_contents for r in rl.CATALOG for c in r.fn.__closure__ or ()]\n"
+        "os = [o for o in os + list(vars(rl).values()) if isinstance(o, Orbits)]\n"
+        "assert len(os) == 13 and all(o._search is None for o in os)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(rl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
     vocabulary = {
         "def", "search", "adj", "first", "verts", "C", "for", "in", "if", "or", "and", "not",
-        "is", "None", "continue", "intersection", "difference", "len", "get", "BLACK", "U",
+        "is", "None", "continue", "intersection", "difference", "len", "get", "BLACK", "WHITE", "U",
         "found", "append", "sort", "t", "yield", "dict", "zip", "R",
     }
-    for p in _catalog():
-        src = p._source()
+    searches = [(p, p._source(), p.find_all) for p in _catalog()]
+    searches += [(o.pattern, o.source(), o) for o in _consumers()]
+    for p, src, find in searches:
         for tok in tokenize.generate_tokens(io.StringIO(src).readline):
             if tok.type == tokenize.NAME:
                 assert tok.string in vocabulary or re.fullmatch(r"[vn]\d+", tok.string), (p.name, tok.string)
@@ -302,8 +319,127 @@ def test_patterns_compile_on_first_search_from_integers_only():
                 assert tok.string.isdigit(), (p.name, tok.string)
             assert tok.type not in (tokenize.STRING, tokenize.COMMENT), (p.name, tok.string)
             assert tok.string not in ("-", "&"), (p.name, tok.line)
-        list(p.find_all(from_edges(len(p.roles), []), {}))
+        list(find(from_edges(len(p.roles), []), {}))
+    for p in _catalog():
         assert p._search.__code__.co_filename == f"<pattern {p.name}>"
+    for o in _consumers():
+        assert o._search.__code__.co_filename == f"<pattern {o.pattern.name}>"
+
+
+def test_automorphism_counts():
+    """Automorphisms keep the required, optional and forbidden pairs, the
+    degree windows, closure and colors."""
+    counts = {p.name: len(p.automorphisms()) for p in _catalog()}
+    assert {n: counts[n] for n in ("black_pair", "spoked_triangle", "cubic_caps", "prune_fan5", "contract_path")} == {
+        "black_pair": 2, "spoked_triangle": 6, "cubic_caps": 4, "prune_fan5": 8, "contract_path": 2,
+    }
+    assert counts["bowtie"] == 8 and counts["chain"] == counts["prune_twin_triangle"] == 1, counts
+
+
+def _kind(p: Pattern, a: str, b: str) -> int:
+    pair = (min(a, b), max(a, b))
+    return 2 if pair in p.required else pair in p.optional
+
+
+def _least_unmet(o: Orbits, every: list[dict[str, int]], colors: dict[int, str], anchors) -> list[dict[str, int]]:
+    """Of every embedding, those placing the first role on an anchor, with
+    a demand of o that does not hold yet, and least in `order` among the
+    embeddings on the same vertices that a role permutation keeping the
+    declaration and o's labels maps to it; in canonical order."""
+    p = o.pattern
+    key = lambda m: [m[r] for r in p.order]
+    # a fixed role may only map to itself
+    sig = lambda r: (p.degree.get(r), r in p.closure, p.color.get(r), o.demands.get(r), r if r in o.fixed else None)
+
+    def alike(m1, m2):
+        back = {v: r for r, v in m1.items()}
+        if set(back) != set(m2.values()):
+            return False
+        s = {r: back[m2[r]] for r in p.roles}
+        return all(sig(r) == sig(s[r]) for r in p.roles) and all(
+            _kind(p, a, b) == _kind(p, s[a], s[b]) for a, b in combinations(p.roles, 2)
+        )
+
+    every = sorted(every, key=key)
+    return [
+        m for m in every
+        if m[p.order[0]] in anchors
+        and not (o.demands and all(colors.get(m[r]) == col for r, col in o.demands.items()))
+        and not any(key(m2) < key(m) and alike(m2, m) for m2 in every)
+    ]
+
+
+def _planted(p: Pattern, rng: random.Random, demands: dict[str, str] = {}) -> tuple[Graph, dict[int, str]]:
+    """p's required edges and some optional ones on shuffled ids, hung
+    with random decorations, and colors: those its black roles need, on
+    all demanded roles or none their demanded ones, and a few random ones
+    on the other roles and the decorations."""
+    ids = dict(zip(p.roles, rng.sample(range(1, 40), len(p.roles))))
+    edges = [(ids[a], ids[b]) for a, b in p.required]
+    edges += [(ids[a], ids[b]) for a, b in p.optional if rng.random() < 0.5]
+    host = decorate(Graph(ids.values(), edges), rng.randrange(1000))
+    colors = {ids[r]: BLACK for r, want in p.color.items() if want == MUST_BLACK}
+    if rng.random() < 0.5:
+        colors.update((ids[r], col) for r, col in demands.items() if p.color.get(r) != MUST_UNCOLORED)
+    for v in host.vertices:
+        if v not in colors and v not in {ids[r] for r, w in p.color.items() if w == MUST_UNCOLORED} and rng.random() < 0.3:
+            colors[v] = rng.choice((BLACK, WHITE))
+    return host, colors
+
+
+def test_consumer_searches_yield_the_least_unmet_member_of_each_orbit():
+    """Each consumer search yields, in canonical order, exactly the least
+    member of every orbit of the occurrences whose demands do not all hold
+    yet, whole and from random anchors.  The reference enumerates with
+    `brute_force_find_all` on seeded random hosts, for patterns of up to
+    seven roles; larger ones are planted in decorated hosts and enumerated
+    with `find_all`, which the tests above check against the same
+    reference.  Orbits with more than one member and met occurrences both
+    occur, and each rewrite without a guard finds `find_all`'s first."""
+    rng = random.Random(28)
+    consumers = _consumers()
+    seen = Counter()
+
+    def count(o, every, colors, size):
+        kept = _least_unmet(o, every, colors, {m[o.pattern.order[0]] for m in every})
+        met = [m for m in every if o.demands and all(colors.get(m[r]) == col for r, col in o.demands.items())]
+        seen[size, "kept"] += len(kept)
+        seen[size, "met"] += len(met)
+        seen[size, "copies"] += len(every) - len(kept) - len(met)
+    for trial in range(30):
+        n = rng.randint(5, 8)
+        g = random_host(rng, n, rng.uniform(0.2, 0.5))
+        colors = {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.4}
+        anchors = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
+        for o in consumers:
+            p = o.pattern
+            if len(p.roles) > min(n, 7) or (n == 8 and len(p.roles) > 6):
+                continue
+            every = brute_force_find_all(g, p, colors)
+            for first in (g.vertices, anchors):
+                want = _least_unmet(o, every, colors, first)
+                got = list(o(g, colors, None if first is g.vertices else first))
+                assert got == want, (p.name, dict(o.demands), o.fixed, g.edges(), colors, first)
+            count(o, every, colors, "small")
+    for o in consumers:
+        p = o.pattern
+        if len(p.roles) <= 7:
+            continue
+        for seed in range(6):
+            g, colors = _planted(p, rng, o.demands)
+            every = list(p.find_all(g, colors))
+            anchors = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
+            for first in (g.vertices, anchors):
+                want = _least_unmet(o, every, colors, first)
+                assert list(o(g, colors, None if first is g.vertices else first)) == want, (p.name, dict(o.demands), o.fixed, seed)
+            count(o, every, colors, "large")
+    assert all(seen[size, k] >= 10 for size in ("small", "large") for k in ("kept", "met", "copies")), seen
+    for rule in rw.REWRITE_RULES:
+        if rule.guard is None:
+            for seed in range(3):
+                g, colors = _planted(rule.pattern, rng)
+                c = PartialColoring(colors)
+                assert rule.find(g, c) == next(rule.pattern.find_all(g, colors), None), (rule.id, seed)
 
 
 @pytest.mark.parametrize(
@@ -338,7 +474,7 @@ def test_large_closure_patterns_equal_filtered_open_patterns():
     rng = random.Random(43)
     kept = dropped = 0
     for p in big:
-        open_twin = dataclasses.replace(p, closure=frozenset())
+        open_twin = Pattern(p.roles, p.required, p.optional, p.degree, frozenset(), p.color, p.name)
         ids = {r: i + 1 for i, r in enumerate(p.roles)}
         for seed in range(40):
             edges = [(ids[a], ids[b]) for a, b in p.required]

@@ -7,10 +7,10 @@ import pytest
 
 import dimatch.rewrite
 import dimatch.rules
-from dimatch.coloring import BLACK, WHITE, PartialColoring
+from dimatch.coloring import BLACK, WHITE, PartialColoring, assign
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.oracle import GeneratorError, brute_dim, is_feasible_partial, mixed_instance
-from dimatch.patterns import Pattern, pattern
+from dimatch.patterns import Orbits, Pattern, pattern
 from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
@@ -486,6 +486,86 @@ def test_the_forced_fixpoint_does_not_depend_on_rule_order(monkeypatch):
         assert len(seen) == 1, (g.edges(), colors, seen)
         outcomes[seen.pop()[0]] += 1
     assert outcomes[True] >= 40 and outcomes[False] >= 200, outcomes
+
+
+def test_every_rule_yields_only_groups_with_an_unmet_demand():
+    """No catalog rule yields a group whose demands all hold already, whole
+    or from random anchors, on seeded random hosts under random partial
+    colorings and on the forcing hosts; every rule yields some group."""
+    rng = random.Random(28)
+    hosts = [(g, dict(coloring)) for g, coloring in FORCING_HOSTS.values()]
+    for i in range(200):
+        g = _leafy_host(rng, i)
+        density = rng.choice((0.2, 0.4, 0.6))
+        hosts.append((g, {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < density}))
+    yielded = Counter()
+    for g, coloring in hosts:
+        c = PartialColoring(coloring)
+        anchors = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
+        for rule in CATALOG:
+            for groups in (rule.fn(g, c), rule.fn(g, c, anchors)):
+                for group in groups:
+                    assert any(c.get(v) != col for v, col in group), (rule.id, g.edges(), c.state, group)
+                    yielded[rule.id] += 1
+    assert set(yielded) == {r.id for r in CATALOG}, yielded
+
+
+def _drained(scan, g, coloring, tag):
+    """The colorings one propagate scan makes from coloring, in order, and
+    the conflict that ends it, if any: each group's unmet demands are
+    assigned as the group is yielded, and an exchange scan stops at its
+    first firing."""
+    c, made = PartialColoring(coloring), []
+    for group in scan(c):
+        todo = [(v, col) for v, col in group if c.get(v) != col]
+        for v, col in todo:
+            conflict = assign(g, c, v, col)
+            if conflict is not None:
+                return made, str(conflict)
+            made.append((v, col))
+        if todo and tag != FORCED:
+            break
+    return made, None
+
+
+# two induced seven-cycles z-u1-x-w1-w2-y-u2 sharing the vertex 4: the y of
+# the first and the z of the second
+TWO_SEVEN_CYCLES = from_edges(13, [(5, 6), (6, 1), (1, 7), (7, 8), (8, 4), (4, 9), (9, 5),
+                                   (4, 10), (10, 2), (2, 11), (11, 12), (12, 3), (3, 13), (13, 4)])
+
+
+def test_a_declared_rule_colors_as_its_full_search_would():
+    """A whole scan of each declared rule, its groups applied as they come,
+    makes the same colorings in the same order as the same rule over
+    `find_all`, on the forcing hosts and on seeded random hosts under
+    random partial colorings.  (An anchored scan may miss an unmet group
+    whose least copy lies outside its anchors; propagate's anchors are a
+    ball that holds every such copy, see `Orbits`.)  On TWO_SEVEN_CYCLES with
+    1, 2 and 3 black, seven_cycle_step's first copy of the first cycle
+    (x = 1, y = 4) fails its black test; the second cycle blackens 4, and
+    only then does the mirror copy (x = 4, y = 1) pass, so that rule must
+    keep it."""
+    declared = [(r, o) for r in CATALOG for cell in r.fn.__closure__ or () if isinstance(o := cell.cell_contents, Orbits)]
+    assert len(declared) == 12
+    rng = random.Random(29)
+    hosts = [(g, dict(coloring)) for g, coloring in FORCING_HOSTS.values()]
+    hosts.append((TWO_SEVEN_CYCLES, {1: BLACK, 2: BLACK, 3: BLACK}))
+    for i in range(150):
+        g = _leafy_host(rng, i)
+        hosts.append((g, {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.4}))
+    fired = Counter()
+    for g, coloring in hosts:
+        for rule, o in declared:
+            def full(c):
+                for emb in o.pattern.find_all(g, c.state):
+                    yield [(emb[r], col) for r, col in o.demands.items()]
+
+            want = _drained(full, g, coloring, rule.tag)
+            assert _drained(lambda c: rule.fn(g, c), g, coloring, rule.tag) == want, (rule.id, g.edges(), coloring)
+            fired[rule.id] += bool(want[0])
+    seven = RULES_BY_ID["seven_cycle_step"]
+    made, _ = _drained(lambda c: seven.fn(TWO_SEVEN_CYCLES, c), TWO_SEVEN_CYCLES, {1: BLACK, 2: BLACK, 3: BLACK}, FORCED)
+    assert made == [(4, BLACK), (5, BLACK)] and len(fired) >= 10, (made, fired)
 
 
 def test_a_forced_scan_applies_every_group_it_yields(monkeypatch):
