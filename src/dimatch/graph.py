@@ -155,14 +155,14 @@ class Graph:
                 cached[d] = cached.get(d, 0) + 1
         return cached  # type: ignore[return-value]
 
-    def degree_mask(self) -> int:
-        """The degrees of the vertices as a bit mask, bit d for degree d."""
-        cached = self._cache.get("degree_mask")
+    def degree_census(self) -> int:
+        """Bits 4d to 4d + 3 count the vertices of degree d, capped at 15."""
+        cached = self._cache.get("degree_census")
         if cached is None:
             cached = 0
-            for d in self.degree_counts():
-                cached |= 1 << d
-            self._cache["degree_mask"] = cached
+            for d, k in self.degree_counts().items():
+                cached |= (k if k < 15 else 15) << 4 * d
+            self._cache["degree_census"] = cached
         return cached  # type: ignore[return-value]
 
     def low_degree_vertices(self) -> tuple[int, ...]:

@@ -8,9 +8,10 @@ the matched image (closure), or require a color state.  Each pattern is
 searched by a function generated from its declaration and compiled the
 first time the pattern is searched; a search takes each role's candidates
 in set order, sorts the occurrences found at each vertex of the first role
-once, and yields each as a plain role -> vertex dict.  A host with no
-vertex in some role's degree window has no occurrence; the drivers ask
-`fits` before they search.
+once, and yields each as a plain role -> vertex dict.  A host has no
+occurrence unless the roles can take distinct vertices whose degrees lie
+in their windows, which `fits` reads from the host's degree census; the
+drivers ask it before they search.
 
 `Pattern.find_all` yields every occurrence.  A consumer that needs only one
 occurrence of each orbit of the pattern's automorphisms, and none whose
@@ -65,7 +66,7 @@ class Pattern:
     """
 
     __slots__ = ("roles", "required", "optional", "degree", "closure", "color", "name",
-                 "order", "_depth", "radius", "_search", "_masks", "_auts", "_least")
+                 "order", "_depth", "radius", "_search", "_auts", "_least")
 
     def __init__(
         self,
@@ -104,10 +105,8 @@ class Pattern:
         self.order = self._role_order()
         self._depth = self._depths(self.order[0])
         self.radius = self._radius()
-        # built on first use: the full search, the degree masks, the
-        # automorphisms and `least`
+        # built on first use: the full search, the automorphisms and `least`
         self._search: Optional[Search] = None
-        self._masks: Optional[frozenset[int]] = None
         self._auts: Optional[tuple[tuple[int, ...], ...]] = None
         self._least: Optional[Orbits] = None
 
@@ -185,17 +184,24 @@ class Pattern:
             bounds.append((max(lo, n_req), hi))
         return bounds, loose
 
+    # Hall's condition (P. Hall, "On representatives of subsets", 1935) on
+    # the degree census: the windows are intervals of degrees, so taking
+    # them by upper bound, each given the least degree left that it admits,
+    # places every role if any injection does.  The census caps each count
+    # at 15, and no pattern has more roles, so the cap never decides.
     def fits(self, g: Graph) -> bool:
-        """Whether every role's degree window holds the degree of some host
-        vertex; a host where one holds none has no embedding.  The windows
-        are kept as one bit mask each, bit d for degree d; a window with no
-        cap has a negative mask, whose bits from lo up never end."""
-        masks = self._masks
-        if masks is None:
-            masks = self._masks = frozenset(-(1 << lo) if hi is None else (1 << hi + 1) - (1 << lo)
-                                            for lo, hi in self._windows()[0])
-        host = g.degree_mask()
-        return all(host & mask for mask in masks)
+        """Whether the roles can take distinct host vertices whose degrees
+        lie in their windows; a host where they cannot has no embedding."""
+        census = g.degree_census()
+        top = census.bit_length() + 3 >> 2  # no vertex has degree top or more
+        for lo, hi in sorted(self._windows()[0], key=lambda w: top if w[1] is None else w[1]):
+            d = lo
+            while d < top and not census >> 4 * d & 15:
+                d += 1
+            if d >= top or hi is not None and d > hi:
+                return False
+            census -= 1 << 4 * d
+        return True
 
     def _source(self, less: Sequence[tuple[int, int]] = (), demands: Sequence[tuple[int, str]] = ()) -> str:
         """Source of `search(adj, first, verts, C)`, this pattern's scan.

@@ -466,6 +466,9 @@ def _c5_component(g: Graph) -> Optional[frozenset[int]]:
     and none embeds in an uncolored five-cycle.  So no later step touches
     it, and once it is there the answer is NO whenever it is read.
     """
+    # such a component has five vertices of degree two
+    if g.degree_counts().get(2, 0) < 5:
+        return None
     return next((comp for comp in g.components() if len(comp) == 5 and all(g.degree(v) == 2 for v in comp)), None)
 
 

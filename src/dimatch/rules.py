@@ -61,30 +61,31 @@ Entry = TypeVar("Entry")
 
 class DispatchPlan(Generic[Entry]):
     """The entries of a driver's table that can fire on a host, by degree
-    mask: those whose shape is None or fits the mask, in table order.
+    census: those whose shape is None or fits the census, in table order.
 
-    Whether a shape fits depends only on the host's degree mask, so each
-    mask's tuple is built once, the first time a host with that mask is
-    seen, and `Pattern.fits` is asked nowhere else.  The plan remembers the
-    table it was built from and starts afresh when asked about another
-    one, so a table rebound at module level (as the bench tracer does) is
-    followed, and rebinding the original back rebuilds its tuples."""
+    Whether a shape fits depends only on how many vertices the host has of
+    each degree, capped at 15 (`Graph.degree_census`), so each census's
+    tuple is built once, the first time a host with that census is seen,
+    and `Pattern.fits` is asked nowhere else.  The plan remembers the table
+    it was built from and starts afresh when asked about another one, so a
+    table rebound at module level (as the bench tracer does) is followed,
+    and rebinding the original back rebuilds its tuples."""
 
-    __slots__ = ("shape", "table", "by_mask")
+    __slots__ = ("shape", "table", "by_census")
 
     def __init__(self, shape: Callable[[Entry], Optional[Pattern]]) -> None:
         self.shape = shape
         self.table: Sequence[Entry] = ()
-        self.by_mask: dict[int, tuple[Entry, ...]] = {}
+        self.by_census: dict[int, tuple[Entry, ...]] = {}
 
     def __call__(self, table: Sequence[Entry], g: Graph) -> tuple[Entry, ...]:
         if table is not self.table:
-            self.table, self.by_mask = table, {}
-        mask = g.degree_mask()
-        entries = self.by_mask.get(mask)
+            self.table, self.by_census = table, {}
+        census = g.degree_census()
+        entries = self.by_census.get(census)
         if entries is None:
             shape = self.shape
-            entries = self.by_mask[mask] = tuple(e for e in table if (p := shape(e)) is None or p.fits(g))
+            entries = self.by_census[census] = tuple(e for e in table if (p := shape(e)) is None or p.fits(g))
         return entries
 
 
@@ -149,7 +150,8 @@ class Worklist:
             self._state, self._balls = state, {}
         grown = self._balls.get(since)
         if grown is None:
-            ball = {v for v in self.log[since:] if v in g}
+            adj = g.adjacency
+            ball = {v for v in self.log[since:] if v in adj}
             grown = self._balls[since] = [ball, ball, [sorted(ball)]]
         ball, frontier, out = grown
         if radius >= len(out):
@@ -277,29 +279,38 @@ P_BLACK_SQUARE = pattern("black_square", "a b c d", "a-b b-c c-d d-a", color={"a
 P_TRIANGLE_OUTSIDER = pattern("triangle_outsider", "t r1 r2 u", "t-r1 t-r2 r1-r2 t-u")
 
 
-def _triangle_outsiders(g: Graph, anchors: Anchors) -> Iterator[tuple[int, int]]:
-    """Pairs (t, u): t in a triangle, u a neighbor of t outside it and
-    nonadjacent to the other two triangle vertices."""
-    adj = g.adjacency
-    for t1, t2, t3 in g.triangles(anchors):
+# Code, not a declaration: that takes one pattern per black role under one
+# id, and merging their scans by anchor cost +5 % on the claw networks.
+# A group whitens one of t and u, a triangle vertex and its outsider (next
+# to t, not to the other two), when the other is black.  So a scan skips,
+# in the order of `Graph.triangles`, every triangle with no vertex in the
+# closed neighborhood of a black vertex, and reads none without a black
+# vertex.  It only whitens, so that neighborhood cannot grow while it runs.
+# Walking the triangle index at the neighborhood instead, then sorting,
+# cost more on every bench workload.
+def rule_triangle_outsider(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
+    adj, get = g.adjacency, c.state.get
+    near: set[int] = set()
+    for v, col in c.state.items():
+        if col == BLACK:
+            near.add(v)
+            near |= adj[v]
+    if not near:
+        return
+    for tri in g.triangles(anchors):
+        if near.isdisjoint(tri):
+            continue
+        t1, t2, t3 = tri
         # a triangle vertex is next to the other two, so it is no outsider
         for t, r1, r2 in ((t1, t2, t3), (t2, t1, t3), (t3, t1, t2)):
             n1, n2 = adj[r1], adj[r2]
             for u in adj[t]:
                 if u not in n1 and u not in n2:
-                    yield t, u
-
-
-# Code, not a declaration: that takes one pattern per black role under one
-# id, and merging their scans by anchor cost +5 % on the claw networks.
-def rule_triangle_outsider(g: Graph, c: PartialColoring, anchors: Anchors = None) -> Iterator[list[Demand]]:
-    get = c.state.get
-    for t, u in _triangle_outsiders(g, anchors):
-        ct, cu = get(t), get(u)
-        if ct == BLACK and cu is None:
-            yield [(u, WHITE)]
-        elif cu == BLACK and ct is None:
-            yield [(t, WHITE)]
+                    ct, cu = get(t), get(u)
+                    if ct == BLACK and cu is None:
+                        yield [(u, WHITE)]
+                    elif cu == BLACK and ct is None:
+                        yield [(t, WHITE)]
 
 
 # --------------------------------------------------------------------------
@@ -687,7 +698,7 @@ def propagate(
     finds nothing is recorded in wl with its graph when it was whole, or
     when a whole scan of the rule drained earlier in this call.  Only
     the rules of g's dispatch plan run, once looked up per call, since
-    coloring leaves the degree mask alone: a rule whose `shape` does not
+    coloring leaves the degree census alone: a rule whose `shape` does not
     fit g's degree census has no firing on g under any coloring, so it is
     not called, asks wl for no anchors and leaves no record.  Every change
     is logged, so its last recorded scan still bounds what changed since.

@@ -184,15 +184,17 @@ def test_rewrite_carries_the_triangle_index():
 
 def test_rewrite_carries_the_degree_census():
     """Along chains of 300 seeded rewrites, each new graph's degree census,
-    degree mask and maximum degree equal a fresh count.  The chains remove
-    ids, add isolated ids, cut edges and bring removed ids back; one
-    rewrite removes a vertex and adds its id back in the same call."""
+    both as counts and as one integer of counts capped at 15, and maximum
+    degree equal a fresh count.  The chains remove ids, add isolated ids,
+    cut edges and bring removed ids back; one rewrite removes a vertex and
+    adds its id back in the same call."""
     seen = Counter()
 
     def check(g: Graph) -> None:
         fresh = fresh_degree_counts(g)
         assert "degree_counts" in g._cache and g.degree_counts() == fresh, (g.edges(), g.degree_counts())
-        assert g.degree_mask() == sum(1 << d for d in fresh) and g.max_degree() == max(fresh, default=0)
+        assert g.degree_census() == sum(min(k, 15) << 4 * d for d, k in fresh.items()), g.edges()
+        assert g.max_degree() == max(fresh, default=0)
 
     for seed in range(4):
         gone: set[int] = set()
@@ -217,7 +219,7 @@ def test_rewrite_carries_the_degree_census():
 # every query that reads a cached structure
 QUERIES = (
     Graph.degree_counts,
-    Graph.degree_mask,
+    Graph.degree_census,
     Graph.low_degree_vertices,
     lambda g: list(g.triangles_at().items()),
     Graph.triangles,

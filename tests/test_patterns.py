@@ -33,7 +33,7 @@ from dimatch.rules import (
     P_TRIANGLE_TAIL,
 )
 
-from .util import LONG_CLAW, brute_force_find_all, decorate, random_host, reference_contains_s222
+from .util import LONG_CLAW, brute_force_find_all, decorate, random_host, reference_contains_s222, reference_fits
 
 
 def test_find_induced_c4_pattern():
@@ -252,29 +252,48 @@ def _wide_host(rng: random.Random) -> Graph:
 
 def test_degree_check_never_drops_an_embedding():
     """On seeded random hosts of density 0.1 to 0.5, and on hosts with a
-    vertex of degree 64 or more, so the host's degree mask is wide, every
-    pattern's find_all, whole, anchored and with colors, yields what its
-    compiled search yields when called directly.  `fits` is False exactly
-    when some role's degree window holds no host degree."""
+    vertex of degree 64 or more, so the host's degree census is wide,
+    `fits` equals a bipartite matching of the pattern's roles to host
+    vertices by degree window (`reference_fits`), and no host it rejects
+    yields an embedding: the compiled search, called directly, whole,
+    anchored and with colors, finds nothing there.  find_all yields what
+    that search yields.  Some rejected hosts have a vertex in every role's
+    window, so the check counts vertices, not only the degrees present."""
     rng = random.Random(43)
     hosts = [random_host(rng, rng.randint(5, 12), rng.uniform(0.1, 0.5)) for _ in range(60)]
     hosts += [_wide_host(rng) for _ in range(6)]
-    outcomes = Counter()
+    outcomes, counted = Counter(), 0
     for g in hosts:
         degrees = {g.degree(v) for v in g.vertices}
         colors = {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.3}
         anchors = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
         for p in _catalog():
-            fits = all(any(lo <= d and (hi is None or d <= hi) for d in degrees) for lo, hi in p._windows()[0])
-            assert p.fits(g) == fits, (p.name, g.edges())
+            windows = p._windows()[0]
+            fits = p.fits(g)
+            assert fits == reference_fits(g, windows), (p.name, g.edges())
+            present = all(any(lo <= d and (hi is None or d <= hi) for d in degrees) for lo, hi in windows)
+            counted += present and not fits
             search = p._search or p._compile()
             for first, c in ((g.vertices, {}), (anchors, {}), (g.vertices, colors), (anchors, colors)):
                 want = list(search(g.adjacency, first, g.vertices, c))
+                assert fits or not want, (p.name, g.edges(), c, first, want[0])
                 got = list(p.find_all(g, c, anchors=None if first is g.vertices else first))
                 assert got == want, (p.name, g.edges(), c, first)
                 outcomes[fits, bool(want), g.max_degree() >= 64] += 1
     # both sides of the check are taken, on narrow and on wide hosts
     assert all(outcomes[True, True, wide] and outcomes[False, False, wide] for wide in (False, True)), outcomes
+    assert counted > 100, counted
+
+
+def test_no_declared_pattern_has_more_roles_than_the_census_counts():
+    """The degree census caps each count at 15, so `fits` is exact only
+    for patterns of at most 15 roles; every declared one has at most 15.
+    On cycle(20), whose 20 vertices all have degree two, the census reads
+    15 at degree two, and 15 copies of a degree-two role fit."""
+    assert max(len(p.roles) for p in _catalog()) <= 15
+    assert cycle(20).degree_census() == 15 << 4 * 2
+    roles = " ".join(f"r{i}" for i in range(15))
+    assert pattern("fifteen", roles, "", degree={f"r{i}": (2, 2) for i in range(15)}).fits(cycle(20))
 
 
 def _consumers() -> list[Orbits]:

@@ -293,7 +293,7 @@ def test_fresh_ids_are_unique_across_components(rule_id):
 CACHE_QUERIES = {
     "components": Graph.components,
     "degree_counts": Graph.degree_counts,
-    "degree_mask": Graph.degree_mask,
+    "degree_census": Graph.degree_census,
     "low_degree": Graph.low_degree_vertices,
     "triangles": Graph.triangles,
     "triangles_at": Graph.triangles_at,

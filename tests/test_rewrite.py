@@ -370,11 +370,11 @@ def _census_walk() -> Iterator[ReduceResult]:
 def test_the_census_is_asked_outside_the_search(monkeypatch):
     """Along the same reductions, `Pattern.fits` is never asked from inside
     `Pattern.find_all`.  While one catalog and one rewrite table stay
-    bound, each shape of a table is asked exactly once per degree mask its
-    driver meets: when that mask's dispatch plan is built."""
+    bound, each shape of a table is asked exactly once per degree census
+    its driver meets: when that census's dispatch plan is built."""
     inside, asked = [], Counter()
     find_all, fits = Pattern.find_all, Pattern.fits
-    masks = {"rules": set(), "rewrite": set()}
+    censuses = {"rules": set(), "rewrite": set()}
 
     def counted_find_all(self, *args, **kw):
         inside.append(self.name)
@@ -385,12 +385,12 @@ def test_the_census_is_asked_outside_the_search(monkeypatch):
 
     def counted_fits(self, g):
         assert not inside, (inside, self.name)
-        asked[self.name, g.degree_mask()] += 1
+        asked[self.name, g.degree_census()] += 1
         return fits(self, g)
 
     def seen(key, driver):
         def wrapped(g, *args, **kw):
-            masks[key].add(g.degree_mask())
+            censuses[key].add(g.degree_census())
             return driver(g, *args, **kw)
 
         return wrapped
@@ -403,9 +403,9 @@ def test_the_census_is_asked_outside_the_search(monkeypatch):
     monkeypatch.setattr(Pattern, "find_all", counted_find_all)
     monkeypatch.setattr(Pattern, "fits", counted_fits)
     assert sum(rr.rewrite_steps for rr in _census_walk()) > 60
-    want = Counter((r.shape.name, m) for m in masks["rules"] for r in dimatch.rules.CATALOG if r.shape is not None)
-    want.update((r.pattern.name, m) for m in masks["rewrite"] for r in REWRITE_RULES)
-    assert len(masks["rules"]) > 1 and len(masks["rewrite"]) > 1, masks
+    want = Counter((r.shape.name, k) for k in censuses["rules"] for r in dimatch.rules.CATALOG if r.shape is not None)
+    want.update((r.pattern.name, k) for k in censuses["rewrite"] for r in REWRITE_RULES)
+    assert len(censuses["rules"]) > 1 and len(censuses["rewrite"]) > 1, censuses
     assert asked == want, (asked - want, want - asked)
 
 
@@ -434,7 +434,7 @@ def test_the_dispatch_plans_equal_the_census_gates(monkeypatch):
 
 def test_the_rewrite_plan_follows_a_rebound_table(monkeypatch):
     """try_rewrite tries the rewrites of whichever table REWRITE_RULES is
-    bound to, on hosts of one degree mask, each time two bindings
+    bound to, on hosts of one degree census, each time two bindings
     alternate, and the original table's once it is restored."""
     g = cycle(6)
     grow = RewriteRule(pattern("grow", "x y", "x-y"), new_vertices=("a",), add_edges=(("a", "x"),))
@@ -472,7 +472,7 @@ def test_reimports_leave_one_graph_class_alive():
 class CensusAudit(ReductionAudit):
     """Checks that after every cleaning step and rewrite the working graph
     carries a degree census equal to a fresh count, and equals a graph
-    built afresh from its vertices and edges in degree mask, triangle
+    built afresh from its vertices and edges in census integer, triangle
     index (values and ascending key order), low-degree tuple, vertex order
     and m.  Its first check builds the triangle index, so every later one
     reads an index the edits kept up to date."""
@@ -490,7 +490,7 @@ class CensusAudit(ReductionAudit):
     def _check(self, g: Graph) -> None:
         assert "degree_counts" in g._cache and g.degree_counts() == fresh_degree_counts(g), g.edges()
         fresh = Graph(g.vertices, g.edges())
-        assert g.degree_counts() == fresh.degree_counts() and g.degree_mask() == fresh.degree_mask()
+        assert g.degree_counts() == fresh.degree_counts() and g.degree_census() == fresh.degree_census()
         self.triangles += "triangles_at" in g._cache
         assert list(g.triangles_at().items()) == list(fresh.triangles_at().items()), g.edges()
         assert g.low_degree_vertices() == fresh.low_degree_vertices()

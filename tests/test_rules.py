@@ -17,10 +17,10 @@ from dimatch.rules import (
     FORCED,
     Rule,
     Worklist,
-    _triangle_outsiders,
     clean_pair_violation,
     is_clean_pair,
     propagate,
+    rule_triangle_outsider,
 )
 
 from .util import (
@@ -176,9 +176,13 @@ def test_degree_one_whole_scan_equals_scan_from_every_vertex():
 
 
 def test_triangle_outsiders_equal_the_reference():
-    """The same pairs in the same order, whole and from ascending anchors,
-    on random hosts with and without a built triangle index and along
-    rewrite chains that carry it."""
+    """rule_triangle_outsider yields the same groups in the same order,
+    whole and from ascending anchors, as the reference pairs (t, u) whose
+    one end is black and the other uncolored, the uncolored end demanded
+    white.  The hosts are random, with and without a built triangle index,
+    and along rewrite chains that carry it; their colorings have no black
+    vertex, one or two, or about half of the vertices black, with whites
+    among them."""
     rng = random.Random(9)
     hosts = []
     for _ in range(200):
@@ -187,13 +191,24 @@ def test_triangle_outsiders_equal_the_reference():
         g.triangles_at()
         hosts.append(g)
     hosts += [g for seed in range(4) for g in rewrite_chain(seed, 100)]
-    pairs = 0
+    groups = Counter()
     for g in hosts:
-        for anchors in (None, list(g.vertices), sorted(rng.sample(g.vertices, rng.randint(0, g.n)))):
-            got = list(_triangle_outsiders(g, anchors))
-            assert got == list(reference_triangle_outsiders(g, anchors)), (g.edges(), anchors)
-            pairs += len(got)
-    assert pairs > 1000
+        blacks = {"none": [], "few": rng.sample(g.vertices, min(g.n, rng.randint(1, 2))),
+                  "many": [v for v in g.vertices if rng.random() < 0.5]}
+        for kind, black in blacks.items():
+            state = {v: WHITE for v in g.vertices if rng.random() < 0.2}
+            c = PartialColoring({**state, **dict.fromkeys(black, BLACK)})
+            for anchors in (None, list(g.vertices), sorted(rng.sample(g.vertices, rng.randint(0, g.n)))):
+                want = []
+                for t, u in reference_triangle_outsiders(g, anchors):
+                    if c.get(t) == BLACK and c.get(u) is None:
+                        want.append([(u, WHITE)])
+                    elif c.get(u) == BLACK and c.get(t) is None:
+                        want.append([(t, WHITE)])
+                got = list(rule_triangle_outsider(g, c) if anchors is None else rule_triangle_outsider(g, c, anchors))
+                assert got == want, (g.edges(), c.state, anchors)
+                groups[kind] += len(got)
+    assert groups["few"] > 300 and groups["many"] > 1000, groups
 
 
 def test_square_degree_two_equals_the_reference():
@@ -675,7 +690,7 @@ def test_the_dispatch_plan_follows_a_rebound_catalog(monkeypatch):
 def test_the_fixpoint_probe_asks_no_census_once_the_plan_exists(monkeypatch):
     """On the clean pairs the reduction of cycle(7) and of mixed instances
     reaches, is_clean_pair makes no `Pattern.fits` call: the plan of the
-    pair's degree mask was built while reducing, and the rules it leaves
+    pair's degree census was built while reducing, and the rules it leaves
     out are skipped without asking."""
     fits, asked = Pattern.fits, []
 

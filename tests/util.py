@@ -70,6 +70,27 @@ def brute_force_find_all(g: Graph, p: Pattern, colors: Optional[Coloring] = None
     return out
 
 
+def reference_fits(g: Graph, windows: list[tuple[int, Optional[int]]]) -> bool:
+    """Reference for `Pattern.fits`: whether every degree window (lo, hi),
+    hi None for no cap, gets a host vertex of its own whose degree lies in
+    it.  A maximum bipartite matching of windows to vertices, grown by one
+    augmenting path per window (Kuhn's method)."""
+    owner: dict[int, int] = {}  # vertex -> the window it serves
+
+    def place(i: int, seen: set[int]) -> bool:
+        lo, hi = windows[i]
+        for v in g.vertices:
+            d = g.degree(v)
+            if v not in seen and lo <= d and (hi is None or d <= hi):
+                seen.add(v)
+                if v not in owner or place(owner[v], seen):
+                    owner[v] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(windows)))
+
+
 def all_graphs(n: int) -> Iterator[Graph]:
     """Every labelled graph on vertices 1..n, in bitmask order."""
     slots = list(combinations(range(1, n + 1), 2))
@@ -129,8 +150,10 @@ def _grow_legs(g: Graph, c: int, arms: tuple[int, int, int]) -> Optional[Embeddi
 
 
 def reference_triangle_outsiders(g: Graph, anchors: Optional[list[int]]) -> Iterator[tuple[int, int]]:
-    """Reference for `dimatch.rules._triangle_outsiders`, one adjacency
-    test at a time."""
+    """The pairs (t, u) that `dimatch.rules.rule_triangle_outsider` reads,
+    t in a triangle, u a neighbor of t outside it and nonadjacent to the
+    other two, in the order of `Graph.triangles`, one adjacency test at a
+    time."""
     for tri in g.triangles(anchors):
         ts = set(tri)
         for t in tri:
