@@ -63,8 +63,8 @@ class PartialColoring:
 
 
 def verify_complete(g: Graph, c: PartialColoring) -> bool:
-    """True iff c is a feasible complete coloring of g: whites independent
-    and every black vertex has exactly one black neighbor.
+    """True iff c is a feasible complete coloring of g: every white vertex
+    has only black neighbors and every black vertex exactly one.
 
     c must color exactly the vertices of g; an uncolored vertex or a
     colored vertex outside g is a contract violation and raises ValueError.
@@ -75,13 +75,13 @@ def verify_complete(g: Graph, c: PartialColoring) -> bool:
     if len(c.state) != g.n:
         stray = min(v for v in c.state if v not in g)
         raise ValueError(f"vertex {stray} is not in the graph")
-    for v in g.vertices:
-        if c.get(v) == WHITE:
-            if any(c.get(w) == WHITE for w in g.neighbors(v)):
+    adj, blacks = g.adjacency, c.blacks()
+    for v, col in c.state.items():
+        if col == WHITE:
+            if not adj[v] <= blacks:
                 return False
-        else:
-            if sum(1 for w in g.neighbors(v) if c.get(w) == BLACK) != 1:
-                return False
+        elif len(adj[v] & blacks) != 1:
+            return False
     return True
 
 

@@ -16,83 +16,78 @@ from .graph import Graph
 Matching = set[tuple[int, int]]
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 class _Matcher:
-    """Mutable matching state over a fixed graph."""
+    """Mutable matching state over a fixed graph: a Graph, or the ascending
+    neighbour lists of a graph on indices 0..k-1, each index its own vertex.
+    Vertex verts[i] is index i.  The blossom search's arrays are allocated
+    once: p[] holds the BFS tree, base[] the blossom representative of every
+    index, used[] marks the queued indices.  A search writes only at the
+    indices of its tree, so the next one resets just those, and a blossom
+    relabels only those, ascending, as a sweep over every index would.
+    Index n is a virtual exposed helper vertex adjacent to every index in
+    spare; it has no other edges."""
 
-    def __init__(self, g: Graph):
-        self.verts = list(g.vertices)
-        self.index = {v: i for i, v in enumerate(self.verts)}
-        self.adj = [[self.index[w] for w in sorted(g.neighbors(v))] for v in self.verts]
-        self.n = len(self.verts)
+    def __init__(self, g: Graph | list[list[int]]):
+        if isinstance(g, Graph):
+            self.verts = list(g.vertices)
+            self.index = {v: i for i, v in enumerate(self.verts)}
+            g = [[self.index[w] for w in sorted(g.neighbors(v))] for v in self.verts]
+        else:
+            self.verts = self.index = range(len(g))
+        self.adj, self.n = g, len(g)
         self.match = [-1] * self.n
+        self.p = [-1] * (self.n + 1)
+        self.base = list(range(self.n))
+        self.used = [False] * self.n
+        self.tree: set[int] = set()
 
     def matching(self) -> Matching:
-        out: Matching = set()
-        for i, j in enumerate(self.match):
-            if j > i:
-                out.add(_norm(self.verts[i], self.verts[j]))
-        return out
-
-    # classic blossom search; p[] holds the BFS tree, base[] the blossom
-    # representative of every vertex.  Index n is a virtual exposed helper
-    # vertex adjacent to every index in spare; it has no other edges.
+        # verts ascend, so each pair does
+        return {(self.verts[i], self.verts[j]) for i, j in enumerate(self.match) if j > i}
 
     def _find_path(self, root: int, spare: AbstractSet[int]) -> int:
-        n, adj, match = self.n, self.adj, self.match
-        self.p = p = [-1] * (n + 1)
-        base = list(range(n))
-        used = [False] * n
+        n, adj, match, p, base, used = self.n, self.adj, self.match, self.p, self.base, self.used
+        for i in self.tree:
+            p[i], base[i], used[i] = -1, i, False
+        p[n] = -1
+        self.tree = tree = {root}
         used[root] = True
         q = deque([root])
-
-        def lca(a: int, b: int) -> int:
-            seen = [False] * n
-            x = a
-            while True:
-                x = base[x]
-                seen[x] = True
-                if match[x] == -1:
-                    break
-                x = p[match[x]]
-            y = b
-            while True:
-                y = base[y]
-                if seen[y]:
-                    return y
-                y = p[match[y]]
-
-        def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-            while base[v] != b:
-                blossom[base[v]] = True
-                blossom[base[match[v]]] = True
-                p[v] = child
-                child = match[v]
-                v = p[match[v]]
-
         while q:
             v = q.popleft()
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, cur, to, blossom)
-                    mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    # the blossom's base: the first base on to's path to the
+                    # root that is also on v's
+                    x = base[v]
+                    path = {x}
+                    while match[x] != -1:
+                        x = base[p[match[x]]]
+                        path.add(x)
+                    cur = base[to]
+                    while cur not in path:
+                        cur = base[p[match[cur]]]
+                    blossom: set[int] = set()
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != cur:
+                            blossom.add(base[x])
+                            blossom.add(base[match[x]])
+                            p[x] = child
+                            child = match[x]
+                            x = p[child]
+                    for i in sorted(i for i in tree if base[i] in blossom):
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
                 elif p[to] == -1:
                     p[to] = v
+                    tree.add(to)
                     if match[to] == -1:
                         return to
+                    tree.add(match[to])
                     used[match[to]] = True
                     q.append(match[to])
             # the helper follows v's real neighbours, as if its id were the
@@ -135,6 +130,38 @@ class _Matcher:
             if self.match[i] == -1:
                 self.augment_from(self.verts[i])
 
+    def saturate(self, req: list[int]) -> bool:
+        """Saturate every vertex of req (ascending) if possible; False if not.
+
+        Start from a maximum matching; while a required vertex is exposed,
+        look for an augmenting path from it that may end at a virtual helper
+        vertex adjacent to every saturated non-required vertex.  Success
+        trades a non-required saturated vertex for the required one; failure
+        anywhere is final.  The result is still a maximum matching.
+
+        The set of saturated non-required indices is built once and then kept
+        up to date from the far end of each flipped path, the only index on
+        it whose saturation changed besides the required root.
+        """
+        self.maximize()
+        match = self.match
+        req_index = {self.index[v] for v in req}
+        spare = {i for i, j in enumerate(match) if j != -1 and i not in req_index}
+        for v in req:
+            if match[self.index[v]] != -1:
+                continue
+            end = self.augment_from(v, spare)
+            if end is None:
+                return False
+            if match[end] == -1:
+                spare.discard(end)
+            elif end not in req_index:
+                # an exposed non-required end; after maximize() none is left
+                spare.add(end)
+        if any(match[i] == -1 for i in req_index):
+            raise AssertionError("matching leaves a required vertex exposed")
+        return True
+
 
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching; handles odd cycles via blossoms."""
@@ -143,44 +170,10 @@ def max_matching(g: Graph) -> Matching:
     return solver.matching()
 
 
-def saturates(m: Iterable[tuple[int, int]], required: Iterable[int]) -> bool:
-    covered = {x for e in m for x in e}
-    return set(required) <= covered
-
-
 def solve_saturation(g: Graph, required: Iterable[int]) -> Optional[Matching]:
-    """Find a matching saturating every required vertex, or None.
-
-    Start from a maximum matching; while a required vertex is exposed,
-    look for an augmenting path from it that may end at a virtual helper
-    vertex adjacent to every saturated non-required vertex.  Success
-    trades a non-required saturated vertex for the required one; failure
-    anywhere is final.  The result is still a maximum matching.
-
-    The set of saturated non-required indices is built once and then kept
-    up to date from the far end of each flipped path, the only index on
-    it whose saturation changed besides the required root.
-    """
+    """A maximum matching saturating the required vertices, or None; see `_Matcher.saturate`."""
     req = sorted(set(required))
     if not set(req) <= set(g.vertices):
         raise ValueError("required vertices outside graph")
     solver = _Matcher(g)
-    solver.maximize()
-    match = solver.match
-    req_index = {solver.index[v] for v in req}
-    spare = {i for i, j in enumerate(match) if j != -1 and i not in req_index}
-    for v in req:
-        if match[solver.index[v]] != -1:
-            continue
-        end = solver.augment_from(v, spare)
-        if end is None:
-            return None
-        if match[end] == -1:
-            spare.discard(end)
-        elif end not in req_index:
-            # an exposed non-required end; after maximize() none is left
-            spare.add(end)
-    current = solver.matching()
-    if not saturates(current, req):
-        raise AssertionError("matching leaves a required vertex exposed")
-    return current
+    return solver.matching() if solver.saturate(req) else None

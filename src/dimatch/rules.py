@@ -101,14 +101,15 @@ class Worklist:
     changes since one log position come from one breadth-first search,
     grown ring by ring as larger radii are asked for.  Once as many changes
     as the graph has vertices were logged since, the ball costs about as
-    much as the graph, and the rescan is whole.  An edit draws the graph a
-    new version and every change is logged, so a whole pass recorded at
-    the graph's current version and the current log length read exactly
-    the current state, even after an edit that logged nothing (one that
-    removes a whole component).  The balls are kept for one version and
-    log length too.  A rule
-    that the dispatch plan leaves out makes no pass and leaves no record:
-    its last pass that found nothing still bounds what changed.
+    much as the graph, and the rescan is whole; so is one whose ball holds
+    every vertex, which `propagate` then records as whole.  An edit draws
+    the graph a new version and every change is logged, so a whole pass
+    recorded at the graph's current version and the current log length
+    read exactly the current state, even after an edit that logged nothing
+    (one that removes a whole component).  The balls are kept for one
+    version and log length too.  A rule that the dispatch plan leaves out
+    makes no pass and leaves no record: its last pass that found nothing
+    still bounds what changed.
 
     A forced rule's pass that applied every group it yielded (see
     `propagate`) gets as its quiet mark the log length before the pass,
@@ -140,8 +141,8 @@ class Worklist:
 
     def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
         """Ascending anchors to rescan for key; None means all of g: on
-        its first pass, without a radius, or after at least g.n logged
-        changes."""
+        its first pass, without a radius, after at least g.n logged
+        changes, or when the ball at that radius holds every vertex of g."""
         since, now = self.quiet.get(key), len(self.log)
         if since is None or radius is None or now - since >= g.n:
             return None
@@ -152,14 +153,15 @@ class Worklist:
         if grown is None:
             adj = g.adjacency
             ball = {v for v in self.log[since:] if v in adj}
-            grown = self._balls[since] = [ball, ball, [sorted(ball)]]
+            grown = self._balls[since] = [ball, ball, [sorted(ball) if len(ball) < len(adj) else None]]
         ball, frontier, out = grown
         if radius >= len(out):
             adj = g.adjacency
             while radius >= len(out):
                 frontier = {w for v in frontier for w in adj[v]} - ball
                 ball |= frontier
-                out.append(sorted(ball))
+                # a ball that holds all of g stands for a whole scan
+                out.append(sorted(ball) if len(ball) < len(adj) else None)
             grown[1] = frontier
         return out[radius]
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .coloring import BLACK, WHITE, PartialColoring
 from .graph import Graph
-from .matching import solve_saturation
+from .matching import _Matcher, solve_saturation  # the latter not called here; bench/spans.py rebinds it
 
 
 class StructureViolation(RuntimeError):
@@ -66,19 +66,20 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
     component outside the triangles, by least vertex, which must be a star
     with a black center adjacent to its two or three uncolored leaves only,
     at most one leaf a pendant tip and the others arms anchored in distinct
-    triangles.
+    triangles.  Those components are read off the subgraph the outside
+    vertices induce, the one graph built here.
     """
     top = g.max_degree()
     if top > 4:
         raise StructureViolation(f"maximum degree {top} exceeds four")
-    tri_at = g.triangles_at()
+    adj, get, tri_at = g.adjacency, c.state.get, g.triangles_at()
     outside: list[int] = []
     deg4: list[tuple[int, int, int]] = []
     # the first break of the degree-four and black facts; either waits for
     # the walk's end, as a later shared triangle or isolated vertex comes first
     hub = black = None
     for v in g.vertices:
-        ts, d = tri_at[v], g.degree(v)
+        ts, d = tri_at[v], len(adj[v])
         if len(ts) > 1:
             raise StructureViolation(f"vertex {v} lies in {len(ts)} triangles")
         if d == 0:
@@ -90,44 +91,45 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
             continue
         if d == 4:
             p, q = (w for w in ts[0] if w != v)
-            if g.degree(p) != 2 or g.degree(q) != 2:
+            if len(adj[p]) != 2 or len(adj[q]) != 2:
                 hub = hub or f"triangle of degree-4 vertex {v} has high-degree partners"
             deg4.append((v, p, q))
-        if d != 2 and c.get(v) == BLACK:
+        if d != 2 and get(v) == BLACK:
             black = black or f"black triangle vertex {v} has degree {d}"
     if hub or black:
         raise StructureViolation(hub or black)
     stars, tips = [], set()
     rest = g.subgraph(outside)
+    inner = rest.adjacency  # neighbors outside the triangles
     for comp in rest.components():  # by least vertex
         label = sorted(comp)
-        leaves = [v for v in label if rest.degree(v) == 1]
+        leaves = [v for v in label if len(inner[v]) == 1]
         # a connected component whose other vertices are all leaves is a star
         if not 3 <= len(label) <= 4 or len(leaves) != len(label) - 1:
             raise StructureViolation(f"component {label} outside the triangles is not a star of 2 or 3 leaves")
-        x = next(v for v in label if rest.degree(v) > 1)
-        if c.get(x) != BLACK:
+        x = next(v for v in label if len(inner[v]) > 1)
+        if get(x) != BLACK:
             raise StructureViolation(f"star center {x} is not black")
         # only a center of two leaves can have a neighbor in a triangle: a claw
         # center's fourth neighbor makes it a degree-4 vertex outside every
         # triangle, raised above
-        if g.degree(x) != len(leaves):
+        if len(adj[x]) != len(leaves):
             raise StructureViolation(f"star center {x} has a neighbor in a triangle")
-        degs = [g.degree(a) for a in leaves]
+        degs = [len(adj[a]) for a in leaves]
         if max(degs) > 2 or degs.count(1) > 1:
             raise StructureViolation(f"star {label} lacks the shape of arms and at most one pendant tip")
-        if any(c.get(a) is not None for a in leaves):
+        if any(get(a) is not None for a in leaves):
             raise StructureViolation(f"star {label} has a colored leaf")
         # a pendant tip represents itself; an arm's other neighbor lies in a
         # triangle, as an outside one would share the component
-        reps = [a if d == 1 else next(w for w in g.neighbors(a) if w != x) for a, d in zip(leaves, degs)]
+        reps = [a if d == 1 else next(w for w in adj[a] if w != x) for a, d in zip(leaves, degs)]
         anchored = [tri_at[r][0] for r, d in zip(reps, degs) if d == 2]
         if len(set(anchored)) != len(anchored):
             raise StructureViolation(f"star {label} anchored twice in one triangle")
         tips.update(a for a, d in zip(leaves, degs) if d == 1)
         stars.append(Star(x, tuple(leaves), tuple(reps)))
     spokes = {w for _, p, q in deg4 for w in (p, q)}
-    core = frozenset(v for v in g.vertices if tri_at[v] and v not in spokes and c.get(v) != BLACK)
+    core = frozenset(v for v in g.vertices if tri_at[v] and v not in spokes and get(v) != BLACK)
     return IrreducibleDecomposition(
         stars=tuple(stars),
         degree4_triangles=tuple(deg4),
@@ -175,15 +177,16 @@ def solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:
     Raises ValueError if an element lies in more than two sets.  The
     elements two sets share are interchangeable, so only the least of them
     is kept.  Picking shared elements is then a matching question on the
-    intersection graph; sets with no private element must be saturated,
-    the rest can fall back on their least private element.
+    intersection graph, which goes to the matcher as ascending neighbour
+    lists on the set indices; sets with no private element must be
+    saturated, the rest can fall back on their least private element.
     """
     sets = inst.sets
     k = len(sets)
     if k == 0:
         return frozenset()
     owners: dict[int, list[int]] = {}
-    for i, a in enumerate(sets, start=1):
+    for i, a in enumerate(sets):
         for e in a:
             owners.setdefault(e, []).append(i)
     if any(len(own) > 2 for own in owners.values()):
@@ -193,13 +196,16 @@ def solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:
         if len(own) == 2:
             pair = (own[0], own[1])
             shared_of[pair] = min(e, shared_of.get(pair, e))
-    inter = Graph(range(1, k + 1), sorted(shared_of))
+    # pairs ascending, so each list ascends: its lower ends come first
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for i, j in sorted(shared_of):
+        adj[i].append(j)
+        adj[j].append(i)
     privates = [sorted(e for e in a if len(owners[e]) == 1) for a in sets]
-    required = [i for i, priv in enumerate(privates, start=1) if not priv]
-    m = solve_saturation(inter, required)
-    if m is None:
+    solver = _Matcher(adj)
+    if not solver.saturate([i for i, priv in enumerate(privates) if not priv]):
         return None
-    chosen = {shared_of[e] for e in m}
+    chosen = {shared_of[i, j] for i, j in enumerate(solver.match) if j > i}
     for a, priv in zip(sets, privates):
         if not a & chosen:
             if not priv:

@@ -11,7 +11,7 @@ from itertools import combinations
 
 from dimatch.coloring import verify_complete
 from dimatch.graph import complete, cycle, from_edges, path, star
-from dimatch.matching import max_matching, saturates, solve_saturation
+from dimatch.matching import max_matching, solve_saturation
 from dimatch.oracle import brute_dim, mixed_instance
 from dimatch.pipeline import solve
 from dimatch.rewrite import LiftError
@@ -26,6 +26,7 @@ from .util import (
     brute_saturation_exists,
     is_matching,
     membership_ok,
+    saturates,
 )
 
 RANDOM_COUNT = 10_000

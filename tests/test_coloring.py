@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from dimatch.coloring import (
 from dimatch.graph import complete, cycle, from_edges
 from dimatch.oracle import is_feasible_partial
 
-from .util import parser_text
+from .util import all_completions, parser_text, random_host, reference_verify_complete
 
 colorings = st.dictionaries(st.integers(-50, 50), st.sampled_from([BLACK, WHITE]), max_size=12).map(
     PartialColoring
@@ -46,6 +49,27 @@ def test_verify_requires_total_coloring():
     with pytest.raises(ValueError, match="not in the graph"):
         verify_complete(cycle(6), PartialColoring({**c6, 99: BLACK}))
 
+
+
+def test_verify_agrees_with_the_per_vertex_loop():
+    """On random hosts, every feasible complete coloring, each with one
+    vertex flipped, and random complete colorings: verify_complete answers
+    as the per-vertex reference loop does."""
+    rng = random.Random(30)
+    kinds = Counter()
+    for _ in range(300):
+        g = random_host(rng, rng.randint(1, 11), rng.uniform(0.1, 0.5))
+        cases = []
+        for full in all_completions(g, PartialColoring())[:6]:
+            cases.append(full)
+            v = rng.choice(g.vertices)
+            cases.append(PartialColoring({**full.state, v: WHITE if full[v] == BLACK else BLACK}))
+        cases += [PartialColoring({v: rng.choice((BLACK, WHITE)) for v in g.vertices}) for _ in range(4)]
+        for c in cases:
+            got = verify_complete(g, c)
+            assert got == reference_verify_complete(g, c), (g.edges(), c)
+            kinds[got] += 1
+    assert kinds[True] > 300 and kinds[False] > 1000, kinds
 
 def test_assign_white_next_to_white_refutes():
     g = from_edges(2, [(1, 2)])

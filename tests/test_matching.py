@@ -5,11 +5,19 @@ from collections import Counter
 
 import pytest
 
-from dimatch.graph import complete, cycle, from_edges, path
-from dimatch.matching import _Matcher, max_matching, saturates, solve_saturation
+from dimatch.graph import Graph, complete, cycle, from_edges, path
+from dimatch.matching import _Matcher, max_matching, solve_saturation
 from dimatch.oracle import mixed_instance
 
-from .util import all_graphs, brute_max_matching_size, brute_saturation_exists, is_matching
+from .util import (
+    ReferenceMatcher,
+    all_graphs,
+    brute_max_matching_size,
+    brute_saturation_exists,
+    is_matching,
+    reference_solve_saturation,
+    saturates,
+)
 
 
 def petersen():
@@ -173,3 +181,55 @@ def test_saturation_keeps_spare_equal_to_a_rebuild(monkeypatch):
             m, spare = state["last"]
             assert spare == rebuilt(m)
     assert seen["freed"] >= 80 and seen["none"] >= 40, seen
+
+
+def _odd_host(rng: random.Random, n: int) -> Graph:
+    """A random graph on 1..n with a few triangles and five-cycles laid in,
+    so that searches meet blossoms."""
+    edges = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.15}
+    for _ in range(rng.randint(1, 4)):
+        ring = rng.sample(range(1, n + 1), rng.choice((3, 5)))
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])}
+    return from_edges(n, edges)
+
+
+def reference_max_matching(g: Graph) -> set[tuple[int, int]]:
+    solver = ReferenceMatcher(g)
+    solver.maximize()
+    return solver.matching()
+
+
+def test_saturation_equals_the_reference_matcher_exactly():
+    """On random hosts with odd cycles and random required sets, the matcher
+    with arrays kept across searches returns the very matching, or the same
+    None, as the one that allocated them per search (`ReferenceMatcher`):
+    solve_hitting's choice of elements follows the matching, not only its
+    size.  Many cases trade a saturated non-required vertex for a required
+    one through the helper, and many are infeasible."""
+    rng = random.Random(30)
+    kinds = Counter()
+    for _ in range(600):
+        n = rng.randint(5, 40)
+        g = _odd_host(rng, n)
+        req = [v for v in g.vertices if rng.random() < rng.choice((0.3, 0.6, 0.9))]
+        got, want = solve_saturation(g, req), reference_solve_saturation(g, req)
+        assert got == want, (g.edges(), req)
+        assert max_matching(g) == reference_max_matching(g), g.edges()
+        if got is None:
+            kinds["none"] += 1
+        elif not saturates(reference_max_matching(g), req):
+            kinds["traded"] += 1
+    assert kinds["none"] > 100 and kinds["traded"] > 100, kinds
+
+
+def test_one_matcher_resets_between_searches():
+    """Searches from every exposed vertex in turn on one matcher, each after
+    failed and successful ones, leave the same matching as the reference."""
+    rng = random.Random(31)
+    for _ in range(200):
+        g = _odd_host(rng, rng.randint(5, 30))
+        new, old = _Matcher(g), ReferenceMatcher(g)
+        for v in rng.sample(list(g.vertices), g.n):
+            if new.match[new.index[v]] == -1:
+                assert new.augment_from(v) == old.augment_from(v)
+            assert new.match == old.match

@@ -754,10 +754,11 @@ def test_anchors_equal_a_fresh_ball_for_every_radius_log_and_graph():
     only while the graph and the log length stay; asked for radii 0-4 in
     any order, it returns the ball a fresh search gives, on random hosts
     and logs that name ids no longer in the graph, and None on a key's
-    first pass, without a radius and after at least g.n changes."""
+    first pass, without a radius, after at least g.n changes and exactly
+    when the fresh ball holds every vertex of g."""
     rng = random.Random(61)
     keys = ["a", "b", "c", "d"]
-    nones = {"first": 0, "no radius": 0, "too many": 0}
+    nones = {"first": 0, "no radius": 0, "too many": 0, "full ball": 0}
     balls = 0
     for trial in range(150):
         n = rng.randint(3, 24)
@@ -790,8 +791,13 @@ def test_anchors_equal_a_fresh_ball_for_every_radius_log_and_graph():
                         nones["too many"] += got is None
                         assert got is None
                     else:
-                        assert got == _fresh_ball(g, wl.log[since:], radius), (g.edges(), wl.log, since, radius)
-                        balls += 1
+                        ball = _fresh_ball(g, wl.log[since:], radius)
+                        if len(ball) == g.n:
+                            nones["full ball"] += got is None
+                            assert got is None, (g.edges(), wl.log, since, radius)
+                        else:
+                            assert got == ball, (g.edges(), wl.log, since, radius)
+                            balls += 1
     assert min(nones.values()) > 50 and balls > 2000, (nones, balls)
 
 

@@ -25,7 +25,16 @@ from dimatch.setmatch import (
     solve_hitting,
 )
 
-from .util import all_completions, brute_hitting, brute_maximal_cliques, membership_ok
+from .util import (
+    PLANTED_HOSTS,
+    all_completions,
+    brute_hitting,
+    brute_maximal_cliques,
+    membership_ok,
+    planted,
+    reference_decomposition,
+    reference_solve_hitting,
+)
 
 
 def fig_claw_bridge():
@@ -147,6 +156,33 @@ def test_a_structure_violation_is_a_fault_not_a_no(monkeypatch):
     with pytest.raises(StructureViolation, match="planted"):
         solve(fig_claw_bridge()[0])
 
+
+
+def test_decompose_reads_the_reference_decomposition_on_the_planted_corpus():
+    """On the irreducible pairs of the planted corpus (`PLANTED_HOSTS` in
+    random gadget context), decompose returns the stars, in order, the
+    degree-four triangles, the core and the candidates that a reading of
+    `g.subgraph(outside).components()` gives, and the family's hitting set
+    is the reference matcher's."""
+    pairs = stars = hubs = 0
+    for _, host, colors in PLANTED_HOSTS:
+        for seed in range(100):
+            h = planted(host, colors, seed)
+            if contains_s222(h) is not None:
+                continue
+            for comp in h.components():
+                rr = reduce_to_irreducible(h.subgraph(comp), PartialColoring())
+                if rr.is_refuted:
+                    continue
+                g, c = rr.graph, rr.coloring
+                d = decompose(g, c)
+                assert d == reference_decomposition(g, c), (h.edges(), sorted(comp))
+                family = build_family(g, c, d)
+                assert solve_hitting(family) == reference_solve_hitting(family)
+                pairs += 1
+                stars += len(d.stars)
+                hubs += len(d.degree4_triangles)
+    assert pairs > 2000 and stars > 100 and hubs > 0, (pairs, stars, hubs)
 
 # long-claw-free graphs with a DIM whose irreducible pair keeps a path a1-x-a3
 # outside the triangles: a black center of degree two, its arms anchored in
@@ -354,6 +390,33 @@ def test_hitting_matches_brute_force_randomized():
             for a in inst.sets:
                 assert len(a & got) == 1
 
+
+
+def test_hitting_chooses_what_the_reference_matcher_makes_it_choose():
+    """On random families of up to 40 sets, each element in at most two,
+    solve_hitting returns the very set, or the same None, as the copy that
+    built the intersection graph as a `Graph` and matched it with the
+    matcher that allocated its arrays per search."""
+    rng = random.Random(30)
+    kinds = Counter()
+    for _ in range(400):
+        elems = list(range(1, rng.randint(4, 30) + 1))
+        budget = dict.fromkeys(elems, 2)
+        sets = []
+        for _ in range(rng.randint(1, 40)):
+            avail = [e for e in elems if budget[e] > 0]
+            size = rng.choice((2, 3))
+            if len(avail) < size:
+                break
+            chosen = rng.sample(avail, size)
+            for e in chosen:
+                budget[e] -= 1
+            sets.append(frozenset(chosen))
+        inst = SetFamilyInstance(tuple(elems), tuple(sets))
+        got = solve_hitting(inst)
+        assert got == reference_solve_hitting(inst), inst
+        kinds["none" if got is None else "hit"] += 1
+    assert min(kinds.values()) > 50, kinds
 
 # -- hit set to coloring -------------------------------------------------------
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from hypothesis import strategies as st
 
@@ -15,7 +15,7 @@ from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Embedding, Pattern, contains_s222, pattern
 from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep
 from dimatch.rules import CATALOG, FORCED, propagate
-from dimatch.setmatch import SetFamilyInstance
+from dimatch.setmatch import IrreducibleDecomposition, SetFamilyInstance, Star
 
 # the forcing rules by id
 RULES_BY_ID = {r.id: r for r in CATALOG}
@@ -357,6 +357,256 @@ def brute_saturation_exists(g: Graph, required) -> bool:
     req = set(required)
     return any(req <= {x for e in m for x in e} for m in all_matchings(g))
 
+
+# -- matching references --------------------------------------------------
+
+
+def saturates(m: Iterable[tuple[int, int]], required: Iterable[int]) -> bool:
+    """Every required vertex is an end of a pair of m."""
+    covered = {x for e in m for x in e}
+    return set(required) <= covered
+
+
+def _reference_norm(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+class ReferenceMatcher:
+    """Reference for `dimatch.matching._Matcher`: the matcher as it was
+    before its search arrays were allocated once, copied verbatim (renamed)
+    so that a differential test can hold the new one to the same matching.
+    Each search allocates p, base and used afresh and a blossom relabels by
+    a sweep over every index."""
+
+    def __init__(self, g: Graph):
+        self.verts = list(g.vertices)
+        self.index = {v: i for i, v in enumerate(self.verts)}
+        self.adj = [[self.index[w] for w in sorted(g.neighbors(v))] for v in self.verts]
+        self.n = len(self.verts)
+        self.match = [-1] * self.n
+
+    def matching(self) -> set[tuple[int, int]]:
+        out: set[tuple[int, int]] = set()
+        for i, j in enumerate(self.match):
+            if j > i:
+                out.add(_reference_norm(self.verts[i], self.verts[j]))
+        return out
+
+    # classic blossom search; p[] holds the BFS tree, base[] the blossom
+    # representative of every vertex.  Index n is a virtual exposed helper
+    # vertex adjacent to every index in spare; it has no other edges.
+
+    def _find_path(self, root: int, spare: AbstractSet[int]) -> int:
+        n, adj, match = self.n, self.adj, self.match
+        self.p = p = [-1] * (n + 1)
+        base = list(range(n))
+        used = [False] * n
+        used[root] = True
+        q = deque([root])
+
+        def lca(a: int, b: int) -> int:
+            seen = [False] * n
+            x = a
+            while True:
+                x = base[x]
+                seen[x] = True
+                if match[x] == -1:
+                    break
+                x = p[match[x]]
+            y = b
+            while True:
+                y = base[y]
+                if seen[y]:
+                    return y
+                y = p[match[y]]
+
+        def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+            while base[v] != b:
+                blossom[base[v]] = True
+                blossom[base[match[v]]] = True
+                p[v] = child
+                child = match[v]
+                v = p[match[v]]
+
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    cur = lca(v, to)
+                    blossom = [False] * n
+                    mark_path(v, cur, to, blossom)
+                    mark_path(to, cur, v, blossom)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        return to
+                    used[match[to]] = True
+                    q.append(match[to])
+            # the helper follows v's real neighbours, as if its id were the
+            # largest; it is exposed, so reaching it ends the search
+            if v in spare:
+                p[n] = v
+                return n
+        return -1
+
+    def augment_from(self, v: int, spare: AbstractSet[int] = frozenset()) -> Optional[int]:
+        """Search an augmenting path rooted at exposed vertex v; flip it.
+
+        Every index in spare counts as adjacent to a virtual exposed helper
+        vertex.  A path that ends at the helper frees its spare vertex, so
+        the matching keeps its size and saturates v in that vertex's place.
+        Returns the far end of the flipped path, the exposed index it
+        saturated or the spare index it freed, or None if there is no path.
+        Every other index on the path was saturated and still is.
+        """
+        root = self.index[v]
+        if self.match[root] != -1:
+            raise ValueError(f"{v} is already saturated")
+        finish = end = self._find_path(root, spare)
+        if finish == -1:
+            return None
+        if finish == self.n:
+            end = freed = self.p[finish]
+            finish = self.match[freed]
+            self.match[freed] = -1
+        while finish != -1:
+            pv = self.p[finish]
+            ppv = self.match[pv]
+            self.match[finish] = pv
+            self.match[pv] = finish
+            finish = ppv
+        return end
+
+    def maximize(self) -> None:
+        for i in range(self.n):
+            if self.match[i] == -1:
+                self.augment_from(self.verts[i])
+
+
+def reference_solve_saturation(g: Graph, required: Iterable[int]) -> Optional[set[tuple[int, int]]]:
+    """Reference for `dimatch.matching.solve_saturation`, copied verbatim
+    (renamed) from before the matcher kept its arrays: find a matching
+    saturating every required vertex, or None.
+
+    Start from a maximum matching; while a required vertex is exposed,
+    look for an augmenting path from it that may end at a virtual helper
+    vertex adjacent to every saturated non-required vertex.  Success
+    trades a non-required saturated vertex for the required one; failure
+    anywhere is final.  The result is still a maximum matching.
+
+    The set of saturated non-required indices is built once and then kept
+    up to date from the far end of each flipped path, the only index on
+    it whose saturation changed besides the required root.
+    """
+    req = sorted(set(required))
+    if not set(req) <= set(g.vertices):
+        raise ValueError("required vertices outside graph")
+    solver = ReferenceMatcher(g)
+    solver.maximize()
+    match = solver.match
+    req_index = {solver.index[v] for v in req}
+    spare = {i for i, j in enumerate(match) if j != -1 and i not in req_index}
+    for v in req:
+        if match[solver.index[v]] != -1:
+            continue
+        end = solver.augment_from(v, spare)
+        if end is None:
+            return None
+        if match[end] == -1:
+            spare.discard(end)
+        elif end not in req_index:
+            # an exposed non-required end; after maximize() none is left
+            spare.add(end)
+    current = solver.matching()
+    if not saturates(current, req):
+        raise AssertionError("matching leaves a required vertex exposed")
+    return current
+
+
+def reference_solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:
+    """Reference for `dimatch.setmatch.solve_hitting`, copied verbatim
+    (renamed) from when it built the intersection graph as a `Graph` for
+    `reference_solve_saturation`: find C with |C ∩ A| = 1 for every A, or None.
+
+    Raises ValueError if an element lies in more than two sets.  The
+    elements two sets share are interchangeable, so only the least of them
+    is kept.  Picking shared elements is then a matching question on the
+    intersection graph; sets with no private element must be saturated,
+    the rest can fall back on their least private element.
+    """
+    sets = inst.sets
+    k = len(sets)
+    if k == 0:
+        return frozenset()
+    owners: dict[int, list[int]] = {}
+    for i, a in enumerate(sets, start=1):
+        for e in a:
+            owners.setdefault(e, []).append(i)
+    if any(len(own) > 2 for own in owners.values()):
+        raise ValueError("an element appears in more than two sets")
+    shared_of: dict[tuple[int, int], int] = {}
+    for e, own in owners.items():
+        if len(own) == 2:
+            pair = (own[0], own[1])
+            shared_of[pair] = min(e, shared_of.get(pair, e))
+    inter = Graph(range(1, k + 1), sorted(shared_of))
+    privates = [sorted(e for e in a if len(owners[e]) == 1) for a in sets]
+    required = [i for i, priv in enumerate(privates, start=1) if not priv]
+    m = reference_solve_saturation(inter, required)
+    if m is None:
+        return None
+    chosen = {shared_of[e] for e in m}
+    for a, priv in zip(sets, privates):
+        if not a & chosen:
+            if not priv:
+                raise AssertionError("unsaturated set has no private element")
+            chosen.add(priv[0])
+    for a in sets:
+        if len(a & chosen) != 1:
+            raise AssertionError(f"set {sorted(a)} hit {len(a & chosen)} times")
+    return frozenset(chosen)
+
+
+def reference_verify_complete(g: Graph, c: PartialColoring) -> bool:
+    """Reference for `dimatch.coloring.verify_complete` on a coloring of
+    exactly g's vertices: the per-vertex loop, one neighbor at a time."""
+    for v in g.vertices:
+        if c.get(v) == WHITE:
+            if any(c.get(w) == WHITE for w in g.neighbors(v)):
+                return False
+        else:
+            if sum(1 for w in g.neighbors(v) if c.get(w) == BLACK) != 1:
+                return False
+    return True
+
+
+def reference_decomposition(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
+    """Reference for what `dimatch.setmatch.decompose` returns on a pair it
+    accepts: the stars read off `g.subgraph(outside).components()`, the
+    outside being the vertices in no triangle, with degrees and colors read
+    by the method calls."""
+    tri_at = g.triangles_at()
+    rest = g.subgraph(v for v in g.vertices if not tri_at[v])
+    stars = []
+    for comp in rest.components():
+        label = sorted(comp)
+        leaves = tuple(v for v in label if rest.degree(v) == 1)
+        x = next(v for v in label if rest.degree(v) > 1)
+        reps = tuple(a if g.degree(a) == 1 else next(w for w in g.neighbors(a) if w != x) for a in leaves)
+        stars.append(Star(x, leaves, reps))
+    deg4 = tuple((v, *(w for w in tri_at[v][0] if w != v)) for v in g.vertices if tri_at[v] and g.degree(v) == 4)
+    spokes = {w for _, p, q in deg4 for w in (p, q)}
+    core = frozenset(v for v in g.vertices if tri_at[v] and v not in spokes and c.get(v) != BLACK)
+    tips = {a for s in stars for a in s.leaves if g.degree(a) == 1}
+    return IrreducibleDecomposition(tuple(stars), deg4, core, core | tips)
 
 def membership_ok(inst: SetFamilyInstance) -> bool:
     """Every set has 2-3 elements and no element lies in more than two."""
