@@ -130,38 +130,6 @@ class _Matcher:
             if self.match[i] == -1:
                 self.augment_from(self.verts[i])
 
-    def saturate(self, req: list[int]) -> bool:
-        """Saturate every vertex of req (ascending) if possible; False if not.
-
-        Start from a maximum matching; while a required vertex is exposed,
-        look for an augmenting path from it that may end at a virtual helper
-        vertex adjacent to every saturated non-required vertex.  Success
-        trades a non-required saturated vertex for the required one; failure
-        anywhere is final.  The result is still a maximum matching.
-
-        The set of saturated non-required indices is built once and then kept
-        up to date from the far end of each flipped path, the only index on
-        it whose saturation changed besides the required root.
-        """
-        self.maximize()
-        match = self.match
-        req_index = {self.index[v] for v in req}
-        spare = {i for i, j in enumerate(match) if j != -1 and i not in req_index}
-        for v in req:
-            if match[self.index[v]] != -1:
-                continue
-            end = self.augment_from(v, spare)
-            if end is None:
-                return False
-            if match[end] == -1:
-                spare.discard(end)
-            elif end not in req_index:
-                # an exposed non-required end; after maximize() none is left
-                spare.add(end)
-        if any(match[i] == -1 for i in req_index):
-            raise AssertionError("matching leaves a required vertex exposed")
-        return True
-
 
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching; handles odd cycles via blossoms."""
@@ -170,10 +138,42 @@ def max_matching(g: Graph) -> Matching:
     return solver.matching()
 
 
-def solve_saturation(g: Graph, required: Iterable[int]) -> Optional[Matching]:
-    """A maximum matching saturating the required vertices, or None; see `_Matcher.saturate`."""
-    req = sorted(set(required))
-    if not set(req) <= set(g.vertices):
-        raise ValueError("required vertices outside graph")
+def solve_saturation(g: Graph | list[list[int]], required: Iterable[int]) -> Optional[Matching]:
+    """Find a matching saturating every required vertex, or None.
+
+    g is a Graph, or the ascending neighbour lists of a graph on indices
+    0..k-1, each index its own vertex.
+
+    Start from a maximum matching; while a required vertex is exposed,
+    look for an augmenting path from it that may end at a virtual helper
+    vertex adjacent to every saturated non-required vertex.  Success
+    trades a non-required saturated vertex for the required one; failure
+    anywhere is final.  The result is still a maximum matching.
+
+    The set of saturated non-required indices is built once and then kept
+    up to date from the far end of each flipped path, the only index on
+    it whose saturation changed besides the required root.
+    """
     solver = _Matcher(g)
-    return solver.matching() if solver.saturate(req) else None
+    req = sorted(set(required))
+    index = solver.index
+    if not all(v in index for v in req):
+        raise ValueError("required vertices outside graph")
+    solver.maximize()
+    match = solver.match
+    req_index = {index[v] for v in req}
+    spare = {i for i, j in enumerate(match) if j != -1 and i not in req_index}
+    for v in req:
+        if match[index[v]] != -1:
+            continue
+        end = solver.augment_from(v, spare)
+        if end is None:
+            return None
+        if match[end] == -1:
+            spare.discard(end)
+        elif end not in req_index:
+            # an exposed non-required end; after maximize() none is left
+            spare.add(end)
+    if any(match[i] == -1 for i in req_index):
+        raise AssertionError("matching leaves a required vertex exposed")
+    return solver.matching()

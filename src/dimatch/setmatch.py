@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .coloring import BLACK, WHITE, PartialColoring
 from .graph import Graph
-from .matching import _Matcher, solve_saturation  # the latter not called here; bench/spans.py rebinds it
+from .matching import solve_saturation
 
 
 class StructureViolation(RuntimeError):
@@ -177,9 +177,9 @@ def solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:
     Raises ValueError if an element lies in more than two sets.  The
     elements two sets share are interchangeable, so only the least of them
     is kept.  Picking shared elements is then a matching question on the
-    intersection graph, which goes to the matcher as ascending neighbour
-    lists on the set indices; sets with no private element must be
-    saturated, the rest can fall back on their least private element.
+    intersection graph, which goes to `solve_saturation` as ascending
+    neighbour lists on the set indices; sets with no private element must
+    be saturated, the rest can fall back on their least private element.
     """
     sets = inst.sets
     k = len(sets)
@@ -202,10 +202,10 @@ def solve_hitting(inst: SetFamilyInstance) -> Optional[frozenset[int]]:
         adj[i].append(j)
         adj[j].append(i)
     privates = [sorted(e for e in a if len(owners[e]) == 1) for a in sets]
-    solver = _Matcher(adj)
-    if not solver.saturate([i for i, priv in enumerate(privates) if not priv]):
+    m = solve_saturation(adj, [i for i, priv in enumerate(privates) if not priv])
+    if m is None:
         return None
-    chosen = {shared_of[i, j] for i, j in enumerate(solver.match) if j > i}
+    chosen = {shared_of[e] for e in m}
     for a, priv in zip(sets, privates):
         if not a & chosen:
             if not priv:

@@ -18,7 +18,6 @@ PACKAGE = Path(dimatch.__file__).parent
 # rebinds the name in that module to time the layer behind it
 REBOUND = {
     ("pipeline.py", "assert_irreducible_structure"),
-    ("setmatch.py", "solve_saturation"),
 }
 
 

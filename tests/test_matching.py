@@ -89,6 +89,8 @@ def test_saturation_c5_any_four():
 def test_saturation_requires_known_vertices():
     with pytest.raises(ValueError):
         solve_saturation(path(2), {9})
+    with pytest.raises(ValueError):
+        solve_saturation([[1], [0]], [2])  # neighbour lists on indices 0 and 1
 
 
 def test_saturation_exhaustive_tiny_all_subsets():
@@ -205,7 +207,9 @@ def test_saturation_equals_the_reference_matcher_exactly():
     None, as the one that allocated them per search (`ReferenceMatcher`):
     solve_hitting's choice of elements follows the matching, not only its
     size.  Many cases trade a saturated non-required vertex for a required
-    one through the helper, and many are infeasible."""
+    one through the helper, and many are infeasible.  The same graph given
+    as ascending neighbour lists on indices, as solve_hitting passes it, is
+    matched alike."""
     rng = random.Random(30)
     kinds = Counter()
     for _ in range(600):
@@ -214,6 +218,10 @@ def test_saturation_equals_the_reference_matcher_exactly():
         req = [v for v in g.vertices if rng.random() < rng.choice((0.3, 0.6, 0.9))]
         got, want = solve_saturation(g, req), reference_solve_saturation(g, req)
         assert got == want, (g.edges(), req)
+        at = {v: i for i, v in enumerate(sorted(g.vertices))}
+        lists = [sorted(at[w] for w in g.neighbors(v)) for v in sorted(g.vertices)]
+        on_lists = solve_saturation(lists, [at[v] for v in req])
+        assert on_lists == (None if got is None else {(at[u], at[w]) for u, w in got}), (g.edges(), req)
         assert max_matching(g) == reference_max_matching(g), g.edges()
         if got is None:
             kinds["none"] += 1

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import dimatch.pipeline
+import dimatch.setmatch
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, complete, from_edges, star
+from dimatch.matching import solve_saturation
 from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
 from dimatch.patterns import contains_s222
 from dimatch.pipeline import solve
@@ -417,6 +419,23 @@ def test_hitting_chooses_what_the_reference_matcher_makes_it_choose():
         assert got == reference_solve_hitting(inst), inst
         kinds["none" if got is None else "hit"] += 1
     assert min(kinds.values()) > 50, kinds
+
+
+def test_hitting_matches_through_solve_saturation(monkeypatch):
+    """solve_hitting reaches the matcher through the name
+    `dimatch.setmatch.solve_saturation`, which bench/spans.py rebinds to
+    time the matching layer, and asks it to saturate exactly the sets
+    without a private element."""
+    calls = []
+
+    def spy(adj, required):
+        calls.append((adj, list(required)))
+        return solve_saturation(adj, required)
+
+    monkeypatch.setattr(dimatch.setmatch, "solve_saturation", spy)
+    inst = SetFamilyInstance((1, 2, 3, 4), (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})))
+    assert solve_hitting(inst) == frozenset({2, 4})
+    assert calls == [([[1], [0, 2], [1]], [1])]
 
 # -- hit set to coloring -------------------------------------------------------
 
