@@ -101,11 +101,10 @@ def _nonnegative(args: argparse.Namespace, *names: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    from .oracle import MIXED_MODELS, GeneratorError, GeneratorSpec, generate
+    from .oracle import MODELS, GeneratorError, GeneratorSpec, generate
 
-    models = (*MIXED_MODELS, "known")
-    if args.model not in models:
-        raise UsageError(f"--model must be one of {', '.join(models)}, not {args.model!r}")
+    if args.model not in MODELS:
+        raise UsageError(f"--model must be one of {', '.join(MODELS)}, not {args.model!r}")
     _nonnegative(args, "n")
     spec = GeneratorSpec(model=args.model, n=args.n, seed=args.seed, family=args.family)
     try:

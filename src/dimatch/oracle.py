@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .coloring import BLACK, WHITE, PartialColoring
@@ -108,7 +109,7 @@ RETRY_BUDGET = 400
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    model: str  # uniform | triangle_chain | claw_gadget | path_of_triangles | sparse_tree | known
+    model: str  # one of MODELS
     n: int
     seed: int
     family: str = "cycle"  # for model == "known"
@@ -195,6 +196,29 @@ def _sparse_tree(n: int, rng: random.Random) -> Graph:
     return from_edges(n, edges)
 
 
+def _planted_line(n: int, rng: random.Random) -> Graph:
+    """The line graph of a host H that plants a dominating induced matching
+    (Cardoso, Korpelainen & Lozin 2011): H is k vertex-disjoint two-edge
+    paths a-b-c, k = 2n/7 rounded and at least 1, whose edges are the black
+    vertices, plus white edges pairing the path vertices in a random order,
+    at most one per vertex, each between two paths.  A black edge meets
+    exactly one black edge, its path's other one, and a white edge only
+    black ones, so the graph is YES, with about 3.5k vertices, labelled in
+    a random order.  A line graph is claw-free, so it has no long claw."""
+    k = max(1, round(2 * n / 7))
+    edges = [(a, a + 1) for a in range(3 * k) if a % 3 != 2]
+    ends = list(range(3 * k))
+    rng.shuffle(ends)
+    edges += [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a // 3 != b // 3]
+    labels = list(range(1, len(edges) + 1))
+    rng.shuffle(labels)
+    at: list[list[int]] = [[] for _ in range(3 * k)]
+    for label, (a, b) in zip(labels, edges):
+        at[a].append(label)
+        at[b].append(label)
+    return from_edges(len(edges), [pair for meeting in at for pair in combinations(meeting, 2)])
+
+
 _RANDOM_MODELS = {
     "uniform": _uniform,
     "triangle_chain": _triangle_chain,
@@ -215,6 +239,8 @@ def generate(spec: GeneratorSpec) -> Graph:
         raise GeneratorError(
             f"rejection budget {RETRY_BUDGET} exhausted (model={spec.model}, n={spec.n})"
         )
+    if spec.model == "planted_line":
+        return _planted_line(spec.n, rng)
     if spec.model == "known":
         builders = {
             "cycle": cycle,
@@ -229,7 +255,10 @@ def generate(spec: GeneratorSpec) -> Graph:
     raise ValueError(f"unknown generator model {spec.model!r}")
 
 
+# the models mixed_instance draws from; the bench's instances are drawn
+# from them too, so a model added here would change those instances
 MIXED_MODELS = tuple(_RANDOM_MODELS)
+MODELS = (*MIXED_MODELS, "planted_line", "known")
 
 
 def mixed_instance(n: int, seed: int) -> Graph:

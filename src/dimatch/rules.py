@@ -58,6 +58,10 @@ class Rule(NamedTuple):
 
 Entry = TypeVar("Entry")
 
+# the most censuses a dispatch plan keeps, so that a long-lived process
+# stays bounded; a miss past it drops them all, which moves no output
+PLAN_CAP = 2048
+
 
 class DispatchPlan(Generic[Entry]):
     """The entries of a driver's table that can fire on a host, by degree
@@ -84,6 +88,8 @@ class DispatchPlan(Generic[Entry]):
         census = g.degree_census()
         entries = self.by_census.get(census)
         if entries is None:
+            if len(self.by_census) >= PLAN_CAP:
+                self.by_census.clear()
             shape = self.shape
             entries = self.by_census[census] = tuple(e for e in table if (p := shape(e)) is None or p.fits(g))
         return entries
@@ -109,7 +115,8 @@ class Worklist:
     (one that removes a whole component).  The balls are kept for one
     version and log length too.  A rule that the dispatch plan leaves out
     makes no pass and leaves no record: its last pass that found nothing
-    still bounds what changed.
+    still bounds what changed.  Nor does a rule that `propagate` skips at
+    a settled coloring.
 
     A forced rule's pass that applied every group it yielded (see
     `propagate`) gets as its quiet mark the log length before the pass,
@@ -704,6 +711,11 @@ def propagate(
     fit g's degree census has no firing on g under any coloring, so it is
     not called, asks wl for no anchors and leaves no record.  Every change
     is logged, so its last recorded scan still bounds what changed since.
+
+    Propagation ends once the basic fixpoint colors all of g.  `assign`
+    and the sweep make that settled coloring a dominating induced matching,
+    where every forced demand holds on a long-claw-free graph, and every
+    exchange guard needs an uncolored vertex, so no rule could fire.
     """
     wl = Worklist() if wl is None else wl
     get = c.state.get
@@ -714,6 +726,8 @@ def propagate(
         conflict = _basic_fixpoint(g, c, wl)
         if conflict is not None:
             return conflict
+        if len(c.state) == g.n and all(v in c.state for v in g.vertices):
+            return None
         for rule in plan:
             anchors = wl.anchors(g, rule.id, rule.radius)
             since = None

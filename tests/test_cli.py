@@ -89,6 +89,12 @@ def test_gen_then_solve(tmp_path, capsys):
     assert code in (0, 1)
 
 
+def test_gen_planted_line_then_solve_says_yes(tmp_path, capsys):
+    gpath = str(tmp_path / "line.g")
+    assert main(["gen", "--model", "planted_line", "--n", "40", "--seed", "2", "--out", gpath]) == 0
+    assert main(["solve", gpath]) == 0
+
+
 def test_oracle_command(tmp_path, capsys):
     gpath = write(tmp_path, "c6.g", save_graph(cycle(6)))
     assert main(["oracle", gpath]) == 0
@@ -147,7 +153,7 @@ def test_gen_rejects_an_unknown_model_naming_the_valid_ones(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: --model must be one of uniform, triangle_chain, claw_gadget, "
-        "path_of_triangles, sparse_tree, known, not 'lattice'\n"
+        "path_of_triangles, sparse_tree, planted_line, known, not 'lattice'\n"
     )
 
 

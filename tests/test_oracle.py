@@ -15,6 +15,7 @@ from dimatch.oracle import (
     mixed_instance,
 )
 from dimatch.patterns import contains_s222
+from dimatch.pipeline import solve
 
 
 def test_c4_has_no_dim():
@@ -76,6 +77,38 @@ def test_generators_are_long_claw_free_and_deterministic():
             b = generate(GeneratorSpec(model=model, n=n, seed=42))
             assert a == b
             assert contains_s222(a) is None
+
+
+def test_small_planted_line_graphs_are_yes():
+    """Every planted line graph of up to 20 vertices, several seeds per n,
+    is claw-free and YES under both the oracle and the solver."""
+    checked = 0
+    for n in range(26):
+        for seed in range(12):
+            g = generate(GeneratorSpec(model="planted_line", n=n, seed=seed))
+            if g.n > 20:
+                continue
+            assert generate(GeneratorSpec(model="planted_line", n=n, seed=seed)) == g
+            assert contains_s222(g) is None and brute_dim(g) is not None, g.edges()
+            rep = solve(g)
+            assert rep.is_yes and verify_complete(g, rep.certificate), g.edges()
+            checked += 1
+    assert checked > 150, checked
+
+
+def test_planted_line_graphs_of_250_paths_solve_yes():
+    """k = 250 paths give about 870 vertices.  Each of eight seeds solves
+    YES with a certificate that verifies; on most of them, seed 1 among
+    them, propagation colors every vertex, so nothing is left irreducible,
+    while the others leave a few dozen vertices to the matcher."""
+    orders = []
+    for seed in range(8):
+        g = generate(GeneratorSpec(model="planted_line", n=875, seed=seed))
+        assert 500 < g.n <= 875 and g.m > g.n
+        rep = solve(g)
+        assert rep.is_yes and verify_complete(g, rep.certificate), seed
+        orders.append(rep.irreducible_order)
+    assert orders[1] == 0 and orders.count(0) >= 5, orders
 
 
 def test_known_families():

@@ -432,6 +432,40 @@ def test_the_dispatch_plans_equal_the_census_gates(monkeypatch):
     assert checked["rules"] > 80 and checked["rewrite"] > 60, checked
 
 
+def test_the_dispatch_plans_stay_bounded_and_keep_outputs(monkeypatch):
+    """Over three thousand solves of mixed instances with n = 7 to 16, each
+    plan keeps at most PLAN_CAP censuses, lowered to 16 here so that both
+    drop theirs many times, and every output equals the one a solve from
+    fresh plans gives."""
+    plans = (dimatch.rules._PLAN, dimatch.rewrite._PLAN)
+
+    def outputs(g):
+        rep = solve(g)
+        trace = format_trace(rep.trace)
+        return rep.decision, rep.witness, trace, rep.certificate, rep.rewrite_steps, rep.irreducible_order
+
+    graphs = []
+    for seed in range(3000):
+        try:
+            graphs.append(mixed_instance(7 + seed % 10, seed))
+        except GeneratorError:
+            continue
+    fresh = []
+    for g in graphs:
+        for plan in plans:
+            plan.by_census.clear()
+        fresh.append(outputs(g))
+    monkeypatch.setattr(dimatch.rules, "PLAN_CAP", 16)
+    dropped = Counter()
+    for g, want in zip(graphs, fresh):
+        kept = [len(plan.by_census) for plan in plans]
+        assert outputs(g) == want, g.edges()
+        for i, plan in enumerate(plans):
+            assert len(plan.by_census) <= 16
+            dropped[i] += len(plan.by_census) < kept[i]
+    assert len(graphs) > 2900 and min(dropped[0], dropped[1]) > 5, (len(graphs), dropped)
+
+
 def test_the_rewrite_plan_follows_a_rebound_table(monkeypatch):
     """try_rewrite tries the rewrites of whichever table REWRITE_RULES is
     bound to, on hosts of one degree census, each time two bindings

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Iterator
 
 import pytest
 
 import dimatch.rewrite
 import dimatch.rules
-from dimatch.coloring import BLACK, WHITE, PartialColoring, assign
+from dimatch.coloring import BLACK, WHITE, PartialColoring, assign, verify_complete
 from dimatch.graph import Graph, complete, cycle, from_edges, path, star
-from dimatch.oracle import GeneratorError, brute_dim, is_feasible_partial, mixed_instance
-from dimatch.patterns import Orbits, Pattern, pattern
+from dimatch.oracle import GeneratorError, GeneratorSpec, brute_dim, generate, is_feasible_partial, mixed_instance
+from dimatch.patterns import Orbits, Pattern, contains_s222, pattern
 from dimatch.rewrite import clean
 from dimatch.rules import (
     CATALOG,
@@ -253,7 +254,7 @@ def test_every_rule_scans_where_each_neighbor_of_a_white_vertex_is_black(monkeyp
 
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(checking(r) for r in CATALOG))
     rng = random.Random(12)
-    for _ in range(400):
+    for _ in range(1200):
         g = random_host(rng, rng.randint(2, 14), rng.uniform(0.1, 0.5))
         density = rng.choice((0.0, 0.1, 0.3))
         c = PartialColoring({v: BLACK if rng.random() < 0.6 else WHITE for v in g.vertices if rng.random() < density})
@@ -479,7 +480,10 @@ def test_the_forced_fixpoint_does_not_depend_on_rule_order(monkeypatch):
     order reaches the same coloring or a conflict.  On mixed instances with
     n <= 16 and the planted corpus, the catalog order, its reverse and
     random shuffles agree on whether propagation refutes, and on the
-    coloring when it does not."""
+    coloring when it does not.  Only long-claw-free hosts are taken, the
+    domain where every forced rule is sound and the only one `solve`
+    propagates on: on a host with a long claw, an order that completes a
+    valid coloring first ends propagation before an unsound rule refutes."""
     forced = [r for r in CATALOG if r.tag == FORCED]
     hosts = []
     for seed in range(120):
@@ -487,10 +491,12 @@ def test_the_forced_fixpoint_does_not_depend_on_rule_order(monkeypatch):
             hosts.append((mixed_instance(7 + seed % 10, seed), {}))
         except GeneratorError:
             continue
-    hosts += [(planted(g, colors, seed), {}) for _, g, colors in PLANTED_HOSTS for seed in range(3)]
+    hosts += [(planted(g, colors, seed), {}) for _, g, colors in PLANTED_HOSTS for seed in range(6)]
     hosts += [(g, colors) for _, g, colors in PLANTED_HOSTS]
     rng, outcomes = random.Random(26), Counter()
     for g, colors in hosts:
+        if contains_s222(g) is not None:
+            continue
         orders = [forced, forced[::-1], *(rng.sample(forced, len(forced)) for _ in range(3))]
         seen = set()
         for order in orders:
@@ -501,6 +507,78 @@ def test_the_forced_fixpoint_does_not_depend_on_rule_order(monkeypatch):
         assert len(seen) == 1, (g.edges(), colors, seen)
         outcomes[seen.pop()[0]] += 1
     assert outcomes[True] >= 40 and outcomes[False] >= 200, outcomes
+
+
+def _settling_hosts() -> Iterator[tuple[str, Graph, dict[int, str]]]:
+    """(corpus, host, initial coloring): mixed instances with n <= 16, the
+    planted corpus, seeded small random hosts under random partial
+    colorings, and small planted line graphs.  Some contain a long claw."""
+    for seed in range(200):
+        try:
+            yield "mixed", mixed_instance(7 + seed % 10, seed), {}
+        except GeneratorError:
+            continue
+    for _, g, colors in PLANTED_HOSTS:
+        yield "planted", g, colors
+        for seed in range(6):
+            yield "planted", planted(g, colors, seed), {}
+    rng = random.Random(31)
+    for _ in range(600):
+        g = random_host(rng, rng.randint(2, 12), rng.uniform(0.1, 0.6))
+        density = rng.choice((0.0, 0.1, 0.3))
+        yield "random", g, {v: BLACK if rng.random() < 0.6 else WHITE for v in g.vertices if rng.random() < density}
+    for n in range(2, 40, 2):
+        yield "line", generate(GeneratorSpec(model="planted_line", n=n, seed=n)), {}
+
+
+def test_a_settled_coloring_is_a_dominating_induced_matching_where_no_rule_fires():
+    """Propagation ends once the basic fixpoint colors every vertex, and
+    that is exact: on every long-claw-free host of `_settling_hosts` where
+    propagation ends with every vertex colored, the coloring verifies, and
+    no catalog rule's whole scan yields a group with an unmet demand."""
+    settled = Counter()
+    for corpus, g, colors in _settling_hosts():
+        c = PartialColoring(colors)
+        if contains_s222(g) is not None or not is_feasible_partial(g, c):
+            continue
+        if propagate(g, c) is not None or len(c.state) < g.n:
+            continue
+        assert verify_complete(g, c), (corpus, g.edges(), colors)
+        for rule in CATALOG:
+            for group in rule.fn(g, c):
+                assert all(c.get(v) == col for v, col in group), (rule.id, corpus, g.edges(), colors, group)
+        settled[corpus] += 1
+    assert sum(settled.values()) >= 200 and len(settled) == 4, settled
+
+
+def test_propagation_that_settles_scans_no_catalog_rule(monkeypatch):
+    """No catalog rule is called on a coloring that colors every vertex: a
+    path of four with one end white is settled by the basic sweep alone and
+    calls none, and on the hosts of `_settling_hosts` every call sees an
+    uncolored vertex, though many calls come before a settled end."""
+    calls = []
+
+    def spied(rule):
+        def fn(g, c, *anchors):
+            calls.append(all(v in c for v in g.vertices))
+            return rule.fn(g, c, *anchors)
+
+        return rule._replace(fn=fn)
+
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(spied(r) for r in CATALOG))
+    c = PartialColoring({1: WHITE})
+    assert propagate(path(4), c) is None and c.state == {1: WHITE, 2: BLACK, 3: BLACK, 4: WHITE}
+    assert calls == []
+    before_settled = 0
+    for _, g, colors in _settling_hosts():
+        c = PartialColoring(colors)
+        if not is_feasible_partial(g, c):
+            continue
+        calls.clear()
+        if propagate(g, c) is None and len(c.state) == g.n:
+            before_settled += len(calls)
+        assert not any(calls), (g.edges(), colors)
+    assert before_settled > 1000, before_settled
 
 
 def test_every_rule_yields_only_groups_with_an_unmet_demand():
