@@ -56,7 +56,8 @@ class Pattern:
     every other role pair must be a non-edge.  `degree` bounds a role's
     host degree by (lo, hi), hi None for no upper bound; a `closure` role
     keeps all its host neighbors inside the image; `color` demands
-    MUST_BLACK or MUST_UNCOLORED of a role's vertex.
+    MUST_BLACK or MUST_UNCOLORED of a role's vertex, and `black_roles`
+    counts the MUST_BLACK roles.
 
     Roles are placed in `order`: the most constrained first, then along
     required edges.  The first search compiles a function with one nested
@@ -66,7 +67,7 @@ class Pattern:
     """
 
     __slots__ = ("roles", "required", "optional", "degree", "closure", "color", "name",
-                 "order", "_depth", "radius", "_search", "_auts", "_least")
+                 "black_roles", "order", "_depth", "radius", "_search", "_auts", "_least")
 
     def __init__(
         self,
@@ -102,6 +103,9 @@ class Pattern:
             if not (isinstance(bounds, tuple) and len(bounds) == 2 and _count(bounds[0])
                     and (bounds[1] is None or _count(bounds[1]) and bounds[1] >= bounds[0])):
                 raise ValueError(f"{self.name}: degree of {r} is {bounds!r}, not (lo, hi) with ints 0 <= lo <= hi or hi None")
+        # distinct roles take distinct vertices, so every embedding under a
+        # coloring holds at least this many black vertices
+        self.black_roles = sum(want == MUST_BLACK for want in self.color.values())
         self.order = self._role_order()
         self._depth = self._depths(self.order[0])
         self.radius = self._radius()

@@ -42,17 +42,24 @@ Anchors = Optional[Sequence[int]]
 class Rule(NamedTuple):
     """A forcing rule.  `propagate` runs only the rules whose `shape` fits
     the host's degree census (see `DispatchPlan`); a rule the census rules
-    out costs no anchors and no call, and leaves no record."""
+    out costs no anchors and no call, and leaves no record.  A rule is not
+    called either while the coloring has fewer black vertices than its
+    shape has MUST_BLACK roles; it is then recorded as a whole pass that
+    found nothing (see `propagate`)."""
 
     id: str
     tag: str
     fn: RuleFn
     # None: every scan is whole, called as fn(g, c).  That form and the
     # default shape are kept only because bench/spans.py rebuilds each
-    # rule as Rule(id, tag, fn), losing radius and shape.
+    # rule as Rule(id, tag, fn), losing radius and shape; so a traced run
+    # scans every rule whole, meets neither the census nor the black-count
+    # gate, and its per-rule figures do not show what those skip.
     radius: Optional[int] = None
-    # a pattern every firing contains, under any coloring; a host it does
-    # not fit has no firing anywhere
+    # a pattern every firing contains, under any coloring, with a black
+    # vertex on each of its MUST_BLACK roles (`Pattern.black_roles`); a
+    # host it does not fit has no firing anywhere, and a coloring with
+    # fewer black vertices than those roles none either
     shape: Optional[Pattern] = None
 
 
@@ -116,7 +123,10 @@ class Worklist:
     version and log length too.  A rule that the dispatch plan leaves out
     makes no pass and leaves no record: its last pass that found nothing
     still bounds what changed.  Nor does a rule that `propagate` skips at
-    a settled coloring.
+    a settled coloring.  A rule that `propagate` skips because the
+    coloring has fewer black vertices than its shape's MUST_BLACK roles
+    leaves a whole record: a whole pass at that moment would have found
+    nothing, and that is what the record says.
 
     A forced rule's pass that applied every group it yielded (see
     `propagate`) gets as its quiet mark the log length before the pass,
@@ -712,6 +722,17 @@ def propagate(
     not called, asks wl for no anchors and leaves no record.  Every change
     is logged, so its last recorded scan still bounds what changed since.
 
+    Nor is a rule called, or wl asked for its anchors, while c holds fewer
+    black vertices than its shape has MUST_BLACK roles; it is recorded as
+    a whole pass that found nothing, the record such a pass would leave
+    here, so anchored rescans and `is_clean_pair` read what they would
+    read after that pass.  The skip is exact: a scan colors nothing before
+    its first group, and every firing puts a black vertex on each of those
+    roles, a different one per role (a declared rule's search tests each
+    role's color).  A rule written as code has no MUST_BLACK role in its
+    shape, so it is never skipped.  Vertices colored outside g only raise
+    the count, so they only make the skip rarer.
+
     Propagation ends once the basic fixpoint colors all of g.  `assign`
     and the sweep make that settled coloring a dominating induced matching,
     where every forced demand holds on a long-claw-free graph, and every
@@ -728,7 +749,17 @@ def propagate(
             return conflict
         if len(c.state) == g.n and all(v in c.state for v in g.vertices):
             return None
+        # black vertices of c, counted when a rule first needs them; only
+        # the last scan of a pass colors, so the count holds for the pass
+        blacks = -1
         for rule in plan:
+            need = 0 if rule.shape is None else rule.shape.black_roles
+            if need:
+                if blacks < 0:
+                    blacks = list(c.state.values()).count(BLACK)
+                if need > blacks:
+                    wl.found_nothing(rule.id, g)
+                    continue
             anchors = wl.anchors(g, rule.id, rule.radius)
             since = None
             for group in rule.fn(g, c) if anchors is None else rule.fn(g, c, anchors):

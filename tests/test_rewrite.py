@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -301,33 +301,44 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
     assert all(k <= 1 for k in per_n[0].values()) and per_n[0]["degree census"] == 1, per_n[0]
 
 
-# the keys that ask the worklist for anchors while cycle(n) is reduced
-CYCLE_KEYS = {
-    "_basic", "square_alternation", "black_pair_neighbors",
-    "chain_step", "square_degree_two", "seven_cycle_step", "contract_path",
-}
+# the keys that ask the worklist for anchors while cycle(n) is reduced: the
+# cycle stays uncolored, so the rules with a black role ask for none
+CYCLE_KEYS = {"_basic", "square_degree_two", "contract_path"}
 
 
 def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
     """Along the reduction of cycle(240) and of 5 mixed instances, no
     catalog rule whose shape and no rewrite whose pattern does not fit the
-    current graph asks for anchors or is called.  On the cycle only the
-    rules a cycle fits ask for anchors."""
+    current graph asks for anchors or is called, and no catalog rule asks
+    for anchors or is called while the coloring holds fewer black vertices
+    than its shape has MUST_BLACK roles.  On the cycle only the rules a
+    cycle fits and that need no black vertex ask for anchors."""
     shapes = {r.id: r.shape for r in dimatch.rules.CATALOG}
+    catalog = set(shapes)
     shapes.update((r.id, r.pattern) for r in REWRITE_RULES)
-    asked, misfits = Counter(), []
+    asked, misfits, blackless = Counter(), [], []
+    # the coloring the running propagation reads
+    coloring: list[PartialColoring] = []
 
-    def check(key: str, g: Graph) -> None:
+    def check(key: str, g: Graph, c: Optional[PartialColoring] = None) -> None:
         shape = shapes.get(key)
         if shape is not None and not shape.fits(g):
             misfits.append((key, g.n))
+        if c is not None and shape is not None and shape.black_roles > len(c.blacks()):
+            blackless.append((key, g.n, len(c.blacks())))
 
     anchors = Worklist.anchors
 
     def counted_anchors(self, g, key, radius):
         asked[key] += 1
-        check(key, g)
+        check(key, g, coloring[0] if key in catalog else None)
         return anchors(self, g, key, radius)
+
+    basic = dimatch.rules._basic_fixpoint
+
+    def watched_basic(g, c, wl):
+        coloring[:] = [c]
+        return basic(g, c, wl)
 
     find = RewriteRule.find
 
@@ -337,12 +348,13 @@ def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
 
     def counted(rule):
         def fn(g, c, *anchors):
-            check(rule.id, g)
+            check(rule.id, g, c)
             return rule.fn(g, c, *anchors)
 
         return rule._replace(fn=fn)
 
     monkeypatch.setattr(Worklist, "anchors", counted_anchors)
+    monkeypatch.setattr(dimatch.rules, "_basic_fixpoint", watched_basic)
     monkeypatch.setattr(RewriteRule, "find", counted_find)
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in dimatch.rules.CATALOG))
     reductions = _census_walk()
@@ -351,7 +363,10 @@ def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
     for _ in reductions:
         pass
     assert misfits == [], misfits[:5]
+    assert blackless == [], blackless[:5]
     assert set(asked) - CYCLE_KEYS, asked
+    # the mixed instances reach colorings where rules with a black role ask
+    assert {key for key in catalog if shapes[key] is not None and shapes[key].black_roles} & set(asked), asked
 
 
 def _census_walk() -> Iterator[ReduceResult]:

@@ -735,10 +735,12 @@ def test_rules_the_census_rules_out_leave_no_record(monkeypatch):
 def test_the_dispatch_plan_follows_a_rebound_catalog(monkeypatch):
     """Rebinding CATALOG to copies built as Rule(id, tag, fn), as a tracer
     does, makes propagate call every copy; binding the shaped rules back
-    calls only those the census lets through, and this holds each time
-    the two bindings alternate.  Once the catalog is restored, no copy is
-    called."""
-    g = cycle(7)
+    calls only those the census lets through and the coloring has enough
+    black vertices for, and this holds each time the two bindings
+    alternate.  On the uncolored cycle(7) the rules with a black role are
+    not called, on cycle(6) with two blacks that no rule moves they are.
+    Once the catalog is restored, no copy is called."""
+    hosts = ((cycle(7), {}), (cycle(6), {1: BLACK, 4: BLACK}))
     calls = []
 
     def counted(rule, tag):
@@ -748,21 +750,102 @@ def test_the_dispatch_plan_follows_a_rebound_catalog(monkeypatch):
 
         return fn
 
+    def gated(g, colors):
+        blacks = list(colors.values()).count(BLACK)
+        return [("shaped", r.id) for r in CATALOG
+                if r.shape is None or r.shape.fits(g) and r.shape.black_roles <= blacks]
+
     shaped = tuple(r._replace(fn=counted(r, "shaped")) for r in CATALOG)
     bare = tuple(Rule(r.id, r.tag, counted(r, "bare")) for r in CATALOG)
-    fitting = [("shaped", r.id) for r in CATALOG if r.shape is None or r.shape.fits(g)]
-    assert 0 < len(fitting) < len(CATALOG)
+    wanted = [gated(g, colors) for g, colors in hosts]
+    assert 0 < len(wanted[0]) < len(wanted[1]) < len(CATALOG)
+    assert {rid for _, rid in wanted[1]} - {rid for _, rid in wanted[0]} == {
+        "square_alternation", "black_pair_neighbors", "chain_step"}
     for _ in range(2):
-        for table, want in ((shaped, fitting), (bare, [("bare", r.id) for r in CATALOG])):
+        for table, tag in ((shaped, "shaped"), (bare, "bare")):
             monkeypatch.setattr(dimatch.rules, "CATALOG", table)
-            calls.clear()
-            c = PartialColoring()
-            assert propagate(g, c) is None and not c.state
-            assert calls == want
+            for (g, colors), want in zip(hosts, wanted):
+                calls.clear()
+                c = PartialColoring(colors)
+                assert propagate(g, c) is None and c.state == colors
+                assert calls == (want if tag == "shaped" else [("bare", r.id) for r in CATALOG])
     monkeypatch.undo()
     calls.clear()
-    assert propagate(g, PartialColoring()) is None
+    assert propagate(cycle(7), PartialColoring()) is None
     assert calls == []
+
+
+BLACK_RULES = [r for r in CATALOG if r.shape is not None and r.shape.black_roles]
+
+
+def test_a_rule_yields_nothing_under_fewer_blacks_than_its_black_roles():
+    """The black-count gate of `propagate` is exact: on seeded mixed
+    instances and the planted corpus, long-claw-free, a catalog rule
+    yields no group, whole or from random anchors, under random colorings
+    that hold fewer black vertices than its shape has MUST_BLACK roles.
+    Only six declared rules carry such roles."""
+    assert {r.id for r in BLACK_RULES} == {
+        "square_alternation", "black_pair_neighbors", "chain_step",
+        "triangle_circuit", "seven_cycle_step", "braced_pendant"}
+    hosts = []
+    for seed in range(60):
+        try:
+            hosts.append(mixed_instance(7 + seed % 14, seed))
+        except GeneratorError:
+            continue
+    hosts += [planted(g, colors, seed) for _, g, colors in PLANTED_HOSTS for seed in range(3)]
+    hosts += [g for _, g, _ in PLANTED_HOSTS]
+    rng, cases = random.Random(32), Counter()
+    for g in hosts:
+        if contains_s222(g) is not None:
+            continue
+        for rule in BLACK_RULES:
+            fits = rule.shape.fits(g)
+            for blacks in range(rule.shape.black_roles):
+                density = rng.choice((0.0, 0.3, 0.6))
+                whites = [v for v in g.vertices if rng.random() < density]
+                rest = [v for v in g.vertices if v not in whites]
+                c = PartialColoring({v: WHITE for v in whites})
+                for v in rng.sample(rest, min(blacks, len(rest))):
+                    c.state[v] = BLACK
+                anchors = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
+                assert next(rule.fn(g, c), None) is None, (rule.id, g.edges(), c.state)
+                assert next(rule.fn(g, c, anchors), None) is None, (rule.id, g.edges(), c.state, anchors)
+                cases[rule.id, fits] += 1
+    fitting = sum(k for (_, fits), k in cases.items() if fits)
+    assert fitting >= 1000 and all(cases[r.id, True] >= 50 for r in BLACK_RULES), cases
+
+
+def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
+    """After each propagation along the reduction of the uncolored
+    cycle(240), the first included, the worklist's whole records on the
+    graph as it stands list every rule with a black role that the census
+    admits, though after a rewrite step an ungated rescan would be
+    anchored; none of them is called."""
+    called = []
+
+    def counted(rule):
+        def fn(g, c, *anchors):
+            called.append(rule.id)
+            return rule.fn(g, c, *anchors)
+
+        return rule._replace(fn=fn)
+
+    checked = []
+
+    def propagate_then_check(g, c, audit=None, wl=None):
+        conflict = propagate(g, c, audit, wl)
+        assert conflict is None and not c.state
+        admitted = {r.id for r in BLACK_RULES if r.shape.fits(g)}
+        assert admitted and admitted <= wl.scanned_whole(g), (g.n, admitted, wl.scanned_whole(g))
+        checked.append(g.n)
+        return conflict
+
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in CATALOG))
+    monkeypatch.setattr(dimatch.rewrite, "propagate", propagate_then_check)
+    rr = dimatch.rewrite.reduce_to_irreducible(cycle(240))
+    assert rr.rewrite_steps > 60 and checked[0] == 240 and len(checked) == rr.rewrite_steps + 1, checked
+    assert not {r.id for r in BLACK_RULES} & set(called), called
 
 
 def test_the_fixpoint_probe_asks_no_census_once_the_plan_exists(monkeypatch):
