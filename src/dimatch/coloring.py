@@ -87,22 +87,25 @@ def verify_complete(g: Graph, c: PartialColoring) -> bool:
 
 def assign(g: Graph, c: PartialColoring, v: int, color: str, rule: str = "assign") -> Optional[Conflict]:
     """Color v, checking partial feasibility.  Returns the conflict that
-    rejects the color, or None once v has it."""
-    cur = c.get(v)
+    rejects the color, or None once v has it; a conflict names the least
+    neighbors that cause it."""
+    get = c.state.get
+    cur = get(v)
     if cur == color:
         return None
     if cur is not None:
         return Conflict(rule, v, color, f"already {cur}")
+    ns = g.neighbors(v)
     if color == WHITE:
-        for w in g.neighbors(v):
-            if c.get(w) == WHITE:
-                return Conflict(rule, v, color, f"white neighbor {w}")
+        for w in ns:
+            if get(w) == WHITE:
+                return Conflict(rule, v, color, f"white neighbor {min(x for x in ns if get(x) == WHITE)}")
     else:
-        black_nbrs = [w for w in g.neighbors(v) if c.get(w) == BLACK]
+        black_nbrs = [w for w in ns if get(w) == BLACK]
         if len(black_nbrs) > 1:
-            return Conflict(rule, v, color, f"two black neighbors {black_nbrs[:2]}")
+            return Conflict(rule, v, color, f"two black neighbors {sorted(black_nbrs)[:2]}")
         for w in black_nbrs:
-            others = [x for x in g.neighbors(w) if x != v and c.get(x) == BLACK]
+            others = [x for x in g.neighbors(w) if x != v and get(x) == BLACK]
             if others:
                 return Conflict(rule, v, color, f"{w} would get two black neighbors")
     c.state[v] = color

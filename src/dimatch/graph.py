@@ -218,12 +218,10 @@ class Graph:
         """The induced subgraph on keep; it inherits this graph's id floor
         unless id_floor is given."""
         keep_set = set(keep)
-        # each neighborhood inserted in ascending order and then frozen, as
-        # Graph() does from sorted edges, so that it iterates in the same
-        # order (see load_graph)
-        adj = {v: frozenset(set(sorted(self._adj[v] & keep_set))) for v in keep_set}
+        verts = sorted(keep_set)
+        adj = {v: self._adj[v] & keep_set for v in verts}
         m = sum(map(len, adj.values())) // 2
-        return Graph._unchecked(adj, sorted(keep_set), m, self._id_floor if id_floor is None else id_floor)
+        return Graph._unchecked(adj, verts, m, self._id_floor if id_floor is None else id_floor)
 
     def copy(self) -> Graph:
         """An equal graph with a new version, sharing this one's
@@ -371,9 +369,10 @@ class Graph:
 
 def load_graph(text: str) -> Graph:
     """The graph the text describes, on vertices 1..n with id floor 0;
-    each edge is checked once."""
+    each edge is checked once, as it is added."""
     header: tuple[int, int] | None = None
-    edges: set[tuple[int, int]] = set()
+    nbrs: dict[int, set[int]] = {}
+    found = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split("#", 1)[0].split() if "#" in line else line.split()
         if not parts:
@@ -388,6 +387,7 @@ def load_graph(text: str) -> Graph:
             if n < 0 or m < 0:
                 raise GraphFormatError("header values must be nonnegative", lineno)
             header = (n, m)
+            nbrs = {v: set() for v in range(1, n + 1)}
             continue
         if len(parts) != 2:
             raise GraphFormatError("expected edge 'u v'", lineno)
@@ -399,23 +399,16 @@ def load_graph(text: str) -> Graph:
             raise GraphFormatError("self-loops are not allowed", lineno)
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"vertex out of range 1..{n}", lineno)
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            raise GraphFormatError(f"edge {e[0]} {e[1]} listed twice", lineno)
-        edges.add(e)
-    if header is None:
-        raise GraphFormatError("empty input: missing header 'n m'")
-    n, m = header
-    if len(edges) != m:
-        raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
-    # every edge is checked above, so the graph is built unchecked.  The
-    # neighborhoods are filled in the edge set's order, as Graph() fills
-    # them: a frozenset's iteration order follows its insertion order, and
-    # propagation's conflict witnesses name neighbors in that order.
-    nbrs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v in edges:
+        if v in nbrs[u]:
+            raise GraphFormatError(f"edge {min(u, v)} {max(u, v)} listed twice", lineno)
         nbrs[u].add(v)
         nbrs[v].add(u)
+        found += 1
+    if header is None:
+        raise GraphFormatError("empty input: missing header 'n m'")
+    if found != m:
+        raise GraphFormatError(f"header announces {m} edges, found {found}")
+    # every edge is checked above, so the graph is built unchecked
     return Graph._unchecked({v: frozenset(ns) for v, ns in nbrs.items()}, list(nbrs), m, 0)
 
 

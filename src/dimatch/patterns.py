@@ -13,10 +13,11 @@ occurrence unless the roles can take distinct vertices whose degrees lie
 in their windows, which `fits` reads from the host's degree census; the
 drivers ask it before they search.
 
-`Pattern.find_all` yields every occurrence.  A consumer that needs only one
+Every search goes through an `Orbits`.  `Pattern.find_all` fixes every
+role and so yields every occurrence.  A consumer that needs only one
 occurrence of each orbit of the pattern's automorphisms, and none whose
-demanded colors already hold, searches through an `Orbits` instead: the
-same generator then compiles order tests `v_i < v_j` from the stabilizer
+demanded colors already hold, labels fewer roles: the same generator then
+compiles order tests `v_i < v_j` from the stabilizer
 chain of the automorphisms that keep the consumer's labels, and a demand
 test at the last demanded role, into the loops.  Automorphisms are computed
 and searches compiled only when first needed, never at import.
@@ -67,7 +68,7 @@ class Pattern:
     """
 
     __slots__ = ("roles", "required", "optional", "degree", "closure", "color", "name",
-                 "black_roles", "order", "_depth", "radius", "_search", "_auts", "_least")
+                 "black_roles", "order", "_depth", "radius", "_all", "_auts", "_least")
 
     def __init__(
         self,
@@ -110,7 +111,7 @@ class Pattern:
         self._depth = self._depths(self.order[0])
         self.radius = self._radius()
         # built on first use: the full search, the automorphisms and `least`
-        self._search: Optional[Search] = None
+        self._all: Optional[Orbits] = None
         self._auts: Optional[tuple[tuple[int, ...], ...]] = None
         self._least: Optional[Orbits] = None
 
@@ -309,10 +310,6 @@ class Pattern:
         exec(compile(source, f"<pattern {self.name}>", "exec"), namespace)
         return namespace["search"]
 
-    def _compile(self) -> Search:
-        self._search = self._exec(self._source())
-        return self._search
-
     def find_all(
         self,
         g: Graph,
@@ -328,12 +325,12 @@ class Pattern:
         change farther than `radius` from its anchors alters such a scan.
         The census is not asked here: a host this pattern does not fit
         (see `fits`) yields nothing, and the drivers skip it beforehand.
+        It searches through an `Orbits` that fixes every role, so it keeps
+        every occurrence and its source is `_source()`.
         """
-        verts = g.vertices
-        if len(verts) < len(self.roles):
-            return iter(())
-        search = self._search or self._compile()
-        return search(g.adjacency, verts if anchors is None else anchors, verts, {} if colors is None else colors)
+        if self._all is None:
+            self._all = Orbits(self, fixed=self.order)
+        return self._all(g, colors, anchors)
 
     @property
     def least(self) -> Orbits:

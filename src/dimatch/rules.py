@@ -225,7 +225,8 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conf
     step: a coloring made at v queues the vertices it affects above v in
     this sweep and the others in the next.  The first sweep starts from
     the changes logged since the last fixpoint (all of g on a fresh
-    worklist), and every coloring is logged.
+    worklist), and every coloring is logged.  A step colors and names
+    neighbors in ascending order, so its conflicts depend on g alone.
     """
     adj, get = g.adjacency, c.state.get
     first = wl.anchors(g, "_basic", 1)
@@ -252,33 +253,31 @@ def _basic_fixpoint(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[Conf
                 continue
             ns = adj[v]
             if col == WHITE:
-                for w in ns:
-                    if get(w) is None:
-                        conflict = assign(g, c, w, BLACK, "white_neighbors")
+                fill, why = BLACK, "white_neighbors"
+            else:
+                black_nbrs = [w for w in ns if get(w) == BLACK]
+                if len(black_nbrs) >= 2:
+                    return Conflict("pair_overload", v, BLACK, f"black neighbors {sorted(black_nbrs)[:2]}")
+                if not black_nbrs:
+                    open_nbrs = [w for w in ns if get(w) != WHITE]
+                    if not open_nbrs:
+                        return Conflict("no_partner", v, BLACK, "all neighbors white")
+                    if len(open_nbrs) == 1:
+                        conflict = assign(g, c, open_nbrs[0], BLACK, "last_partner")
                         if conflict is not None:
                             return conflict
-                        colored(w)
-                continue
-            black_nbrs = [w for w in ns if get(w) == BLACK]
-            if len(black_nbrs) >= 2:
-                return Conflict("pair_overload", v, BLACK, f"black neighbors {black_nbrs[:2]}")
-            if black_nbrs:
-                partner = black_nbrs[0]
-                for w in ns:
-                    if w != partner and get(w) is None:
-                        conflict = assign(g, c, w, WHITE, "matched_pair")
-                        if conflict is not None:
-                            return conflict
-                        colored(w)
-                continue
-            open_nbrs = [w for w in ns if get(w) != WHITE]
-            if not open_nbrs:
-                return Conflict("no_partner", v, BLACK, "all neighbors white")
-            if len(open_nbrs) == 1:
-                conflict = assign(g, c, open_nbrs[0], BLACK, "last_partner")
+                        colored(open_nbrs[0])
+                    continue
+                # the partner is black, so the uncolored neighbors are the rest
+                fill, why = WHITE, "matched_pair"
+            todo = [w for w in ns if get(w) is None]
+            if len(todo) > 1:
+                todo.sort()
+            for w in todo:
+                conflict = assign(g, c, w, fill, why)
                 if conflict is not None:
                     return conflict
-                colored(open_nbrs[0])
+                colored(w)
         sweep = sorted(later)
     wl.found_nothing("_basic")
     return None
@@ -320,16 +319,15 @@ def rule_triangle_outsider(g: Graph, c: PartialColoring, anchors: Anchors = None
         if near.isdisjoint(tri):
             continue
         t1, t2, t3 = tri
-        # a triangle vertex is next to the other two, so it is no outsider
+        # t's outsiders, ascending; a triangle vertex is next to the other
+        # two, so the difference drops it
         for t, r1, r2 in ((t1, t2, t3), (t2, t1, t3), (t3, t1, t2)):
-            n1, n2 = adj[r1], adj[r2]
-            for u in adj[t]:
-                if u not in n1 and u not in n2:
-                    ct, cu = get(t), get(u)
-                    if ct == BLACK and cu is None:
-                        yield [(u, WHITE)]
-                    elif cu == BLACK and ct is None:
-                        yield [(t, WHITE)]
+            for u in sorted(adj[t].difference(adj[r1], adj[r2])):
+                ct, cu = get(t), get(u)
+                if ct == BLACK and cu is None:
+                    yield [(u, WHITE)]
+                elif cu == BLACK and ct is None:
+                    yield [(t, WHITE)]
 
 
 # --------------------------------------------------------------------------

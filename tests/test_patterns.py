@@ -255,14 +255,16 @@ def test_degree_check_never_drops_an_embedding():
     vertex of degree 64 or more, so the host's degree census is wide,
     `fits` equals a bipartite matching of the pattern's roles to host
     vertices by degree window (`reference_fits`), and no host it rejects
-    yields an embedding: the compiled search, called directly, whole,
-    anchored and with colors, finds nothing there.  find_all yields what
-    that search yields.  Some rejected hosts have a vertex in every role's
-    window, so the check counts vertices, not only the degrees present."""
+    yields an embedding: the full search compiled from `_source()`, called
+    directly, whole, anchored and with colors, finds nothing there.
+    find_all yields what that search yields.  Some rejected hosts have a
+    vertex in every role's window, so the check counts vertices, not only
+    the degrees present."""
     rng = random.Random(43)
     hosts = [random_host(rng, rng.randint(5, 12), rng.uniform(0.1, 0.5)) for _ in range(60)]
     hosts += [_wide_host(rng) for _ in range(6)]
     outcomes, counted = Counter(), 0
+    searches = {p.name: p._exec(p._source()) for p in _catalog()}
     for g in hosts:
         degrees = {g.degree(v) for v in g.vertices}
         colors = {v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.3}
@@ -273,7 +275,7 @@ def test_degree_check_never_drops_an_embedding():
             assert fits == reference_fits(g, windows), (p.name, g.edges())
             present = all(any(lo <= d and (hi is None or d <= hi) for d in degrees) for lo, hi in windows)
             counted += present and not fits
-            search = p._search or p._compile()
+            search = searches[p.name]
             for first, c in ((g.vertices, {}), (anchors, {}), (g.vertices, colors), (anchors, colors)):
                 want = list(search(g.adjacency, first, g.vertices, c))
                 assert fits or not want, (p.name, g.edges(), c, first, want[0])
@@ -316,7 +318,7 @@ def test_patterns_compile_on_first_search_from_integers_only():
         "import dimatch, dimatch.rules as rl, dimatch.rewrite as rw\n"
         "from dimatch.patterns import Orbits, Pattern\n"
         "ps = [o for m in (rl, rw) for o in vars(m).values() if isinstance(o, Pattern)]\n"
-        "assert ps and all(p._search is p._auts is p._least is None for p in ps)\n"
+        "assert ps and all(p._all is p._auts is p._least is None for p in ps)\n"
         "os = [c.cell_contents for r in rl.CATALOG for c in r.fn.__closure__ or ()]\n"
         "os = [o for o in os + list(vars(rl).values()) if isinstance(o, Orbits)]\n"
         "assert len(os) == 13 and all(o._search is None for o in os)\n"
@@ -340,7 +342,8 @@ def test_patterns_compile_on_first_search_from_integers_only():
             assert tok.string not in ("-", "&"), (p.name, tok.line)
         list(find(from_edges(len(p.roles), []), {}))
     for p in _catalog():
-        assert p._search.__code__.co_filename == f"<pattern {p.name}>"
+        assert p._all.source() == p._source()
+        assert p._all._search.__code__.co_filename == f"<pattern {p.name}>"
     for o in _consumers():
         assert o._search.__code__.co_filename == f"<pattern {o.pattern.name}>"
 

@@ -27,7 +27,7 @@ from dimatch.oracle import MIXED_MODELS, GeneratorError, brute_dim, mixed_instan
 from dimatch.pipeline import solve
 from dimatch.rewrite import format_trace
 
-PINNED_WITNESSES = "21dd41781a07515730a32f9c0565974699760dfc4eb08733d19b15918d3e040e"
+PINNED_WITNESSES = "123dfc93b8092cef9a5340ae34bc8183192ee3f1f45c12cc4af5ea475f1bba37"
 PINNED_OTHERS = "2bba704b26a9e9475de172dc88cbe6ecf9b5e57e1703f548a3f9bf110291c068"
 
 

@@ -152,13 +152,13 @@ def _grow_legs(g: Graph, c: int, arms: tuple[int, int, int]) -> Optional[Embeddi
 def reference_triangle_outsiders(g: Graph, anchors: Optional[list[int]]) -> Iterator[tuple[int, int]]:
     """The pairs (t, u) that `dimatch.rules.rule_triangle_outsider` reads,
     t in a triangle, u a neighbor of t outside it and nonadjacent to the
-    other two, in the order of `Graph.triangles`, one adjacency test at a
-    time."""
+    other two, in the order of `Graph.triangles` and then of ascending u,
+    one adjacency test at a time."""
     for tri in g.triangles(anchors):
         ts = set(tri)
         for t in tri:
             rest = ts - {t}
-            for u in g.neighbors(t):
+            for u in sorted(g.neighbors(t)):
                 if u not in ts and not any(g.has_edge(u, r) for r in rest):
                     yield t, u
 
