@@ -120,8 +120,8 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    # -- derived structure (cached; `edit` keeps the degree census and the
-    # triangle index up to date and drops the rest) -----------------------
+    # -- derived structure (cached; `edit` keeps the degree counts, the
+    # degree census and the triangle index up to date and drops the rest) -
 
     def components(self) -> list[frozenset[int]]:
         cached = self._cache.get("components")
@@ -156,7 +156,8 @@ class Graph:
         return cached  # type: ignore[return-value]
 
     def degree_census(self) -> int:
-        """Bits 4d to 4d + 3 count the vertices of degree d, capped at 15."""
+        """Bits 4d to 4d + 3 count the vertices of degree d, capped at 15.
+        `edit` keeps it up to date."""
         cached = self._cache.get("degree_census")
         if cached is None:
             cached = 0
@@ -226,11 +227,13 @@ class Graph:
     def copy(self) -> Graph:
         """An equal graph with a new version, sharing this one's
         neighborhoods (an edit replaces those it changes, never alters
-        them); it takes over the degree census and the triangle index if
-        they are built."""
+        them); it takes over the degree counts and census and the triangle
+        index if they are built."""
         g = Graph._unchecked(dict(self._adj), list(self._vertices), self._m, self._id_floor)
         # the structures an edit keeps up to date
         g._cache = {key: dict(self._cache[key]) for key in ("degree_counts", "triangles_at") if key in self._cache}
+        if "degree_census" in self._cache:
+            g._cache["degree_census"] = self._cache["degree_census"]
         return g
 
     def rewrite(
@@ -258,9 +261,10 @@ class Graph:
         edges that are not here.  An added edge that is a loop or names a
         vertex not here afterwards raises ValueError before anything
         changes.  Only the edited neighborhoods are replaced.  The degree
-        census and the triangle index, if built, are updated at the edited
-        vertices; every other cached structure is dropped, and the version
-        is drawn afresh."""
+        counts and the triangle index, if built, are updated at the edited
+        vertices, and the degree census, if built, at the degrees whose
+        counts changed; every other cached structure is dropped, and the
+        version is drawn afresh."""
         adj, verts = self._adj, self._vertices
         # dicts: ordered, without repeats
         gone = {v: None for v in remove_vertices if v in adj}
@@ -309,19 +313,32 @@ class Graph:
         self._m = m
         self.version = next(_versions)
         counts = self._cache.get("degree_counts")
+        census = self._cache.get("degree_census")
         at = self._cache.get("triangles_at")
         self._cache = {}
         if counts is not None:
             # an added vertex starts at degree 0, also when its id was removed
+            moved = set(dropped)
             for d in dropped:
                 counts[d] -= 1
-            counts[0] = counts.get(0, 0) + len(added)
+            if added:
+                counts[0] = counts.get(0, 0) + len(added)
+                moved.add(0)
             for v, ns in touched.items():
-                counts[len(adj[v])] -= 1
-                counts[len(ns)] = counts.get(len(ns), 0) + 1
-            for d in [d for d, k in counts.items() if not k]:
-                del counts[d]
+                d, e = len(adj[v]), len(ns)
+                if d != e:
+                    counts[d] -= 1
+                    counts[e] = counts.get(e, 0) + 1
+                    moved.update((d, e))
+            for d in moved:
+                k = counts[d]
+                if not k:
+                    del counts[d]
+                if census is not None:
+                    census += ((k if k < 15 else 15) - (census >> 4 * d & 15)) << 4 * d
             self._cache["degree_counts"] = counts
+            if census is not None:
+                self._cache["degree_census"] = census
         for v, ns in touched.items():
             adj[v] = frozenset(ns)
         if at is not None:

@@ -100,14 +100,18 @@ def solve(g: Graph, audit: Optional[ReductionAudit] = None) -> RunReport:
 
 def _solve_connected(g: Graph, audit: Optional[ReductionAudit]) -> RunReport:
     """Reduce, decompose, match and lift one long-claw-free component.  A
-    YES certificate is not yet verified on g; the caller verifies it.  The
-    irreducible pair's coloring is verified before lifting only when the
-    reduction took a step: with none, that pair is g itself."""
+    reduction that ended at a rigid pair brings its decomposition; one that
+    reached its fixpoint is decomposed here.  A YES certificate is not yet
+    verified on g; the caller verifies it.  The irreducible pair's
+    coloring is verified before lifting only when the reduction took a
+    step: with none, that pair is g itself."""
     rr: ReduceResult = reduce_to_irreducible(g, PartialColoring(), audit=audit)
     if rr.is_refuted:
         return RunReport(NO, None, str(rr.refuted), rr.trace, rr.rewrite_steps, rr.graph.n)
     g_star, c_star = rr.graph, rr.coloring
-    d = decompose(g_star, c_star)  # a StructureViolation is a fault, not a NO
+    d = rr.decomposition
+    if d is None:
+        d = decompose(g_star, c_star)  # a StructureViolation is a fault, not a NO
     family = build_family(g_star, c_star, d)
     chosen = solve_hitting(family)
     if chosen is None:

@@ -25,6 +25,7 @@ from .rules import (
     is_clean_pair,
     propagate,
 )
+from .setmatch import IrreducibleDecomposition
 
 
 class LiftError(RuntimeError):
@@ -481,6 +482,9 @@ class ReduceResult(NamedTuple):
     coloring: PartialColoring
     trace: list[RewriteStep]
     rewrite_steps: int
+    # the pair's decomposition when the reduction ended at a rigid pair;
+    # None at a refutation and at the fixpoint
+    decomposition: Optional[IrreducibleDecomposition] = None
 
     @property
     def is_refuted(self) -> bool:
@@ -492,16 +496,52 @@ def reduce_to_irreducible(
     c: Optional[PartialColoring] = None,
     audit: Optional[ReductionAudit] = None,
 ) -> ReduceResult:
-    """Alternate propagation, cleaning and rewriting until nothing applies.
+    """Alternate propagation, cleaning and rewriting until the pair is
+    rigid or nothing applies.
+
+    Propagation ends the reduction at the first rigid pair it meets (see
+    `propagate`): one with no white vertex, no two adjacent black vertices
+    and the structure `decompose` checks.  The result then carries that
+    decomposition, and no catalog scan, cleaning, rewrite search or
+    fixpoint read follows.  This is exact by the following lemma: on a
+    rigid pair (g, c), a valid complete coloring of g extending c exists
+    exactly when the sets of `build_family` can be hit exactly once.
+
+    Proof.  In a valid coloring the white vertices are independent and
+    each black vertex has exactly one black neighbour.  On a rigid pair
+    the black vertices are the star centers and triangle vertices of
+    degree two, whose neighbours are uncolored, and every uncolored vertex
+    is in the core, a spoke of a degree-four triangle or a star leaf.
+    Three kinds of constraint then say what a valid completion is, each
+    a set hit exactly once, where a core vertex is chosen when white and a
+    pendant tip when black.  A triangle has exactly one white vertex (two
+    would be adjacent, three blacks would give one two black neighbours);
+    if no spoke is in it, the white lies in its core part, as a black
+    vertex there is white in no completion.  The ends u, w of a core edge
+    lie in distinct triangles, so if u is black its partner is in its
+    triangle and w is white, and if u is white, w is black: exactly one is
+    white.  A center's neighbours are its leaves, so exactly one leaf is
+    black; an arm a anchored at r is black exactly when r is white (a
+    black a with a black r would give a two black neighbours, a white a
+    needs r black), so it is black exactly when its representative is
+    chosen, as a tip is.  Conversely `coloring_from_hit` colors g from any
+    exact hitting set, and each vertex is valid under those constraints:
+    a degree-four triangle's spokes have no other neighbours and take the
+    colors its hub leaves them, and every edge between two parts is a core
+    edge or an arm.  Only the facts `decompose` checks, no white and no
+    black-black edge are used, so the lemma holds after any number of
+    steps; cleaning, rewrites and forcing rules keep completability, and
+    lifting takes any valid completion of the final pair back to g.
 
     Termination is audited: the (bad vertices, n, m) measure must drop
     lexicographically at every rewrite, and the number of rewrites may not
     exceed STEP_CAP_FACTOR * n^2.  The measure is counted whole once, at
     the first rewrite, and then carried through every step by `remeasure`.
-    At the fixpoint, a five-cycle component answers NO (see
-    `_c5_component`); otherwise the final pair must be clean and keep the
-    facts of `clean_pair_violation`, which the rules pre-empt, and either
-    failing is a fault (AssertionError), never a NO.
+    At the fixpoint, which a reduction reaches only when it never met a
+    rigid pair, a five-cycle component answers NO (see `_c5_component`);
+    otherwise the final pair must be clean and keep the facts of
+    `clean_pair_violation`, which the rules pre-empt, and either failing
+    is a fault (AssertionError), never a NO.
 
     Up to the first cleaning or rewrite step, g and c are the ones passed
     in, and propagation colors c.  That step copies both, and it and every
@@ -522,6 +562,8 @@ def reduce_to_irreducible(
         conflict = propagate(g, c, audit, wl)
         if conflict is not None:
             return ReduceResult(conflict, g, c, trace, steps)
+        if wl.rigid is not None:
+            return ReduceResult(None, g, c, trace, steps, wl.rigid)
         step = clean(g, c)
         rewriting = step is None
         if rewriting:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Generic, Iterator, NamedTuple, Optio
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
 from .patterns import MUST_BLACK, MUST_UNCOLORED, Orbits, Pattern, pattern
+from .setmatch import IrreducibleDecomposition, StructureViolation, decompose, structure_fault
 
 if TYPE_CHECKING:
     from .rewrite import RewriteStep
@@ -142,9 +143,13 @@ class Worklist:
     anchored passes in between included.  `propagate`, which never edits
     the graph, records such a pass as whole too, so the fixpoint read may
     skip the rule.
+
+    For the rigidity test of `propagate` it also keeps the watch, the
+    vertex at which the last refused test found a fact broken, and the
+    decomposition of the rigid pair propagation last ended at, if any.
     """
 
-    __slots__ = ("log", "quiet", "whole", "_balls", "_state")
+    __slots__ = ("log", "quiet", "whole", "_balls", "_state", "watch", "rigid")
 
     def __init__(self) -> None:
         self.log: list[int] = []
@@ -155,6 +160,10 @@ class Worklist:
         # version and log: [ball, last ring, [sorted ball at radius 0, 1, ...]]
         self._balls: dict[int, list] = {}
         self._state: tuple[int, int] = (-1, 0)
+        # the vertex at which the last refused rigidity test broke a fact
+        self.watch: Optional[int] = None
+        # the decomposition of the pair propagation last ended at, if rigid
+        self.rigid: Optional[IrreducibleDecomposition] = None
 
     def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
         """Ascending anchors to rescan for key; None means all of g: on
@@ -683,6 +692,25 @@ CATALOG: tuple[Rule, ...] = (
 _PLAN: DispatchPlan[Rule] = DispatchPlan(lambda rule: rule.shape)
 
 
+def rigid_pair(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[IrreducibleDecomposition]:
+    """The decomposition of (g, c) if the pair is rigid, that is, if
+    `decompose` accepts it; else None.  A refusal names the vertex whose
+    fact broke, which wl keeps as its watch.  The next test asks that
+    vertex first and, while the fact stays broken there, is refused at
+    once, without a walk and without building anything.  `decompose`
+    walks down from the greatest vertex, while the rules and rewrites
+    search up from the least, so a watch tends to outlast the steps
+    between two tests."""
+    v = wl.watch
+    if v in g.adjacency and structure_fault(g, c, v) is not None:
+        return None
+    try:
+        return decompose(g, c)
+    except StructureViolation as err:
+        wl.watch = err.vertex
+        return None
+
+
 def propagate(
     g: Graph,
     c: PartialColoring,
@@ -731,10 +759,21 @@ def propagate(
     shape, so it is never skipped.  Vertices colored outside g only raise
     the count, so they only make the skip rarer.
 
-    Propagation ends once the basic fixpoint colors all of g.  `assign`
-    and the sweep make that settled coloring a dominating induced matching,
-    where every forced demand holds on a long-claw-free graph, and every
-    exchange guard needs an uncolored vertex, so no rule could fire.
+    Propagation also ends, before any catalog rule of the round, once the
+    basic fixpoint leaves a rigid pair (see `rigid_pair`), one with no
+    white vertex, no two adjacent black ones and the structure
+    `decompose` reads; the decomposition is left in wl.rigid, which is
+    None after any other end.  On such a pair exact hitting decides
+    whether c extends to g (see `dimatch.rewrite.reduce_to_irreducible`),
+    so the reduction needs nothing more, and the rules' remaining scans
+    are skipped: the coloring is then not the fixpoint.  The test runs
+    once per round and, refused, mostly costs one vertex's facts.
+
+    Propagation ends as well once the basic fixpoint colors all of g.
+    `assign` and the sweep make that settled coloring a dominating induced
+    matching, where every forced demand holds on a long-claw-free graph,
+    and every exchange guard needs an uncolored vertex, so no rule could
+    fire.
     """
     wl = Worklist() if wl is None else wl
     get = c.state.get
@@ -745,6 +784,9 @@ def propagate(
         conflict = _basic_fixpoint(g, c, wl)
         if conflict is not None:
             return conflict
+        wl.rigid = rigid_pair(g, c, wl)
+        if wl.rigid is not None:
+            return None
         if len(c.state) == g.n and all(v in c.state for v in g.vertices):
             return None
         # black vertices of c, counted when a rule first needs them; only

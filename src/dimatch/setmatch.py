@@ -1,15 +1,17 @@
 """From an irreducible pair to a coloring, via exact hitting and matching.
 
-An irreducible pair has rigid structure: maximum degree four, each vertex
-in at most one triangle, degree-four vertices in triangles whose other
-two vertices have degree two, and every component left after deleting all
-triangle vertices is a star with a black center and two or three leaves,
-each an arm anchored in its own triangle or, for at most one, a pendant
-tip.  `decompose` checks that structure and reads the triangles, stars and
-core off the pair in one walk.  The structure turns the coloring question
-into hitting a family of small sets exactly once: the core's part of each
-triangle, each core edge between two triangles and the representatives of
-each star's leaves.  That in turn is a saturating-matching question.
+An irreducible pair has rigid structure: no white vertex, no two adjacent
+black ones, maximum degree four, each vertex in at most one triangle,
+black triangle vertices of degree two, degree-four vertices in triangles
+whose other two vertices have degree two, and every component left after
+deleting all triangle vertices is a star with a black center and two or
+three uncolored leaves, each an arm anchored in its own triangle or, for
+at most one, a pendant tip.  `decompose` checks that structure vertex by
+vertex in one walk, then reads the triangles, stars and core off the
+pair.  The structure turns the coloring question into hitting a family of
+small sets exactly once: the core's part of each triangle, each core edge
+between two triangles and the representatives of each star's leaves.
+That in turn is a saturating-matching question.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from .matching import solve_saturation
 class StructureViolation(RuntimeError):
     """The pair breaks the structure `decompose` reads.  The reduction
     leaves only pairs with that structure, so a violation is a fault of
-    the program, not a refutation of the instance."""
+    the program, not a refutation of the instance.  `vertex` is the vertex
+    whose fact broke (see `structure_fault`), or None for the maximum
+    degree."""
+
+    def __init__(self, message: str, vertex: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.vertex = vertex
 
 
 class Star(NamedTuple):
@@ -56,77 +64,148 @@ def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
     return None
 
 
+def structure_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
+    """The first structure fact the pair breaks at v, or None, in this
+    order: v is not isolated, not white and, if black, has no black
+    neighbour.  A triangle vertex lies in one triangle and, if black, has
+    degree two; if its degree is four, the other two vertices of its
+    triangle have degree two.  A vertex outside the triangles has degree
+    below four, and is either uncolored with exactly one black neighbour
+    (a leaf) or black (a star center).  A center has two or three
+    neighbours, all outside the triangles and uncolored, each of degree at
+    most two and at most one of degree one, the pendant tip; every other
+    leaf is an arm whose second neighbour lies in a triangle, the arms of
+    one center in distinct triangles.
+
+    Over all vertices, and with the maximum degree at most four, these
+    facts are the whole structure.  A leaf's black neighbour lies outside
+    the triangles, since a black triangle vertex has only its triangle's
+    two other vertices as neighbours; so it is a center, the leaf is one
+    of its own, and each component outside the triangles is one center
+    with its leaves.  Whether v lies in a triangle is read from its
+    neighbours, so a vertex outside every triangle builds no triangle
+    index.
+    """
+    adj, get = g.adjacency, c.state.get
+    ns = adj[v]
+    if not ns:
+        return f"isolated vertex {v}"
+    col = get(v)
+    if col == WHITE:
+        return f"white vertex {v}"
+    # v's black neighbours, the least of them, and whether two neighbours
+    # are adjacent, in one pass and without a closure, as this is asked
+    # once per propagation round
+    blacks = least = 0
+    inside = False
+    for w in ns:
+        if get(w) == BLACK:
+            if not blacks or w < least:
+                least = w
+            blacks += 1
+        if not inside and not adj[w].isdisjoint(ns):
+            inside = True
+    if col == BLACK and blacks:
+        return f"black vertices {v} and {least} adjacent"
+    d = len(ns)
+    if inside:
+        ts = g.triangles_at()[v]
+        if len(ts) > 1:
+            return f"vertex {v} lies in {len(ts)} triangles"
+        if d == 4:
+            for w in ts[0]:
+                if len(adj[w]) != 2 and w != v:
+                    return f"triangle of degree-4 vertex {v} has high-degree partners"
+        if col == BLACK and d != 2:
+            return f"black triangle vertex {v} has degree {d}"
+        return None
+    if d == 4:
+        return f"degree-4 vertex {v} outside every triangle"
+    if col is None:
+        return None if blacks == 1 else f"vertex {v} outside the triangles has {blacks} black neighbors"
+    return _center_fault(g, c, v)
+
+
+def _center_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
+    """The first fact of a star center that v, black and outside the
+    triangles, breaks, or None (see `structure_fault`).  The leaves are
+    read in one pass; the facts are then decided in their order."""
+    adj, get = g.adjacency, c.state.get
+    ns = adj[v]
+    if len(ns) == 1:
+        return f"star center {v} has one leaf"
+    near_triangle = misshapen = colored = False
+    tips = 0
+    anchors = []
+    for a in ns:
+        na = adj[a]
+        for w in na:
+            if not adj[w].isdisjoint(na):
+                near_triangle = True
+        if len(na) == 1:
+            tips += 1
+        elif len(na) == 2:
+            anchors += [w for w in na if w != v]
+        else:
+            misshapen = True
+        if get(a) is not None:
+            colored = True
+    if near_triangle:
+        return f"star center {v} has a neighbor in a triangle"
+    if misshapen or tips > 1:
+        return f"star {sorted((v, *ns))} lacks the shape of arms and at most one pendant tip"
+    if colored:
+        return f"star {sorted((v, *ns))} has a colored leaf"
+    for r in anchors:
+        nr = adj[r]
+        if all(adj[w].isdisjoint(nr) for w in nr):
+            return f"star {sorted((v, *ns))} has an arm outside the triangles"
+    if len(anchors) > 1:
+        tri_at = g.triangles_at()
+        if len({tri_at[r][0] for r in anchors}) != len(anchors):
+            return f"star {sorted((v, *ns))} anchored twice in one triangle"
+    return None
+
+
 def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
     """Check the structure of an irreducible pair and split it into
-    triangles, stars and the core, in one walk.
+    triangles, stars and the core.
 
-    Raises StructureViolation for the first fact broken, in this order:
-    the maximum degree; shared triangles and isolated vertices; degree-four
-    vertices; black triangle vertices, which need degree two; then each
-    component outside the triangles, by least vertex, which must be a star
-    with a black center adjacent to its two or three uncolored leaves only,
-    at most one leaf a pendant tip and the others arms anchored in distinct
-    triangles.  Those components are read off the subgraph the outside
-    vertices induce, the one graph built here.
+    A pair this accepts is rigid: it has no white vertex and no two
+    adjacent black ones, and a coloring extending c exists exactly when
+    the sets of `build_family` can be hit exactly once.  The reduction
+    ends at the first rigid pair it meets (see
+    `dimatch.rewrite.reduce_to_irreducible`, which proves the second fact).
+
+    Raises StructureViolation for the first fact broken, failing fast: a
+    maximum degree above four, read from the degree counts, and then, in
+    one walk down from the greatest vertex, the first vertex that breaks a
+    fact of `structure_fault`, naming that vertex.  So a refused pair
+    costs the walk down to that vertex and builds no graph.  Once every
+    vertex passes, the stars are read off the subgraph the vertices
+    outside the triangles induce, the one graph built here, one star per
+    component in order of least vertex.
     """
     top = g.max_degree()
     if top > 4:
         raise StructureViolation(f"maximum degree {top} exceeds four")
+    for v in reversed(g.vertices):
+        fault = structure_fault(g, c, v)
+        if fault is not None:
+            raise StructureViolation(fault, v)
     adj, get, tri_at = g.adjacency, c.state.get, g.triangles_at()
-    outside: list[int] = []
-    deg4: list[tuple[int, int, int]] = []
-    # the first break of the degree-four and black facts; either waits for
-    # the walk's end, as a later shared triangle or isolated vertex comes first
-    hub = black = None
-    for v in g.vertices:
-        ts, d = tri_at[v], len(adj[v])
-        if len(ts) > 1:
-            raise StructureViolation(f"vertex {v} lies in {len(ts)} triangles")
-        if d == 0:
-            raise StructureViolation(f"isolated vertex {v}")
-        if not ts:
-            if d == 4:
-                hub = hub or f"degree-4 vertex {v} outside every triangle"
-            outside.append(v)
-            continue
-        if d == 4:
-            p, q = (w for w in ts[0] if w != v)
-            if len(adj[p]) != 2 or len(adj[q]) != 2:
-                hub = hub or f"triangle of degree-4 vertex {v} has high-degree partners"
-            deg4.append((v, p, q))
-        if d != 2 and get(v) == BLACK:
-            black = black or f"black triangle vertex {v} has degree {d}"
-    if hub or black:
-        raise StructureViolation(hub or black)
+    outside = [v for v in g.vertices if not tri_at[v]]
+    deg4 = [(v, *(w for w in tri_at[v][0] if w != v)) for v in g.vertices if len(adj[v]) == 4]
     stars, tips = [], set()
     rest = g.subgraph(outside)
     inner = rest.adjacency  # neighbors outside the triangles
     for comp in rest.components():  # by least vertex
         label = sorted(comp)
         leaves = [v for v in label if len(inner[v]) == 1]
-        # a connected component whose other vertices are all leaves is a star
-        if not 3 <= len(label) <= 4 or len(leaves) != len(label) - 1:
-            raise StructureViolation(f"component {label} outside the triangles is not a star of 2 or 3 leaves")
         x = next(v for v in label if len(inner[v]) > 1)
-        if get(x) != BLACK:
-            raise StructureViolation(f"star center {x} is not black")
-        # only a center of two leaves can have a neighbor in a triangle: a claw
-        # center's fourth neighbor makes it a degree-4 vertex outside every
-        # triangle, raised above
-        if len(adj[x]) != len(leaves):
-            raise StructureViolation(f"star center {x} has a neighbor in a triangle")
-        degs = [len(adj[a]) for a in leaves]
-        if max(degs) > 2 or degs.count(1) > 1:
-            raise StructureViolation(f"star {label} lacks the shape of arms and at most one pendant tip")
-        if any(get(a) is not None for a in leaves):
-            raise StructureViolation(f"star {label} has a colored leaf")
-        # a pendant tip represents itself; an arm's other neighbor lies in a
-        # triangle, as an outside one would share the component
-        reps = [a if d == 1 else next(w for w in adj[a] if w != x) for a, d in zip(leaves, degs)]
-        anchored = [tri_at[r][0] for r, d in zip(reps, degs) if d == 2]
-        if len(set(anchored)) != len(anchored):
-            raise StructureViolation(f"star {label} anchored twice in one triangle")
-        tips.update(a for a, d in zip(leaves, degs) if d == 1)
+        # a pendant tip represents itself, an arm the triangle vertex it ends at
+        reps = [a if len(adj[a]) == 1 else next(w for w in adj[a] if w != x) for a in leaves]
+        tips.update(a for a in leaves if len(adj[a]) == 1)
         stars.append(Star(x, tuple(leaves), tuple(reps)))
     spokes = {w for _, p, q in deg4 for w in (p, q)}
     core = frozenset(v for v in g.vertices if tri_at[v] and v not in spokes and get(v) != BLACK)

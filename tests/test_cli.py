@@ -10,6 +10,8 @@ from dimatch.cli import main
 from dimatch.graph import complete, cycle, save_graph
 from dimatch.setmatch import StructureViolation
 
+from .util import without_rigid_exit
+
 
 def write(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
@@ -203,10 +205,13 @@ def test_internal_fault_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_a_structure_fault_exits_3_without_an_answer(tmp_path, monkeypatch, capsys):
+    """A structure break where the reduction reached its fixpoint; K3 is
+    rigid, so the rigid exit is turned off to get there."""
     def broken_decompose(g, c):
         raise StructureViolation("planted break")
 
     monkeypatch.setattr(dimatch.pipeline, "decompose", broken_decompose)
+    without_rigid_exit(monkeypatch)
     gpath = write(tmp_path, "k3.g", save_graph(complete(3)))
     assert main(["solve", gpath]) == 3
     out, err = capsys.readouterr()

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dimatch.rewrite
+import dimatch.rules
 from dimatch.graph import (
     Graph,
     GraphFormatError,
@@ -212,6 +214,42 @@ def test_rewrite_carries_the_degree_census():
     g.degree_counts()
     for g2 in (g.rewrite([2], [2], [(2, 6)]), g.rewrite([5, 2], [2, 7], [(2, 1), (2, 7)], [(3, 4)])):
         check(g2)
+
+
+def test_edits_keep_the_degree_census_without_a_rebuild():
+    """Along seeded chains of random edits, in place and by rewrite, of
+    sparse graphs with more than 15 vertices of some degrees, the census
+    built before the first edit is carried through every edit, never
+    rebuilt, and equals a fresh census; the fields move across the cap of
+    15.  Both dispatch plans give the rules and rewrites whose shapes fit
+    a fresh build."""
+    tables = ((dimatch.rules._PLAN, dimatch.rules.CATALOG, lambda r: r.shape),
+              (dimatch.rewrite._PLAN, dimatch.rewrite.REWRITE_RULES, lambda r: r.pattern))
+    capped = Counter()
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.randint(45, 70)
+        g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2) if rng.random() < 2.5 / n])
+        g.degree_census()
+        for step in range(150):
+            verts = list(g.vertices)
+            drop = rng.sample(verts, min(len(verts), rng.randint(0, 2)))
+            new = g.fresh_ids(rng.randint(0, 2))
+            live = [v for v in verts if v not in drop] + new
+            added = [tuple(rng.sample(live, 2)) for _ in range(rng.randint(0, 4))] if len(live) > 1 else []
+            cut = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 3))] if len(verts) > 1 else []
+            if step % 2:
+                g.edit(drop, new, added, cut)
+            else:
+                g = g.rewrite(drop, new, added, cut)
+            assert "degree_census" in g._cache, (seed, step)
+            fresh = Graph(g.vertices, g.edges())
+            assert g.degree_census() == fresh.degree_census(), (seed, step)
+            capped[any(k > 15 for k in fresh.degree_counts().values())] += 1
+            for plan, table, shape in tables:
+                want = tuple(e for e in table if shape(e) is None or shape(e).fits(fresh))
+                assert plan(table, g) == want, (seed, step)
+    assert capped[True] >= 100 and capped[False] >= 100, capped
 
 
 # every query that reads a cached structure

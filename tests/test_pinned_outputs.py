@@ -28,7 +28,7 @@ from dimatch.pipeline import solve
 from dimatch.rewrite import format_trace
 
 PINNED_WITNESSES = "123dfc93b8092cef9a5340ae34bc8183192ee3f1f45c12cc4af5ea475f1bba37"
-PINNED_OTHERS = "2bba704b26a9e9475de172dc88cbe6ecf9b5e57e1703f548a3f9bf110291c068"
+PINNED_OTHERS = "d18ef8b9884e35fcdf420cacb4e4576fa2c4e998a64d748936bbd772ceda21d0"
 
 
 def _union(parts: list[Graph]) -> Graph:

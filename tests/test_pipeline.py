@@ -3,11 +3,13 @@ from __future__ import annotations
 import ast
 import copy
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dimatch
+import dimatch.rules
 import dimatch.pipeline
 from dimatch.coloring import BLACK, verify_complete
 from dimatch.graph import Graph, complete, cycle, from_edges, path
@@ -22,9 +24,11 @@ from .util import (
     OracleAudit,
     decorate,
     disjoint_union,
+    nonisomorphic_graphs,
     planted,
     random_host,
     reference_contains_s222,
+    without_rigid_exit,
 )
 
 
@@ -87,6 +91,65 @@ def test_long_claw_rejection_carries_the_reference_claw():
         assert str(info.value) == f"input contains an induced long claw: <{roles}>"
         claws += 1
     assert claws > 50, claws
+
+
+def test_the_prism_is_a_no_decided_by_exact_hitting():
+    """The prism K3 x K2 (graph atlas #174) is rigid as it stands: two
+    triangles joined by a perfect matching.  Its family, the two triangles
+    and the three matching edges, has no exact hitting set, since the two
+    chosen vertices would each cover one matching edge; so the matcher
+    answers NO, as brute force does."""
+    g = from_edges(6, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)])
+    rep = solve(g)
+    assert rep.decision == "NO" and rep.witness == "saturating matching infeasible"
+    assert rep.trace == [] and rep.irreducible_order == 6
+    assert brute_dim(g) is None
+
+
+def _exit_corpus():
+    """Mixed instances with n = 5 to 22, the planted corpus and one graph of
+    each isomorphism class on up to 7 vertices, all long-claw-free."""
+    for n in range(5, 23):
+        for seed in range(150):
+            try:
+                yield mixed_instance(n, 7919 * n + seed)
+            except GeneratorError:
+                continue
+    for _, g, colors in PLANTED_HOSTS:
+        for seed in range(100):
+            yield planted(g, colors, seed)
+    orders = Counter()
+    for g in nonisomorphic_graphs(7):
+        orders[g.n] += 1
+        yield g
+    assert [orders[n] for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_the_rigid_exit_keeps_every_decision(monkeypatch):
+    """With the rigidity test made to refuse every pair, each reduction
+    runs to its fixpoint, as without the exit; on the inputs of
+    `_exit_corpus` both runs decide alike, neither raises, and every YES
+    certificate verifies.  Many runs end rigid, a few of them in a NO that
+    only the matcher finds."""
+    rigid = dimatch.rules.rigid_pair
+    ended = Counter()
+
+    def counted(g, c, wl):
+        d = rigid(g, c, wl)
+        ended["rigid"] += d is not None
+        return d
+
+    inputs = [g for g in _exit_corpus() if contains_s222(g) is None]
+    monkeypatch.setattr(dimatch.rules, "rigid_pair", counted)
+    with_exit = [solve(g) for g in inputs]
+    without_rigid_exit(monkeypatch)
+    for g, rep in zip(inputs, with_exit):
+        want = solve(g)
+        assert rep.decision == want.decision, g.edges()
+        for r in (rep, want):
+            assert not r.is_yes or verify_complete(g, r.certificate), g.edges()
+        ended[rep.decision, rep.witness == "saturating matching infeasible"] += 1
+    assert len(inputs) > 7000 and ended["rigid"] > 4000 and ended["NO", True] >= 5, (len(inputs), ended)
 
 
 def test_empty_and_tiny_graphs():
@@ -173,14 +236,13 @@ def test_planted_shapes_answer_what_the_oracle_answers(monkeypatch):
     `brute_dim` does.  Some irreducible pairs keep a star of two leaves, a
     shape once refused as a structure break."""
     stars = []
-    read = dimatch.pipeline.decompose
+    build = dimatch.pipeline.build_family
 
-    def recorded(g, c):
-        d = read(g, c)
+    def recorded(g, c, d):
         stars.extend(len(s.leaves) for s in d.stars)
-        return d
+        return build(g, c, d)
 
-    monkeypatch.setattr(dimatch.pipeline, "decompose", recorded)
+    monkeypatch.setattr(dimatch.pipeline, "build_family", recorded)
     checked = 0
     for name, g, colors in PLANTED_HOSTS:
         for seed in range(100):
@@ -196,8 +258,10 @@ def test_planted_shapes_answer_what_the_oracle_answers(monkeypatch):
 # long-claw-free inputs on which `solve` takes a rule that never fired on
 # the 36 221 inputs of an earlier census (ROADMAP item 6)
 REACHED = {
-    "anchored_pentagon": [(1, 2), (1, 5), (1, 6), (1, 7), (2, 3), (2, 9), (2, 10), (3, 4), (4, 5), (4, 8), (6, 7),
-                          (9, 10)],
+    # the input once pinned here, without the pendant edge 4-11, ends
+    # rigid before this rule's turn
+    "anchored_pentagon": [(1, 2), (1, 5), (1, 6), (1, 7), (2, 3), (2, 9), (2, 10), (3, 4), (4, 5), (4, 8), (4, 11),
+                          (6, 7), (9, 10)],
     "seven_cycle_step": [(1, 2), (1, 7), (1, 8), (1, 9), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (8, 9)],
     "triangle_circuit": [(1, 2), (1, 3), (1, 4), (2, 3), (2, 7), (3, 8), (4, 5), (4, 9), (4, 10), (5, 6), (6, 7),
                          (6, 8), (9, 10)],

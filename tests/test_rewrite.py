@@ -38,6 +38,7 @@ from dimatch.rewrite import (
     try_rewrite,
 )
 from dimatch.rules import DispatchPlan, Worklist, clean_pair_violation
+from dimatch.setmatch import build_family, solve_hitting
 
 from .util import (
     REWRITE_HOSTS,
@@ -49,6 +50,7 @@ from .util import (
     made,
     product_lift_step,
     replay_backwards,
+    without_rigid_exit,
 )
 
 RULES_BY_ID = {r.id: r for r in REWRITE_RULES}
@@ -448,10 +450,11 @@ def test_the_dispatch_plans_equal_the_census_gates(monkeypatch):
 
 
 def test_the_dispatch_plans_stay_bounded_and_keep_outputs(monkeypatch):
-    """Over three thousand solves of mixed instances with n = 7 to 16, each
-    plan keeps at most PLAN_CAP censuses, lowered to 16 here so that both
-    drop theirs many times, and every output equals the one a solve from
-    fresh plans gives."""
+    """Over about three thousand solves of mixed instances with n = 7 to
+    22, each plan keeps at most PLAN_CAP censuses, lowered to 16 here so
+    that both drop theirs many times, and every output equals the one a
+    solve from fresh plans gives.  The larger instances are there for the
+    rewrite plan: most small ones end rigid before any rewrite search."""
     plans = (dimatch.rules._PLAN, dimatch.rewrite._PLAN)
 
     def outputs(g):
@@ -462,7 +465,7 @@ def test_the_dispatch_plans_stay_bounded_and_keep_outputs(monkeypatch):
     graphs = []
     for seed in range(3000):
         try:
-            graphs.append(mixed_instance(7 + seed % 10, seed))
+            graphs.append(mixed_instance(7 + seed % 16, seed))
         except GeneratorError:
             continue
     fresh = []
@@ -663,7 +666,11 @@ def test_fixpoint_check_survives_python_O():
 
 
 def test_a_clean_pair_break_at_the_fixpoint_is_a_fault_not_a_no(monkeypatch, tmp_path, capsys):
+    """cycle(6) contracts to a triangle, which is rigid; without the rigid
+    exit the reduction reads the planted break at its fixpoint."""
     monkeypatch.setattr(dimatch.rewrite, "clean_pair_violation", lambda g: "planted break")
+    assert not reduce_to_irreducible(cycle(6)).is_refuted
+    without_rigid_exit(monkeypatch)
     with pytest.raises(AssertionError, match="fixpoint is not a clean pair: planted break"):
         reduce_to_irreducible(cycle(6))
     gpath = tmp_path / "c6.g"
@@ -687,25 +694,13 @@ def test_the_forcing_rules_pre_empt_every_clean_pair_break(monkeypatch):
     clean_pair_violation.  Mixed instances, a third with a prism,
     bowtie or diamond hung on by one or two edges and a third with a
     random partial coloring; bowtie_center, diamond_pair and house_apex,
-    the rules the argument rests on, must each color often."""
-    checkpoints = 0
-    rewrite = dimatch.rewrite.try_rewrite
-
-    def checked(g, c, wl=None):
-        nonlocal checkpoints
-        checkpoints += 1
-        assert clean_pair_violation(g) is None, g.edges()
-        return rewrite(g, c, wl)
-
-    monkeypatch.setattr(dimatch.rewrite, "try_rewrite", checked)
-    colored = Counter()
-
-    class Colorings(ReductionAudit):
-        def on_color(self, g, rule_id, tag, v, color, pre):
-            colored[rule_id] += 1
-
-    audit = Colorings()
+    the rules the argument rests on, must each color often.  The rigid
+    exit ends many reductions before such a search, so they run without
+    it here.  With it, a reduction may end at a rigid pair that breaks
+    those facts, such as a prism; the pair's sets then have no exact
+    hitting set, so it answers NO, as brute force does."""
     rng = random.Random(17)
+    inputs = []
     for seed in range(600):
         try:
             g = mixed_instance(7 + seed % 16, seed)
@@ -719,6 +714,41 @@ def test_the_forcing_rules_pre_empt_every_clean_pair_break(monkeypatch):
             g = g.rewrite(add_vertices=ids, add_edges=[(ids[a], ids[b]) for a, b in edges] + links)
         elif seed % 3 == 2:
             c = PartialColoring({v: rng.choice((BLACK, WHITE)) for v in g.vertices if rng.random() < 0.1})
+        inputs.append((g, c))
+    # each input also with a prism as a component of its own
+    prism = CLEAN_PAIR_BREAKS[0][1]
+    rigid_breaks = 0
+    for g, c in inputs:
+        ids = g.fresh_ids(6)
+        for h in (g, g.rewrite(add_vertices=ids, add_edges=[(ids[a], ids[b]) for a, b in prism])):
+            rr = reduce_to_irreducible(h, c.copy())
+            if rr.decomposition is not None and clean_pair_violation(rr.graph) is not None:
+                family = build_family(rr.graph, rr.coloring, rr.decomposition)
+                assert solve_hitting(family) is None, h.edges()
+                if h.n <= MAX_ORACLE_VERTICES:
+                    assert brute_dim(h, c) is None, h.edges()
+                rigid_breaks += 1
+    assert rigid_breaks >= 80, rigid_breaks
+
+    checkpoints = 0
+    rewrite = dimatch.rewrite.try_rewrite
+
+    def checked(g, c, wl=None):
+        nonlocal checkpoints
+        checkpoints += 1
+        assert clean_pair_violation(g) is None, g.edges()
+        return rewrite(g, c, wl)
+
+    monkeypatch.setattr(dimatch.rewrite, "try_rewrite", checked)
+    without_rigid_exit(monkeypatch)
+    colored = Counter()
+
+    class Colorings(ReductionAudit):
+        def on_color(self, g, rule_id, tag, v, color, pre):
+            colored[rule_id] += 1
+
+    audit = Colorings()
+    for g, c in inputs:
         reduce_to_irreducible(g, c, audit)
     assert checkpoints >= 300, checkpoints
     assert min(colored[r] for r in ("bowtie_center", "diamond_pair", "house_apex")) >= 50, colored
@@ -765,7 +795,8 @@ def test_randomized_driver_audit():
     rng = random.Random(17)
     audit = OracleAudit()
     rewrites = 0
-    for _ in range(500):
+    # enough instances for the rewrite floor, though many end rigid first
+    for _ in range(800):
         n = rng.randint(6, 14)
         g = mixed_instance(n, rng.randrange(1 << 30))
         rr = reduce_to_irreducible(g, audit=audit)

@@ -37,6 +37,7 @@ from .util import (
     reference_square_degree_two,
     reference_triangle_outsiders,
     rewrite_chain,
+    without_rigid_exit,
 )
 
 # initial state plus one demand the rule itself must produce on it
@@ -446,10 +447,12 @@ def test_the_fixpoint_read_answers_as_a_second_propagation(monkeypatch):
 
 
 def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(monkeypatch):
-    """A claw joining two triangles is YES with an empty trace.  The
-    driver's propagation last scanned square_alternation and
-    triangle_outsider from anchors, after degree_one fired, and every other
-    rule whole once nothing more changed; the check scans only those two."""
+    """A claw joining two triangles is YES with an empty trace.  It is
+    rigid once degree_one has fired, so the reduction ends there and reads
+    no fixpoint.  Without that exit, the driver's propagation last scanned
+    square_alternation and triangle_outsider from anchors, after
+    degree_one fired, and every other rule whole once nothing more
+    changed; the check scans only those two."""
     g = from_edges(10, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (7, 8), (7, 9), (7, 10), (1, 8), (4, 10)])
     calls, checking = [], []
 
@@ -472,6 +475,10 @@ def test_fixpoint_check_skips_rules_already_scanned_whole_on_the_final_state(mon
     monkeypatch.setattr(dimatch.rewrite, "is_clean_pair", check)
     rr = dimatch.rewrite.reduce_to_irreducible(g)
     assert not rr.is_refuted and rr.trace == [] and rr.graph is g
+    assert rr.decomposition is not None and calls == []
+    without_rigid_exit(monkeypatch)
+    rr = dimatch.rewrite.reduce_to_irreducible(g)
+    assert not rr.is_refuted and rr.trace == [] and rr.graph is g and rr.decomposition is None
     assert calls == ["square_alternation", "triangle_outsider"]
 
 
@@ -821,7 +828,9 @@ def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
     cycle(240), the first included, the worklist's whole records on the
     graph as it stands list every rule with a black role that the census
     admits, though after a rewrite step an ungated rescan would be
-    anchored; none of them is called."""
+    anchored; none of them is called.  The last propagation, on the
+    triangle the cycle contracts to, ends at that rigid pair before any
+    rule, and leaves no record."""
     called = []
 
     def counted(rule):
@@ -836,8 +845,11 @@ def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
     def propagate_then_check(g, c, audit=None, wl=None):
         conflict = propagate(g, c, audit, wl)
         assert conflict is None and not c.state
-        admitted = {r.id for r in BLACK_RULES if r.shape.fits(g)}
-        assert admitted and admitted <= wl.scanned_whole(g), (g.n, admitted, wl.scanned_whole(g))
+        if wl.rigid is not None:
+            assert g.n == 3 and not wl.scanned_whole(g), (g.n, wl.scanned_whole(g))
+        else:
+            admitted = {r.id for r in BLACK_RULES if r.shape.fits(g)}
+            assert admitted and admitted <= wl.scanned_whole(g), (g.n, admitted, wl.scanned_whole(g))
         checked.append(g.n)
         return conflict
 
@@ -845,14 +857,15 @@ def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
     monkeypatch.setattr(dimatch.rewrite, "propagate", propagate_then_check)
     rr = dimatch.rewrite.reduce_to_irreducible(cycle(240))
     assert rr.rewrite_steps > 60 and checked[0] == 240 and len(checked) == rr.rewrite_steps + 1, checked
+    assert rr.decomposition is not None and checked[-1] == 3
     assert not {r.id for r in BLACK_RULES} & set(called), called
 
 
 def test_the_fixpoint_probe_asks_no_census_once_the_plan_exists(monkeypatch):
     """On the clean pairs the reduction of cycle(7) and of mixed instances
-    reaches, is_clean_pair makes no `Pattern.fits` call: the plan of the
-    pair's degree census was built while reducing, and the rules it leaves
-    out are skipped without asking."""
+    reaches without the rigid exit, is_clean_pair makes no `Pattern.fits`
+    call: the plan of the pair's degree census was built while reducing,
+    and the rules it leaves out are skipped without asking."""
     fits, asked = Pattern.fits, []
 
     def counted_fits(self, g):
@@ -861,6 +874,7 @@ def test_the_fixpoint_probe_asks_no_census_once_the_plan_exists(monkeypatch):
 
     pairs, rng = [], random.Random(31)
     hosts = [cycle(7)] + [mixed_instance(rng.randint(8, 16), rng.randrange(1 << 30)) for _ in range(40)]
+    without_rigid_exit(monkeypatch)
     for g in hosts:
         rr = dimatch.rewrite.reduce_to_irreducible(g)
         if not rr.is_refuted and rr.graph.n:

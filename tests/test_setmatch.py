@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import dimatch.pipeline
+import dimatch.rules
 import dimatch.setmatch
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
-from dimatch.graph import Graph, complete, from_edges, star
+from dimatch.graph import Graph, complete, cycle, from_edges, star
 from dimatch.matching import solve_saturation
 from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
 from dimatch.patterns import contains_s222
@@ -36,6 +37,7 @@ from .util import (
     planted,
     reference_decomposition,
     reference_solve_hitting,
+    without_rigid_exit,
 )
 
 
@@ -109,31 +111,40 @@ def _claw_bridge_with(edges=(), colors=None) -> tuple[Graph, PartialColoring]:
     return from_edges(10, [*g.edges(), *edges]), PartialColoring(colors or c.state)
 
 
-# one pair per structure fact, with the text of its violation; a claw
-# center's fourth neighbor is a degree-4 vertex outside every triangle
+# one pair per structure fact, with the text of its violation; the walk goes
+# down from the greatest vertex, so each pair breaks its fact at a vertex
+# above every other break.  A claw center's fourth neighbor is a degree-4
+# vertex outside every triangle
 REJECTING = {
     "high degree": (star(5), PartialColoring(), "maximum degree 5 exceeds four"),
     "bowtie": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]), PartialColoring(),
                "vertex 1 lies in 2 triangles"),
     "isolated": (from_edges(4, [(1, 2), (1, 3), (2, 3)]), PartialColoring(), "isolated vertex 4"),
-    "hub outside": (star(4), PartialColoring(), "degree-4 vertex 1 outside every triangle"),
-    "hub partners": (from_edges(6, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (2, 6)]), PartialColoring(),
-                     "triangle of degree-4 vertex 1 has high-degree partners"),
-    "black anchor": (*_claw_bridge_with(colors={7: BLACK, 1: BLACK}), "black triangle vertex 1 has degree 3"),
+    "hub outside": (from_edges(5, [(5, 1), (5, 2), (5, 3), (5, 4)]), PartialColoring(),
+                    "degree-4 vertex 5 outside every triangle"),
+    "hub partners": (from_edges(6, [(4, 5), (4, 6), (5, 6), (6, 1), (6, 2), (5, 3)]), PartialColoring(),
+                     "triangle of degree-4 vertex 6 has high-degree partners"),
+    "black anchor": (from_edges(6, [*_TWO_TRIANGLES, (3, 6)]), PartialColoring({6: BLACK}),
+                     "black triangle vertex 6 has degree 3"),
     "pendant path": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5)]), PartialColoring(),
-                     "component [4, 5] outside the triangles is not a star of 2 or 3 leaves"),
-    "long path": (from_edges(7, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7)]), PartialColoring(),
-                  "component [4, 5, 6, 7] outside the triangles is not a star of 2 or 3 leaves"),
+                     "vertex 5 outside the triangles has 0 black neighbors"),
+    "long path": (from_edges(9, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]),
+                  PartialColoring({5: BLACK, 8: BLACK}), "star [7, 8, 9] has an arm outside the triangles"),
+    "lone leaf": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5)]), PartialColoring({5: BLACK}),
+                  "star center 5 has one leaf"),
+    "black pair": (*_claw_bridge_with(colors={7: BLACK, 10: BLACK}), "black vertices 10 and 7 adjacent"),
     "attached center": (*_claw_bridge_with(edges=[(7, 2)]), "degree-4 vertex 7 outside every triangle"),
     "path center attached": (from_edges(9, [*_TWO_TRIANGLES, (7, 8), (7, 9), (8, 1), (9, 4), (7, 2)]),
                              PartialColoring({7: BLACK}), "star center 7 has a neighbor in a triangle"),
-    "white center": (*_claw_bridge_with(colors={7: WHITE}), "star center 7 is not black"),
+    "white center": (from_edges(10, [*_TWO_TRIANGLES, (10, 7), (10, 8), (10, 9), (7, 1), (8, 4)]),
+                     PartialColoring({10: WHITE}), "white vertex 10"),
     "two tips": (from_edges(10, [*_TWO_TRIANGLES, (7, 8), (7, 9), (7, 10), (8, 1)]), PartialColoring({7: BLACK}),
                  "star [7, 8, 9, 10] lacks the shape of arms and at most one pendant tip"),
     "thick leaf": (*_claw_bridge_with(edges=[(10, 2), (10, 5)]),
                    "star [7, 8, 9, 10] lacks the shape of arms and at most one pendant tip"),
     "no tip": (*_claw_bridge_with(edges=[(10, 5)]), "star [7, 8, 9, 10] anchored twice in one triangle"),
-    "colored tip": (*_claw_bridge_with(colors={7: BLACK, 10: WHITE}), "star [7, 8, 9, 10] has a colored leaf"),
+    "colored tip": (from_edges(10, [*_TWO_TRIANGLES, (10, 7), (10, 8), (10, 9), (7, 1), (8, 4)]),
+                    PartialColoring({10: BLACK, 9: WHITE}), "star [7, 8, 9, 10] has a colored leaf"),
     "one triangle": (from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7), (5, 1), (6, 2)]),
                      PartialColoring({4: BLACK}), "star [4, 5, 6, 7] anchored twice in one triangle"),
 }
@@ -149,12 +160,16 @@ def test_decompose_raises_what_the_structure_check_reports(name):
 
 
 def test_a_structure_violation_is_a_fault_not_a_no(monkeypatch):
-    """The reduction leaves only pairs with the structure, so a break is
-    raised out of `solve` instead of answered as a NO."""
+    """A reduction that reaches its fixpoint leaves only pairs with the
+    structure, so a break there is raised out of `solve` instead of
+    answered as a NO.  With the rigid exit, the claw bridge ends rigid
+    and the pipeline does not decompose it again."""
     def planted(g, c):
         raise StructureViolation("planted")
 
     monkeypatch.setattr(dimatch.pipeline, "decompose", planted)
+    assert solve(fig_claw_bridge()[0]).is_yes
+    without_rigid_exit(monkeypatch)
     with pytest.raises(StructureViolation, match="planted"):
         solve(fig_claw_bridge()[0])
 
@@ -236,6 +251,81 @@ def test_a_star_expands_its_hits_to_exactly_the_completions(name):
     assert (brute_dim(g, c) is not None) == bool(hits)
 
 
+def _random_rigid_pair(rng: random.Random) -> tuple[Graph, PartialColoring]:
+    """A pair built from the parts of the rigid structure, with no forcing
+    rule or rewrite: triangles, some a degree-four gadget (a hub with two
+    outside edges, its partners of degree two) or with a black vertex of
+    degree two, then stars of two or three leaves around a black center,
+    at most one leaf a pendant tip and the arms anchored in distinct
+    triangles, then core edges between the triangle vertices left free.
+    At most 20 vertices; `decompose` may still refuse it, when a core edge
+    closes a triangle at a hub."""
+    edges, colors, slots = [], {}, []
+    triangles = rng.randint(1, 5)
+    for t in range(triangles):
+        a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
+        edges += [(a, b), (a, c), (b, c)]
+        kind = rng.random()
+        if kind < 0.2:
+            slots += [(a, t), (a, t)]
+        elif kind < 0.4:
+            colors[c] = BLACK
+            slots += [(a, t), (b, t)]
+        else:
+            slots += [(a, t), (b, t), (c, t)]
+    rng.shuffle(slots)
+    nxt = 3 * triangles + 1
+    for _ in range(rng.randint(0, 3)):
+        leaves = rng.choice((2, 3))
+        if nxt + leaves > 20:
+            break
+        x, nxt = nxt, nxt + 1
+        colors[x] = BLACK
+        anchored: set[int] = set()
+        for i in range(leaves):
+            free = [k for k, (_, t) in enumerate(slots) if t not in anchored]
+            if free and not (i == 0 and rng.random() < 0.4):
+                r, t = slots.pop(free[0])
+                anchored.add(t)
+                edges += [(x, nxt), (nxt, r)]
+            elif len(anchored) == i:
+                # the star's one pendant tip: every leaf so far is an arm
+                edges.append((x, nxt))
+            else:
+                break
+            nxt += 1
+    while len(slots) >= 2 and rng.random() < 0.9:
+        (u, t), (w, s) = slots.pop(), slots.pop()
+        if t != s and u != w and (min(u, w), max(u, w)) not in edges:
+            edges.append((min(u, w), max(u, w)))
+    return Graph(range(1, nxt), edges), PartialColoring(colors)
+
+
+def test_exact_hitting_decides_every_rigid_pair():
+    """The lemma behind the rigid exit, checked without the rules: on
+    random rigid pairs of at most 20 vertices, the family has an exact
+    hitting set exactly when brute force extends the coloring, and every
+    hitting set found expands to a complete coloring that verifies."""
+    rng = random.Random(34)
+    decided = Counter()
+    for _ in range(3000):
+        g, c = _random_rigid_pair(rng)
+        try:
+            d = decompose(g, c)
+        except StructureViolation:
+            decided["refused"] += 1
+            continue
+        chosen = solve_hitting(build_family(g, c, d))
+        assert (chosen is not None) == (brute_dim(g, c) is not None), (g.edges(), c.state)
+        if chosen is not None:
+            assert verify_complete(g, coloring_from_hit(g, c, d, chosen)), (g.edges(), c.state)
+        decided[chosen is not None] += 1
+        decided["stars"] += len(d.stars) > 0
+        decided["hubs"] += len(d.degree4_triangles) > 0
+    assert decided[True] + decided[False] >= 2500 and decided[False] >= 200, decided
+    assert decided["stars"] >= 1500 and decided["hubs"] >= 500, decided
+
+
 def test_solving_the_claw_bridge_cuts_one_subgraph(monkeypatch):
     """The structure check and the decomposition share one walk, and the
     set family reads the triangles, so the outside graph is the only
@@ -250,6 +340,31 @@ def test_solving_the_claw_bridge_cuts_one_subgraph(monkeypatch):
     monkeypatch.setattr(Graph, "subgraph", counted)
     assert solve(fig_claw_bridge()[0]).is_yes
     assert len(calls) == 1
+
+
+def test_a_refused_rigidity_test_cuts_no_subgraph(monkeypatch):
+    """Reducing cycle(3k) tests rigidity once per propagation round and is
+    refused until the triangle it contracts to, whose accepted test cuts
+    the one subgraph; cycle(3k + 1) ends in a conflict and cuts none."""
+    calls, tests = [], []
+    cut, rigid = Graph.subgraph, dimatch.rules.rigid_pair
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return cut(self, *args, **kwargs)
+
+    def tested(g, c, wl):
+        tests.append(g.n)
+        return rigid(g, c, wl)
+
+    monkeypatch.setattr(Graph, "subgraph", counted)
+    monkeypatch.setattr(dimatch.rules, "rigid_pair", tested)
+    for n, cuts in ((30, [3]), (31, [])):
+        calls.clear()
+        tests.clear()
+        rr = reduce_to_irreducible(cycle(n))
+        assert calls == cuts and len(tests) >= 9, (n, calls, tests)
+        assert (rr.decomposition is not None) == bool(cuts)
 
 
 # -- family construction ------------------------------------------------------

@@ -9,6 +9,7 @@ from typing import AbstractSet, Iterable, Iterator, Optional
 
 from hypothesis import strategies as st
 
+import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
 from dimatch.graph import Graph, from_edges
 from dimatch.oracle import brute_dim
@@ -19,6 +20,13 @@ from dimatch.setmatch import IrreducibleDecomposition, SetFamilyInstance, Star
 
 # the forcing rules by id
 RULES_BY_ID = {r.id: r for r in CATALOG}
+
+
+def without_rigid_exit(monkeypatch) -> None:
+    """Make every rigidity test of propagation refuse, so that each
+    reduction runs to its fixpoint and the pipeline decomposes the pair
+    there."""
+    monkeypatch.setattr(dimatch.rules, "rigid_pair", lambda g, c, wl: None)
 
 # The long claw: a claw with every edge subdivided once.
 LONG_CLAW = pattern(
@@ -96,6 +104,47 @@ def all_graphs(n: int) -> Iterator[Graph]:
     slots = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(slots)):
         yield from_edges(n, (e for i, e in enumerate(slots) if mask >> i & 1))
+
+
+def _canonical_code(n: int, nbrs: list[int]) -> int:
+    """The greatest adjacency code, the upper triangle read row by row,
+    over the vertex orders that sort the vertices by an invariant: degree,
+    then the sorted degrees of the neighbours, then the sorted invariants
+    of the neighbours.  Isomorphic graphs sort alike, so the code is the
+    same exactly for isomorphic graphs.  nbrs[v] is v's neighbour bitmask."""
+    deg = [bin(m).count("1") for m in nbrs]
+    inv: list[tuple] = [(deg[v], tuple(sorted(deg[w] for w in range(n) if nbrs[v] >> w & 1))) for v in range(n)]
+    inv = [(inv[v], tuple(sorted(inv[w] for w in range(n) if nbrs[v] >> w & 1))) for v in range(n)]
+    cells = [[v for v in range(n) if inv[v] == key] for key in sorted(set(inv))]
+    best = 0
+    for parts in product(*(permutations(cell) for cell in cells)):
+        order = [v for part in parts for v in part]
+        code = 0
+        for i in range(n):
+            row = nbrs[order[i]]
+            for j in range(i + 1, n):
+                code = code << 1 | (row >> order[j] & 1)
+        best = max(best, code)
+    return best
+
+
+def nonisomorphic_graphs(top: int) -> Iterator[Graph]:
+    """One graph of each isomorphism class on 0 to top vertices, on vertices
+    1..n: each class on n vertices is a class on n - 1 with a new vertex
+    joined to some subset, and duplicates are told apart by
+    `_canonical_code`.  Up to 7 vertices there are 1 253 classes, the
+    graph atlas."""
+    reps: list[list[int]] = [[]]
+    yield from_edges(0, [])
+    for n in range(1, top + 1):
+        found: dict[int, list[int]] = {}
+        for nbrs in reps:
+            for joined in range(1 << (n - 1)):
+                new = [m | (joined >> v & 1) << (n - 1) for v, m in enumerate(nbrs)] + [joined]
+                found.setdefault(_canonical_code(n, new), new)
+        reps = list(found.values())
+        for nbrs in reps:
+            yield from_edges(n, [(u + 1, w + 1) for u in range(n) for w in range(u + 1, n) if nbrs[u] >> w & 1])
 
 
 def is_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
