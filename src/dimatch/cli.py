@@ -100,6 +100,13 @@ def _nonnegative(args: argparse.Namespace, *names: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be nonnegative, not {value}")
 
 
+# the random models that seldom draw a long-claw-free graph above 20
+# vertices, so that their rejection budget runs out at larger orders
+GIVING_UP = ("uniform", "sparse_tree")
+GIVING_UP_HINT = ("uniform and sparse_tree seldom draw a long-claw-free graph above 20 vertices; "
+                  "--model planted_line gives one at any order")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     from .oracle import MODELS, GeneratorError, GeneratorSpec, generate
 
@@ -110,7 +117,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     try:
         g = generate(spec)
     except GeneratorError as exc:
-        raise UsageError(str(exc)) from None
+        hint = f"; {GIVING_UP_HINT}" if args.model in GIVING_UP else ""
+        raise UsageError(f"{exc}{hint}") from None
     text = save_graph(g)
     if args.out:
         _write_text(args.out, text)
@@ -209,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a long-claw-free instance")
     # checked by cmd_gen, so that building the parser loads no generator
-    p.add_argument("--model", default="uniform", help="a random model, or 'known' for --family")
+    p.add_argument("--model", default="uniform",
+                   help=f"a random model, 'planted_line', or 'known' for --family (default uniform); {GIVING_UP_HINT}")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="cycle", choices=["cycle", "path", "complete", "star"])

@@ -25,7 +25,7 @@ from .rules import (
     is_clean_pair,
     propagate,
 )
-from .setmatch import IrreducibleDecomposition
+from .setmatch import IrreducibleDecomposition, read_decomposition
 
 
 class LiftError(RuntimeError):
@@ -81,8 +81,8 @@ def clean(g: Graph, c: PartialColoring) -> Optional[RewriteStep]:
     """The step dropping the white vertices and matched black pairs, or
     None if there are none; it is not yet made.  It has rule "clean", an
     empty embedding and colors every vertex it removes."""
-    blacks = c.blacks()
-    removed = c.whites() | {v for v in blacks if g.neighbors(v) & blacks}
+    adj, blacks = g.adjacency, c.blacks()
+    removed = {v for v, col in c.state.items() if col == WHITE or not blacks.isdisjoint(adj[v])}
     if not removed:
         return None
     return _record(g, c, "clean", {}, removed, {})
@@ -482,8 +482,8 @@ class ReduceResult(NamedTuple):
     coloring: PartialColoring
     trace: list[RewriteStep]
     rewrite_steps: int
-    # the pair's decomposition when the reduction ended at a rigid pair;
-    # None at a refutation and at the fixpoint
+    # the pair's decomposition when the reduction ended at a rigid pair,
+    # read once it was cleaned; None at a refutation and at the fixpoint
     decomposition: Optional[IrreducibleDecomposition] = None
 
     @property
@@ -499,13 +499,37 @@ def reduce_to_irreducible(
     """Alternate propagation, cleaning and rewriting until the pair is
     rigid or nothing applies.
 
-    Propagation ends the reduction at the first rigid pair it meets (see
-    `propagate`): one with no white vertex, no two adjacent black vertices
-    and the structure `decompose` checks.  The result then carries that
-    decomposition, and no catalog scan, cleaning, rewrite search or
-    fixpoint read follows.  This is exact by the following lemma: on a
-    rigid pair (g, c), a valid complete coloring of g extending c exists
-    exactly when the sets of `build_family` can be hit exactly once.
+    Propagation ends the reduction at the first basic fixpoint whose pair
+    is rigid once cleaned (see `propagate`): dropping its white vertices
+    and matched black pairs leaves no white vertex, no two adjacent black
+    vertices and the structure `check_structure` checks.  The reduction
+    then makes the ordinary cleaning step, if there is anything to clean,
+    so the trace and the lift are those of any other cleaning, and the
+    result carries the decomposition read off the cleaned pair; no
+    catalog scan, rewrite search or fixpoint read follows.  This is exact
+    by two facts.
+
+    Cleaning keeps completability at any basic fixpoint without a
+    conflict, not only at the full one.  There every neighbour of a white
+    vertex is black, and a black vertex with a black partner has no other
+    black neighbour and only white ones besides.  So a valid completion
+    of the cleaned pair, with the removed vertices in their colors, is
+    valid on g: a removed white sees only blacks, a removed black only its
+    partner and whites, and a survivor next to a removed vertex is an
+    unmatched black next to whites, the only survivors that lose a
+    neighbour, and whites do not count for a black.  Conversely a valid
+    completion of g restricts to one of the cleaned pair, since no
+    survivor loses a black neighbour.  Each triangle lies wholly inside
+    or wholly outside what cleaning removes (a white vertex lies in one
+    only with a matched pair, and a matched pair's third neighbour is
+    white), so the triangles `check_structure` reads at a survivor are
+    the cleaned pair's.  This is the argument for draining in
+    `propagate` once more: each step made so far keeps completability, in
+    whatever order, so cleaning may come where the rules' scans stop.
+
+    And on a rigid pair (g, c), a valid complete coloring of g extending
+    c exists exactly when the sets of `build_family` can be hit exactly
+    once; this is the lemma that decides the cleaned pair.
 
     Proof.  In a valid coloring the white vertices are independent and
     each black vertex has exactly one black neighbour.  On a rigid pair
@@ -528,17 +552,18 @@ def reduce_to_irreducible(
     exact hitting set, and each vertex is valid under those constraints:
     a degree-four triangle's spokes have no other neighbours and take the
     colors its hub leaves them, and every edge between two parts is a core
-    edge or an arm.  Only the facts `decompose` checks, no white and no
-    black-black edge are used, so the lemma holds after any number of
-    steps; cleaning, rewrites and forcing rules keep completability, and
-    lifting takes any valid completion of the final pair back to g.
+    edge or an arm.  Only the facts `check_structure` checks on a pair
+    with nothing to clean, no white and no black-black edge are used, so
+    the lemma holds after any number of steps; cleaning, rewrites and
+    forcing rules keep completability, and lifting takes any valid
+    completion of the final pair back to g.
 
     Termination is audited: the (bad vertices, n, m) measure must drop
     lexicographically at every rewrite, and the number of rewrites may not
     exceed STEP_CAP_FACTOR * n^2.  The measure is counted whole once, at
     the first rewrite, and then carried through every step by `remeasure`.
     At the fixpoint, which a reduction reaches only when it never met a
-    rigid pair, a five-cycle component answers NO (see `_c5_component`);
+    pair rigid once cleaned, a five-cycle component answers NO (see `_c5_component`);
     otherwise the final pair must be clean and keep the facts of
     `clean_pair_violation`, which the rules pre-empt, and either failing
     is a fault (AssertionError), never a NO.
@@ -562,11 +587,11 @@ def reduce_to_irreducible(
         conflict = propagate(g, c, audit, wl)
         if conflict is not None:
             return ReduceResult(conflict, g, c, trace, steps)
-        if wl.rigid is not None:
-            return ReduceResult(None, g, c, trace, steps, wl.rigid)
         step = clean(g, c)
         rewriting = step is None
         if rewriting:
+            if wl.rigid:
+                return ReduceResult(None, g, c, trace, steps, read_decomposition(g, c))
             step = try_rewrite(g, c, wl)
             if step is None:
                 comp = _c5_component(g)
@@ -600,6 +625,8 @@ def reduce_to_irreducible(
         elif audit:
             audit.on_clean(*pre, g, c)
         trace.append(step)
+        if wl.rigid:
+            return ReduceResult(None, g, c, trace, steps, read_decomposition(g, c))
         wl.log.extend(step.changed)
 
 

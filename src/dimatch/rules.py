@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Generic, Iterator, NamedTuple, Optio
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
 from .patterns import MUST_BLACK, MUST_UNCOLORED, Orbits, Pattern, pattern
-from .setmatch import IrreducibleDecomposition, StructureViolation, decompose, structure_fault
+from .setmatch import StructureViolation, check_structure, structure_fault
 
 if TYPE_CHECKING:
     from .rewrite import RewriteStep
@@ -145,8 +145,8 @@ class Worklist:
     skip the rule.
 
     For the rigidity test of `propagate` it also keeps the watch, the
-    vertex at which the last refused test found a fact broken, and the
-    decomposition of the rigid pair propagation last ended at, if any.
+    vertex at which the last refused test found a fact broken, and whether
+    propagation last ended at a pair that is rigid once cleaned.
     """
 
     __slots__ = ("log", "quiet", "whole", "_balls", "_state", "watch", "rigid")
@@ -162,8 +162,8 @@ class Worklist:
         self._state: tuple[int, int] = (-1, 0)
         # the vertex at which the last refused rigidity test broke a fact
         self.watch: Optional[int] = None
-        # the decomposition of the pair propagation last ended at, if rigid
-        self.rigid: Optional[IrreducibleDecomposition] = None
+        # whether propagation last ended at a pair rigid once cleaned
+        self.rigid = False
 
     def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
         """Ascending anchors to rescan for key; None means all of g: on
@@ -692,23 +692,24 @@ CATALOG: tuple[Rule, ...] = (
 _PLAN: DispatchPlan[Rule] = DispatchPlan(lambda rule: rule.shape)
 
 
-def rigid_pair(g: Graph, c: PartialColoring, wl: Worklist) -> Optional[IrreducibleDecomposition]:
-    """The decomposition of (g, c) if the pair is rigid, that is, if
-    `decompose` accepts it; else None.  A refusal names the vertex whose
-    fact broke, which wl keeps as its watch.  The next test asks that
-    vertex first and, while the fact stays broken there, is refused at
-    once, without a walk and without building anything.  `decompose`
-    walks down from the greatest vertex, while the rules and rewrites
-    search up from the least, so a watch tends to outlast the steps
-    between two tests."""
+def rigid_pair(g: Graph, c: PartialColoring, wl: Worklist) -> bool:
+    """Whether the pair cleaning would leave of (g, c) is rigid, that is,
+    whether `check_structure` accepts (g, c).  A refusal names the vertex
+    whose fact broke, which wl keeps as its watch.  The next test asks
+    that vertex first and, while the fact stays broken there, is refused
+    at once, without a walk.  The walk goes down from the greatest vertex,
+    while the rules and rewrites search up from the least, so a watch
+    tends to outlast the steps between two tests.  Neither a refusal nor
+    an acceptance copies or builds a graph."""
     v = wl.watch
     if v in g.adjacency and structure_fault(g, c, v) is not None:
-        return None
+        return False
     try:
-        return decompose(g, c)
+        check_structure(g, c)
     except StructureViolation as err:
         wl.watch = err.vertex
-        return None
+        return False
+    return True
 
 
 def propagate(
@@ -760,14 +761,21 @@ def propagate(
     the count, so they only make the skip rarer.
 
     Propagation also ends, before any catalog rule of the round, once the
-    basic fixpoint leaves a rigid pair (see `rigid_pair`), one with no
-    white vertex, no two adjacent black ones and the structure
-    `decompose` reads; the decomposition is left in wl.rigid, which is
-    None after any other end.  On such a pair exact hitting decides
-    whether c extends to g (see `dimatch.rewrite.reduce_to_irreducible`),
-    so the reduction needs nothing more, and the rules' remaining scans
-    are skipped: the coloring is then not the fixpoint.  The test runs
-    once per round and, refused, mostly costs one vertex's facts.
+    basic fixpoint leaves a pair that is rigid once cleaned (see
+    `rigid_pair`): dropping its white vertices and matched black pairs
+    leaves no white vertex, no two adjacent black ones and the structure
+    `decompose` reads.  wl.rigid is then True, and False after any other
+    end.  Cleaning keeps completability at any basic fixpoint without a
+    conflict, not only at the full one, and on the cleaned pair exact
+    hitting decides whether c extends to g (see
+    `dimatch.rewrite.reduce_to_irreducible`), so the reduction needs only
+    that cleaning step, and the rules' remaining scans are skipped: the
+    coloring is then not the fixpoint.  Skipping them loses nothing:
+    each coloring made so far keeps completability, forced ones holding
+    in every completion and exchange ones in some, so, as in the chaotic
+    iteration above, where the sound steps stop changes nothing about
+    what they preserve.  The test runs once per round and, refused,
+    mostly costs one vertex's facts.
 
     Propagation ends as well once the basic fixpoint colors all of g.
     `assign` and the sweep make that settled coloring a dominating induced
@@ -785,7 +793,7 @@ def propagate(
         if conflict is not None:
             return conflict
         wl.rigid = rigid_pair(g, c, wl)
-        if wl.rigid is not None:
+        if wl.rigid:
             return None
         if len(c.state) == g.n and all(v in c.state for v in g.vertices):
             return None

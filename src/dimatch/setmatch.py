@@ -6,12 +6,14 @@ black triangle vertices of degree two, degree-four vertices in triangles
 whose other two vertices have degree two, and every component left after
 deleting all triangle vertices is a star with a black center and two or
 three uncolored leaves, each an arm anchored in its own triangle or, for
-at most one, a pendant tip.  `decompose` checks that structure vertex by
-vertex in one walk, then reads the triangles, stars and core off the
-pair.  The structure turns the coloring question into hitting a family of
-small sets exactly once: the core's part of each triangle, each core edge
-between two triangles and the representatives of each star's leaves.
-That in turn is a saturating-matching question.
+at most one, a pendant tip.  `check_structure` checks that structure
+vertex by vertex in one walk, on the pair as cleaning would leave it, and
+`read_decomposition` reads the triangles, stars and core off the cleaned
+pair; `decompose` does both on a pair with nothing to clean.  The
+structure turns the coloring question into hitting a family of small sets
+exactly once: the core's part of each triangle, each core edge between
+two triangles and the representatives of each star's leaves.  That in
+turn is a saturating-matching question.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ class StructureViolation(RuntimeError):
     """The pair breaks the structure `decompose` reads.  The reduction
     leaves only pairs with that structure, so a violation is a fault of
     the program, not a refutation of the instance.  `vertex` is the vertex
-    whose fact broke (see `structure_fault`), or None for the maximum
-    degree."""
+    whose fact broke (see `structure_fault`), if any."""
 
     def __init__(self, message: str, vertex: Optional[int] = None) -> None:
         super().__init__(message)
@@ -65,56 +66,89 @@ def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
 
 
 def structure_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
-    """The first structure fact the pair breaks at v, or None, in this
-    order: v is not isolated, not white and, if black, has no black
-    neighbour.  A triangle vertex lies in one triangle and, if black, has
-    degree two; if its degree is four, the other two vertices of its
-    triangle have degree two.  A vertex outside the triangles has degree
-    below four, and is either uncolored with exactly one black neighbour
-    (a leaf) or black (a star center).  A center has two or three
-    neighbours, all outside the triangles and uncolored, each of degree at
-    most two and at most one of degree one, the pendant tip; every other
-    leaf is an arm whose second neighbour lies in a triangle, the arms of
-    one center in distinct triangles.
+    """The first structure fact that the pair cleaning would leave breaks
+    at v, or None.
 
-    Over all vertices, and with the maximum degree at most four, these
-    facts are the whole structure.  A leaf's black neighbour lies outside
-    the triangles, since a black triangle vertex has only its triangle's
-    two other vertices as neighbours; so it is a center, the leaf is one
-    of its own, and each component outside the triangles is one center
-    with its leaves.  Whether v lies in a triangle is read from its
-    neighbours, so a vertex outside every triangle builds no triangle
-    index.
+    Cleaning (`dimatch.rewrite.clean`) drops the white vertices and the
+    matched black pairs.  So a white v whose neighbours are all black, and
+    a black v with one black neighbour and every other neighbour white,
+    are skipped; a white v with a neighbour that is not black, or a black
+    one with two black neighbours, or with one and a neighbour that is not
+    white, breaks a fact here.  Every other vertex is read without its
+    white neighbours, the only ones cleaning takes from it once those
+    facts hold everywhere, in this order: v is not isolated and has
+    degree at most four.  A triangle vertex lies in one triangle and, if
+    black, has degree two; if its degree is four, the other two vertices
+    of its triangle have degree two.  A vertex outside the triangles has
+    degree below four, and is either uncolored with exactly one black
+    neighbour (a leaf) or black (a star center).  A center has two or
+    three neighbours, all outside the triangles, each of degree at most
+    two and at most one of degree one, the pendant tip; every other leaf
+    is an arm whose second neighbour lies in a triangle, the arms of one
+    center in distinct triangles.
+
+    Over all vertices these facts are the whole structure of the cleaned
+    pair.  Once they hold everywhere, an uncolored vertex has no white
+    neighbour and no matched black one, so it keeps its neighbourhood, and
+    a black survivor loses only white neighbours; each triangle lies
+    wholly inside or wholly outside what cleaning removes (a white vertex
+    is in one only with a matched pair, and a matched pair's third
+    neighbour is white), so the triangles at a survivor are those of the
+    cleaned graph.  A black partner of a degree-four vertex has degree two
+    by its own fact, so only uncolored partners are read here.  A leaf's
+    black neighbour lies outside the triangles, since a black triangle
+    vertex has only its triangle's two other vertices as neighbours; so it
+    is a center, the leaf is one of its own, and each component outside
+    the triangles is one center with its leaves.  Whether v lies in a
+    triangle is read from its neighbours, so a vertex outside every
+    triangle builds no triangle index.
     """
     adj, get = g.adjacency, c.state.get
     ns = adj[v]
-    if not ns:
-        return f"isolated vertex {v}"
     col = get(v)
-    if col == WHITE:
-        return f"white vertex {v}"
-    # v's black neighbours, the least of them, and whether two neighbours
-    # are adjacent, in one pass and without a closure, as this is asked
-    # once per propagation round
-    blacks = least = 0
+    if col is not None:
+        # v's uncolored and black neighbours; the others are white
+        open_ = blacks = 0
+        for w in ns:
+            cw = get(w)
+            if cw is None:
+                open_ += 1
+            elif cw == BLACK:
+                blacks += 1
+        if col == WHITE:
+            if blacks == len(ns):
+                return None
+            return f"white vertex {v} has a neighbor {min(w for w in ns if get(w) != BLACK)} that is not black"
+        if blacks > 1:
+            return f"black vertex {v} has {blacks} black neighbors"
+        if blacks:
+            if not open_:
+                return None
+            return f"matched black vertex {v} has a neighbor {min(w for w in ns if get(w) is None)} that is not white"
+        if open_ < len(ns):
+            ns = frozenset(w for w in ns if get(w) is None)
+    d = len(ns)
+    if not d:
+        return f"isolated vertex {v}"
+    if d > 4:
+        return f"vertex {v} has degree {d}, above four"
+    # v's black neighbours and whether two neighbours are adjacent, in one
+    # pass and without a closure, as this is asked once per propagation
+    # round
+    blacks = 0
     inside = False
     for w in ns:
         if get(w) == BLACK:
-            if not blacks or w < least:
-                least = w
             blacks += 1
         if not inside and not adj[w].isdisjoint(ns):
             inside = True
-    if col == BLACK and blacks:
-        return f"black vertices {v} and {least} adjacent"
-    d = len(ns)
     if inside:
         ts = g.triangles_at()[v]
         if len(ts) > 1:
             return f"vertex {v} lies in {len(ts)} triangles"
         if d == 4:
             for w in ts[0]:
-                if len(adj[w]) != 2 and w != v:
+                if w != v and get(w) is None and len(adj[w]) != 2:
                     return f"triangle of degree-4 vertex {v} has high-degree partners"
         if col == BLACK and d != 2:
             return f"black triangle vertex {v} has degree {d}"
@@ -123,18 +157,19 @@ def structure_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
         return f"degree-4 vertex {v} outside every triangle"
     if col is None:
         return None if blacks == 1 else f"vertex {v} outside the triangles has {blacks} black neighbors"
-    return _center_fault(g, c, v)
+    return _center_fault(g, v, ns)
 
 
-def _center_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
+def _center_fault(g: Graph, v: int, ns: frozenset[int]) -> Optional[str]:
     """The first fact of a star center that v, black and outside the
-    triangles, breaks, or None (see `structure_fault`).  The leaves are
-    read in one pass; the facts are then decided in their order."""
-    adj, get = g.adjacency, c.state.get
-    ns = adj[v]
+    triangles with its leaves ns, its neighbours that are not white,
+    breaks, or None (see `structure_fault`); v has no black neighbour, so
+    the leaves are uncolored.  They are read in one pass; the facts are
+    then decided in their order."""
+    adj = g.adjacency
     if len(ns) == 1:
         return f"star center {v} has one leaf"
-    near_triangle = misshapen = colored = False
+    near_triangle = misshapen = False
     tips = 0
     anchors = []
     for a in ns:
@@ -148,14 +183,10 @@ def _center_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
             anchors += [w for w in na if w != v]
         else:
             misshapen = True
-        if get(a) is not None:
-            colored = True
     if near_triangle:
         return f"star center {v} has a neighbor in a triangle"
     if misshapen or tips > 1:
         return f"star {sorted((v, *ns))} lacks the shape of arms and at most one pendant tip"
-    if colored:
-        return f"star {sorted((v, *ns))} has a colored leaf"
     for r in anchors:
         nr = adj[r]
         if all(adj[w].isdisjoint(nr) for w in nr):
@@ -167,32 +198,53 @@ def _center_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
     return None
 
 
-def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
-    """Check the structure of an irreducible pair and split it into
-    triangles, stars and the core.
+def check_structure(g: Graph, c: PartialColoring) -> None:
+    """Raise StructureViolation unless the pair cleaning would leave has
+    the structure `decompose` reads.
 
-    A pair this accepts is rigid: it has no white vertex and no two
-    adjacent black ones, and a coloring extending c exists exactly when
-    the sets of `build_family` can be hit exactly once.  The reduction
-    ends at the first rigid pair it meets (see
-    `dimatch.rewrite.reduce_to_irreducible`, which proves the second fact).
-
-    Raises StructureViolation for the first fact broken, failing fast: a
-    maximum degree above four, read from the degree counts, and then, in
-    one walk down from the greatest vertex, the first vertex that breaks a
-    fact of `structure_fault`, naming that vertex.  So a refused pair
-    costs the walk down to that vertex and builds no graph.  Once every
-    vertex passes, the stars are read off the subgraph the vertices
-    outside the triangles induce, the one graph built here, one star per
-    component in order of least vertex.
-    """
-    top = g.max_degree()
-    if top > 4:
-        raise StructureViolation(f"maximum degree {top} exceeds four")
+    One fail-fast walk down from the greatest vertex asks each vertex's
+    facts (`structure_fault`) and raises at the first that breaks one,
+    naming that vertex.  So a refused pair costs the walk down to that
+    vertex and builds nothing, and an accepted one has been walked once
+    and is not copied.  The walk goes down because the rules and rewrites
+    search up from the least vertex, so a refusal tends to name a vertex
+    they leave alone."""
     for v in reversed(g.vertices):
         fault = structure_fault(g, c, v)
         if fault is not None:
             raise StructureViolation(fault, v)
+
+
+def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
+    """Check the structure of an irreducible pair and split it into
+    triangles, stars and the core.
+
+    A pair `check_structure` accepts is rigid once cleaned: it then has no
+    white vertex and no two adjacent black ones, and a coloring extending
+    c exists exactly when the sets of `build_family` can be hit exactly
+    once.  The reduction ends at the first pair that is rigid once cleaned
+    (see `dimatch.rewrite.reduce_to_irreducible`, which proves the second
+    fact), cleans it and reads it with `read_decomposition`.
+
+    Raises StructureViolation for the first fact broken (see
+    `check_structure`), and for a pair that cleaning would still change,
+    naming its least white vertex or matched black one: the reading takes
+    the pair as it stands.
+    """
+    check_structure(g, c)
+    adj, get = g.adjacency, c.state.get
+    for v in g.vertices:
+        col = get(v)
+        if col == WHITE or col == BLACK and any(get(w) == BLACK for w in adj[v]):
+            raise StructureViolation(f"cleaning would remove vertex {v}", v)
+    return read_decomposition(g, c)
+
+
+def read_decomposition(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
+    """The triangles, stars and core of a pair that `check_structure`
+    accepts and cleaning leaves as it is.  The stars are read off the
+    subgraph the vertices outside the triangles induce, the one graph
+    built here, one star per component in order of least vertex."""
     adj, get, tri_at = g.adjacency, c.state.get, g.triangles_at()
     outside = [v for v in g.vertices if not tri_at[v]]
     deg4 = [(v, *(w for w in tri_at[v][0] if w != v)) for v in g.vertices if len(adj[v]) == 4]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,41 @@ def test_gen_rejects_an_unknown_model_naming_the_valid_ones(capsys):
         "error: --model must be one of uniform, triangle_chain, claw_gadget, "
         "path_of_triangles, sparse_tree, planted_line, known, not 'lattice'\n"
     )
+
+
+@pytest.mark.parametrize("model", ["uniform", "sparse_tree"])
+def test_gen_above_the_random_models_reach_names_planted_line(model, capsys):
+    """The default model and sparse_tree give up at order 30 with a usage
+    error that says why and names planted_line, which gives a graph there;
+    the help of --model says so too."""
+    args = ["gen", "--n", "30"] if model == "uniform" else ["gen", "--model", model, "--n", "30"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: rejection budget 400 exhausted (model={model}, n=30); uniform and sparse_tree seldom draw "
+        "a long-claw-free graph above 20 vertices; --model planted_line gives one at any order\n"
+    )
+    assert main(["gen", "--model", "planted_line", "--n", "30"]) == 0
+    assert int(capsys.readouterr().out.split()[0]) > 0
+    assert main(["gen", "--help"]) == 0
+    assert "planted_line gives one at any order" in " ".join(capsys.readouterr().out.split())
+
+
+def test_python_m_dimatch_runs_the_command_line(tmp_path):
+    """`python -m dimatch` is the `dimatch` command: same output, same
+    exit codes."""
+    src = str(Path(dimatch.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "dimatch", *args], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+
+    done = run("gen", "--model", "known", "--family", "cycle", "--n", "6")
+    assert (done.returncode, done.stdout) == (0, save_graph(cycle(6))), done.stderr
+    done = run("gen", "--n", "-5")
+    assert done.returncode == 2 and "--n must be nonnegative, not -5" in done.stderr
 
 
 @pytest.mark.parametrize("family", ["cycle", "path", "complete", "star"])

@@ -122,3 +122,49 @@ def test_subdividing_an_edge_into_a_path_of_four_keeps_the_decision():
                     assert solve(h).decision == want, (model, seed, k)
                     checked[want] += 1
     assert checked["YES"] > 100 and checked["NO"] > 50, checked
+
+
+def test_an_arbitrary_relabel_keeps_the_decision():
+    """Relabelling the vertices by any one-to-one map onto ids with gaps,
+    not only an increasing one, keeps the decision: a coloring moves with
+    the labels.  Nothing else is compared, since the solver's outputs may
+    follow the order of the ids.  Checked on mixed instances of orders 7
+    to 16 and on the long-claw-free graphs of four models asked for 27 to
+    66 vertices, most of them above the 26 the oracle can take."""
+    rng = random.Random(11)
+    graphs = [g for _, g in _instances(1000)]
+    for model in ("triangle_chain", "claw_gadget", "path_of_triangles", "planted_line"):
+        graphs += [generate(GeneratorSpec(model=model, n=27 + seed % 40, seed=seed)) for seed in range(50)]
+    decided = {"YES": 0, "NO": 0}
+    for i, g in enumerate(graphs):
+        if contains_s222(g) is not None:
+            continue
+        ids = rng.sample(range(1, 40 * g.n), g.n)
+        f = dict(zip(g.vertices, ids))
+        want = solve(g).decision
+        assert solve(Graph(ids, [(f[u], f[v]) for u, v in g.edges()])).decision == want, (i, g.edges(), ids)
+        decided[want] += 1
+    assert decided["YES"] > 500 and decided["NO"] > 300, decided
+
+
+def test_a_disjoint_planted_yes_part_keeps_the_decision():
+    """Adding a disjoint YES part keeps the decision: a coloring of the
+    union is one of each part.  The part is a planted line graph, YES by
+    construction at any order, placed below or above the graph's ids, so
+    its components come first or last.  Checked on mixed instances of
+    orders 7 to 16 with parts of 4 to 60 vertices."""
+    rng = random.Random(12)
+    decided = {"YES": 0, "NO": 0}
+    for seed, g in _instances(600):
+        part = generate(GeneratorSpec(model="planted_line", n=rng.randint(4, 60), seed=seed))
+        below = rng.random() < 0.5
+        shift = 0 if below else g.vertices[-1]
+        shift_g = part.n if below else 0
+        union = Graph(
+            [*(v + shift_g for v in g.vertices), *(v + shift for v in part.vertices)],
+            [*((u + shift_g, v + shift_g) for u, v in g.edges()), *((u + shift, v + shift) for u, v in part.edges())],
+        )
+        want = solve(g).decision
+        assert solve(union).decision == want, (seed, g.edges(), part.edges(), below)
+        decided[want] += 1
+    assert decided["YES"] > 300 and decided["NO"] > 150, decided

@@ -16,7 +16,7 @@ from dimatch.graph import Graph, complete, cycle, from_edges, path
 from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
 from dimatch.patterns import contains_s222
 from dimatch.pipeline import LongClawPresent, solve
-from dimatch.rewrite import RewriteStep, reduce_to_irreducible
+from dimatch.rewrite import RewriteStep, clean, reduce_to_irreducible
 
 from .util import (
     PLANTED_HOSTS,
@@ -129,15 +129,17 @@ def test_the_rigid_exit_keeps_every_decision(monkeypatch):
     """With the rigidity test made to refuse every pair, each reduction
     runs to its fixpoint, as without the exit; on the inputs of
     `_exit_corpus` both runs decide alike, neither raises, and every YES
-    certificate verifies.  Many runs end rigid, a few of them in a NO that
-    only the matcher finds."""
+    certificate verifies.  Many runs end rigid, many of them at a pair
+    with white vertices or matched black pairs still to clean, and a few
+    in a NO that only the matcher finds."""
     rigid = dimatch.rules.rigid_pair
     ended = Counter()
 
     def counted(g, c, wl):
-        d = rigid(g, c, wl)
-        ended["rigid"] += d is not None
-        return d
+        accepted = rigid(g, c, wl)
+        ended["rigid"] += accepted
+        ended["cleaned"] += accepted and clean(g, c) is not None
+        return accepted
 
     inputs = [g for g in _exit_corpus() if contains_s222(g) is None]
     monkeypatch.setattr(dimatch.rules, "rigid_pair", counted)
@@ -150,6 +152,7 @@ def test_the_rigid_exit_keeps_every_decision(monkeypatch):
             assert not r.is_yes or verify_complete(g, r.certificate), g.edges()
         ended[rep.decision, rep.witness == "saturating matching infeasible"] += 1
     assert len(inputs) > 7000 and ended["rigid"] > 4000 and ended["NO", True] >= 5, (len(inputs), ended)
+    assert ended["cleaned"] > 3000, ended
 
 
 def test_empty_and_tiny_graphs():
@@ -258,13 +261,15 @@ def test_planted_shapes_answer_what_the_oracle_answers(monkeypatch):
 # long-claw-free inputs on which `solve` takes a rule that never fired on
 # the 36 221 inputs of an earlier census (ROADMAP item 6)
 REACHED = {
-    # the input once pinned here, without the pendant edge 4-11, ends
-    # rigid before this rule's turn
+    # the inputs once pinned here, without the pendant edge 4-11 or without
+    # the edge 6-8, end rigid, or rigid once cleaned, before this rule's turn
     "anchored_pentagon": [(1, 2), (1, 5), (1, 6), (1, 7), (2, 3), (2, 9), (2, 10), (3, 4), (4, 5), (4, 8), (4, 11),
-                          (6, 7), (9, 10)],
+                          (6, 7), (6, 8), (9, 10)],
     "seven_cycle_step": [(1, 2), (1, 7), (1, 8), (1, 9), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (8, 9)],
-    "triangle_circuit": [(1, 2), (1, 3), (1, 4), (2, 3), (2, 7), (3, 8), (4, 5), (4, 9), (4, 10), (5, 6), (6, 7),
-                         (6, 8), (9, 10)],
+    # without the edge 2-9, the input once pinned here is rigid once cleaned
+    # before this rule's turn
+    "triangle_circuit": [(1, 2), (1, 3), (1, 4), (2, 3), (2, 7), (2, 9), (3, 8), (4, 5), (4, 9), (4, 10), (5, 6),
+                         (6, 7), (6, 8), (9, 10)],
     "spoked_triangle": [(1, 2), (1, 3), (1, 4), (1, 9), (2, 3), (2, 5), (2, 11), (3, 6), (4, 7), (5, 7), (6, 7),
                         (7, 8), (9, 10), (10, 11), (10, 12)],
     "prune_twin_triangle": [(1, 2), (1, 3), (1, 7), (1, 8), (2, 3), (4, 5), (4, 6), (4, 8), (5, 6), (7, 10), (7, 11),

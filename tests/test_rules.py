@@ -13,6 +13,7 @@ from dimatch.graph import Graph, complete, cycle, from_edges, path, star
 from dimatch.oracle import GeneratorError, GeneratorSpec, brute_dim, generate, is_feasible_partial, mixed_instance
 from dimatch.patterns import Orbits, Pattern, contains_s222, pattern
 from dimatch.rewrite import clean
+from dimatch.setmatch import assert_irreducible_structure
 from dimatch.rules import (
     CATALOG,
     FORCED,
@@ -255,7 +256,7 @@ def test_every_rule_scans_where_each_neighbor_of_a_white_vertex_is_black(monkeyp
 
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(checking(r) for r in CATALOG))
     rng = random.Random(12)
-    for _ in range(1200):
+    for _ in range(1600):
         g = random_host(rng, rng.randint(2, 14), rng.uniform(0.1, 0.5))
         density = rng.choice((0.0, 0.1, 0.3))
         c = PartialColoring({v: BLACK if rng.random() < 0.6 else WHITE for v in g.vertices if rng.random() < density})
@@ -823,6 +824,46 @@ def test_a_rule_yields_nothing_under_fewer_blacks_than_its_black_roles():
     assert fitting >= 1000 and all(cases[r.id, True] >= 50 for r in BLACK_RULES), cases
 
 
+def test_no_rule_scans_in_a_round_that_ends_rigid_once_cleaned(monkeypatch):
+    """In a propagation round whose basic fixpoint leaves a pair that is
+    rigid once cleaned, no catalog rule is called.  The pair is judged
+    apart from the rigidity test, by `decompose` on a cleaned copy, and
+    the test agrees with that judgement in every round.  On mixed
+    instances of orders 7 to 16, many rounds end so with something to
+    clean, and the rules do scan in the other rounds."""
+    test = dimatch.rules.rigid_pair
+    rigid, called, rounds = [False], Counter(), Counter()
+
+    def counted(rule):
+        def fn(g, c, *anchors):
+            called[rigid[0]] += 1
+            return rule.fn(g, c, *anchors)
+
+        return rule._replace(fn=fn)
+
+    def judged(g, c, wl):
+        step = clean(g, c)
+        h, d = g.copy(), c.copy()
+        if step is not None:
+            step.make(h, d)
+        rigid[0] = assert_irreducible_structure(h, d) is None
+        rounds[rigid[0], step is not None] += 1
+        accepted = test(g, c, wl)
+        assert accepted == rigid[0], (g.edges(), c.state)
+        return accepted
+
+    monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in CATALOG))
+    monkeypatch.setattr(dimatch.rules, "rigid_pair", judged)
+    for seed in range(1500):
+        try:
+            g = mixed_instance(7 + seed % 10, seed)
+        except GeneratorError:
+            continue
+        dimatch.rewrite.reduce_to_irreducible(g)
+    assert called[True] == 0, called
+    assert rounds[True, True] >= 350 and called[False] >= 5000, (rounds, called)
+
+
 def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
     """After each propagation along the reduction of the uncolored
     cycle(240), the first included, the worklist's whole records on the
@@ -845,7 +886,7 @@ def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
     def propagate_then_check(g, c, audit=None, wl=None):
         conflict = propagate(g, c, audit, wl)
         assert conflict is None and not c.state
-        if wl.rigid is not None:
+        if wl.rigid:
             assert g.n == 3 and not wl.scanned_whole(g), (g.n, wl.scanned_whole(g))
         else:
             admitted = {r.id for r in BLACK_RULES if r.shape.fits(g)}

@@ -16,7 +16,8 @@ from dimatch.matching import solve_saturation
 from dimatch.oracle import GeneratorError, brute_dim, mixed_instance
 from dimatch.patterns import contains_s222
 from dimatch.pipeline import solve
-from dimatch.rewrite import reduce_to_irreducible
+from dimatch.rewrite import lift_completion, reduce_to_irreducible
+from dimatch.rules import Worklist
 from dimatch.setmatch import (
     SetFamilyInstance,
     Star,
@@ -69,9 +70,8 @@ def test_structure_accepts_degree_four_gadget():
 
 
 def test_structure_rejects_high_degree():
-    from dimatch.graph import star
-
-    msg = assert_irreducible_structure(star(5), PartialColoring())
+    # a hub of degree five above its leaves, so the walk down meets it first
+    msg = assert_irreducible_structure(from_edges(6, [(6, v) for v in range(1, 6)]), PartialColoring())
     assert msg is not None and "degree" in msg
 
 
@@ -114,9 +114,13 @@ def _claw_bridge_with(edges=(), colors=None) -> tuple[Graph, PartialColoring]:
 # one pair per structure fact, with the text of its violation; the walk goes
 # down from the greatest vertex, so each pair breaks its fact at a vertex
 # above every other break.  A claw center's fourth neighbor is a degree-4
-# vertex outside every triangle
+# vertex outside every triangle.  The walk skips what cleaning drops, so a
+# white vertex or a matched black one breaks a fact only next to an
+# uncolored vertex, and a pair the walk accepts with something left to
+# clean is refused by `decompose` alone
 REJECTING = {
-    "high degree": (star(5), PartialColoring(), "maximum degree 5 exceeds four"),
+    "high degree": (from_edges(6, [(6, v) for v in range(1, 6)]), PartialColoring(),
+                    "vertex 6 has degree 5, above four"),
     "bowtie": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]), PartialColoring(),
                "vertex 1 lies in 2 triangles"),
     "isolated": (from_edges(4, [(1, 2), (1, 3), (2, 3)]), PartialColoring(), "isolated vertex 4"),
@@ -132,19 +136,26 @@ REJECTING = {
                   PartialColoring({5: BLACK, 8: BLACK}), "star [7, 8, 9] has an arm outside the triangles"),
     "lone leaf": (from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (4, 5)]), PartialColoring({5: BLACK}),
                   "star center 5 has one leaf"),
-    "black pair": (*_claw_bridge_with(colors={7: BLACK, 10: BLACK}), "black vertices 10 and 7 adjacent"),
+    "black pair": (*_claw_bridge_with(colors={7: BLACK, 10: BLACK}),
+                   "matched black vertex 7 has a neighbor 8 that is not white"),
+    "matched arm": (*_claw_bridge_with(colors={7: BLACK, 8: BLACK}),
+                    "matched black vertex 8 has a neighbor 1 that is not white"),
+    "black triple": (from_edges(3, [(1, 3), (2, 3)]), PartialColoring({1: BLACK, 2: BLACK, 3: BLACK}),
+                     "black vertex 3 has 2 black neighbors"),
+    "white anchor": (*_claw_bridge_with(colors={7: BLACK, 3: WHITE}),
+                     "white vertex 3 has a neighbor 1 that is not black"),
     "attached center": (*_claw_bridge_with(edges=[(7, 2)]), "degree-4 vertex 7 outside every triangle"),
     "path center attached": (from_edges(9, [*_TWO_TRIANGLES, (7, 8), (7, 9), (8, 1), (9, 4), (7, 2)]),
                              PartialColoring({7: BLACK}), "star center 7 has a neighbor in a triangle"),
     "white center": (from_edges(10, [*_TWO_TRIANGLES, (10, 7), (10, 8), (10, 9), (7, 1), (8, 4)]),
-                     PartialColoring({10: WHITE}), "white vertex 10"),
+                     PartialColoring({10: WHITE}), "white vertex 10 has a neighbor 7 that is not black"),
     "two tips": (from_edges(10, [*_TWO_TRIANGLES, (7, 8), (7, 9), (7, 10), (8, 1)]), PartialColoring({7: BLACK}),
                  "star [7, 8, 9, 10] lacks the shape of arms and at most one pendant tip"),
     "thick leaf": (*_claw_bridge_with(edges=[(10, 2), (10, 5)]),
                    "star [7, 8, 9, 10] lacks the shape of arms and at most one pendant tip"),
     "no tip": (*_claw_bridge_with(edges=[(10, 5)]), "star [7, 8, 9, 10] anchored twice in one triangle"),
     "colored tip": (from_edges(10, [*_TWO_TRIANGLES, (10, 7), (10, 8), (10, 9), (7, 1), (8, 4)]),
-                    PartialColoring({10: BLACK, 9: WHITE}), "star [7, 8, 9, 10] has a colored leaf"),
+                    PartialColoring({10: BLACK, 9: WHITE}), "cleaning would remove vertex 9"),
     "one triangle": (from_edges(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7), (5, 1), (6, 2)]),
                      PartialColoring({4: BLACK}), "star [4, 5, 6, 7] anchored twice in one triangle"),
 }
@@ -203,11 +214,13 @@ def test_decompose_reads_the_reference_decomposition_on_the_planted_corpus():
 
 # long-claw-free graphs with a DIM whose irreducible pair keeps a path a1-x-a3
 # outside the triangles: a black center of degree two, its arms anchored in
-# distinct triangles.  A claw-only reading refused that star as a NO.
+# distinct triangles.  A claw-only reading refused that star as a NO.  The
+# pair of 11 is reached by cleaning the whites 10 and 11 off the center and
+# off black triangle vertices
 TWO_ARM_STARS = {
     9: [(1, 2), (1, 5), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5), (4, 8), (4, 9), (6, 7), (8, 9)],
-    11: [(1, 2), (1, 5), (1, 6), (1, 7), (2, 3), (2, 9), (2, 10), (3, 4), (4, 5), (4, 8), (4, 11),
-         (6, 7), (9, 10)],
+    11: [(1, 2), (1, 5), (1, 10), (1, 11), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5), (4, 8), (4, 9),
+         (6, 7), (6, 11), (8, 9), (8, 10)],
     12: [(1, 2), (1, 5), (1, 8), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5), (4, 11), (4, 12), (6, 7),
          (8, 9), (9, 10), (11, 12)],
 }
@@ -324,6 +337,86 @@ def test_exact_hitting_decides_every_rigid_pair():
         decided["hubs"] += len(d.degree4_triangles) > 0
     assert decided[True] + decided[False] >= 2500 and decided[False] >= 200, decided
     assert decided["stars"] >= 1500 and decided["hubs"] >= 500, decided
+
+
+def _cleaned(g: Graph, c: PartialColoring) -> tuple[Graph, PartialColoring]:
+    """The pair cleaning leaves, cut without `clean`: the vertices that are
+    uncolored, or black with no black neighbour."""
+    keep = [v for v in g.vertices
+            if c.get(v) is None or c.get(v) == BLACK and not any(c.get(w) == BLACK for w in g.neighbors(v))]
+    return g.subgraph(keep), PartialColoring({v: c.get(v) for v in keep if c.get(v) is not None})
+
+
+def _hung_pair(rng: random.Random) -> tuple[Graph, PartialColoring]:
+    """A pair of `_random_rigid_pair` with matched black pairs and white
+    vertices hung on it, at a basic fixpoint and without a conflict: each
+    new white is joined only to black vertices, old or new, and each new
+    black pair only to its partner and to new whites.  So every neighbour
+    of a white is black, a matched pair's other neighbours are white, and
+    an old black keeps its uncolored neighbours.  At most 24 vertices."""
+    g, c = _random_rigid_pair(rng)
+    edges, colors, nxt = g.edges(), dict(c.state), g.n + 1
+    blacks = sorted(v for v, col in colors.items() if col == BLACK)
+    for _ in range(rng.randint(0, 2)):
+        if nxt + 1 > 24:
+            break
+        edges.append((nxt, nxt + 1))
+        colors[nxt] = colors[nxt + 1] = BLACK
+        blacks += [nxt, nxt + 1]
+        nxt += 2
+    for _ in range(rng.randint(0, 3)):
+        if nxt > 24 or not blacks:
+            break
+        colors[nxt] = WHITE
+        edges += [(x, nxt) for x in rng.sample(blacks, min(len(blacks), rng.randint(1, 3)))]
+        nxt += 1
+    return Graph(range(1, nxt), edges), PartialColoring(colors)
+
+
+def test_exact_hitting_decides_every_pair_rigid_once_cleaned():
+    """The lemma through cleaning, checked without the catalog: on the
+    pairs of `_hung_pair` that the rigidity test accepts, the reduction
+    ends at once, with no step but one cleaning step when there is
+    something to clean, on the pair `_cleaned` cuts, and with the
+    decomposition `decompose` reads there.  The family then has an exact
+    hitting set exactly when brute force extends the coloring on the pair
+    before cleaning, and a hitting set found lifts to a complete coloring
+    of it that verifies."""
+    rng = random.Random(35)
+    decided = Counter()
+    for _ in range(3000):
+        g, c = _hung_pair(rng)
+        if not dimatch.rules.rigid_pair(g, c, Worklist()):
+            decided["refused"] += 1
+            continue
+        cg, cc = _cleaned(g, c)
+        rr = reduce_to_irreducible(g, c.copy())
+        assert not rr.is_refuted and rr.rewrite_steps == 0, (g.edges(), c.state)
+        assert [s.rule_id for s in rr.trace] == ["clean"] * (cg.n < g.n), (g.edges(), c.state)
+        assert rr.graph == cg and rr.coloring == cc, (g.edges(), c.state)
+        assert rr.decomposition == decompose(cg, cc), (g.edges(), c.state)
+        chosen = solve_hitting(build_family(cg, cc, rr.decomposition))
+        assert (chosen is not None) == (brute_dim(g, c) is not None), (g.edges(), c.state)
+        if chosen is not None:
+            full = lift_completion(rr.trace, coloring_from_hit(cg, cc, rr.decomposition, chosen))
+            assert verify_complete(g, full), (g.edges(), c.state)
+        decided[chosen is not None] += 1
+        decided["cleaned"] += cg.n < g.n
+    assert decided[True] + decided[False] >= 2500 and decided[False] >= 200, decided
+    assert decided["cleaned"] >= 2000, decided
+
+
+def test_a_white_tip_is_read_once_cleaned():
+    """A black center with two arms and a white pendant tip is rigid once
+    the tip is cleaned off: the rigidity test accepts it, `decompose`
+    refuses it as it stands, and the reduction cleans the tip and reads
+    the two-arm star."""
+    g, c, _ = REJECTING["colored tip"]
+    assert dimatch.rules.rigid_pair(g, c, Worklist())
+    rr = reduce_to_irreducible(g, c.copy())
+    assert [s.removed_vertices for s in rr.trace] == [(9,)]
+    assert rr.decomposition.stars == (Star(10, (7, 8), (1, 4)),)
+    assert rr.decomposition == decompose(*_cleaned(g, c))
 
 
 def test_solving_the_claw_bridge_cuts_one_subgraph(monkeypatch):

@@ -26,7 +26,7 @@ def without_rigid_exit(monkeypatch) -> None:
     """Make every rigidity test of propagation refuse, so that each
     reduction runs to its fixpoint and the pipeline decomposes the pair
     there."""
-    monkeypatch.setattr(dimatch.rules, "rigid_pair", lambda g, c, wl: None)
+    monkeypatch.setattr(dimatch.rules, "rigid_pair", lambda g, c, wl: False)
 
 # The long claw: a claw with every edge subdivided once.
 LONG_CLAW = pattern(
