@@ -293,7 +293,11 @@ class Graph:
                     edit(w).discard(v)
                     m -= 1
             touched.pop(v, None)
-            del verts[bisect_left(verts, v)]
+        if gone:
+            # one pass over the ids from the least removed one on, so a
+            # long run costs one shift of the list, not one per vertex
+            cut = bisect_left(verts, min(gone))
+            verts[cut:] = [v for v in verts[cut:] if v not in gone]
         for v in added:
             adj[v] = frozenset()
             insort(verts, v)

@@ -36,6 +36,8 @@ class LiftError(RuntimeError):
 class RewriteStep(NamedTuple):
     rule_id: str
     embedding: dict[str, int]
+    # in the order the lift colors them: ascending, but along the run for
+    # contract_path
     removed_vertices: tuple[int, ...]
     removed_colors: dict[int, Optional[str]]
     removed_incident_edges: tuple[tuple[int, int], ...]
@@ -67,8 +69,8 @@ def _record(
     removed_survivor_edges: tuple[tuple[int, int], ...] = (),
 ) -> RewriteStep:
     """The step making the change on g, with the removed vertices' edges
-    and colors."""
-    removed = tuple(sorted(removed))
+    and colors; removed is kept in the order given."""
+    removed = tuple(removed)
     incident = tuple(sorted({(min(v, w), max(v, w)) for v in removed for w in g.neighbors(v)}))
     touched = {v for e in incident + added_edges + removed_survivor_edges for v in e} | set(added_ids.values())
     return RewriteStep(
@@ -85,7 +87,13 @@ def clean(g: Graph, c: PartialColoring) -> Optional[RewriteStep]:
     removed = {v for v, col in c.state.items() if col == WHITE or not blacks.isdisjoint(adj[v])}
     if not removed:
         return None
-    return _record(g, c, "clean", {}, removed, {})
+    return _record(g, c, "clean", {}, sorted(removed), {})
+
+
+# what a rewrite changes: the vertices it removes, in the order the lift
+# colors them, the vertices and the edges it adds and the survivor edges it
+# removes
+Change = tuple[list[int], dict[str, int], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
 class RewriteRule(NamedTuple):
@@ -121,11 +129,48 @@ class RewriteRule(NamedTuple):
 
     def apply(self, g: Graph, c: PartialColoring, emb: Embedding) -> RewriteStep:
         """The step this rewrite takes at emb, not yet made."""
+        return _record(g, c, self.id, emb, *self.change(g, c, emb))
+
+    def change(self, g: Graph, c: PartialColoring, emb: Embedding) -> Change:
+        """What this rewrite changes at emb."""
         added_ids = dict(zip(self.new_vertices, g.fresh_ids(len(self.new_vertices))))
         lookup = {**emb, **added_ids}
         added = tuple((lookup[a], lookup[b]) for a, b in self.add_edges)
         surv_del = tuple((emb[a], emb[b]) for a, b in self.remove_survivor_edges)
-        return _record(g, c, self.id, emb, (emb[r] for r in self.pattern.closure), added_ids, added, surv_del)
+        return sorted(emb[r] for r in self.pattern.closure), added_ids, added, surv_del
+
+
+class RunContraction(RewriteRule):
+    """contract_path: remove the pattern's v2 v3 v4 and every further
+    whole triple of uncolored degree-two vertices along the run, beyond v5
+    and then beyond v1, and join the two surviving ends.  Each triple is
+    absorbed only while those ends stay distinct and non-adjacent, so the
+    step equals the sequence of three-vertex contractions that removes the
+    same vertices, each an occurrence of the pattern on the graph the one
+    before left: replacing an edge by a path through three new uncolored
+    vertices keeps whether a coloring extends (Cardoso, Korpelainen &
+    Lozin, Discrete Applied Mathematics 159(7), 2011).  The removed
+    vertices are recorded along the run, the order in which the lift
+    meets each one's neighbours one at a time."""
+
+    def change(self, g: Graph, c: PartialColoring, emb: Embedding) -> Change:
+        adj, get = g.adjacency, c.state.get
+        ends = [emb["v1"], emb["v5"]]
+        # per side, the removed vertices from the first triple outward
+        arms = ([emb["v2"]], [emb["v3"], emb["v4"]])
+        for s in (1, 0):
+            arm, far = arms[s], ends[1 - s]
+            while True:
+                prev, x, triple = arm[-1], ends[s], []
+                while len(triple) < 3 and x != far and get(x) is None and len(adj[x]) == 2:
+                    triple.append(x)
+                    a, b = adj[x]
+                    prev, x = x, b if a == prev else a
+                if len(triple) < 3 or x == far or x in adj[far]:
+                    break
+                arm += triple
+                ends[s] = x
+        return arms[0][::-1] + arms[1], {}, ((ends[0], ends[1]),), ()
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +425,7 @@ REWRITE_RULES: tuple[RewriteRule, ...] = (
     RewriteRule(P_CROSS_LINK, add_edges=(("x", "w2"), ("y", "w1"))),
     RewriteRule(P_UNLINK, remove_survivor_edges=(("b", "x"),)),
     RewriteRule(P_CLAW_CHAIN, new_vertices=("n1", "n2"), add_edges=(("n1", "n2"), ("n1", "x1"), ("n1", "r"))),
-    RewriteRule(P_CONTRACT_PATH, add_edges=(("v1", "v5"),)),
+    RunContraction(P_CONTRACT_PATH),
 )
 
 
@@ -465,7 +510,9 @@ def _c5_component(g: Graph) -> Optional[frozenset[int]]:
     dominating induced matching, and it holds no occurrence of a catalog
     rule, a rewrite pattern or a basic rule: every pattern is connected,
     and none embeds in an uncolored five-cycle.  So no later step touches
-    it, and once it is there the answer is NO whenever it is read.
+    it, and once it is there the answer is NO whenever it is read.  An
+    uncolored cycle of 3k + 2 vertices, k > 1, becomes one in a single
+    contract_path step, which removes its whole run but five vertices.
     """
     # such a component has five vertices of degree two
     if g.degree_counts().get(2, 0) < 5:
@@ -503,7 +550,8 @@ def reduce_to_irreducible(
     is rigid once cleaned (see `propagate`): dropping its white vertices
     and matched black pairs leaves no white vertex, no two adjacent black
     vertices and the structure `check_structure` checks.  The reduction
-    then makes the ordinary cleaning step, if there is anything to clean,
+    then makes the ordinary cleaning step, if the accepted test found
+    anything to clean (with nothing, the coloring is not scanned again),
     so the trace and the lift are those of any other cleaning, and the
     result carries the decomposition read off the cleaned pair; no
     catalog scan, rewrite search or fixpoint read follows.  This is exact
@@ -558,6 +606,12 @@ def reduce_to_irreducible(
     forcing rules keep completability, and lifting takes any valid
     completion of the final pair back to g.
 
+    A contract_path step removes a whole run of uncolored degree-two
+    vertices, three at a time, as far as the surviving ends stay distinct
+    and non-adjacent (see `RunContraction`): an uncolored cycle is
+    contracted to a cycle of three, four or five vertices in one round,
+    not n / 3.
+
     Termination is audited: the (bad vertices, n, m) measure must drop
     lexicographically at every rewrite, and the number of rewrites may not
     exceed STEP_CAP_FACTOR * n^2.  The measure is counted whole once, at
@@ -587,7 +641,9 @@ def reduce_to_irreducible(
         conflict = propagate(g, c, audit, wl)
         if conflict is not None:
             return ReduceResult(conflict, g, c, trace, steps)
-        step = clean(g, c)
+        # an accepted rigidity test walked every vertex and knows whether
+        # cleaning would remove one
+        step = None if wl.rigid and not wl.cleanable else clean(g, c)
         rewriting = step is None
         if rewriting:
             if wl.rigid:
@@ -639,10 +695,12 @@ def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
     survivor was valid after it, so its same-colored removed neighbours
     must number its same-colored ends of added edges less those of removed
     survivor edges.  Removed vertices colored when the step was made keep
-    that color; the others take the first valid choice, ascending, BLACK
-    before WHITE.  That choice is found by backtracking: each vertex is
-    checked as soon as it and its neighbours in the step are colored.  A
-    clean step colored all of them, so its lift only checks.
+    that color; the others take the first valid choice in the order the
+    step recorded them, BLACK before WHITE.  That choice is found by
+    backtracking: each vertex is checked as soon as it and its neighbours
+    in the step are colored.  Along a contracted run a wrong color is
+    caught one vertex later, so the search is linear in the run.  A clean
+    step colored all of them, so its lift only checks.
     """
     changed = step.changed
     # a set minus colors.keys() would walk every key of colors
@@ -673,19 +731,24 @@ def _lift_step(step: RewriteStep, colors: dict[int, str]) -> None:
         same = sum(colors[w] == colors[v] for w in nbrs.get(v, ()))
         return same == (owed[v] if v in owed else colors[v] == BLACK)
 
-    def extend(i: int) -> bool:
-        if not all(valid(v) for v in due[i]):
-            return False
-        if i == len(free):
-            return True
-        for col in (BLACK, WHITE):
-            colors[free[i]] = col
-            if extend(i + 1):
-                return True
-        return False
-
-    if not extend(0):
-        raise LiftError(f"{step.rule_id}: no coloring of {list(step.removed_vertices)} is valid")
+    # depth first, BLACK before WHITE, with the colors tried so far at each
+    # depth on a stack of its own, so a long run needs no recursion
+    tried = [0] * len(free)
+    i = 0
+    while True:
+        if all(valid(v) for v in due[i]):
+            if i == len(free):
+                return
+            tried[i] = 0
+        else:
+            i -= 1
+            while i >= 0 and tried[i] == 2:
+                i -= 1
+            if i < 0:
+                raise LiftError(f"{step.rule_id}: no coloring of {list(step.removed_vertices)} is valid")
+        colors[free[i]] = WHITE if tried[i] else BLACK
+        tried[i] += 1
+        i += 1
 
 
 def lift_completion(trace: list[RewriteStep], final: PartialColoring) -> PartialColoring:

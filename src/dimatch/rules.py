@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Generic, Iterator, NamedTuple, Optio
 from .coloring import BLACK, WHITE, Conflict, PartialColoring, assign
 from .graph import Graph
 from .patterns import MUST_BLACK, MUST_UNCOLORED, Orbits, Pattern, pattern
-from .setmatch import StructureViolation, check_structure, structure_fault
+from .setmatch import CLEANED, StructureViolation, check_structure, structure_fault
 
 if TYPE_CHECKING:
     from .rewrite import RewriteStep
@@ -145,11 +145,12 @@ class Worklist:
     skip the rule.
 
     For the rigidity test of `propagate` it also keeps the watch, the
-    vertex at which the last refused test found a fact broken, and whether
-    propagation last ended at a pair that is rigid once cleaned.
+    vertex at which the last refused test found a fact broken, whether
+    propagation last ended at a pair that is rigid once cleaned and
+    whether the last accepted test found anything to clean.
     """
 
-    __slots__ = ("log", "quiet", "whole", "_balls", "_state", "watch", "rigid")
+    __slots__ = ("log", "quiet", "whole", "_balls", "_state", "watch", "rigid", "cleanable")
 
     def __init__(self) -> None:
         self.log: list[int] = []
@@ -164,6 +165,9 @@ class Worklist:
         self.watch: Optional[int] = None
         # whether propagation last ended at a pair rigid once cleaned
         self.rigid = False
+        # whether the last accepted rigidity test found a vertex to clean;
+        # read only while rigid, which that test has just set
+        self.cleanable = True
 
     def anchors(self, g: Graph, key: str, radius: Optional[int]) -> Optional[list[int]]:
         """Ascending anchors to rescan for key; None means all of g: on
@@ -700,12 +704,15 @@ def rigid_pair(g: Graph, c: PartialColoring, wl: Worklist) -> bool:
     at once, without a walk.  The walk goes down from the greatest vertex,
     while the rules and rewrites search up from the least, so a watch
     tends to outlast the steps between two tests.  Neither a refusal nor
-    an acceptance copies or builds a graph."""
+    an acceptance copies or builds a graph.  An acceptance records in
+    wl.cleanable whether cleaning would remove any vertex."""
     v = wl.watch
-    if v in g.adjacency and structure_fault(g, c, v) is not None:
-        return False
+    if v in g.adjacency:
+        fault = structure_fault(g, c, v)
+        if fault is not None and fault is not CLEANED:
+            return False
     try:
-        check_structure(g, c)
+        wl.cleanable = check_structure(g, c) is not None
     except StructureViolation as err:
         wl.watch = err.vertex
         return False

@@ -65,16 +65,21 @@ def assert_irreducible_structure(g: Graph, c: PartialColoring) -> Optional[str]:
     return None
 
 
+# `structure_fault`'s answer at a vertex that cleaning removes; callers
+# tell it from a broken fact's text by identity
+CLEANED = "removed by cleaning"
+
+
 def structure_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
     """The first structure fact that the pair cleaning would leave breaks
-    at v, or None.
+    at v, CLEANED if cleaning removes v, or None.
 
     Cleaning (`dimatch.rewrite.clean`) drops the white vertices and the
     matched black pairs.  So a white v whose neighbours are all black, and
     a black v with one black neighbour and every other neighbour white,
-    are skipped; a white v with a neighbour that is not black, or a black
-    one with two black neighbours, or with one and a neighbour that is not
-    white, breaks a fact here.  Every other vertex is read without its
+    are skipped as CLEANED; a white v with a neighbour that is not black,
+    or a black one with two black neighbours, or with one and a neighbour
+    that is not white, breaks a fact here.  Every other vertex is read without its
     white neighbours, the only ones cleaning takes from it once those
     facts hold everywhere, in this order: v is not isolated and has
     degree at most four.  A triangle vertex lies in one triangle and, if
@@ -117,13 +122,13 @@ def structure_fault(g: Graph, c: PartialColoring, v: int) -> Optional[str]:
                 blacks += 1
         if col == WHITE:
             if blacks == len(ns):
-                return None
+                return CLEANED
             return f"white vertex {v} has a neighbor {min(w for w in ns if get(w) != BLACK)} that is not black"
         if blacks > 1:
             return f"black vertex {v} has {blacks} black neighbors"
         if blacks:
             if not open_:
-                return None
+                return CLEANED
             return f"matched black vertex {v} has a neighbor {min(w for w in ns if get(w) is None)} that is not white"
         if open_ < len(ns):
             ns = frozenset(w for w in ns if get(w) is None)
@@ -198,9 +203,10 @@ def _center_fault(g: Graph, v: int, ns: frozenset[int]) -> Optional[str]:
     return None
 
 
-def check_structure(g: Graph, c: PartialColoring) -> None:
+def check_structure(g: Graph, c: PartialColoring) -> Optional[int]:
     """Raise StructureViolation unless the pair cleaning would leave has
-    the structure `decompose` reads.
+    the structure `decompose` reads; else return the least vertex that
+    cleaning would remove, or None when it would remove none.
 
     One fail-fast walk down from the greatest vertex asks each vertex's
     facts (`structure_fault`) and raises at the first that breaks one,
@@ -208,11 +214,16 @@ def check_structure(g: Graph, c: PartialColoring) -> None:
     vertex and builds nothing, and an accepted one has been walked once
     and is not copied.  The walk goes down because the rules and rewrites
     search up from the least vertex, so a refusal tends to name a vertex
-    they leave alone."""
+    they leave alone; the last vertex an accepted walk skips is the least
+    that cleaning removes."""
+    least = None
     for v in reversed(g.vertices):
         fault = structure_fault(g, c, v)
-        if fault is not None:
+        if fault is CLEANED:
+            least = v
+        elif fault is not None:
             raise StructureViolation(fault, v)
+    return least
 
 
 def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
@@ -231,12 +242,9 @@ def decompose(g: Graph, c: PartialColoring) -> IrreducibleDecomposition:
     naming its least white vertex or matched black one: the reading takes
     the pair as it stands.
     """
-    check_structure(g, c)
-    adj, get = g.adjacency, c.state.get
-    for v in g.vertices:
-        col = get(v)
-        if col == WHITE or col == BLACK and any(get(w) == BLACK for w in adj[v]):
-            raise StructureViolation(f"cleaning would remove vertex {v}", v)
+    v = check_structure(g, c)
+    if v is not None:
+        raise StructureViolation(f"cleaning would remove vertex {v}", v)
     return read_decomposition(g, c)
 
 

@@ -280,6 +280,25 @@ def test_edits_in_place_keep_every_query_equal_to_a_fresh_build():
                 assert query(g) == query(fresh), (seed, step, query)
 
 
+def test_an_edit_removing_many_vertices_keeps_every_query_equal_to_a_fresh_build():
+    """One edit removing a few or many vertices, named in random order and
+    with one that is not there, made with every cached structure built,
+    leaves exactly the other vertices in ascending order, and each query
+    equals a fresh build's."""
+    rng = random.Random(6)
+    for k in (1, 3, 64, 192):
+        g = random_host(rng, 256, 0.02)
+        for query in QUERIES:
+            query(g)
+        gone = rng.sample(list(g.vertices), k)
+        want = sorted(set(g.vertices) - set(gone))
+        g.edit([*gone, -1])
+        assert list(g.vertices) == want, k
+        fresh = Graph(want, g.edges())
+        for query in QUERIES:
+            assert query(g) == query(fresh), (k, query)
+
+
 def test_anchored_triangles_read_the_index_as_the_per_anchor_scan_does():
     """triangles(anchors) equals the concatenated per-anchor scans with the
     index built and with it carried along rewrites."""

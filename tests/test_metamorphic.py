@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+from typing import Callable
 
 from dimatch.coloring import format_certificate
 from dimatch.graph import Graph, load_graph
@@ -83,18 +84,19 @@ def test_an_order_preserving_relabel_maps_the_outputs():
     assert moved > 1400, moved
 
 
-def _subdivided(g: Graph, rng: random.Random, k: int) -> Graph:
+def _subdivided(g: Graph, rng: random.Random, k: int, runs: Callable[[], int] = lambda: 1) -> Graph:
     """g with k of its edges, drawn at random, each replaced by a path of
-    four edges through three new vertices."""
+    3j + 1 edges through 3j new vertices, j = runs() for each."""
     edges = g.edges()
     split = set(rng.sample(range(len(edges)), k))
     top = g.vertices[-1]
     out = [e for i, e in enumerate(edges) if i not in split]
     for i in sorted(split):
         u, v = edges[i]
-        a, b, c = top + 1, top + 2, top + 3
-        top += 3
-        out += [(u, a), (a, b), (b, c), (c, v)]
+        j = runs()
+        path = [u, *range(top + 1, top + 3 * j + 1), v]
+        top += 3 * j
+        out += zip(path, path[1:])
     return Graph([*g.vertices, *range(g.vertices[-1] + 1, top + 1)], out)
 
 
@@ -122,6 +124,32 @@ def test_subdividing_an_edge_into_a_path_of_four_keeps_the_decision():
                     assert solve(h).decision == want, (model, seed, k)
                     checked[want] += 1
     assert checked["YES"] > 100 and checked["NO"] > 50, checked
+
+
+def test_subdividing_an_edge_into_a_path_of_3j_plus_1_keeps_the_decision():
+    """Replacing an edge by a path of 3j + 1 edges is j subdivisions into a
+    path of four, one after the other, so it keeps the answer too.  With j
+    drawn from 1 to 30 for each of one, two or three edges, the paths
+    hold up to 90 new vertices, and they end at branch vertices, not only
+    around a cycle.  On the long-claw-free graphs of the models `generate`
+    does not give up on above 26 vertices, `solve` on each long-claw-free
+    result agrees with `solve` on the original."""
+    rng = random.Random(13)
+    checked = {"YES": 0, "NO": 0}
+    largest = 0
+    for model in ("triangle_chain", "claw_gadget", "path_of_triangles", "planted_line"):
+        for seed in range(250):
+            g = generate(GeneratorSpec(model=model, n=27 + seed % 20, seed=seed))
+            if g.n <= 26 or contains_s222(g) is not None:
+                continue
+            want = solve(g).decision
+            for k in (1, 2, 3):
+                h = _subdivided(g, rng, k, lambda: rng.randint(1, 30))
+                if contains_s222(h) is None:
+                    assert solve(h).decision == want, (model, seed, k)
+                    checked[want] += 1
+                    largest = max(largest, h.n - g.n)
+    assert checked["YES"] > 200 and checked["NO"] > 80 and largest > 150, (checked, largest)
 
 
 def test_an_arbitrary_relabel_keeps_the_decision():

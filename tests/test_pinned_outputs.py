@@ -28,7 +28,7 @@ from dimatch.pipeline import solve
 from dimatch.rewrite import format_trace
 
 PINNED_WITNESSES = "123dfc93b8092cef9a5340ae34bc8183192ee3f1f45c12cc4af5ea475f1bba37"
-PINNED_OTHERS = "d18ef8b9884e35fcdf420cacb4e4576fa2c4e998a64d748936bbd772ceda21d0"
+PINNED_OTHERS = "5bb5e7a42471d9fccb564ddc21489fca28bdc36f88e64175cb81e829356f23f1"
 
 
 def _union(parts: list[Graph]) -> Graph:

@@ -28,6 +28,7 @@ from .util import (
     planted,
     random_host,
     reference_contains_s222,
+    triangle_ring,
     without_rigid_exit,
 )
 
@@ -379,9 +380,10 @@ def _report(rep) -> tuple:
 
 
 def test_solving_never_edits_its_input():
-    """cycle(240), a union of YES mixed instances and mixed instances of
-    one and of several components, some with every cached structure built
-    beforehand: solve and reduce_to_irreducible leave the input's edges,
+    """cycle(240), contracted in one step, a triangle ring, one step per
+    three path vertices, a union of YES mixed instances and mixed
+    instances of one and of several components, some with every cached
+    structure built beforehand: solve and reduce_to_irreducible leave the input's edges,
     vertex sequence, m and cached values as they were, every structure
     cached afterwards equals a fresh build's, and solving the same graph
     twice gives identical reports."""
@@ -395,7 +397,7 @@ def test_solving_never_edits_its_input():
         mixed.append(g)
         if brute_dim(g) is not None and len(g.components()) == 1:
             yes_parts.append(g)
-    inputs = [cycle(240), disjoint_union(yes_parts[:6])] + mixed
+    inputs = [cycle(240), triangle_ring(20), disjoint_union(yes_parts[:6])] + mixed
     assert sum(len(g.components()) > 1 for g in inputs) >= 3
     steps = 0
     for i, g in enumerate(inputs):

@@ -38,18 +38,21 @@ from dimatch.rewrite import (
     try_rewrite,
 )
 from dimatch.rules import DispatchPlan, Worklist, clean_pair_violation
-from dimatch.setmatch import build_family, solve_hitting
+from dimatch.setmatch import build_family, coloring_from_hit, solve_hitting
 
 from .util import (
     REWRITE_HOSTS,
     OracleAudit,
     all_completions,
+    cycle_union,
     decorate,
+    disjoint_union,
     forward,
     fresh_degree_counts,
     made,
     product_lift_step,
     replay_backwards,
+    triangle_ring,
     without_rigid_exit,
 )
 
@@ -145,20 +148,23 @@ class _Unwalkable(dict):
 
 
 def test_a_lift_step_reads_the_coloring_only_at_its_own_vertices():
-    """Lifting each step of the reduction of cycle(240) never walks the
-    whole coloring, so a lift costs what its step touched; the result is
-    the one lift_completion gives."""
-    g = cycle(240)
-    rr = reduce_to_irreducible(g)
-    final = brute_dim(rr.graph, rr.coloring)
-    assert len(rr.trace) > 60 and final is not None
-    colors = _Unwalkable(final.state)
-    for step in reversed(rr.trace):
-        _lift_step(step, colors)
-        for v in step.added_ids.values():
-            colors.pop(v, None)
-    lifted = PartialColoring(dict(dict.items(colors)))
-    assert lifted == lift_completion(rr.trace, final) and verify_complete(g, lifted)
+    """Lifting each step of the reductions of cycle(240), one step that
+    contracts a run of 237 vertices, and of a triangle ring, one step per
+    three path vertices, never walks the whole coloring, so a lift costs
+    what its step touched; the result is the one lift_completion gives.
+    The final pairs end rigid, and exact hitting completes them."""
+    for g, steps in ((cycle(240), 1), (triangle_ring(20), 79)):
+        rr = reduce_to_irreducible(g)
+        g2, c2, d = rr.graph, rr.coloring, rr.decomposition
+        final = coloring_from_hit(g2, c2, d, solve_hitting(build_family(g2, c2, d)))
+        assert len(rr.trace) == steps and verify_complete(g2, final)
+        colors = _Unwalkable(final.state)
+        for step in reversed(rr.trace):
+            _lift_step(step, colors)
+            for v in step.added_ids.values():
+                colors.pop(v, None)
+        lifted = PartialColoring(dict(dict.items(colors)))
+        assert lifted == lift_completion(rr.trace, final) and verify_complete(g, lifted)
 
 
 def test_lift_rejects_completion_with_no_valid_choice():
@@ -218,6 +224,59 @@ def test_contract_path_shortens_long_paths():
     assert (brute_dim(g) is not None) == (brute_dim(g2) is not None)
 
 
+def _shuffled_cycle(n: int, seed: int) -> Graph:
+    """cycle(n) on ids drawn at random from 1..3n, met in random order
+    around the cycle."""
+    ids = random.Random(seed).sample(range(1, 3 * n + 1), n)
+    return Graph(ids, [(ids[i - 1], ids[i]) for i in range(n)])
+
+
+def test_every_cycle_is_decided_by_its_length_mod_three():
+    """A cycle has a dominating induced matching exactly when three divides
+    its length: every third edge is matched.  For n = 3 ... 500, labelled
+    in order and shuffled, solve answers so, every cycle above five takes
+    one contract_path step, which leaves a three-, four- or five-cycle,
+    and every YES certificate verifies."""
+    for n in range(3, 501):
+        for g in (cycle(n), _shuffled_cycle(n, n)):
+            rep = solve(g)
+            assert rep.is_yes == (n % 3 == 0) and rep.rewrite_steps == (n > 5), n
+            assert rep.irreducible_order == 3 + n % 3, n
+            if rep.is_yes:
+                assert verify_complete(g, rep.certificate), n
+
+
+class _Counting(dict):
+    """A coloring that counts the colors written into it one by one."""
+
+    writes = 0
+
+    def __setitem__(self, v, col):
+        self.writes += 1
+        super().__setitem__(v, col)
+
+
+def test_a_run_step_lifts_in_time_linear_in_the_run():
+    """Shuffled cycles of 999 to 15 360 vertices contract in one step, with
+    no recursion as deep as the run, and the step records its removed
+    vertices along the run.  Lifting it colors at most two vertices per
+    removed one, where ascending ids backtrack exponentially: a wrong color
+    is caught one vertex on."""
+    for n in (999, 1000, 3000, 15360):
+        g = _shuffled_cycle(n, n)
+        rep = solve(g)
+        assert rep.is_yes == (n % 3 == 0) and rep.rewrite_steps == 1, n
+        rr = reduce_to_irreducible(g)
+        [step] = rr.trace
+        run = step.removed_vertices
+        assert len(run) == n - 3 - n % 3 and all(g.has_edge(a, b) for a, b in zip(run, run[1:])), n
+        if rep.is_yes:
+            g2, c2, d = rr.graph, rr.coloring, rr.decomposition
+            colors = _Counting(coloring_from_hit(g2, c2, d, solve_hitting(build_family(g2, c2, d))).state)
+            _lift_step(step, colors)
+            assert colors.writes <= 2 * len(run) and verify_complete(g, PartialColoring(colors)), n
+
+
 # -- measure and driver --------------------------------------------------------
 
 
@@ -243,8 +302,10 @@ def test_measure_decreases_on_hosts():
 
 def test_step_wise_measure_equals_a_whole_count():
     """The measure carried through every clean and rewrite step of the
-    reduction equals a whole count on a freshly built graph."""
-    graphs = [cycle(n) for n in range(30, 131)]
+    reduction equals a whole count on a freshly built graph: on cycles,
+    each contracted in one step, on triangle rings, one step per three
+    path vertices, and on mixed instances."""
+    graphs = [cycle(n) for n in range(30, 131)] + [triangle_ring(k) for k in range(1, 20)]
     for n in range(7, 23):
         for seed in range(10):
             try:
@@ -273,9 +334,9 @@ def test_anchored_five_cycle_check_returns_the_least_component():
 
 def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeypatch):
     """The components, the degree census, the triangle index and the
-    bad-vertex count are built whole at most once, and as often on
-    cycle(480) as on cycle(240): every later round updates them from the
-    step's changes."""
+    bad-vertex count are built whole at most once, and as often on a
+    triangle ring of 40 triangles as on one of 20: every later round
+    updates them from the step's changes."""
     builds = Counter()
 
     def counted(name, fn, whole=lambda *args: True):
@@ -294,27 +355,27 @@ def test_reduction_builds_whole_graph_structures_a_fixed_number_of_times(monkeyp
                                                          lambda g: "triangles_at" not in g._cache))
     monkeypatch.setattr(dimatch.rewrite, "bad_vertex_count", counted("bad count", dimatch.rewrite.bad_vertex_count))
     per_n = []
-    for n in (240, 480):
+    for k in (20, 40):
         builds.clear()
-        rr = reduce_to_irreducible(cycle(n))
-        assert rr.rewrite_steps > n // 4
+        rr = reduce_to_irreducible(triangle_ring(k))
+        assert rr.rewrite_steps == 4 * k - 1
         per_n.append(dict(builds))
     assert per_n[0] == per_n[1]
     assert all(k <= 1 for k in per_n[0].values()) and per_n[0]["degree census"] == 1, per_n[0]
 
 
-# the keys that ask the worklist for anchors while cycle(n) is reduced: the
-# cycle stays uncolored, so the rules with a black role ask for none
+# the keys that ask the worklist for anchors while cycles are reduced: they
+# stay uncolored, so the rules with a black role ask for none
 CYCLE_KEYS = {"_basic", "square_degree_two", "contract_path"}
 
 
 def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
-    """Along the reduction of cycle(240) and of 5 mixed instances, no
-    catalog rule whose shape and no rewrite whose pattern does not fit the
-    current graph asks for anchors or is called, and no catalog rule asks
-    for anchors or is called while the coloring holds fewer black vertices
-    than its shape has MUST_BLACK roles.  On the cycle only the rules a
-    cycle fits and that need no black vertex ask for anchors."""
+    """Along the reductions of `_census_walk`, no catalog rule whose shape
+    and no rewrite whose pattern does not fit the current graph asks for
+    anchors or is called, and no catalog rule asks for anchors or is called
+    while the coloring holds fewer black vertices than its shape has
+    MUST_BLACK roles.  On the cycles only the rules a cycle fits and that
+    need no black vertex ask for anchors."""
     shapes = {r.id: r.shape for r in dimatch.rules.CATALOG}
     catalog = set(shapes)
     shapes.update((r.id, r.pattern) for r in REWRITE_RULES)
@@ -360,7 +421,7 @@ def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
     monkeypatch.setattr(RewriteRule, "find", counted_find)
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in dimatch.rules.CATALOG))
     reductions = _census_walk()
-    assert next(reductions).rewrite_steps > 60
+    assert next(reductions).rewrite_steps == 80
     assert set(asked) == CYCLE_KEYS, asked
     for _ in reductions:
         pass
@@ -372,8 +433,11 @@ def test_rules_the_census_rules_out_get_no_anchors_and_no_search(monkeypatch):
 
 
 def _census_walk() -> Iterator[ReduceResult]:
-    """The reductions of cycle(240) and of 5 mixed instances, in turn."""
-    yield reduce_to_irreducible(cycle(240))
+    """The reductions of 80 disjoint cycles, one step each, of a triangle
+    ring, one step per three path vertices, and of 5 mixed instances, in
+    turn."""
+    yield reduce_to_irreducible(cycle_union(80))
+    yield reduce_to_irreducible(triangle_ring(5))
     rng, mixed = random.Random(29), 0
     while mixed < 5:
         try:
@@ -551,13 +615,15 @@ class CensusAudit(ReductionAudit):
 
 
 def test_reduction_carries_the_degree_census():
-    """Along the reduction of cycle(240) and of mixed instances, the
-    working graph after every step carries a degree census and a triangle
-    index equal to a fresh build's, and its other indices, vertex order
-    and m equal a fresh build's."""
+    """Along the reductions of cycle(240), one step that contracts a run
+    of 237 vertices, of a triangle ring, one step per three path vertices,
+    and of mixed instances, the working graph after every step carries a
+    degree census and a triangle index equal to a fresh build's, and its
+    other indices, vertex order and m equal a fresh build's."""
     audit = CensusAudit()
-    steps = reduce_to_irreducible(cycle(240), audit=audit).rewrite_steps
-    assert audit.graphs >= steps > 60 and audit.triangles == audit.graphs - 1
+    assert reduce_to_irreducible(cycle(240), audit=audit).rewrite_steps == 1
+    steps = reduce_to_irreducible(triangle_ring(20), audit=audit).rewrite_steps
+    assert audit.graphs >= steps + 1 > 60 and audit.triangles == audit.graphs - 1
     rng, mixed = random.Random(23), 0
     while mixed < 5:
         try:
@@ -625,14 +691,20 @@ def test_no_rule_or_rewrite_occurs_in_an_uncolored_five_cycle():
 
 
 def test_a_five_cycle_left_by_rewrites_refutes_at_the_fixpoint():
-    """cycle(3k + 2) contracts to a five-cycle in k - 1 contract_path
-    steps; nothing applies there, so the fixpoint reads it as NO."""
+    """cycle(3k + 2) contracts to a five-cycle in one contract_path step,
+    which removes its 3k - 3 least vertices, and a union of such cycles
+    in one step per cycle; nothing applies there, so the fixpoint reads
+    it as NO."""
     for k in range(1, 11):
         rep = solve(cycle(3 * k + 2))
         assert rep.decision == "NO"
         assert rep.witness.endswith(f"component {list(range(3 * k - 2, 3 * k + 3))} is a five-cycle"), rep.witness
-        assert rep.rewrite_steps == k - 1
-        assert [step.rule_id for step in rep.trace] == ["contract_path"] * (k - 1)
+        assert rep.rewrite_steps == min(k - 1, 1)
+        assert [sorted(step.removed_vertices) for step in rep.trace] == [list(range(1, 3 * k - 2))] * min(k - 1, 1)
+        assert {step.rule_id for step in rep.trace} <= {"contract_path"}
+    rr = reduce_to_irreducible(disjoint_union([cycle(3 * k + 2) for k in range(1, 11)]))
+    assert rr.refuted.rule == "c5_component" and rr.rewrite_steps == 9
+    assert rr.refuted.vertex == 1 and {step.rule_id for step in rr.trace} == {"contract_path"}
 
 
 # triangle_outsider with radius 0: its rescans miss the far side of a

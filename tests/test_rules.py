@@ -30,6 +30,7 @@ from .util import (
     PLANTED_HOSTS,
     RULES_BY_ID,
     OracleAudit,
+    cycle_union,
     disjoint_union,
     made,
     planted,
@@ -865,13 +866,13 @@ def test_no_rule_scans_in_a_round_that_ends_rigid_once_cleaned(monkeypatch):
 
 
 def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
-    """After each propagation along the reduction of the uncolored
-    cycle(240), the first included, the worklist's whole records on the
-    graph as it stands list every rule with a black role that the census
-    admits, though after a rewrite step an ungated rescan would be
-    anchored; none of them is called.  The last propagation, on the
-    triangle the cycle contracts to, ends at that rigid pair before any
-    rule, and leaves no record."""
+    """After each propagation along the reduction of 80 disjoint uncolored
+    cycles, one contract_path step each, the first included, the
+    worklist's whole records on the graph as it stands list every rule
+    with a black role that the census admits, though after a rewrite step
+    an ungated rescan would be anchored; none of them is called.  The last
+    propagation, on the 80 triangles the cycles contract to, ends at that
+    rigid pair before any rule, and leaves no record."""
     called = []
 
     def counted(rule):
@@ -887,7 +888,7 @@ def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
         conflict = propagate(g, c, audit, wl)
         assert conflict is None and not c.state
         if wl.rigid:
-            assert g.n == 3 and not wl.scanned_whole(g), (g.n, wl.scanned_whole(g))
+            assert g.n == 240 and not wl.scanned_whole(g), (g.n, wl.scanned_whole(g))
         else:
             admitted = {r.id for r in BLACK_RULES if r.shape.fits(g)}
             assert admitted and admitted <= wl.scanned_whole(g), (g.n, admitted, wl.scanned_whole(g))
@@ -896,9 +897,10 @@ def test_a_gated_rule_leaves_a_whole_record(monkeypatch):
 
     monkeypatch.setattr(dimatch.rules, "CATALOG", tuple(counted(r) for r in CATALOG))
     monkeypatch.setattr(dimatch.rewrite, "propagate", propagate_then_check)
-    rr = dimatch.rewrite.reduce_to_irreducible(cycle(240))
-    assert rr.rewrite_steps > 60 and checked[0] == 240 and len(checked) == rr.rewrite_steps + 1, checked
-    assert rr.decomposition is not None and checked[-1] == 3
+    g = cycle_union(80)
+    rr = dimatch.rewrite.reduce_to_irreducible(g)
+    assert rr.rewrite_steps == 80 and checked[0] == g.n and len(checked) == rr.rewrite_steps + 1, checked
+    assert rr.decomposition is not None and checked[-1] == 240
     assert not {r.id for r in BLACK_RULES} & set(called), called
 
 

@@ -34,6 +34,8 @@ from .util import (
     all_completions,
     brute_hitting,
     brute_maximal_cliques,
+    cycle_union,
+    disjoint_union,
     membership_ok,
     planted,
     reference_decomposition,
@@ -436,9 +438,11 @@ def test_solving_the_claw_bridge_cuts_one_subgraph(monkeypatch):
 
 
 def test_a_refused_rigidity_test_cuts_no_subgraph(monkeypatch):
-    """Reducing cycle(3k) tests rigidity once per propagation round and is
-    refused until the triangle it contracts to, whose accepted test cuts
-    the one subgraph; cycle(3k + 1) ends in a conflict and cuts none."""
+    """Reducing 10 disjoint cycles of 3k vertices tests rigidity once per
+    propagation round, one contract_path step each, and is refused until
+    the 10 triangles they contract to, whose accepted test cuts the one
+    subgraph; with a cycle of 3k + 1 vertices last, the reduction ends in
+    a conflict and cuts none."""
     calls, tests = [], []
     cut, rigid = Graph.subgraph, dimatch.rules.rigid_pair
 
@@ -452,11 +456,12 @@ def test_a_refused_rigidity_test_cuts_no_subgraph(monkeypatch):
 
     monkeypatch.setattr(Graph, "subgraph", counted)
     monkeypatch.setattr(dimatch.rules, "rigid_pair", tested)
-    for n, cuts in ((30, [3]), (31, [])):
+    closed = disjoint_union([cycle(6 + 3 * (i % 4)) for i in range(9)] + [cycle(31)])
+    for g, cuts in ((cycle_union(10), [30]), (closed, [])):
         calls.clear()
         tests.clear()
-        rr = reduce_to_irreducible(cycle(n))
-        assert calls == cuts and len(tests) >= 9, (n, calls, tests)
+        rr = reduce_to_irreducible(g)
+        assert calls == cuts and len(tests) >= 9, (g.n, calls, tests)
         assert (rr.decomposition is not None) == bool(cuts)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dimatch.rules
 from dimatch.coloring import BLACK, WHITE, PartialColoring, verify_complete
-from dimatch.graph import Graph, from_edges
+from dimatch.graph import Graph, cycle, from_edges
 from dimatch.oracle import brute_dim
 from dimatch.patterns import MUST_BLACK, MUST_UNCOLORED, Coloring, Embedding, Pattern, contains_s222, pattern
 from dimatch.rewrite import LiftError, ReductionAudit, RewriteStep
@@ -289,6 +289,28 @@ def disjoint_union(parts: list[Graph]) -> Graph:
         verts += [v + shift for v in part.vertices]
         edges += [(u + shift, v + shift) for u, v in part.edges()]
     return Graph(verts, edges)
+
+
+def cycle_union(k: int) -> Graph:
+    """k disjoint cycles of 6, 9, 12 and 15 vertices in turn.  Nothing
+    colors them, and each contracts to a triangle in one contract_path
+    step, so reducing the union whole takes k steps on uncolored graphs."""
+    return disjoint_union([cycle(6 + 3 * (i % 4)) for i in range(k)])
+
+
+def triangle_ring(k: int, run: int = 12) -> Graph:
+    """k triangles in a ring, each joined to the next by a path through run
+    degree-two vertices; long-claw-free, as a triangle vertex's third
+    neighbour is its only one outside the triangle.  Propagation colors
+    the paths, and contract_path absorbs only uncolored triples beyond its
+    first, so for run = 3j reducing the ring takes jk - 1 steps."""
+    edges = []
+    for i in range(k):
+        b = (run + 3) * i
+        edges += [(b + 1, b + 2), (b + 1, b + 3), (b + 2, b + 3)]
+        edges += [(b + j, b + j + 1) for j in range(3, run + 3)]
+        edges.append((b + run + 3, (run + 3) * ((i + 1) % k) + 1))
+    return from_edges((run + 3) * k, edges)
 
 
 def random_host(rng: random.Random, n: int, density: float) -> Graph:
@@ -841,6 +863,14 @@ REWRITE_HOSTS: dict[str, list[tuple[Graph, dict[int, str]]]] = {
         (from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), {}),
         (from_edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (5, 7)]), {}),
         (from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (1, 7), (6, 7), (5, 8), (5, 9), (8, 9)]), {}),
+        # runs of more than three: beyond v5 to the far leaf, beyond v5
+        # between two triangles, beyond v1 around a relabelled path, and
+        # beyond v5 up to a black vertex
+        (from_edges(11, [(i, i + 1) for i in range(1, 11)]), {}),
+        (from_edges(14, [(1, 2), (1, 3), (2, 3), *((i, i + 1) for i in range(3, 12)), (12, 13), (12, 14), (13, 14)]), {}),
+        (from_edges(13, [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 1), (1, 2),
+                         (2, 3), (3, 4)]), {}),
+        (from_edges(11, [(i, i + 1) for i in range(1, 11)]), {6: BLACK}),
     ],
 }
 
